@@ -44,7 +44,7 @@ from .metrics import (
     roc_auc_ovr_weighted,
     summarize,
 )
-from .neural_net import FeedForwardNet, NetConfig, nn_forward, nn_train
+from .neural_net import FeedForwardNet, NetConfig, nn_scores, nn_train
 from .pipeline import ExperimentConfig, run_experiment
 from .rff import RffProjector, exact_kernel, new_projector, project
 
@@ -78,7 +78,7 @@ __all__ = [
     "kmer_matrix",
     "kmer_vector",
     "new_projector",
-    "nn_forward",
+    "nn_scores",
     "nn_train",
     "ohe_matrix",
     "ohe_vector",

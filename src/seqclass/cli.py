@@ -16,7 +16,7 @@ import sys
 
 from .errors import ConfigError, DataError, NumericalError
 from .features import export_features_csv, featurize_corpus, save_features, save_labels
-from .infogain import export_histograms, export_ig, information_gain, position_histograms, subsample
+from .infogain import export_histograms, export_ig, information_gain, subsample
 from .ingest import join_metadata, load_corpus, parse_fasta, read_metadata_tsv, save_corpus
 from .pipeline import (
     ExperimentConfig,
@@ -107,8 +107,7 @@ def _cmd_ig(args) -> int:
     table = information_gain(data, class_level=args.class_level)
     export_ig(table, args.out)
     if args.histograms:
-        hist, class_names = position_histograms(data, class_level=args.class_level)
-        export_histograms(args.histograms, hist, class_names)
+        export_histograms(args.histograms, table.histograms, table.class_names)
     print(
         f"information gain over {table.sequence_length} positions "
         f"(class entropy {table.class_entropy:.4f} bits) -> {args.out}"

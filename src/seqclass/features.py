@@ -20,33 +20,28 @@ travel in a JSON sidecar.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import (
-    DataError,
     EmptyCorpus,
     InvalidConfig,
-    InvalidResidue,
     IoFailure,
     LengthMismatch,
     SequenceTooShort,
 )
-from .ingest import AMINO_ACIDS, LabeledSequence, label_for_level
+from .ingest import AMINO_ACIDS, LabeledSequence, encode_residues, label_for_level, residue_codes
 
 ALPHABET = AMINO_ACIDS
 ALPHABET_SIZE = len(ALPHABET)  # 21
 
 MAX_K = 6  # 21**7 would exceed 1.8e9 columns
-
-_CODE = np.full(256, 255, dtype=np.uint8)
-for _i, _ch in enumerate(ALPHABET):
-    _CODE[ord(_ch)] = _i
 
 ENCODING_KMERS = "kmers"
 ENCODING_OHE = "ohe"
@@ -54,13 +49,6 @@ ENCODING_RFF = "rff"
 
 _ENCODING_TAGS = {ENCODING_KMERS: 0, ENCODING_OHE: 1, ENCODING_RFF: 2}
 _TAG_ENCODINGS = {v: k for k, v in _ENCODING_TAGS.items()}
-
-
-def symbol_index(ch: str) -> int:
-    code = _CODE[ord(ch)] if len(ch) == 1 and ord(ch) < 256 else 255
-    if code == 255:
-        raise InvalidResidue("<symbol>", 1, ch)
-    return int(code)
 
 
 def kmer_dim(k: int) -> int:
@@ -72,11 +60,8 @@ def kmer_dim(k: int) -> int:
 def kmer_index(kmer: str) -> int:
     """Base-21 index of a k-mer, leftmost character most significant."""
     idx = 0
-    for pos, ch in enumerate(kmer, start=1):
-        code = _CODE[ord(ch)] if ord(ch) < 256 else 255
-        if code == 255:
-            raise InvalidResidue("<kmer>", pos, ch)
-        idx = idx * ALPHABET_SIZE + int(code)
+    for code in residue_codes("<kmer>", kmer).tolist():
+        idx = idx * ALPHABET_SIZE + code
     return idx
 
 
@@ -98,40 +83,17 @@ def kmer_counts(seq: str, k: int = 3) -> dict[str, int]:
     }
 
 
-class _ChunkFeatureError(DataError):
-    """Internal: carries a chunk-relative row so callers can attach the id."""
-
-    def __init__(self, row: int, kind: str, position: int = 0, char: str = ""):
-        self.row = row
-        self.kind = kind  # "invalid" | "short" | "length"
-        self.position = position
-        self.char = char
-        super().__init__(f"feature error {kind} at chunk row {row}")
-
-    def __reduce__(self):  # keep picklable across worker processes
-        return (_ChunkFeatureError, (self.row, self.kind, self.position, self.char))
-
-
-def _encode_chunk(seqs: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Residue codes for a chunk, concatenated, plus per-sequence lengths."""
-    blob = "".join(seqs).encode("ascii", errors="replace")
-    codes = _CODE[np.frombuffer(blob, dtype=np.uint8)]
-    lengths = np.fromiter((len(s) for s in seqs), dtype=np.int64, count=len(seqs))
-    if np.any(codes == 255):
-        flat = int(np.argmax(codes == 255))
-        bounds = np.cumsum(lengths)
-        row = int(np.searchsorted(bounds, flat, side="right"))
-        offset = flat - (bounds[row - 1] if row else 0)
-        raise _ChunkFeatureError(row, "invalid", int(offset) + 1, seqs[row][offset])
-    return codes, lengths
-
-
-def _kmer_csr_chunk(seqs: Sequence[str], k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _kmer_csr_chunk(
+    ids: Sequence[str], seqs: Sequence[str], k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR triplet (indptr, indices, data) of k-mer counts for a chunk."""
     dim = ALPHABET_SIZE**k
-    codes, lengths = _encode_chunk(seqs)
+    codes, lengths = encode_residues(ids, seqs)
     if np.any(lengths < k):
-        raise _ChunkFeatureError(int(np.argmax(lengths < k)), "short")
+        row = int(np.argmax(lengths < k))
+        raise SequenceTooShort(
+            f"sequence {ids[row]!r} is shorter than k={k} ({lengths[row]} residues)"
+        )
     offsets = np.concatenate(([0], np.cumsum(lengths)))
     codes = codes.astype(np.int64)
     n_windows = len(codes) - k + 1
@@ -153,25 +115,22 @@ def _kmer_csr_chunk(seqs: Sequence[str], k: int) -> tuple[np.ndarray, np.ndarray
     return indptr, indices, data
 
 
-def _ohe_csr_chunk(seqs: Sequence[str], expected_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ohe_csr_chunk(
+    ids: Sequence[str], seqs: Sequence[str], expected_len: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR triplet of one-hot indicators; every sequence must have expected_len."""
-    codes, lengths = _encode_chunk(seqs)
+    codes, lengths = encode_residues(ids, seqs)
     if np.any(lengths != expected_len):
-        raise _ChunkFeatureError(int(np.argmax(lengths != expected_len)), "length")
+        row = int(np.argmax(lengths != expected_len))
+        raise LengthMismatch(
+            f"sequence {ids[row]!r} has length {lengths[row]}, expected {expected_len}"
+        )
     n = len(seqs)
     positions = np.tile(np.arange(expected_len, dtype=np.int64), n)
     indices = (positions * ALPHABET_SIZE + codes.astype(np.int64)).astype(np.int32)
     data = np.ones(n * expected_len, dtype=np.int8)
     indptr = np.arange(0, n * expected_len + 1, expected_len, dtype=np.int64)
     return indptr, indices, data
-
-
-def _kmer_worker(args: tuple[Sequence[str], int]):
-    return _kmer_csr_chunk(*args)
-
-
-def _ohe_worker(args: tuple[Sequence[str], int]):
-    return _ohe_csr_chunk(*args)
 
 
 def _assemble(chunks, dim: int, n_rows: int) -> sp.csr_matrix:
@@ -187,31 +146,30 @@ def _assemble(chunks, dim: int, n_rows: int) -> sp.csr_matrix:
     )
 
 
-def _run_chunked(worker, seqs: Sequence[str], extra, dim: int, workers: int,
-                 ids: Sequence[str] | None, chunk_size: int = 512) -> sp.csr_matrix:
-    chunks = [seqs[i : i + chunk_size] for i in range(0, len(seqs), chunk_size)]
-    args = [(chunk, extra) for chunk in chunks]
-    results = []
+def _usable_cores() -> int:
     try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(worker, args):
-                    results.append(result)
-        else:
-            for arg in args:
-                results.append(worker(arg))
-    except _ChunkFeatureError as exc:
-        row = len(results) * chunk_size + exc.row
-        seq_id = ids[row] if ids is not None else f"<row {row}>"
-        if exc.kind == "invalid":
-            raise InvalidResidue(seq_id, exc.position, exc.char) from None
-        if exc.kind == "short":
-            raise SequenceTooShort(
-                f"sequence {seq_id!r} is shorter than k={extra} ({len(seqs[row])} residues)"
-            ) from None
-        raise LengthMismatch(
-            f"sequence {seq_id!r} has length {len(seqs[row])}, expected {extra}"
-        ) from None
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _run_chunked(chunk_csr, seqs: Sequence[str], extra, dim: int, workers: int,
+                 ids: Sequence[str] | None, chunk_size: int = 512) -> sp.csr_matrix:
+    """Featurize in chunks; the pool never outnumbers the chunks or the usable cores."""
+    if workers < 1:
+        raise InvalidConfig(f"workers must be >= 1, got {workers}")
+    if ids is None:
+        ids = [f"<row {row}>" for row in range(len(seqs))]
+    starts = range(0, len(seqs), chunk_size)
+    id_chunks = [ids[i : i + chunk_size] for i in starts]
+    seq_chunks = [seqs[i : i + chunk_size] for i in starts]
+    extras = [extra] * len(starts)
+    processes = min(workers, len(starts), _usable_cores())
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            results = list(pool.map(chunk_csr, id_chunks, seq_chunks, extras))
+    else:
+        results = list(map(chunk_csr, id_chunks, seq_chunks, extras))
     return _assemble(results, dim, len(seqs))
 
 
@@ -225,7 +183,7 @@ def kmer_matrix(
     dim = kmer_dim(k)
     if not seqs:
         raise EmptyCorpus("no sequences to featurize")
-    return _run_chunked(_kmer_worker, seqs, k, dim, workers, ids)
+    return _run_chunked(_kmer_csr_chunk, seqs, k, dim, workers, ids)
 
 
 def ohe_matrix(
@@ -239,7 +197,7 @@ def ohe_matrix(
         raise InvalidConfig(f"expected_len must be positive, got {expected_len}")
     if not seqs:
         raise EmptyCorpus("no sequences to featurize")
-    return _run_chunked(_ohe_worker, seqs, expected_len, ALPHABET_SIZE * expected_len, workers, ids)
+    return _run_chunked(_ohe_csr_chunk, seqs, expected_len, ALPHABET_SIZE * expected_len, workers, ids)
 
 
 def kmer_vector(seq, k: int = 3) -> sp.csr_matrix:

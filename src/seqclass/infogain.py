@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidResidue, IoFailure, NotNormalized, RaggedLengths, SingleClass
-from .features import ALPHABET_SIZE, _CODE
-from .ingest import LabeledSequence, label_for_level
+from .errors import IoFailure, NotNormalized, RaggedLengths, SingleClass
+from .features import ALPHABET_SIZE
+from .ingest import LabeledSequence, encode_residues, label_for_level
 
 
 def entropy(dist) -> float:
@@ -45,6 +45,8 @@ class IgTable:
     ig_bits: np.ndarray  # (L,)
     sequence_length: int
     class_entropy: float
+    histograms: np.ndarray  # (L, 21, C) counts the gains were computed from
+    class_names: list[str]
 
     def rows(self) -> list[tuple[int, float]]:
         return [(p + 1, float(v)) for p, v in enumerate(self.ig_bits)]
@@ -71,14 +73,10 @@ def position_histograms(
     y = np.array([name_to_id[name] for name in names], dtype=np.int64)
     C = len(class_names)
 
-    blob = "".join(item.record.residues for item in data).encode("ascii", errors="replace")
-    codes = _CODE[np.frombuffer(blob, dtype=np.uint8)].reshape(len(data), L).astype(np.int64)
-    if codes.max() >= ALPHABET_SIZE:
-        bad_row = int(np.argmax((codes >= ALPHABET_SIZE).any(axis=1)))
-        bad_pos = int(np.argmax(codes[bad_row] >= ALPHABET_SIZE))
-        raise InvalidResidue(
-            data[bad_row].record.id, bad_pos + 1, data[bad_row].record.residues[bad_pos]
-        )
+    codes, _ = encode_residues(
+        [item.record.id for item in data], [item.record.residues for item in data]
+    )
+    codes = codes.reshape(len(data), L).astype(np.int64)
 
     hist = np.zeros((L, ALPHABET_SIZE, C), dtype=np.int64)
     for p in range(L):
@@ -105,7 +103,8 @@ def information_gain(data: list[LabeledSequence], class_level: str = "country") 
             conditional += (n_s / n) * _entropy_from_counts(hist[p, s])
         ig[p] = h_class - conditional
     np.clip(ig, 0.0, h_class, out=ig)
-    return IgTable(ig_bits=ig, sequence_length=L, class_entropy=h_class)
+    return IgTable(ig_bits=ig, sequence_length=L, class_entropy=h_class,
+                   histograms=hist, class_names=class_names)
 
 
 def subsample(data: list[LabeledSequence], size: int, seed: int) -> list[LabeledSequence]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import struct
 import sys
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -31,7 +31,9 @@ from .errors import (
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWXY"
 STOP_CHAR = "*"
 
-_VALID = frozenset(AMINO_ACIDS)
+# byte -> alphabet index; 255 marks every byte outside the alphabet
+_CODE = np.full(256, 255, dtype=np.uint8)
+_CODE[np.frombuffer(AMINO_ACIDS.encode("ascii"), dtype=np.uint8)] = np.arange(len(AMINO_ACIDS))
 
 CLASS_LEVELS = ("continent", "country", "state")
 
@@ -66,17 +68,42 @@ class SplitSpec:
     stratified: bool = True
 
 
+def residue_codes(seq_id: str, residues: str) -> np.ndarray:
+    """Alphabet index (0..20) of every residue, as uint8.
+
+    Raises InvalidResidue for the first character outside the alphabet,
+    with its 1-based position and the character as given (non-ASCII
+    included: each becomes one ``?`` byte, so offsets stay aligned).
+    """
+    codes = _CODE[np.frombuffer(residues.encode("ascii", errors="replace"), dtype=np.uint8)]
+    bad = np.flatnonzero(codes == 255)
+    if bad.size:
+        pos = int(bad[0])
+        raise InvalidResidue(seq_id, pos + 1, residues[pos])
+    return codes
+
+
+def encode_residues(ids: Sequence[str], seqs: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Residue codes of many sequences, concatenated, plus per-sequence lengths.
+
+    Encodes everything at once; only when some code is invalid does it
+    walk the sequences to raise InvalidResidue for the first bad one.
+    """
+    blob = "".join(seqs).encode("ascii", errors="replace")
+    codes = _CODE[np.frombuffer(blob, dtype=np.uint8)]
+    if np.any(codes == 255):
+        for seq_id, seq in zip(ids, seqs):
+            residue_codes(seq_id, seq)
+    lengths = np.fromiter((len(s) for s in seqs), dtype=np.int64, count=len(seqs))
+    return codes, lengths
+
+
 def validate_residues(seq_id: str, residues: str) -> None:
     """Raise InvalidResidue unless every character is in the alphabet.
 
     One trailing ``*`` is allowed; positions are reported 1-based.
     """
-    body = residues
-    if body.endswith(STOP_CHAR):
-        body = body[:-1]
-    for pos, ch in enumerate(body, start=1):
-        if ch not in _VALID:
-            raise InvalidResidue(seq_id, pos, ch)
+    residue_codes(seq_id, residues[:-1] if residues.endswith(STOP_CHAR) else residues)
 
 
 def parse_fasta(stream: Iterable[str]) -> list[SequenceRecord]:
@@ -301,11 +328,21 @@ def _write_str(handle: IO[bytes], value: str | None) -> None:
     handle.write(raw)
 
 
+def _read_exact(handle: IO[bytes], size: int) -> bytes:
+    raw = handle.read(size)
+    if len(raw) != size:
+        raise IoFailure(f"corpus {handle.name!r} is truncated at byte {handle.tell()}")
+    return raw
+
+
 def _read_str(handle: IO[bytes]) -> str | None:
-    (length,) = struct.unpack("<I", handle.read(4))
+    (length,) = struct.unpack("<I", _read_exact(handle, 4))
     if length == _ABSENT:
         return None
-    return handle.read(length).decode("utf-8")
+    try:
+        return _read_exact(handle, length).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"corpus {handle.name!r} holds a field that is not UTF-8: {exc}") from exc
 
 
 def save_corpus(path: str, data: list[LabeledSequence]) -> None:
@@ -329,7 +366,7 @@ def load_corpus(path: str) -> list[LabeledSequence]:
             magic = f.read(5)
             if magic != _CORPUS_MAGIC:
                 raise IoFailure(f"{path!r} is not a corpus file (bad magic)")
-            version, count = struct.unpack("<BQ", f.read(9))
+            version, count = struct.unpack("<BQ", _read_exact(f, 9))
             if version != 1:
                 raise IoFailure(f"unsupported corpus version {version}")
             data = []
@@ -348,8 +385,3 @@ def load_corpus(path: str) -> list[LabeledSequence]:
             return data
     except OSError as exc:
         raise IoFailure(f"cannot read corpus {path!r}: {exc}") from exc
-
-
-def iter_residues(data: Iterable[LabeledSequence]) -> Iterator[str]:
-    for item in data:
-        yield item.record.residues

@@ -31,8 +31,9 @@ RIDGE_DENSE_LIMIT = 20000  # normal equations up to this many columns, CG above
 
 
 def _as_2d(X):
+    """Float64 CSR or 2-d ndarray; the input itself when it already is one."""
     if sp.issparse(X):
-        return X.tocsr()
+        return X.tocsr().astype(np.float64, copy=False)
     arr = np.asarray(X, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -61,13 +62,9 @@ def majority_fit(labels, class_count: int | None = None) -> MajorityModel:
     return MajorityModel(majority_class=int(np.argmax(counts)), class_count=len(counts))
 
 
-def majority_predict(model: MajorityModel, n: int) -> np.ndarray:
-    return np.full(n, model.majority_class, dtype=np.int64)
-
-
-def majority_scores(model: MajorityModel, n: int) -> np.ndarray:
-    """Constant per-class scores (indicator of the majority class)."""
-    scores = np.zeros((n, model.class_count))
+def majority_scores(model: MajorityModel, X) -> np.ndarray:
+    """Constant per-class scores (indicator of the majority class), one row per row of X."""
+    scores = np.zeros((X.shape[0], model.class_count))
     scores[:, model.majority_class] = 1.0
     return scores
 
@@ -146,15 +143,10 @@ def gnb_scores(model: GaussianNbModel, X) -> np.ndarray:
         - 0.5 * np.sum(model.means**2 * inv_var, axis=1)
     )
     if sp.issparse(X):
-        Xf = X.astype(np.float64)
-        scores = np.asarray(Xf @ a) + np.asarray(Xf.multiply(Xf) @ b)
+        scores = np.asarray(X @ a) + np.asarray(X.multiply(X) @ b)
     else:
         scores = X @ a + (X * X) @ b
     return scores + const
-
-
-def gnb_predict(model: GaussianNbModel, X) -> np.ndarray:
-    return np.argmax(gnb_scores(model, X), axis=1)
 
 
 # --- multinomial logistic regression ------------------------------------------
@@ -198,14 +190,12 @@ def logreg_fit(
     l2_lambda: float = 1e-4,
     max_iters: int = 1000,
     tol: float = 1e-6,
-    seed: int = 0,
     class_count: int | None = None,
 ) -> LogisticRegressionModel:
     """Full-batch gradient descent with Armijo backtracking from zero init.
 
     The objective decreases monotonically across accepted steps; iteration
-    stops when the joint gradient norm drops below ``tol``. ``seed`` is
-    accepted for interface symmetry but the zero init makes it inert.
+    stops when the joint gradient norm drops below ``tol``.
     """
     X = _as_2d(X)
     y = np.asarray(y, dtype=np.int64)
@@ -213,8 +203,6 @@ def logreg_fit(
     C = class_count or (int(y.max()) + 1 if y.size else 0)
     if C < 2:
         raise DegenerateLabels(f"logistic regression needs >= 2 classes, got {C}")
-    if sp.issparse(X):
-        X = X.astype(np.float64)
 
     weights = np.zeros((C, d))
     bias = np.zeros(C)
@@ -250,13 +238,7 @@ def logreg_fit(
 def logreg_proba(model: LogisticRegressionModel, X) -> np.ndarray:
     X = _as_2d(X)
     _check_dim(X, model.weights.shape[1])
-    if sp.issparse(X):
-        X = X.astype(np.float64)
     return _softmax(np.asarray(X @ model.weights.T) + model.bias)
-
-
-def logreg_predict(model: LogisticRegressionModel, X) -> np.ndarray:
-    return np.argmax(logreg_proba(model, X), axis=1)
 
 
 # --- ridge classifier ----------------------------------------------------------
@@ -288,7 +270,6 @@ def ridge_fit(X, y, alpha: float = 1.0, class_count: int | None = None) -> Ridge
     targets[np.arange(n), y] = 1.0
 
     if sp.issparse(X):
-        X = X.astype(np.float64)
         A = sp.hstack([X, np.ones((n, 1))], format="csr")
     else:
         A = np.hstack([X, np.ones((n, 1))])
@@ -322,13 +303,7 @@ def ridge_fit(X, y, alpha: float = 1.0, class_count: int | None = None) -> Ridge
 def ridge_scores(model: RidgeClassifierModel, X) -> np.ndarray:
     X = _as_2d(X)
     _check_dim(X, model.weights.shape[1])
-    if sp.issparse(X):
-        X = X.astype(np.float64)
     return np.asarray(X @ model.weights.T) + model.bias
-
-
-def ridge_predict(model: RidgeClassifierModel, X) -> np.ndarray:
-    return np.argmax(ridge_scores(model, X), axis=1)
 
 
 # --- serialization ---------------------------------------------------------------

@@ -24,6 +24,7 @@ from .errors import (
     LabelOutOfRange,
     NonFiniteLoss,
 )
+from .linear_models import _as_2d, _softmax
 
 PROB_FLOOR = 1e-12  # keeps the loss finite under confident mistakes
 
@@ -85,30 +86,14 @@ def nn_init(config: NetConfig) -> FeedForwardNet:
     )
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def nn_forward(net: FeedForwardNet, X) -> np.ndarray:
+def nn_scores(net: FeedForwardNet, X) -> np.ndarray:
     """Class probabilities; rows sum to 1 within 1e-9."""
+    X = _as_2d(X)
     if X.shape[1] != net.w1.shape[1]:
         raise DimensionMismatch(f"input has dim {X.shape[1]}, net expects {net.w1.shape[1]}")
-    if sp.issparse(X):
-        hidden = np.asarray(X.astype(np.float64) @ net.w1.T) + net.b1
-    else:
-        hidden = np.asarray(X, dtype=np.float64) @ net.w1.T + net.b1
+    hidden = np.asarray(X @ net.w1.T) + net.b1
     np.maximum(hidden, 0.0, out=hidden)
     return _softmax(hidden @ net.w2.T + net.b2)
-
-
-def nn_scores(net: FeedForwardNet, X) -> np.ndarray:
-    return nn_forward(net, X)
-
-
-def nn_predict(net: FeedForwardNet, X) -> np.ndarray:
-    return np.argmax(nn_forward(net, X), axis=1)
 
 
 def nn_loss(probs: np.ndarray, y) -> float:
@@ -124,8 +109,7 @@ def nn_loss_and_grads(net: FeedForwardNet, X, y) -> tuple[float, list[np.ndarray
     """Loss on a batch plus gradients for (w1, b1, w2, b2)."""
     y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]
-    sparse_in = sp.issparse(X)
-    Xf = X.astype(np.float64) if sparse_in else np.asarray(X, dtype=np.float64)
+    Xf = _as_2d(X)
     pre = np.asarray(Xf @ net.w1.T) + net.b1
     hidden = np.maximum(pre, 0.0)
     probs = _softmax(hidden @ net.w2.T + net.b2)
@@ -137,7 +121,7 @@ def nn_loss_and_grads(net: FeedForwardNet, X, y) -> tuple[float, list[np.ndarray
     g_w2 = delta2.T @ hidden
     g_b2 = delta2.sum(axis=0)
     delta1 = (delta2 @ net.w2) * (pre > 0.0)
-    if sparse_in:
+    if sp.issparse(Xf):
         g_w1 = np.asarray(Xf.T @ delta1).T
     else:
         g_w1 = delta1.T @ Xf

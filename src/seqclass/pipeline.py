@@ -9,9 +9,10 @@ reproducible: everything time-derived lives under "timing" keys, which
 `strip_timing` removes for byte-level comparison. Wall-clock runtime is
 measured around fit() only.
 
-The RFF projector is built from (dim, D, gamma, seed) alone and is
-instantiated before any test row is touched, so test data cannot leak
-into it by construction.
+The RFF projector is built from (dim, D, gamma, seed) alone, so test
+data cannot leak into it by construction. Every model is fitted, then
+scored as an n x C matrix; predictions are its row-wise argmax, with
+ties going to the smaller class id.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from pathlib import Path
 from typing import IO
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linear_models as lm
 from . import neural_net as nn
@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise InvalidConfig(f"model must be one of {MODELS}")
         if self.runs < 1:
             raise InvalidConfig("runs must be >= 1")
+        if self.workers < 1:
+            raise InvalidConfig("workers must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidConfig("train_fraction must be in (0,1)")
         if self.use_rff and self.rff_dim < 1:
@@ -144,10 +146,14 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
                 kwargs[key] = False
             else:
                 raise InvalidConfig(f"config key {key!r} expects a boolean, got {raw!r}")
-        elif key in _INT_KEYS:
-            kwargs[key] = int(raw)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(raw)
+        elif key in _INT_KEYS or key in _FLOAT_KEYS:
+            kind = int if key in _INT_KEYS else float
+            try:
+                kwargs[key] = kind(raw)
+            except ValueError:
+                raise InvalidConfig(
+                    f"config key {key!r} expects {kind.__name__}, got {raw!r}"
+                ) from None
         else:
             kwargs[key] = raw
     config = ExperimentConfig(**kwargs)
@@ -178,24 +184,18 @@ def _run_seeds(config: ExperimentConfig, run_index: int) -> dict[str, int]:
     }
 
 
-def _fit_and_score(config: ExperimentConfig, X_train, y_train, X_test, class_count: int):
-    """Returns (predictions, scores, fit_seconds) for the configured model."""
-    model_kind = config.model
-    n_test = X_test.shape[0]
-    if model_kind == "majority":
-        tic = time.perf_counter()
-        model = lm.majority_fit(y_train, class_count)
-        fit_seconds = time.perf_counter() - tic
-        scores = lm.majority_scores(model, n_test)
-        return lm.majority_predict(model, n_test), scores, fit_seconds
-    if model_kind == "nb":
-        tic = time.perf_counter()
-        model = lm.gnb_fit(X_train, y_train, class_count)
-        fit_seconds = time.perf_counter() - tic
-        scores = lm.gnb_scores(model, X_test)
-        return np.argmax(scores, axis=1), scores, fit_seconds
-    if model_kind == "lr":
-        tic = time.perf_counter()
+def _fit(config: ExperimentConfig, X_train, y_train, class_count: int):
+    """Fit the configured model; returns it with the function that scores it.
+
+    Every score function maps (model, X) to an n x C matrix whose argmax
+    is the prediction. Functions are looked up on their modules at call
+    time, so a wrapper installed there is honoured.
+    """
+    if config.model == "majority":
+        return lm.majority_fit(y_train, class_count), lm.majority_scores
+    if config.model == "nb":
+        return lm.gnb_fit(X_train, y_train, class_count), lm.gnb_scores
+    if config.model == "lr":
         model = lm.logreg_fit(
             X_train, y_train,
             l2_lambda=config.lr_l2_lambda,
@@ -203,16 +203,10 @@ def _fit_and_score(config: ExperimentConfig, X_train, y_train, X_test, class_cou
             tol=config.lr_tol,
             class_count=class_count,
         )
-        fit_seconds = time.perf_counter() - tic
-        scores = lm.logreg_proba(model, X_test)
-        return np.argmax(scores, axis=1), scores, fit_seconds
-    if model_kind == "ridge":
-        tic = time.perf_counter()
+        return model, lm.logreg_proba
+    if config.model == "ridge":
         model = lm.ridge_fit(X_train, y_train, alpha=config.ridge_alpha, class_count=class_count)
-        fit_seconds = time.perf_counter() - tic
-        scores = lm.ridge_scores(model, X_test)
-        return np.argmax(scores, axis=1), scores, fit_seconds
-    # neural net
+        return model, lm.ridge_scores
     if class_count < 2:
         raise DegenerateLabels("the nn model needs at least 2 classes")
     net_config = nn.NetConfig(
@@ -224,17 +218,8 @@ def _fit_and_score(config: ExperimentConfig, X_train, y_train, X_test, class_cou
         learning_rate=config.nn_learning_rate,
         seed=config.nn_seed,
     )
-    tic = time.perf_counter()
     net, _trace = nn.nn_train(net_config, X_train, y_train)
-    fit_seconds = time.perf_counter() - tic
-    scores = nn.nn_scores(net, X_test)
-    return np.argmax(scores, axis=1), scores, fit_seconds
-
-
-def _as_model_input(matrix):
-    if sp.issparse(matrix):
-        return matrix.astype(np.float64)
-    return np.asarray(matrix, dtype=np.float64)
+    return net, nn.nn_scores
 
 
 def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: int):
@@ -250,6 +235,7 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
         train_idx, test_idx = split_indices(feats.matrix.shape[0], spec, class_labels)
 
     X_train = feats.matrix[train_idx]
+    X_test = feats.matrix[test_idx]
     y_train = feats.labels[train_idx]
     y_test = feats.labels[test_idx]
 
@@ -257,20 +243,19 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
         with _stage("rff"):
             d = feats.matrix.shape[1]
             gamma = config.rff_gamma if config.rff_gamma is not None else default_gamma(d)
-            # built from (d, D, gamma, seed) before any test row is read
+            # built from (d, D, gamma, seed) alone: no row reaches it
             projector = new_projector(d, config.rff_dim, gamma, seeds["rff"])
             X_train = project(projector, X_train)
-            X_test = project(projector, feats.matrix[test_idx])
-    else:
-        X_train = _as_model_input(X_train)
-        X_test = _as_model_input(feats.matrix[test_idx])
+            X_test = project(projector, X_test)
 
     run_config = replace(config, nn_seed=seeds["model"])
     class_count = len(feats.class_names)
     with _stage("fit"):
-        predictions, scores, fit_seconds = _fit_and_score(
-            run_config, X_train, y_train, X_test, class_count
-        )
+        tic = time.perf_counter()
+        model, model_scores = _fit(run_config, X_train, y_train, class_count)
+        fit_seconds = time.perf_counter() - tic
+        scores = model_scores(model, X_test)
+    predictions = np.argmax(scores, axis=1)
 
     with _stage("metrics"):
         summary = summarize(confusion(y_test, predictions, class_count))
@@ -329,7 +314,7 @@ def run_experiment(
 
     tasks = [(config, feats, i) for i in range(config.runs)]
     if config.parallel_runs and config.runs > 1:
-        with ProcessPoolExecutor(max_workers=min(config.runs, config.workers or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.runs, config.workers)) as pool:
             results = list(pool.map(_run_worker, tasks))
     else:
         results = [_single_run(config, feats, i) for i in range(config.runs)]

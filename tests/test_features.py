@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from seqclass.errors import (
     LengthMismatch,
     SequenceTooShort,
 )
+import seqclass.features as features
 from seqclass.features import (
     ALPHABET,
     ALPHABET_SIZE,
@@ -31,6 +33,9 @@ from seqclass.features import (
     save_labels,
 )
 from seqclass.ingest import LabeledSequence, LabelHierarchy, SequenceRecord
+
+from seqclass.infogain import information_gain
+from seqclass.ingest import LabeledSequence, LabelHierarchy, SequenceRecord, parse_fasta
 
 from conftest import labeled_corpus, random_sequences
 
@@ -192,6 +197,67 @@ def test_parallel_propagates_errors(rng):
         kmer_matrix(seqs, 3, workers=2, ids=[f"q{i}" for i in range(len(seqs))])
     assert err.value.seq_id == "q555"
     assert err.value.position == 40
+
+
+BAD_RESIDUE_ENTRY_POINTS = ("parse_fasta", "kmer_index", "kmer_matrix/1", "kmer_matrix/2",
+                            "ohe_matrix", "information_gain")
+
+
+@pytest.mark.parametrize("entry", BAD_RESIDUE_ENTRY_POINTS)
+@pytest.mark.parametrize("bad, position, char", [("A\u00e9AC", 2, "\u00e9"), ("MDPZ", 4, "Z"),
+                                                 ("ACD-E", 4, "-")])
+def test_bad_residue_reported_alike_everywhere(rng, entry, bad, position, char):
+    seqs = random_sequences(rng, 600, len(bad))  # two 512-row chunks
+    seqs[555] = bad
+    ids = [f"q{i}" for i in range(len(seqs))]
+    with pytest.raises(InvalidResidue) as err:
+        if entry == "parse_fasta":
+            parse_fasta(io.StringIO("".join(f">{i}\n{s}\n" for i, s in zip(ids, seqs))))
+        elif entry == "kmer_index":
+            kmer_index(bad)
+        elif entry.startswith("kmer_matrix"):
+            kmer_matrix(seqs, 3, workers=int(entry[-1]), ids=ids)
+        elif entry == "ohe_matrix":
+            ohe_matrix(seqs, len(bad), ids=ids)
+        else:
+            information_gain([
+                LabeledSequence(SequenceRecord(i, s), LabelHierarchy("x", "ab"[n % 2]))
+                for n, (i, s) in enumerate(zip(ids, seqs))
+            ])
+    seq_id = "<kmer>" if entry == "kmer_index" else "q555"
+    assert (err.value.seq_id, err.value.position, err.value.char) == (seq_id, position, char)
+
+
+def test_pool_is_capped_at_chunks_and_usable_cores(rng, monkeypatch):
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(features, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seqs = random_sequences(rng, 3 * 512, 5)  # three chunks
+    serial = kmer_matrix(seqs, 3, workers=1)
+    assert pools == []
+    assert (kmer_matrix(seqs, 3, workers=8) != serial).nnz == 0
+    assert pools == [2]  # two usable cores
+    kmer_matrix(seqs[:512], 3, workers=8)
+    assert pools == [2]  # one chunk runs in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    kmer_matrix(seqs, 3, workers=8)
+    assert pools == [2, 3]  # three chunks
+    with pytest.raises(InvalidConfig):
+        kmer_matrix(seqs, 3, workers=0)
 
 
 def test_l2_normalize_rows(rng):

@@ -3,11 +3,13 @@ import io
 import numpy as np
 import pytest
 
+from seqclass.cli import main
 from seqclass.errors import (
     ClassTooSmall,
     DuplicateMetadataKey,
     EmptyJoin,
     InvalidResidue,
+    IoFailure,
     MalformedFasta,
 )
 from seqclass.ingest import (
@@ -194,3 +196,21 @@ def test_corpus_round_trip(tmp_path, rng):
     path = tmp_path / "corpus.bin"
     save_corpus(str(path), data)
     assert load_corpus(str(path)) == data
+
+
+def test_truncated_or_undecodable_corpus_is_io_failure(tmp_path):
+    data = labeled_corpus({"a": 3, "b": 2}, length=6, seed=4)
+    path = tmp_path / "corpus.bin"
+    save_corpus(str(path), data)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for offset in range(len(blob)):
+        cut.write_bytes(blob[:offset])
+        with pytest.raises(IoFailure):
+            load_corpus(str(cut))
+        assert main(["run", "--corpus", str(cut)]) == 3, offset
+    first_id = data[0].record.id.encode()
+    cut.write_bytes(blob.replace(first_id, b"\xff" * len(first_id), 1))
+    with pytest.raises(IoFailure, match="UTF-8"):
+        load_corpus(str(cut))
+    assert main(["run", "--corpus", str(cut)]) == 3

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import seqclass.linear_models as lm
+import seqclass.neural_net as nnet
 from seqclass.errors import (
     DegenerateLabels,
     DimensionMismatch,
@@ -24,7 +25,7 @@ def _blobs(rng, n_per_class, centers, scale=1.0):
 def test_majority_basic():
     model = lm.majority_fit([0, 0, 1])
     assert model.majority_class == 0
-    assert lm.majority_predict(model, 4).tolist() == [0, 0, 0, 0]
+    assert np.argmax(lm.majority_scores(model, np.zeros((4, 2))), axis=1).tolist() == [0, 0, 0, 0]
 
 
 def test_majority_tie_breaks_to_smaller_id():
@@ -39,7 +40,7 @@ def test_majority_empty():
 
 def test_majority_scores_constant():
     model = lm.majority_fit([2, 2, 0], class_count=3)
-    scores = lm.majority_scores(model, 5)
+    scores = lm.majority_scores(model, np.zeros((5, 7)))
     assert scores.shape == (5, 3)
     assert np.all(scores == scores[0])
     assert scores[0].tolist() == [0.0, 0.0, 1.0]
@@ -51,13 +52,13 @@ def test_gnb_separated_blobs(rng):
     # centers 10 sigma apart: Bayes error is effectively zero
     X, y = _blobs(rng, 200, [(0.0, 0.0), (10.0, 10.0)])
     model = lm.gnb_fit(X[::2], y[::2])
-    assert (lm.gnb_predict(model, X[1::2]) == y[1::2]).mean() == 1.0
+    assert (np.argmax(lm.gnb_scores(model, X[1::2]), axis=1) == y[1::2]).mean() == 1.0
 
 
 def test_gnb_single_class_predicts_it(rng):
     X = rng.normal(size=(10, 3))
     model = lm.gnb_fit(X, np.zeros(10, dtype=int))
-    assert (lm.gnb_predict(model, X) == 0).all()
+    assert (np.argmax(lm.gnb_scores(model, X), axis=1) == 0).all()
 
 
 def test_gnb_midpoint_tie_breaks_small_id():
@@ -67,7 +68,7 @@ def test_gnb_midpoint_tie_breaks_small_id():
     model = lm.gnb_fit(X, y)
     scores = lm.gnb_scores(model, np.array([[0.0]]))
     assert abs(scores[0, 0] - scores[0, 1]) < 1e-9
-    assert lm.gnb_predict(model, np.array([[0.0]]))[0] == 0
+    assert np.argmax(scores, axis=1)[0] == 0
 
 
 def test_gnb_sparse_matches_dense(rng):
@@ -99,7 +100,7 @@ def test_logreg_separable_blobs(rng):
     # margin check: the construction leaves a gap along x0
     assert X[y == 0, 0].max() < X[y == 1, 0].min()
     model = lm.logreg_fit(X, y, l2_lambda=1e-4, max_iters=500)
-    assert (lm.logreg_predict(model, X) == y).mean() == 1.0
+    assert (np.argmax(lm.logreg_proba(model, X), axis=1) == y).mean() == 1.0
     assert model.n_iters <= 500
 
 
@@ -180,7 +181,7 @@ def test_ridge_huge_alpha_falls_back_to_class_means(rng):
     assert np.all(np.abs(model.weights) < 1e-6)
     # bias orders classes by frequency: mean target is 2p_c - 1
     assert model.bias[0] > model.bias[1]
-    assert (lm.ridge_predict(model, rng.normal(size=(5, 3))) == 0).all()
+    assert (np.argmax(lm.ridge_scores(model, rng.normal(size=(5, 3))), axis=1) == 0).all()
 
 
 def test_ridge_deterministic(rng):
@@ -222,14 +223,21 @@ def test_score_shapes_and_tie_direction(rng):
     X = rng.normal(size=(12, 5))
     y = rng.integers(0, 3, 12)
     y[:3] = [0, 1, 2]
+    net_config = nnet.NetConfig(input_dim=5, class_count=3, hidden_width=4, epochs=2)
     for fit, score in (
+        (lambda: lm.majority_fit(y, 3), lm.majority_scores),
         (lambda: lm.gnb_fit(X, y), lm.gnb_scores),
         (lambda: lm.logreg_fit(X, y, max_iters=20), lm.logreg_proba),
         (lambda: lm.ridge_fit(X, y), lm.ridge_scores),
+        (lambda: nnet.nn_train(net_config, X, y)[0], nnet.nn_scores),
     ):
         model = fit()
-        scores = score(model, X)
-        assert scores.shape == (12, 3)
+        for rows in (X, sp.csr_matrix(X), X[:1]):
+            assert score(model, rows).shape == (rows.shape[0], 3)
+    # a tied majority picks the smaller id, and argmax of its scores agrees
+    tied = lm.majority_fit([2, 1, 1, 2], 3)
+    assert tied.majority_class == 1
+    assert np.argmax(lm.majority_scores(tied, X), axis=1).tolist() == [1] * 12
     # argmax on exact ties returns the smaller class id
     assert int(np.argmax(np.array([1.0, 1.0, 0.5]))) == 0
 

@@ -53,7 +53,7 @@ def test_init_rejects_bad_config():
 
 def test_forward_zero_net_is_uniform(rng):
     net = nnet.FeedForwardNet(np.zeros((5, 4)), np.zeros(5), np.zeros((3, 5)), np.zeros(3))
-    probs = nnet.nn_forward(net, rng.normal(size=(6, 4)))
+    probs = nnet.nn_scores(net, rng.normal(size=(6, 4)))
     assert np.allclose(probs, 1.0 / 3.0)
 
 
@@ -61,16 +61,16 @@ def test_forward_shift_invariance(rng):
     config = _tiny_config()
     net = nnet.nn_init(config)
     X = rng.normal(size=(8, 4))
-    base = nnet.nn_forward(net, X)
+    base = nnet.nn_scores(net, X)
     shifted = nnet.FeedForwardNet(net.w1, net.b1, net.w2, net.b2 + 12.5)
-    assert np.allclose(base, nnet.nn_forward(shifted, X), atol=1e-12)
+    assert np.allclose(base, nnet.nn_scores(shifted, X), atol=1e-12)
 
 
 def test_forward_stability_at_huge_logits(rng):
     net = nnet.FeedForwardNet(
         w1=np.eye(4) * 1e4, b1=np.zeros(4), w2=np.eye(4)[:3], b2=np.zeros(3)
     )
-    probs = nnet.nn_forward(net, rng.normal(size=(5, 4)))
+    probs = nnet.nn_scores(net, rng.normal(size=(5, 4)))
     assert np.all(np.isfinite(probs))
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
@@ -78,14 +78,14 @@ def test_forward_stability_at_huge_logits(rng):
 def test_forward_rows_sum_to_one(rng):
     for seed in range(3):
         net = nnet.nn_init(_tiny_config(d=6, C=4, h=8, seed=seed))
-        probs = nnet.nn_forward(net, rng.normal(size=(10, 6)))
+        probs = nnet.nn_scores(net, rng.normal(size=(10, 6)))
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_forward_dimension_mismatch(rng):
     net = nnet.nn_init(_tiny_config())
     with pytest.raises(DimensionMismatch):
-        nnet.nn_forward(net, rng.normal(size=(2, 9)))
+        nnet.nn_scores(net, rng.normal(size=(2, 9)))
 
 
 def test_loss_values():
@@ -149,7 +149,7 @@ def test_train_blobs_reaches_high_accuracy(rng):
     X, y = _blobs(rng, 500, [tuple([0.0] * 10), tuple([6.0] * 10)], scale=1.0)
     config = nnet.NetConfig(input_dim=10, class_count=2, hidden_width=128, seed=4)
     net, trace = nnet.nn_train(config, X, y)
-    acc = (nnet.nn_predict(net, X) == y).mean()
+    acc = (np.argmax(nnet.nn_scores(net, X), axis=1) == y).mean()
     assert acc >= 0.99
     assert len(trace) == config.epochs == 10
 
@@ -169,7 +169,7 @@ def test_train_full_batch_degenerate(rng):
                             batch_size=10_000, epochs=300, seed=1)
     net, trace = nnet.nn_train(config, X, y)
     assert len(trace) == 300
-    assert (nnet.nn_predict(net, X) == y).mean() >= 0.99
+    assert (np.argmax(nnet.nn_scores(net, X), axis=1) == y).mean() >= 0.99
 
 
 def test_train_deterministic(rng):

@@ -7,6 +7,8 @@ from seqclass.cli import main
 from seqclass.errors import InvalidConfig
 from seqclass.ingest import save_corpus
 from seqclass.pipeline import (
+    _FLOAT_KEYS,
+    _INT_KEYS,
     ExperimentConfig,
     config_from_mapping,
     determinism_bytes,
@@ -245,11 +247,43 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", "--model", "majority"]) == 2
 
 
-def test_cli_ig_subsample_and_histograms(tmp_path):
+def test_cli_ig_subsample_and_histograms(tmp_path, monkeypatch):
+    import seqclass.cli as cli
+    import seqclass.infogain as infogain
+
+    passes = []
+    original = infogain.position_histograms
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return original(*args, **kwargs)
+
+    # wherever the histograms are looked up: by infogain, and by the CLI if it imports them
+    monkeypatch.setattr(infogain, "position_histograms", counted)
+    monkeypatch.setattr(cli, "position_histograms", counted, raising=False)
     _, _, _, corpus = _write_inputs(tmp_path, {"a": 20, "b": 20}, length=12)
     out = tmp_path / "ig.csv"
     hist = tmp_path / "hist.json"
     assert main(["ig", "--corpus", str(corpus), "--subsample", "10",
                  "--seed", "3", "--out", str(out), "--histograms", str(hist)]) == 0
     assert len(out.read_text().strip().splitlines()) == 13  # header + 12 positions
-    assert json.loads(hist.read_text())["class_names"] == ["a", "b"]
+    payload = json.loads(hist.read_text())
+    assert payload["class_names"] == ["a", "b"]
+    for position in payload["positions"]:
+        assert sum(map(sum, position["symbol_class_counts"].values())) == 10
+    assert len(passes) == 1
+
+
+@pytest.mark.parametrize("key", sorted(_INT_KEYS | _FLOAT_KEYS))
+def test_cli_non_numeric_config_value_is_config_error(tmp_path, capsys, key):
+    flag = f"--{key.replace('_', '-')}"
+    assert main(["run", "--corpus", str(tmp_path / "unread.bin"), flag, "abc"]) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_workers_below_one_is_config_error(tmp_path, workers):
+    _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
+    assert main(["run", "--corpus", str(corpus), "--workers", workers]) == 2
+    assert main(["featurize", "--corpus", str(corpus), "--workers", workers,
+                 "--out-features", str(tmp_path / "f"), "--out-labels", str(tmp_path / "l")]) == 2
