@@ -296,16 +296,32 @@ def save_features(path: str, matrix: sp.csr_matrix | np.ndarray, encoding: str) 
 
 
 def load_features(path: str) -> tuple[sp.csr_matrix, str]:
+    """Read an SQFV1 file; a short, oversized or inconsistent one is an IoFailure."""
     try:
         with open(path, "rb") as f:
             if f.read(5) != _MAGIC:
                 raise IoFailure(f"{path!r} is not an SQFV1 feature file")
-            tag, dim, rows, nnz = struct.unpack("<BQQQ", f.read(25))
-            indptr = np.frombuffer(f.read(8 * (rows + 1)), dtype="<i8")
-            indices = np.frombuffer(f.read(4 * nnz), dtype="<i4")
-            data = np.frombuffer(f.read(8 * nnz), dtype="<f8")
+            header = f.read(25)
+            if len(header) != 25:
+                raise IoFailure(f"feature file {path!r} is truncated in its header")
+            tag, dim, rows, nnz = struct.unpack("<BQQQ", header)
+            if tag not in _TAG_ENCODINGS:
+                raise IoFailure(f"feature file {path!r} has unknown encoding tag {tag}")
+            if dim > 2**31:  # columns are int32 indices
+                raise IoFailure(f"feature file {path!r} claims {dim} columns")
+            body = f.read()
     except OSError as exc:
         raise IoFailure(f"cannot read features {path!r}: {exc}") from exc
+    expected = 8 * (rows + 1) + 12 * nnz
+    if len(body) != expected:
+        raise IoFailure(f"feature file {path!r} has {len(body)} array bytes, "
+                        f"its header needs {expected}")
+    indptr = np.frombuffer(body, dtype="<i8", count=rows + 1)
+    indices = np.frombuffer(body, dtype="<i4", count=nnz, offset=8 * (rows + 1))
+    data = np.frombuffer(body, dtype="<f8", count=nnz, offset=8 * (rows + 1) + 4 * nnz)
+    if (indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0)
+            or (nnz and not 0 <= indices.min() <= indices.max() < dim)):
+        raise IoFailure(f"feature file {path!r} has inconsistent indptr or indices")
     matrix = sp.csr_matrix((data.copy(), indices.copy(), indptr.copy()), shape=(rows, dim))
     return matrix, _TAG_ENCODINGS[tag]
 

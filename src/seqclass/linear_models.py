@@ -6,7 +6,8 @@ and all are deterministic given data and hyperparameters. Argmax ties
 resolve toward the smaller class id throughout.
 
 Feature matrices may be dense ndarrays or scipy CSR; fitting never
-densifies anything larger than d x d.
+densifies anything larger than d x d, and ridge nothing larger than
+min(n, d+1) squared.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     NonFiniteLoss,
 )
 
-RIDGE_DENSE_LIMIT = 20000  # normal equations up to this many columns, CG above
+RIDGE_DENSE_LIMIT = 20000  # direct solves up to this size (min of n and d+1), CG above
 
 
 def _as_2d(X):
@@ -166,14 +167,24 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def logreg_loss_grad(weights, bias, X, y, l2_lambda):
-    """Multinomial cross-entropy plus (lambda/2)||W||^2 and its gradients."""
-    n = X.shape[0]
-    logits = np.asarray(X @ weights.T) + bias
-    probs = _softmax(logits)
-    point = probs[np.arange(n), y]
+def _logreg_loss(weights, bias, X, y, l2_lambda, probs=None):
+    """Regularised cross-entropy at (weights, bias) and the softmax probabilities behind it."""
+    if probs is None:
+        probs = _softmax(np.asarray(X @ weights.T) + bias)
+    point = probs[np.arange(X.shape[0]), y]
     loss = -np.mean(np.log(np.maximum(point, 1e-300))) + 0.5 * l2_lambda * np.sum(weights**2)
-    delta = probs
+    return loss, probs
+
+
+def logreg_loss_grad(weights, bias, X, y, l2_lambda, probs=None):
+    """Multinomial cross-entropy plus (lambda/2)||W||^2 and its gradients.
+
+    ``probs``, when given, are the softmax probabilities at (weights, bias)
+    from an earlier loss evaluation; they are not recomputed.
+    """
+    n = X.shape[0]
+    loss, probs = _logreg_loss(weights, bias, X, y, l2_lambda, probs)
+    delta = probs.copy()
     delta[np.arange(n), y] -= 1.0
     delta /= n
     if sp.issparse(X):
@@ -195,7 +206,9 @@ def logreg_fit(
     """Full-batch gradient descent with Armijo backtracking from zero init.
 
     The objective decreases monotonically across accepted steps; iteration
-    stops when the joint gradient norm drops below ``tol``.
+    stops when the joint gradient norm drops below ``tol``. The line search
+    evaluates only the loss of each candidate step; the gradient is
+    computed once a step is accepted, from that candidate's probabilities.
     """
     X = _as_2d(X)
     y = np.asarray(y, dtype=np.int64)
@@ -219,7 +232,7 @@ def logreg_fit(
         for _ in range(60):
             cand_w = weights - step * grad_w
             cand_b = bias - step * grad_b
-            cand_loss, cand_gw, cand_gb = logreg_loss_grad(cand_w, cand_b, X, y, l2_lambda)
+            cand_loss, cand_probs = _logreg_loss(cand_w, cand_b, X, y, l2_lambda)
             if not np.isfinite(cand_loss):
                 raise NonFiniteLoss("logistic loss became non-finite; rescale the features")
             if cand_loss <= loss - 1e-4 * step * gnorm_sq:
@@ -229,7 +242,7 @@ def logreg_fit(
         if not accepted:
             break  # step underflow: gradient no longer improves the objective
         weights, bias = cand_w, cand_b
-        loss, grad_w, grad_b = cand_loss, cand_gw, cand_gb
+        loss, grad_w, grad_b = logreg_loss_grad(weights, bias, X, y, l2_lambda, cand_probs)
         trace.append(loss)
         step = min(step * 2.0, 1e6)
     return LogisticRegressionModel(weights, bias, l2_lambda, iters, trace)
@@ -253,10 +266,11 @@ class RidgeClassifierModel:
 def ridge_fit(X, y, alpha: float = 1.0, class_count: int | None = None) -> RidgeClassifierModel:
     """One-vs-rest regularized least squares against +/-1 targets.
 
-    The intercept rides on an unpenalized constant column. Up to
-    RIDGE_DENSE_LIMIT columns the d x d normal equations are solved
-    directly; above that a matrix-free conjugate-gradient solve (rtol
-    1e-8) runs per class. Both paths are deterministic.
+    The intercept is unpenalized. The direct solve runs in the smaller
+    space: the (d+1) x (d+1) primal normal equations when n >= d + 1,
+    otherwise the n x n centred dual system. Only when both sizes exceed
+    RIDGE_DENSE_LIMIT does a matrix-free conjugate-gradient solve (rtol
+    1e-8) run per class. Every path is deterministic.
     """
     if not alpha > 0:
         raise InvalidConfig(f"ridge alpha must be positive, got {alpha}")
@@ -269,6 +283,36 @@ def ridge_fit(X, y, alpha: float = 1.0, class_count: int | None = None) -> Ridge
     targets = np.full((n, C), -1.0)
     targets[np.arange(n), y] = 1.0
 
+    if n <= d and n <= RIDGE_DENSE_LIMIT:  # the n x n dual system is the smaller one
+        weights, bias = _ridge_dual(X, targets, alpha)
+    else:  # its CG fallback runs only when min(n, d+1) > RIDGE_DENSE_LIMIT
+        weights, bias = _ridge_primal(X, targets, alpha)
+    return RidgeClassifierModel(weights=weights, bias=bias, alpha=alpha)
+
+
+def _ridge_dual(X, targets: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel form (Saunders, Gammerman & Vovk, 1998) with a centred intercept.
+
+    Solves (Kc + alpha I) beta = T - mean(T) with Kc the doubly centred
+    Gram matrix X X'. Its column sums force 1'beta = 0, so W = X'beta
+    without centring X, and b = mean(T) - mean(X) W.
+    """
+    gram = X @ X.T
+    gram = gram.toarray() if sp.issparse(gram) else gram
+    means = gram.mean(axis=0)  # gram is symmetric: row and column means agree
+    gram -= means[None, :] + means[:, None] - means.mean()
+    gram[np.diag_indices_from(gram)] += alpha
+    t_mean = targets.mean(axis=0)
+    beta = np.linalg.solve(gram, targets - t_mean)  # (n, C)
+    weights = np.asarray(X.T @ beta)  # (d, C)
+    bias = t_mean - np.asarray(X.mean(axis=0)).ravel() @ weights
+    return weights.T.copy(), bias
+
+
+def _ridge_primal(X, targets: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(d+1)-dimensional normal equations on [X, 1]; CG above RIDGE_DENSE_LIMIT."""
+    n, d = X.shape
+    C = targets.shape[1]
     if sp.issparse(X):
         A = sp.hstack([X, np.ones((n, 1))], format="csr")
     else:
@@ -296,8 +340,7 @@ def ridge_fit(X, y, alpha: float = 1.0, class_count: int | None = None) -> Ridge
             if info != 0:
                 raise NonFiniteLoss(f"ridge CG failed to converge for class {c} (info={info})")
             solution[:, c] = sol
-
-    return RidgeClassifierModel(weights=solution[:d].T.copy(), bias=solution[d].copy(), alpha=alpha)
+    return solution[:d].T.copy(), solution[d].copy()
 
 
 def ridge_scores(model: RidgeClassifierModel, X) -> np.ndarray:

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateClass, EmptyMatrix, EmptyRuns, LabelOutOfRange
 
@@ -72,6 +71,23 @@ def summarize(matrix: np.ndarray) -> dict[str, float]:
         "f1_weighted": float(np.dot(support, f1)),
         "f1_macro": float(f1.sum() / C),
     }
+
+
+def rankdata(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, each run of ties given the mean of the ranks it spans.
+
+    The midranks of scipy.stats.rankdata, without its import cost; as
+    there, a NaN anywhere makes every rank NaN.
+    """
+    if np.isnan(values).any():
+        return np.full(len(values), np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def binary_auc(scores, positive_mask) -> float:

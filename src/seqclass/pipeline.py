@@ -31,7 +31,9 @@ import numpy as np
 from . import linear_models as lm
 from . import neural_net as nn
 from .errors import DegenerateLabels, InvalidConfig, IoFailure, SeqclassError
-from .features import ENCODING_KMERS, ENCODING_OHE, FeaturizedCorpus, featurize_corpus
+from .features import (
+    ENCODING_KMERS, ENCODING_OHE, FeaturizedCorpus, _usable_cores, featurize_corpus,
+)
 from .ingest import CLASS_LEVELS, LabeledSequence, SplitSpec, split_indices
 from .metrics import RunMetrics, aggregate, confusion, roc_auc_ovr_weighted, summarize
 from .rff import default_gamma, new_projector, project
@@ -313,8 +315,9 @@ def run_experiment(
         )
 
     tasks = [(config, feats, i) for i in range(config.runs)]
-    if config.parallel_runs and config.runs > 1:
-        with ProcessPoolExecutor(max_workers=min(config.runs, config.workers)) as pool:
+    processes = min(config.runs, config.workers, _usable_cores()) if config.parallel_runs else 1
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_run_worker, tasks))
     else:
         results = [_single_run(config, feats, i) for i in range(config.runs)]

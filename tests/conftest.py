@@ -42,3 +42,27 @@ def labeled_corpus(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def inline_pool():
+    """A ProcessPoolExecutor stand-in that maps in this process and starts none.
+
+    Returns the class and the list of max_workers it was created with.
+    """
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    return InlinePool, pools

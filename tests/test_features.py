@@ -9,6 +9,7 @@ from seqclass.errors import (
     EmptyCorpus,
     InvalidConfig,
     InvalidResidue,
+    IoFailure,
     LengthMismatch,
     SequenceTooShort,
 )
@@ -228,22 +229,8 @@ def test_bad_residue_reported_alike_everywhere(rng, entry, bad, position, char):
     assert (err.value.seq_id, err.value.position, err.value.char) == (seq_id, position, char)
 
 
-def test_pool_is_capped_at_chunks_and_usable_cores(rng, monkeypatch):
-    pools = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
+def test_pool_is_capped_at_chunks_and_usable_cores(rng, monkeypatch, inline_pool):
+    InlinePool, pools = inline_pool
     monkeypatch.setattr(features, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     seqs = random_sequences(rng, 3 * 512, 5)  # three chunks
@@ -277,6 +264,37 @@ def test_feature_container_round_trip(tmp_path, rng):
     assert (loaded != mat.astype(np.float64)).nnz == 0
     with open(path, "rb") as f:
         assert f.read(5) == b"SQFV1"
+
+
+def test_corrupt_feature_file_is_io_failure(tmp_path):
+    path = tmp_path / "feat.sqfv"
+    save_features(str(path), sp.csr_matrix(np.array([[1.0, 0, 2], [0, 3, 0]])), "kmers")
+    raw = path.read_bytes()  # magic 0-4, tag 5, dim 6-13, rows 14-21, nnz 22-29, indptr from 30
+    assert len(raw) == 90
+    bad = tmp_path / "bad.sqfv"
+
+    def corrupt(offset, value):
+        out = bytearray(raw)
+        out[offset : offset + len(value)] = value
+        return bytes(out)
+
+    cases = [raw[:cut] for cut in range(len(raw))]
+    cases += [corrupt(i, b"\x00") for i in range(5)]  # magic
+    cases += [corrupt(5, bytes([tag])) for tag in (3, 0x80, 0xFF)]  # unknown encoding
+    cases += [
+        corrupt(6, (2**63).to_bytes(8, "little")),  # dim beyond int32 indices
+        corrupt(6, (2).to_bytes(8, "little")),  # column index 2 out of range
+        corrupt(14, (3).to_bytes(8, "little")),  # rows disagree with the array bytes
+        corrupt(22, (2).to_bytes(8, "little")),  # nnz disagrees with the array bytes
+        corrupt(30, (1).to_bytes(8, "little")),  # indptr[0] != 0
+        corrupt(38, (4).to_bytes(8, "little")),  # indptr decreases
+        corrupt(46, (2).to_bytes(8, "little")),  # indptr[-1] != nnz
+        raw + b"\x00",  # trailing byte
+    ]
+    for case in cases:
+        bad.write_bytes(case)
+        with pytest.raises(IoFailure):  # a DataError: CLI exit code 3
+            load_features(str(bad))
 
 
 def test_labels_sidecar_round_trip(tmp_path):

@@ -10,6 +10,9 @@ from seqclass.errors import (
     EmptyTrainingSet,
     InvalidConfig,
 )
+from seqclass.pipeline import ExperimentConfig, determinism_bytes, run_experiment
+
+from conftest import labeled_corpus
 
 
 def _blobs(rng, n_per_class, centers, scale=1.0):
@@ -158,6 +161,62 @@ def test_logreg_sparse_input(rng):
     assert np.allclose(model.weights, dense_model.weights, atol=1e-8)
 
 
+def _full_gradient_logreg_fit(X, y, l2_lambda=1e-4, max_iters=1000, tol=1e-6, class_count=None):
+    """Reference Armijo descent that evaluates loss and gradient at every candidate step."""
+    X = lm._as_2d(X)
+    y = np.asarray(y, dtype=np.int64)
+    C = class_count or int(y.max()) + 1
+    weights, bias, step = np.zeros((C, X.shape[1])), np.zeros(C), 1.0
+    loss, grad_w, grad_b = lm.logreg_loss_grad(weights, bias, X, y, l2_lambda)
+    trace, iters = [loss], 0
+    for iters in range(1, max_iters + 1):
+        gnorm_sq = float(np.sum(grad_w**2) + np.sum(grad_b**2))
+        if np.sqrt(gnorm_sq) <= tol:
+            iters -= 1
+            break
+        for _ in range(60):
+            cand_w, cand_b = weights - step * grad_w, bias - step * grad_b
+            cand = lm.logreg_loss_grad(cand_w, cand_b, X, y, l2_lambda)
+            if cand[0] <= loss - 1e-4 * step * gnorm_sq:
+                break
+            step *= 0.5
+        else:
+            break
+        weights, bias = cand_w, cand_b
+        loss, grad_w, grad_b = cand
+        trace.append(loss)
+        step = min(step * 2.0, 1e6)
+    return lm.LogisticRegressionModel(weights, bias, l2_lambda, iters, trace)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_logreg_loss_only_search_is_bit_identical(rng, monkeypatch, sparse):
+    X, y = _blobs(rng, 30, [(0.0, 0.0, 1.0), (1.0, 0.5, 0.0), (0.0, 2.0, 0.0)], scale=1.5)
+    X = np.abs(X)
+    X = sp.csr_matrix(X) if sparse else X
+    reference = _full_gradient_logreg_fit(X, y, max_iters=150)
+    calls = []
+    full = lm.logreg_loss_grad
+    monkeypatch.setattr(lm, "logreg_loss_grad", lambda *a: calls.append(1) or full(*a))
+    model = lm.logreg_fit(X, y, max_iters=150)
+    assert np.array_equal(model.weights, reference.weights)
+    assert np.array_equal(model.bias, reference.bias)
+    assert model.loss_trace == reference.loss_trace
+    assert model.n_iters == reference.n_iters == 150
+    assert len(calls) == len(model.loss_trace)  # one gradient per accepted step, plus the start
+
+
+@pytest.mark.parametrize("use_rff", [False, True])
+def test_logreg_loss_only_search_keeps_reports(monkeypatch, use_rff):
+    data = labeled_corpus({"a": 40, "b": 30, "c": 30}, length=24, seed=5)
+    config = ExperimentConfig(model="lr", k=2, runs=2, train_fraction=0.3,
+                              use_rff=use_rff, rff_dim=64, lr_max_iters=200)
+    report, _ = run_experiment(config, data)
+    monkeypatch.setattr(lm, "logreg_fit", _full_gradient_logreg_fit)
+    reference, _ = run_experiment(config, data)
+    assert determinism_bytes(report) == determinism_bytes(reference)
+
+
 # --- ridge classifier -------------------------------------------------------------
 
 def test_ridge_one_dimensional_boundary():
@@ -198,10 +257,59 @@ def test_ridge_cg_matches_normal_equations(rng, monkeypatch):
     y = rng.integers(0, 3, 40)
     direct = lm.ridge_fit(X, y, alpha=0.5)
     monkeypatch.setattr(lm, "RIDGE_DENSE_LIMIT", 4)  # force the CG path
+    cg_calls = []
+    cg = lm.cg
+    monkeypatch.setattr(lm, "cg", lambda *a, **kw: cg_calls.append(1) or cg(*a, **kw))
     iterative = lm.ridge_fit(X, y, alpha=0.5)
+    assert len(cg_calls) == 3  # one solve per class
     scale = np.abs(direct.weights).max()
     assert np.allclose(direct.weights, iterative.weights, atol=1e-6 * scale, rtol=1e-6)
     assert np.allclose(direct.bias, iterative.bias, atol=1e-6)
+
+
+def _targets(y, class_count):
+    targets = np.full((len(y), class_count), -1.0)
+    targets[np.arange(len(y)), y] = 1.0
+    return targets
+
+
+def _ridge_residual(X, y, class_count, model):
+    """Relative residual of (A'A + alpha P) w = A'T with A = [X, 1] and P unpenalising the 1."""
+    X = np.asarray(X.toarray() if sp.issparse(X) else X)
+    A = np.hstack([X, np.ones((X.shape[0], 1))])
+    w = np.vstack([model.weights.T, model.bias])
+    lhs = A.T @ (A @ w)
+    lhs[:-1] += model.alpha * w[:-1]
+    rhs = A.T @ _targets(y, class_count)
+    return np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
+
+
+# dual and primal agreed to about 1e-12 here, 5e-11 on the 3-mer benchmark shape
+RIDGE_RTOL = 1e-8
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("n, d", [(12, 80), (20, 20), (21, 20)], ids=["n<<d", "n=d", "n=d+1"])
+def test_ridge_dual_matches_primal(rng, sparse, n, d):
+    X = rng.poisson(1.0, size=(n, d)).astype(np.float64)  # count-like, as k-mer features
+    y = rng.integers(1, 4, size=n)
+    y[:4] = [0, 1, 2, 3]  # class 0 has one member
+    C = 6  # classes 4 and 5 never appear in the labels
+    X = sp.csr_matrix(X) if sparse else X
+    T = _targets(y, C)
+    dual = lm._ridge_dual(lm._as_2d(X), T, 0.5)
+    primal = lm._ridge_primal(lm._as_2d(X), T, 0.5)
+    X_test = rng.poisson(1.0, size=(15, d)).astype(np.float64)
+    scores = [X_test @ w.T + b for w, b in (dual, primal)]
+    for got, want in zip((*dual, scores[0]), (*primal, scores[1])):
+        assert np.allclose(got, want, rtol=RIDGE_RTOL, atol=RIDGE_RTOL * np.abs(want).max())
+
+    model = lm.ridge_fit(X, y, alpha=0.5, class_count=C)
+    chosen = dual if n < d + 1 else primal  # the direct solve runs in the smaller space
+    assert np.array_equal(model.weights, chosen[0]) and np.array_equal(model.bias, chosen[1])
+    assert _ridge_residual(X, y, C, model) < 1e-10
+    assert np.allclose(model.weights[4:], 0.0, atol=1e-12)  # unseen classes: all -1 targets
+    assert np.allclose(model.bias[4:], -1.0, atol=1e-12)
 
 
 def test_ridge_rejects_bad_alpha(rng):

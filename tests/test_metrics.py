@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.stats import rankdata as scipy_rankdata
 
+import seqclass
 from seqclass.errors import DegenerateClass, EmptyMatrix, EmptyRuns, LabelOutOfRange
 from seqclass.metrics import (
     RunMetrics,
@@ -8,6 +14,7 @@ from seqclass.metrics import (
     binary_auc,
     confusion,
     roc_auc_ovr_weighted,
+    rankdata,
     summarize,
 )
 
@@ -187,6 +194,33 @@ def test_auc_matches_pairwise_oracle_exactly(rng):
         if positives.all() or not positives.any():
             continue
         assert binary_auc(scores, positives) == auc_oracle(scores, positives)
+
+
+@pytest.mark.parametrize("values", [
+    [3.0, 1.0, 3.0, 2.0, 1.0, 3.0],  # ties
+    [0.5] * 7,  # all equal
+    [-0.0, 0.0, 1.0],  # signed zeros tie
+    [4.2],  # one element
+    [2.0, np.nan, 1.0],  # NaN propagates to every rank
+])
+def test_rankdata_midranks_match_scipy(values):
+    values = np.asarray(values)
+    np.testing.assert_array_equal(rankdata(values), scipy_rankdata(values))
+
+
+def test_rankdata_midranks_match_scipy_on_random_ties(rng):
+    for _ in range(200):
+        values = rng.integers(0, rng.integers(1, 6), size=rng.integers(1, 40)).astype(np.float64)
+        assert np.array_equal(rankdata(values), scipy_rankdata(values))
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = os.path.dirname(os.path.dirname(seqclass.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, seqclass.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_auc_ovr_weighted_matches_oracle(rng):

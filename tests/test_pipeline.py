@@ -153,6 +153,31 @@ def test_parallel_runs_match_sequential():
         assert strip_timing(seq_report[key]) == strip_timing(par_report[key])
 
 
+def test_parallel_runs_pool_is_capped_at_usable_cores(monkeypatch, inline_pool):
+    import os
+    from dataclasses import replace
+
+    import seqclass.pipeline as pipeline
+
+    InlinePool, pools = inline_pool
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+    data = labeled_corpus({"a": 30, "b": 30}, seed=17)
+    config = ExperimentConfig(model="nb", runs=3, workers=8, parallel_runs=True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    inline, _ = run_experiment(config, data)
+    assert pools == []  # one usable core: the runs stay in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pooled, _ = run_experiment(config, data)
+    assert pools == [2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    run_experiment(config, data)
+    run_experiment(replace(config, workers=2), data)
+    run_experiment(replace(config, parallel_runs=False), data)
+    assert pools == [2, 3, 2]  # capped by runs, then by workers; no pool without parallel_runs
+    assert pooled["config"]["workers"] == inline["config"]["workers"] == 8
+    assert strip_timing(pooled["runs"]) == strip_timing(inline["runs"])
+
+
 def test_errors_carry_stage_names():
     # ragged corpus under one-hot encoding fails in the featurize stage
     data = labeled_corpus({"a": 5, "b": 5}, length=20, seed=21)
