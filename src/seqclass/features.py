@@ -9,6 +9,9 @@ residue at position p).
 
 Matrices are scipy CSR; extraction is vectorized over chunks of
 sequences and can fan out over worker processes (order preserving).
+k-mers are counted by sorting each chunk's (row, k-mer) window keys, so
+a chunk's memory is linear in its window count and independent of
+21**k: every k up to MAX_K featurizes.
 
 Feature container format ("SQFV1"): the 5 magic bytes, u8 encoding tag
 (0 = kmers, 1 = ohe, 2 = rff), u64 dim, u64 rows, u64 nnz, then the CSR
@@ -107,11 +110,11 @@ def _kmer_csr_chunk(
     idx = idx[valid]
     per_row = lengths - k + 1
     rows = np.repeat(np.arange(len(seqs), dtype=np.int64), per_row)
-    counts = np.bincount(rows * dim + idx, minlength=len(seqs) * dim)
-    flat_nz = np.flatnonzero(counts)
-    data = counts[flat_nz].astype(np.int32)
-    indices = (flat_nz % dim).astype(np.int32)
-    indptr = np.searchsorted(flat_nz // dim, np.arange(len(seqs) + 1)).astype(np.int64)
+    # sorted distinct (row, k-mer) keys: memory follows the window count, not rows * 21**k
+    keys, counts = np.unique(rows * dim + idx, return_counts=True)
+    data = counts.astype(np.int32)
+    indices = (keys % dim).astype(np.int32)
+    indptr = np.searchsorted(keys // dim, np.arange(len(seqs) + 1)).astype(np.int64)
     return indptr, indices, data
 
 
@@ -351,9 +354,20 @@ def save_labels(path: str, labels: np.ndarray, class_names: list[str], encoding:
 
 
 def load_labels(path: str) -> tuple[np.ndarray, list[str]]:
+    """Read a labels sidecar; anything but ids in [0, len(class_names)) is an IoFailure."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             payload = json.load(f)
     except OSError as exc:
         raise IoFailure(f"cannot read labels {path!r}: {exc}") from exc
-    return np.array(payload["labels"], dtype=np.int64), list(payload["class_names"])
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise IoFailure(f"labels file {path!r} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise IoFailure(f"labels file {path!r} does not hold a JSON object")
+    labels, names = payload.get("labels"), payload.get("class_names")
+    if not isinstance(labels, list) or not isinstance(names, list):
+        raise IoFailure(f"labels file {path!r} needs 'labels' and 'class_names' lists")
+    if not all(type(x) is int and 0 <= x < len(names) for x in labels):
+        raise IoFailure(f"labels file {path!r} has a label that is not a class id "
+                        f"in [0, {len(names)})")
+    return np.array(labels, dtype=np.int64), list(names)

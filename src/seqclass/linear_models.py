@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import (
     DegenerateLabels,
@@ -329,6 +328,8 @@ def _ridge_primal(X, targets: np.ndarray, alpha: float) -> tuple[np.ndarray, np.
         rhs = np.asarray(A.T @ targets)
         solution = np.linalg.solve(gram, rhs)  # (d+1, C)
     else:
+        from scipy.sparse.linalg import LinearOperator, cg  # costs start-up; only this path needs it
+
         def matvec(v):
             return np.asarray(A.T @ (A @ v)).ravel() + alpha * penalty * v
 

@@ -9,6 +9,10 @@ reproducible: everything time-derived lives under "timing" keys, which
 `strip_timing` removes for byte-level comparison. Wall-clock runtime is
 measured around fit() only.
 
+Before the first run, the peak bytes of the RFF weights and the model's
+C x d arrays are estimated; a config whose estimate exceeds physical
+memory is an InvalidConfig naming the knob that lowers it.
+
 The RFF projector is built from (dim, D, gamma, seed) alone, so test
 data cannot leak into it by construction. Every model is fitted, then
 scored as an n x C matrix; predictions are its row-wise argmax, with
@@ -18,6 +22,7 @@ ties going to the smaller class id.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -40,6 +45,14 @@ from .rff import default_gamma, new_projector, project
 from .version import __version__
 
 MODELS = ("majority", "nb", "lr", "ridge", "nn")
+
+# float64 C x d arrays that fit and scoring hold at once, read off linear_models:
+# gnb_scores holds means, variances, 1/var and its two weight arrays plus two
+# temporaries; logreg_fit, at an accepted step, holds W, the old gradient and the
+# three arrays of the new gradient's sum.
+_MODEL_PEAK_ARRAYS = {"nb": 7, "lr": 5}
+# the D x d RFF weights plus the C-ordered copy a sparse @ weights.T product makes
+_RFF_PEAK_ARRAYS = 2
 
 
 @dataclass
@@ -176,6 +189,37 @@ def _stage(name: str):
     except SeqclassError as exc:
         exc.args = (f"[stage:{name}] {exc}",)
         raise
+
+
+def physical_memory_bytes() -> int | None:
+    """Installed memory, or None where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int) -> tuple[int, str]:
+    """Peak bytes of one run's RFF weights and C x d model arrays, and the knobs that lower them."""
+    model_dim = config.rff_dim if config.use_rff else feature_dim
+    needed = _MODEL_PEAK_ARRAYS.get(config.model, 0) * class_count * model_dim * 8
+    if config.use_rff:
+        return needed + _RFF_PEAK_ARRAYS * config.rff_dim * feature_dim * 8, "--rff-dim or --k"
+    return needed, "--k"
+
+
+def _preflight_memory(config: ExperimentConfig, feature_dim: int, class_count: int,
+                      processes: int) -> None:
+    """InvalidConfig (exit 2) before an allocation that physical memory cannot hold."""
+    per_run, knob = memory_estimate(config, feature_dim, class_count)
+    needed = per_run * processes
+    available = physical_memory_bytes()
+    if available is not None and needed > available:
+        raise InvalidConfig(
+            f"{config.model}{' with RFF' if config.use_rff else ''} on {feature_dim} features "
+            f"and {class_count} classes needs about {needed / 2**30:.1f} GiB, more than the "
+            f"{available / 2**30:.1f} GiB of physical memory; lower {knob}"
+        )
 
 
 def _run_seeds(config: ExperimentConfig, run_index: int) -> dict[str, int]:
@@ -316,6 +360,8 @@ def run_experiment(
 
     tasks = [(config, feats, i) for i in range(config.runs)]
     processes = min(config.runs, config.workers, _usable_cores()) if config.parallel_runs else 1
+    with _stage("memory"):
+        _preflight_memory(config, feats.dim, len(feats.class_names), processes)
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_run_worker, tasks))

@@ -1,3 +1,4 @@
+import collections
 import io
 import os
 
@@ -200,6 +201,71 @@ def test_parallel_propagates_errors(rng):
     assert err.value.position == 40
 
 
+def _dense_kmer_csr_chunk(ids, seqs, k):
+    """The counter the sort-based one replaced: np.bincount over rows x 21**k counters."""
+    dim = ALPHABET_SIZE**k
+    codes, lengths = features.encode_residues(ids, seqs)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    codes = codes.astype(np.int64)
+    n_windows = len(codes) - k + 1
+    idx = np.zeros(n_windows, dtype=np.int64)
+    for j in range(k):
+        idx = idx * ALPHABET_SIZE + codes[j : n_windows + j]
+    valid = np.ones(n_windows, dtype=bool)
+    for boundary in offsets[1:-1]:
+        valid[boundary - k + 1 : boundary] = False
+    idx = idx[valid]
+    rows = np.repeat(np.arange(len(seqs), dtype=np.int64), lengths - k + 1)
+    counts = np.bincount(rows * dim + idx, minlength=len(seqs) * dim)
+    flat_nz = np.flatnonzero(counts)
+    data = counts[flat_nz].astype(np.int32)
+    indices = (flat_nz % dim).astype(np.int32)
+    indptr = np.searchsorted(flat_nz // dim, np.arange(len(seqs) + 1)).astype(np.int64)
+    return indptr, indices, data
+
+
+def _ragged(rng, n, k, longest):
+    """n sequences of random lengths in [k, longest], the one at row 700 exactly k long."""
+    seqs = [random_sequences(rng, 1, int(length))[0] for length in rng.integers(k, longest + 1, n)]
+    seqs[700] = seqs[700][:k]
+    return seqs
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sorted_counting_matches_dense_bincount(rng, k):
+    seqs = _ragged(rng, 1100, k, 40)  # three 512-row chunks
+    ids = [f"q{i}" for i in range(len(seqs))]
+    # chunk by chunk: the same triplets with the same dtypes
+    for start in range(0, len(seqs), 64):  # 64 rows keep the dense counters below 100 MB at k=4
+        got = features._kmer_csr_chunk(ids[start : start + 64], seqs[start : start + 64], k)
+        want = _dense_kmer_csr_chunk(ids[start : start + 64], seqs[start : start + 64], k)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    # whole matrix across 512-row chunk boundaries, serial and pooled
+    want = features._run_chunked(_dense_kmer_csr_chunk, seqs, k, ALPHABET_SIZE**k, 1, ids,
+                                 chunk_size=64)
+    for workers in (1, 2):
+        got = kmer_matrix(seqs, k, workers=workers, ids=ids)
+        for attr in ("indptr", "indices", "data"):
+            g, w = getattr(got, attr), getattr(want, attr)
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert got.shape == want.shape
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_long_kmers_match_python_counts(rng, k):
+    seqs = _ragged(rng, 800, k, 14)  # two chunks
+    seqs[3] = "A" * 12 + "CA" * 5  # random rows seldom repeat a k-mer: plant overlapping repeats
+    matrix = kmer_matrix(seqs, k, workers=1)
+    assert matrix.shape == (len(seqs), ALPHABET_SIZE**k)
+    for row, seq in enumerate(seqs):
+        want = collections.Counter(seq[i : i + k] for i in range(len(seq) - k + 1))
+        got = matrix.getrow(row)
+        assert dict(zip(got.indices.tolist(), got.data.tolist())) == {
+            kmer_index(kmer): count for kmer, count in want.items()
+        }
+
+
 BAD_RESIDUE_ENTRY_POINTS = ("parse_fasta", "kmer_index", "kmer_matrix/1", "kmer_matrix/2",
                             "ohe_matrix", "information_gain")
 
@@ -303,6 +369,28 @@ def test_labels_sidecar_round_trip(tmp_path):
     labels, names = load_labels(str(path))
     assert labels.tolist() == [0, 1, 1]
     assert names == ["x", "y"]
+
+
+@pytest.mark.parametrize("raw", [
+    b"not json {",
+    b'{"labels": [0], "class_names": ["\xff"]}',
+    b"[0, 1]",
+    b'{"class_names": ["x", "y"]}',
+    b'{"labels": [0, 1]}',
+    b'{"labels": {"0": 1}, "class_names": ["x", "y"]}',
+    b'{"labels": [0, 1.5], "class_names": ["x", "y"]}',
+    b'{"labels": [0, "1"], "class_names": ["x", "y"]}',
+    b'{"labels": [0, true], "class_names": ["x", "y"]}',
+    b'{"labels": [0, 2], "class_names": ["x", "y"]}',
+    b'{"labels": [-1, 0], "class_names": ["x", "y"]}',
+], ids=["not-json", "not-utf8", "top-level-list", "no-labels", "no-class-names",
+        "labels-not-list", "float-label", "string-label", "bool-label", "label-too-big",
+        "negative-label"])
+def test_corrupt_labels_file_is_io_failure(tmp_path, raw):
+    path = tmp_path / "labels.json"
+    path.write_bytes(raw)
+    with pytest.raises(IoFailure):  # a DataError: CLI exit code 3
+        load_labels(str(path))
 
 
 def test_csv_export(rng):

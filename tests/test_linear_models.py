@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 import seqclass.linear_models as lm
 import seqclass.neural_net as nnet
@@ -258,8 +259,8 @@ def test_ridge_cg_matches_normal_equations(rng, monkeypatch):
     direct = lm.ridge_fit(X, y, alpha=0.5)
     monkeypatch.setattr(lm, "RIDGE_DENSE_LIMIT", 4)  # force the CG path
     cg_calls = []
-    cg = lm.cg
-    monkeypatch.setattr(lm, "cg", lambda *a, **kw: cg_calls.append(1) or cg(*a, **kw))
+    cg = scipy.sparse.linalg.cg  # imported inside the CG branch, so patched at its source
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", lambda *a, **kw: cg_calls.append(1) or cg(*a, **kw))
     iterative = lm.ridge_fit(X, y, alpha=0.5)
     assert len(cg_calls) == 3  # one solve per class
     scale = np.abs(direct.weights).max()

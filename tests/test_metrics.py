@@ -214,13 +214,21 @@ def test_rankdata_midranks_match_scipy_on_random_ties(rng):
         assert np.array_equal(rankdata(values), scipy_rankdata(values))
 
 
-def test_cli_import_leaves_scipy_stats_out():
+def _imported_by_cli(module: str) -> bool:
     src = os.path.dirname(os.path.dirname(seqclass.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, seqclass.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, seqclass.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    assert not _imported_by_cli("scipy.stats")
+
+
+def test_cli_import_leaves_scipy_sparse_linalg_out():
+    assert not _imported_by_cli("scipy.sparse.linalg")  # only ridge's CG branch imports it
 
 
 def test_auc_ovr_weighted_matches_oracle(rng):

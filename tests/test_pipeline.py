@@ -312,3 +312,84 @@ def test_cli_workers_below_one_is_config_error(tmp_path, workers):
     assert main(["run", "--corpus", str(corpus), "--workers", workers]) == 2
     assert main(["featurize", "--corpus", str(corpus), "--workers", workers,
                  "--out-features", str(tmp_path / "f"), "--out-labels", str(tmp_path / "l")]) == 2
+
+
+# --- memory pre-flight -----------------------------------------------------------
+
+@pytest.mark.parametrize("model, use_rff", [("nb", False), ("lr", False), ("majority", True)])
+def test_memory_estimate_matches_traced_peak(model, use_rff):
+    """The C x d (or D x d) array count of the estimate, against tracemalloc's peak."""
+    import tracemalloc
+
+    import scipy.sparse as sp
+
+    import seqclass.linear_models as lm
+    from seqclass.pipeline import memory_estimate
+    from seqclass.rff import new_projector, project
+
+    n, C, d, D = 60, 20, 20000, 40
+    X = sp.random(n, d, density=0.005, format="csr", random_state=3)
+    y = np.arange(n) % C
+    config = ExperimentConfig(model=model, use_rff=use_rff, rff_dim=D)
+    estimate, _ = memory_estimate(config, d, C)
+    tracemalloc.start()
+    if use_rff:
+        project(new_projector(d, D, 1.0 / d, 0), X)
+    elif model == "nb":
+        lm.gnb_scores(lm.gnb_fit(X, y, C), X)
+    else:
+        lm.logreg_proba(lm.logreg_fit(X, y, max_iters=3, class_count=C), X)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert 0.75 * estimate <= peak <= 1.05 * estimate
+
+
+def test_memory_estimate_at_long_kmers():
+    from seqclass.pipeline import memory_estimate
+
+    d5, d6 = 21**5, 21**6
+    assert memory_estimate(ExperimentConfig(model="nb", k=5), d5, 20) == (7 * 20 * d5 * 8, "--k")
+    assert memory_estimate(ExperimentConfig(model="lr", k=6), d6, 20)[0] == 5 * 20 * d6 * 8
+    assert memory_estimate(ExperimentConfig(model="ridge", k=6), d6, 20)[0] == 0
+    rff = memory_estimate(ExperimentConfig(model="nb", k=6, use_rff=True), d6, 20)
+    assert rff == (2 * 1000 * d6 * 8 + 7 * 20 * 1000 * 8, "--rff-dim or --k")
+
+
+def test_preflight_counts_every_parallel_run(monkeypatch):
+    import seqclass.pipeline as pipeline
+
+    config = ExperimentConfig(model="nb")
+    per_run, _ = pipeline.memory_estimate(config, 9261, 20)
+    monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: int(1.5 * per_run))
+    pipeline._preflight_memory(config, 9261, 20, processes=1)
+    with pytest.raises(InvalidConfig, match="lower --k"):
+        pipeline._preflight_memory(config, 9261, 20, processes=2)
+    monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: None)  # unknown: no check
+    pipeline._preflight_memory(config, 9261, 20, processes=2)
+
+
+@pytest.mark.parametrize("model, flags", [("nb", []), ("lr", []), ("nb", ["--use-rff", "true"])])
+def test_cli_k6_over_physical_memory_is_config_error(tmp_path, capsys, monkeypatch, model, flags):
+    import seqclass.pipeline as pipeline
+
+    # a fixed 8 GiB host, so no run here gets as far as its 13.7 GB C x d arrays
+    monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: 8 * 2**30)
+    monkeypatch.setattr(pipeline, "_single_run", None)  # reaching a run is a failure too
+    _, _, _, corpus = _write_inputs(tmp_path, {f"c{i:02d}": 3 for i in range(20)})
+    assert main(["run", "--corpus", str(corpus), "--k", "6", "--model", model, *flags]) == 2
+    err = capsys.readouterr().err
+    assert "GiB" in err and "8.0 GiB of physical memory" in err
+    assert ("lower --rff-dim or --k" if flags else "lower --k") in err
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_cli_featurize_long_kmers(tmp_path, k):
+    from seqclass.features import load_features
+
+    data, _, _, corpus = _write_inputs(tmp_path, {"a": 300, "b": 300})  # two chunks
+    feats, labels = tmp_path / "f.sqfv", tmp_path / "l.json"
+    assert main(["featurize", "--corpus", str(corpus), "--encoding", "kmers", "--k", str(k),
+                 "--workers", "2", "--out-features", str(feats), "--out-labels", str(labels)]) == 0
+    matrix, encoding = load_features(str(feats))
+    assert encoding == "kmers" and matrix.shape == (600, 21**k)
+    assert matrix.sum(axis=1).A1.tolist() == [len(item.record.residues) - k + 1 for item in data]
