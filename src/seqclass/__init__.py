@@ -6,86 +6,39 @@ classifier (majority, Gaussian NB, logistic regression, ridge, or a
 one-hidden-layer network), and evaluate with the full multiclass
 protocol (weighted/macro F1, one-vs-rest ROC-AUC, multi-run mean/std).
 Per-position information gain ranks alignment columns against labels.
+
+The names below load their module on first use (PEP 562), so a command
+pays only for the modules it needs: `seqclass ingest` never imports scipy.
 """
 
+import importlib
+
+from .errors import ConfigError, DataError, NumericalError, SeqclassError
 from .version import __version__
 
-from .errors import (
-    ConfigError,
-    DataError,
-    NumericalError,
-    SeqclassError,
-)
-from .features import (
-    ALPHABET,
-    ALPHABET_SIZE,
-    featurize_corpus,
-    kmer_counts,
-    kmer_index,
-    kmer_matrix,
-    kmer_vector,
-    ohe_matrix,
-    ohe_vector,
-)
-from .infogain import IgTable, entropy, information_gain
-from .ingest import (
-    LabeledSequence,
-    LabelHierarchy,
-    SequenceRecord,
-    SplitSpec,
-    join_metadata,
-    parse_fasta,
-    split_train_test,
-)
-from .metrics import (
-    RunMetrics,
-    aggregate,
-    confusion,
-    roc_auc_ovr_weighted,
-    summarize,
-)
-from .neural_net import FeedForwardNet, NetConfig, nn_scores, nn_train
-from .pipeline import ExperimentConfig, run_experiment
-from .rff import RffProjector, exact_kernel, new_projector, project
+_EXPORTS = {
+    "config": ["ExperimentConfig"],
+    "features": ["ALPHABET", "ALPHABET_SIZE", "featurize_corpus", "kmer_counts", "kmer_index",
+                 "kmer_matrix", "kmer_vector", "ohe_matrix", "ohe_vector"],
+    "infogain": ["IgTable", "entropy", "information_gain"],
+    "ingest": ["LabeledSequence", "LabelHierarchy", "SequenceRecord", "SplitSpec",
+               "join_metadata", "parse_fasta", "split_train_test"],
+    "metrics": ["RunMetrics", "aggregate", "confusion", "roc_auc_ovr_weighted", "summarize"],
+    "neural_net": ["FeedForwardNet", "NetConfig", "nn_scores", "nn_train"],
+    "pipeline": ["run_experiment"],
+    "rff": ["RffProjector", "exact_kernel", "new_projector", "project"],
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "ALPHABET",
-    "ALPHABET_SIZE",
-    "ConfigError",
-    "DataError",
-    "ExperimentConfig",
-    "FeedForwardNet",
-    "IgTable",
-    "LabelHierarchy",
-    "LabeledSequence",
-    "NetConfig",
-    "NumericalError",
-    "RffProjector",
-    "RunMetrics",
-    "SeqclassError",
-    "SequenceRecord",
-    "SplitSpec",
-    "aggregate",
-    "confusion",
-    "entropy",
-    "exact_kernel",
-    "featurize_corpus",
-    "information_gain",
-    "join_metadata",
-    "kmer_counts",
-    "kmer_index",
-    "kmer_matrix",
-    "kmer_vector",
-    "new_projector",
-    "nn_scores",
-    "nn_train",
-    "ohe_matrix",
-    "ohe_vector",
-    "parse_fasta",
-    "project",
-    "roc_auc_ovr_weighted",
-    "run_experiment",
-    "split_train_test",
-    "summarize",
-]
+__all__ = sorted(
+    ["__version__", "ConfigError", "DataError", "NumericalError", "SeqclassError", *_MODULE_OF]
+)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -14,18 +14,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .config import ExperimentConfig, config_from_mapping, parse_config_file
 from .errors import ConfigError, DataError, NumericalError
-from .features import export_features_csv, featurize_corpus, save_features, save_labels
-from .infogain import export_histograms, export_ig, information_gain, subsample
 from .ingest import join_metadata, load_corpus, parse_fasta, read_metadata_tsv, save_corpus
-from .pipeline import (
-    ExperimentConfig,
-    config_from_mapping,
-    parse_config_file,
-    run_experiment,
-    write_report_csv,
-)
 from .version import __version__
+
+# features, infogain and pipeline import scipy, so each command imports what it
+# uses: `seqclass ingest` loads neither them nor scipy.
 
 
 def _cmd_ingest(args) -> int:
@@ -40,6 +35,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_featurize(args) -> int:
+    from .features import export_features_csv, featurize_corpus, save_features, save_labels
+
     data = load_corpus(args.corpus)
     feats = featurize_corpus(
         data,
@@ -63,6 +60,8 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .pipeline import run_experiment
+
     mapping: dict[str, str] = {}
     if args.config:
         mapping.update(parse_config_file(args.config))
@@ -101,6 +100,8 @@ def _embedding(config: ExperimentConfig) -> str:
 
 
 def _cmd_ig(args) -> int:
+    from .infogain import export_histograms, export_ig, information_gain, subsample
+
     data = load_corpus(args.corpus)
     if args.subsample:
         data = subsample(data, args.subsample, args.seed)
@@ -117,6 +118,8 @@ def _cmd_ig(args) -> int:
 
 def _cmd_report(args) -> int:
     import json
+
+    from .pipeline import write_report_csv
 
     reports = []
     for path in args.reports:

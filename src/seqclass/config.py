@@ -1,0 +1,139 @@
+"""Experiment configuration: the dataclass, its flat key = value file and its checks.
+
+Every key is also a `seqclass run` flag. This module does not import
+scipy, so the CLI can build its parser without loading it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from pathlib import Path
+
+from .errors import InvalidConfig, IoFailure
+from .ingest import CLASS_LEVELS
+
+MODELS = ("majority", "nb", "lr", "ridge", "nn")
+
+ENCODING_KMERS = "kmers"
+ENCODING_OHE = "ohe"
+
+
+@dataclass
+class ExperimentConfig:
+    # inputs: either a prebuilt corpus file or fasta+metadata
+    fasta: str | None = None
+    metadata: str | None = None
+    corpus: str | None = None
+    # task
+    class_level: str = "country"
+    encoding: str = ENCODING_KMERS
+    k: int = 3
+    expected_len: int | None = None
+    l2_normalize: bool = False
+    # random Fourier features
+    use_rff: bool = False
+    rff_dim: int = 1000
+    rff_gamma: float | None = None  # None -> 1/feature_dim
+    rff_seed: int = 0
+    # model and hyperparameters
+    model: str = "majority"
+    lr_l2_lambda: float = 1e-4
+    lr_max_iters: int = 1000
+    lr_tol: float = 1e-6
+    ridge_alpha: float = 1.0
+    nn_hidden_width: int | None = None
+    nn_batch_size: int = 100
+    nn_epochs: int = 10
+    nn_learning_rate: float = 0.001
+    nn_seed: int = 0
+    # split and protocol
+    train_fraction: float = 0.10
+    stratified: bool = True
+    split_seed: int = 0
+    runs: int = 5
+    parallel_runs: bool = False
+    workers: int = 1
+    output_dir: str | None = None
+
+    def validate(self) -> None:
+        if self.class_level not in CLASS_LEVELS:
+            raise InvalidConfig(f"class_level must be one of {CLASS_LEVELS}")
+        if self.encoding not in (ENCODING_KMERS, ENCODING_OHE):
+            raise InvalidConfig(f"encoding must be 'kmers' or 'ohe', got {self.encoding!r}")
+        if self.model not in MODELS:
+            raise InvalidConfig(f"model must be one of {MODELS}")
+        if self.runs < 1:
+            raise InvalidConfig("runs must be >= 1")
+        if self.workers < 1:
+            raise InvalidConfig("workers must be >= 1")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise InvalidConfig("train_fraction must be in (0,1)")
+        if self.use_rff and self.rff_dim < 1:
+            raise InvalidConfig("rff_dim must be >= 1")
+
+
+_BOOL_KEYS = {"use_rff", "l2_normalize", "stratified", "parallel_runs"}
+_INT_KEYS = {
+    "k", "expected_len", "rff_dim", "rff_seed", "lr_max_iters", "nn_hidden_width",
+    "nn_batch_size", "nn_epochs", "nn_seed", "split_seed", "runs", "workers",
+}
+_FLOAT_KEYS = {
+    "rff_gamma", "lr_l2_lambda", "lr_tol", "ridge_alpha", "nn_learning_rate",
+    "train_fraction",
+}
+_OPTIONAL_KEYS = {
+    "fasta", "metadata", "corpus", "expected_len", "rff_gamma",
+    "nn_hidden_width", "output_dir",
+}
+
+
+def parse_config_file(path: str) -> dict[str, str]:
+    """Flat ``key = value`` lines; '#' starts a comment."""
+    values: dict[str, str] = {}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(f"cannot read config {path!r}: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidConfig(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
+    return values
+
+
+def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
+    """Build a config from string key/values (file or CLI overrides)."""
+    known = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
+    kwargs: dict = {}
+    for key, raw in mapping.items():
+        if key not in known:
+            raise InvalidConfig(f"unknown config key {key!r}")
+        if raw is None or raw == "" or raw.lower() == "none":
+            if key not in _OPTIONAL_KEYS:
+                raise InvalidConfig(f"config key {key!r} cannot be empty")
+            kwargs[key] = None
+            continue
+        if key in _BOOL_KEYS:
+            if raw.lower() in ("1", "true", "yes", "on"):
+                kwargs[key] = True
+            elif raw.lower() in ("0", "false", "no", "off"):
+                kwargs[key] = False
+            else:
+                raise InvalidConfig(f"config key {key!r} expects a boolean, got {raw!r}")
+        elif key in _INT_KEYS or key in _FLOAT_KEYS:
+            kind = int if key in _INT_KEYS else float
+            try:
+                kwargs[key] = kind(raw)
+            except ValueError:
+                raise InvalidConfig(
+                    f"config key {key!r} expects {kind.__name__}, got {raw!r}"
+                ) from None
+        else:
+            kwargs[key] = raw
+    config = ExperimentConfig(**kwargs)
+    config.validate()
+    return config

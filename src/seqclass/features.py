@@ -39,6 +39,7 @@ from .errors import (
     LengthMismatch,
     SequenceTooShort,
 )
+from .config import ENCODING_KMERS, ENCODING_OHE
 from .ingest import AMINO_ACIDS, LabeledSequence, encode_residues, label_for_level, residue_codes
 
 ALPHABET = AMINO_ACIDS
@@ -46,9 +47,7 @@ ALPHABET_SIZE = len(ALPHABET)  # 21
 
 MAX_K = 6  # 21**7 would exceed 1.8e9 columns
 
-ENCODING_KMERS = "kmers"
-ENCODING_OHE = "ohe"
-ENCODING_RFF = "rff"
+ENCODING_RFF = "rff"  # a stored-feature encoding only, never a config value
 
 _ENCODING_TAGS = {ENCODING_KMERS: 0, ENCODING_OHE: 1, ENCODING_RFF: 2}
 _TAG_ENCODINGS = {v: k for k, v in _ENCODING_TAGS.items()}

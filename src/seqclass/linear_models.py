@@ -134,14 +134,17 @@ def gnb_scores(model: GaussianNbModel, X) -> np.ndarray:
     """
     X = _as_2d(X)
     _check_dim(X, model.input_dim)
+    # Two C x d arrays beside the model's: a scratch array that holds each
+    # term of const and then a, and inv_var, which becomes b in place.
+    scratch = np.multiply(2.0 * np.pi, model.variances)
+    log_det = np.sum(np.log(scratch, out=scratch), axis=1)
     inv_var = 1.0 / model.variances
-    a = (model.means * inv_var).T  # (d, C)
-    b = (-0.5 * inv_var).T  # (d, C)
-    const = (
-        model.log_priors
-        - 0.5 * np.sum(np.log(2.0 * np.pi * model.variances), axis=1)
-        - 0.5 * np.sum(model.means**2 * inv_var, axis=1)
-    )
+    np.square(model.means, out=scratch)
+    scratch *= inv_var
+    const = model.log_priors - 0.5 * log_det - 0.5 * np.sum(scratch, axis=1)
+    a = np.multiply(model.means, inv_var, out=scratch).T  # (d, C)
+    inv_var *= -0.5
+    b = inv_var.T  # (d, C)
     if sp.issparse(X):
         scores = np.asarray(X @ a) + np.asarray(X.multiply(X) @ b)
     else:

@@ -6,19 +6,35 @@ E[z(a) . z(b)] = exp(-gamma * ||a - b||^2), so dot products in the
 D-dimensional projected space approximate the exact kernel without ever
 forming a Gram matrix. Weights are generated from a counter-based
 Philox stream, so a (seed, d, D, gamma) tuple fully determines the
-projector; serialized files store only that header and regenerate the
-arrays on load.
+projector.
+
+A CSR input takes one of two routes to its linear part X @ W^T. At
+density nnz / (n * d) of at least GEMM_MIN_DENSITY, row blocks of
+GEMM_BLOCK_BYTES are densified and each is multiplied by W^T with one
+BLAS GEMM, which reads the C-ordered (D, d) weights as their transpose
+without copying them. Below it, scipy's sparse @ dense product does less
+work; it makes a C-ordered copy of W^T, so a projection holds at most two
+D x d arrays. On a 2-core host (1000 rows, d = 9261, D = 1000, random
+CSR) the two routes cross at 2.5-3 % density: sparse took 0.22 s and the
+GEMM 0.24 s at 2 %, against 0.36 s and 0.25 s at 5 %. Spike-length k-mer
+counts are 87 % dense at k = 2, 12.7 % at k = 3 and 0.65 % at k = 4, and
+one-hot rows 1/21. The routes sum in different orders, so their linear
+parts agree to rounding (about 1e-15 relative), not bit for bit.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, InvalidDimension, InvalidGamma, IoFailure
+from .errors import DimensionMismatch, InvalidDimension, InvalidGamma
+
+GEMM_MIN_DENSITY = 1 / 32
+# The benchmark's kmer3-rff-lr run peaked at 178 MB RSS with 8 MiB blocks and
+# 213 MB with 32 MiB ones, in about the same time
+GEMM_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -63,7 +79,9 @@ def project(projector: RffProjector, x) -> np.ndarray:
     """Apply the projector to a vector or matrix (dense or CSR).
 
     Returns a dense array with trailing dimension D; every coordinate
-    lies in [-sqrt(2/D), sqrt(2/D)].
+    lies in [-sqrt(2/D), sqrt(2/D)]. A CSR matrix at least
+    GEMM_MIN_DENSITY dense is multiplied in densified blocks of
+    GEMM_BLOCK_BYTES, a sparser one by scipy (see the module docstring).
     """
     single = False
     if sp.issparse(x):
@@ -78,11 +96,25 @@ def project(projector: RffProjector, x) -> np.ndarray:
             f"input has dim {mat.shape[1]}, projector expects {projector.input_dim}"
         )
     if sp.issparse(mat):
-        linear = np.asarray(mat.astype(np.float64) @ projector.weights.T)
+        linear = _sparse_linear(mat.tocsr().astype(np.float64, copy=False), projector.weights)
     else:
         linear = mat @ projector.weights.T
-    out = np.sqrt(2.0 / projector.output_dim) * np.cos(linear + projector.phases)
-    return out[0] if single else out
+    linear += projector.phases
+    np.cos(linear, out=linear)
+    linear *= np.sqrt(2.0 / projector.output_dim)
+    return linear[0] if single else linear
+
+
+def _sparse_linear(mat, weights: np.ndarray) -> np.ndarray:
+    """mat @ weights.T for a float64 CSR mat, by the route its density favours."""
+    n, d = mat.shape
+    if mat.nnz < GEMM_MIN_DENSITY * n * d:
+        return np.asarray(mat @ weights.T)
+    linear = np.empty((n, weights.shape[0]))
+    rows = max(1, GEMM_BLOCK_BYTES // (8 * d))
+    for start in range(0, n, rows):
+        np.matmul(mat[start:start + rows].toarray(), weights.T, out=linear[start:start + rows])
+    return linear
 
 
 def exact_kernel(a, b, gamma: float) -> float:
@@ -95,35 +127,3 @@ def exact_kernel(a, b, gamma: float) -> float:
         raise DimensionMismatch(f"vector dims differ: {a.shape} vs {b.shape}")
     return float(np.exp(-gamma * np.dot(a - b, a - b)))
 
-
-def save_projector(path: str, projector: RffProjector) -> None:
-    """Header-only serialization; weights regenerate from the seed on load."""
-    header = {
-        "format": "seqclass-rff/1",
-        "input_dim": projector.input_dim,
-        "output_dim": projector.output_dim,
-        "gamma": projector.gamma,
-        "seed": projector.seed,
-    }
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(header, f, indent=2, sort_keys=True)
-            f.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write projector {path!r}: {exc}") from exc
-
-
-def load_projector(path: str) -> RffProjector:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            header = json.load(f)
-    except OSError as exc:
-        raise IoFailure(f"cannot read projector {path!r}: {exc}") from exc
-    if header.get("format") != "seqclass-rff/1":
-        raise IoFailure(f"{path!r} is not a projector header")
-    return new_projector(
-        input_dim=header["input_dim"],
-        output_dim=header["output_dim"],
-        gamma=header["gamma"],
-        seed=header["seed"],
-    )

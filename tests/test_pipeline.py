@@ -4,19 +4,10 @@ import numpy as np
 import pytest
 
 from seqclass.cli import main
+from seqclass.config import _FLOAT_KEYS, _INT_KEYS, ExperimentConfig, config_from_mapping, parse_config_file
 from seqclass.errors import InvalidConfig
 from seqclass.ingest import save_corpus
-from seqclass.pipeline import (
-    _FLOAT_KEYS,
-    _INT_KEYS,
-    ExperimentConfig,
-    config_from_mapping,
-    determinism_bytes,
-    parse_config_file,
-    run_experiment,
-    strip_timing,
-    write_report_csv,
-)
+from seqclass.pipeline import determinism_bytes, run_experiment, strip_timing, write_report_csv
 
 from conftest import labeled_corpus, random_sequences
 
@@ -261,6 +252,25 @@ def test_cli_flag_overrides(tmp_path):
     assert report["config"]["runs"] == 1
 
 
+def test_cli_ingest_leaves_scipy_out(tmp_path):
+    """ingest, all of the benchmark's set-up time, loads neither scipy nor the modules that need it."""
+    import os
+    import subprocess
+    import sys
+
+    import seqclass
+
+    _, fasta, meta, _ = _write_inputs(tmp_path, {"a": 5, "b": 5})
+    src = os.path.dirname(os.path.dirname(seqclass.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--out", str(tmp_path / "c")]
+    code = (f"import sys; from seqclass.cli import main; code = main({argv!r}); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
 def test_cli_exit_codes(tmp_path):
     # missing input file -> data error
     assert main(["ingest", "--fasta", str(tmp_path / "nope.fa"),
@@ -348,11 +358,11 @@ def test_memory_estimate_at_long_kmers():
     from seqclass.pipeline import memory_estimate
 
     d5, d6 = 21**5, 21**6
-    assert memory_estimate(ExperimentConfig(model="nb", k=5), d5, 20) == (7 * 20 * d5 * 8, "--k")
+    assert memory_estimate(ExperimentConfig(model="nb", k=5), d5, 20) == (5 * 20 * d5 * 8, "--k")
     assert memory_estimate(ExperimentConfig(model="lr", k=6), d6, 20)[0] == 5 * 20 * d6 * 8
     assert memory_estimate(ExperimentConfig(model="ridge", k=6), d6, 20)[0] == 0
     rff = memory_estimate(ExperimentConfig(model="nb", k=6, use_rff=True), d6, 20)
-    assert rff == (2 * 1000 * d6 * 8 + 7 * 20 * 1000 * 8, "--rff-dim or --k")
+    assert rff == (2 * 1000 * d6 * 8 + 5 * 20 * 1000 * 8, "--rff-dim or --k")
 
 
 def test_preflight_counts_every_parallel_run(monkeypatch):

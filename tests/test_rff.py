@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import seqclass.rff as rff
+from conftest import random_sequences
 from seqclass.errors import DimensionMismatch, InvalidDimension, InvalidGamma
-from seqclass.rff import (
-    default_gamma,
-    exact_kernel,
-    load_projector,
-    new_projector,
-    project,
-    save_projector,
-)
+from seqclass.features import kmer_matrix, ohe_matrix
+from seqclass.rff import default_gamma, exact_kernel, new_projector, project
 
 
 def test_projector_deterministic():
@@ -137,13 +133,88 @@ def test_default_gamma():
     assert default_gamma(9261) == 1.0 / 9261
 
 
-def test_header_serialization_round_trip(tmp_path):
-    proj = new_projector(100, 50, 0.25, seed=77)
-    path = tmp_path / "proj.json"
-    save_projector(str(path), proj)
-    loaded = load_projector(str(path))
-    assert np.array_equal(loaded.weights, proj.weights)
-    assert np.array_equal(loaded.phases, proj.phases)
-    assert loaded.gamma == proj.gamma
-    # the file itself holds only the header, not the arrays
-    assert path.stat().st_size < 1000
+# --- the two sparse routes ----------------------------------------------------------
+
+LINEAR_RTOL = 1e-12  # GEMM against scipy's product, relative to the largest |entry|
+
+
+def _ragged_sequences(seed: int, n: int, low: int, high: int) -> list[str]:
+    rng = np.random.default_rng(seed)
+    return [random_sequences(rng, 1, int(length))[0] for length in rng.integers(low, high, n)]
+
+
+def _scipy_linear(mat, weights):
+    """The single sparse @ dense product every CSR input took before the GEMM route."""
+    return np.asarray(mat.astype(np.float64) @ weights.T)
+
+
+def _gemm_rows(mat) -> bool:
+    return mat.nnz >= rff.GEMM_MIN_DENSITY * mat.shape[0] * mat.shape[1]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sparse_routes_match_scipy_product_on_ragged_kmers(k):
+    mat = kmer_matrix(_ragged_sequences(k, 250, 400, 1300), k=k)
+    proj = new_projector(mat.shape[1], 16, default_gamma(mat.shape[1]), seed=k)
+    want = _scipy_linear(mat, proj.weights)
+    got = rff._sparse_linear(mat, proj.weights)
+    expected = np.sqrt(2.0 / 16) * np.cos(want + proj.phases)
+    if k < 4:
+        assert _gemm_rows(mat)  # 250 rows: two full blocks and a ragged one at k = 3
+        bound = LINEAR_RTOL * np.abs(want).max()
+        assert np.abs(got - want).max() <= bound
+        assert np.abs(project(proj, mat) - expected).max() <= bound + 1e-15  # cos is 1-Lipschitz
+    else:
+        assert not _gemm_rows(mat)  # 0.4 % dense: the scipy product, bit for bit
+        assert np.array_equal(got, want)
+        assert np.array_equal(project(proj, mat), expected)
+
+
+def test_gemm_route_on_one_hot_rows():
+    seqs = _ragged_sequences(5, 40, 60, 61)
+    mat = ohe_matrix(seqs, expected_len=60)  # int8 data, exactly 1/21 dense
+    assert mat.dtype != np.float64 and _gemm_rows(mat)
+    proj = new_projector(mat.shape[1], 32, 0.01, seed=5)
+    want = _scipy_linear(mat, proj.weights)
+    got = rff._sparse_linear(mat.astype(np.float64), proj.weights)
+    assert np.abs(got - want).max() <= LINEAR_RTOL * np.abs(want).max()
+    assert np.array_equal(project(proj, mat), project(proj, mat.astype(np.float64)))
+
+
+def test_gemm_route_edge_shapes(rng, monkeypatch):
+    d, D = 50, 24
+    proj = new_projector(d, D, 0.05, seed=8)
+    monkeypatch.setattr(rff, "GEMM_BLOCK_BYTES", 3 * 8 * d)  # 3-row blocks
+    dense = rng.poisson(0.4, size=(10, d)).astype(np.float64)  # 10 = 3 + 3 + 3 + 1 rows
+    mat = sp.csr_matrix(dense)
+    assert _gemm_rows(mat)
+    want = _scipy_linear(mat, proj.weights)
+    for rows in (slice(0, 10), slice(4, 5)):  # ragged last block; one row
+        got = rff._sparse_linear(mat[rows], proj.weights)
+        assert got.shape == want[rows].shape
+        assert np.abs(got - want[rows]).max() <= LINEAR_RTOL * np.abs(want).max()
+    # a block wider than one row's budget still takes one row at a time
+    monkeypatch.setattr(rff, "GEMM_BLOCK_BYTES", 1)
+    got = rff._sparse_linear(mat, proj.weights)
+    assert np.abs(got - want).max() <= LINEAR_RTOL * np.abs(want).max()
+    # int32 CSR projects exactly as its float64 copy; a 1-D vector as its row
+    as_int = sp.csr_matrix(dense.astype(np.int32))
+    assert as_int.dtype == np.int32
+    assert np.array_equal(project(proj, as_int), project(proj, mat))
+    assert np.array_equal(project(proj, dense[4]), project(proj, dense[4:5])[0])
+    assert np.abs(project(proj, dense[4]) - project(proj, mat[4])[0]).max() <= 1e-14
+
+
+def test_gemm_route_holds_no_copy_of_the_weights():
+    """Traced peak of building and applying a projector: weights, one block and the output."""
+    import tracemalloc
+
+    n, d, D = 600, 4000, 1000  # weights 32 MB, four times a block
+    mat = sp.random(n, d, density=0.1, format="csr", random_state=4)
+    assert _gemm_rows(mat)
+    tracemalloc.start()
+    project(new_projector(d, D, 1.0 / d, seed=0), mat)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    block = (rff.GEMM_BLOCK_BYTES // (8 * d)) * d * 8
+    assert peak <= 1.10 * (D * d * 8 + block + n * D * 8)
