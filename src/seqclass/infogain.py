@@ -133,18 +133,6 @@ def export_ig(table: IgTable, path: str) -> None:
         raise IoFailure(f"cannot write IG table {path!r}: {exc}") from exc
 
 
-def read_ig_csv(path: str) -> list[tuple[int, float]]:
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header != ["position", "information_gain"]:
-                raise IoFailure(f"{path!r} is not an IG table")
-            return [(int(row[0]), float(row[1])) for row in reader]
-    except OSError as exc:
-        raise IoFailure(f"cannot read IG table {path!r}: {exc}") from exc
-
-
 def export_histograms(path: str, hist: np.ndarray, class_names: list[str]) -> None:
     """JSON with per-position per-symbol class counts, for plotting."""
     from .features import ALPHABET

@@ -6,12 +6,21 @@ Hidden width defaults to the input dimension (one hidden unit per
 feature); batch size defaults to 100 and training runs a fixed 10
 epochs with a seeded shuffle per epoch. Inputs may be dense or CSR;
 batches are the only thing ever densified.
+
+On CSR input, `nn_train` stores the first layer `w1` (shape (h, d)) in
+Fortran order, so its memory is the C-ordered (d, h) array that scipy's
+CSR products read and write: `X @ w1.T` reads it in place, `X.T @ delta`
+returns its gradient in the same layout, and Adam's moments inherit it.
+Dense input keeps C order, because BLAS rounds small products
+differently when an operand's layout changes, and dense results must
+not move. `adam_step` updates every parameter in place, one cache-sized
+block of memory rows at a time, with the operations of the textbook
+update in the same order (Kingma & Ba, ICLR 2015), so its result does
+not depend on the blocking or on the layouts of parameter and gradient.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +29,13 @@ import scipy.sparse as sp
 from .errors import (
     DimensionMismatch,
     InvalidConfig,
-    IoFailure,
     LabelOutOfRange,
     NonFiniteLoss,
 )
 from .linear_models import _as_2d, _softmax
 
 PROB_FLOOR = 1e-12  # keeps the loss finite under confident mistakes
+ADAM_BLOCK_BYTES = 256 * 2**10  # memory rows of a parameter that adam_step updates in one pass
 
 
 @dataclass(frozen=True)
@@ -58,7 +67,7 @@ class NetConfig:
 
 @dataclass
 class FeedForwardNet:
-    w1: np.ndarray  # (h, d)
+    w1: np.ndarray  # (h, d); Fortran-ordered while nn_train fits CSR input
     b1: np.ndarray  # (h,)
     w2: np.ndarray  # (C, h)
     b2: np.ndarray  # (C,)
@@ -138,19 +147,42 @@ def adam_init(net: FeedForwardNet) -> AdamState:
     )
 
 
+def _memory_rows(a: np.ndarray, layout: np.ndarray) -> np.ndarray:
+    """A 2-d view of ``a`` whose rows run along ``layout``'s memory (its transpose if Fortran)."""
+    if a.ndim == 1:
+        return a[None, :]
+    return a.T if layout.flags.f_contiguous and not layout.flags.c_contiguous else a
+
+
 def adam_step(net: FeedForwardNet, grads: list[np.ndarray], state: AdamState, config: NetConfig) -> None:
-    """Bias-corrected Adam update, in place."""
+    """Bias-corrected Adam update, in place, over blocks of ADAM_BLOCK_BYTES.
+
+    Per element, in this order: m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    p -= lr*(m/c1) / (sqrt(v/c2) + eps). Each block is one pass in cache,
+    with two block-sized scratch buffers and no full-size temporary.
+    """
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     correction1 = 1.0 - b1**state.t
     correction2 = 1.0 - b2**state.t
     params = [net.w1, net.b1, net.w2, net.b2]
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= config.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + config.adam_eps)
+        P, G, M, V = (_memory_rows(a, p) for a in (p, g, m, v))
+        rows = max(1, ADAM_BLOCK_BYTES // (P.itemsize * P.shape[1]))
+        scratch = np.empty((2, min(rows, P.shape[0]), P.shape[1]))
+        for start in range(0, P.shape[0], rows):
+            block = slice(start, start + rows)
+            pb, gb, mb, vb = P[block], G[block], M[block], V[block]
+            s, t = scratch[0, : pb.shape[0]], scratch[1, : pb.shape[0]]
+            mb *= b1
+            mb += np.multiply(gb, 1.0 - b1, out=s)
+            vb *= b2
+            np.multiply(gb, 1.0 - b2, out=s)
+            vb += np.multiply(s, gb, out=s)
+            np.sqrt(np.divide(vb, correction2, out=s), out=s)
+            s += config.adam_eps
+            np.multiply(np.divide(mb, correction1, out=t), config.learning_rate, out=t)
+            pb -= np.divide(t, s, out=t)
 
 
 def epoch_shuffle_orders(seed: int, n: int, epochs: int) -> list[np.ndarray]:
@@ -184,6 +216,8 @@ def nn_train(
         raise DimensionMismatch(f"X has dim {X.shape[1]}, config says {config.input_dim}")
 
     net = nn_init(config)
+    if sp.issparse(X):
+        net.w1 = np.asfortranarray(net.w1)  # the (d, h) C order of scipy's CSR products
     state = adam_init(net)
     if epoch_orders is None:
         epoch_orders = epoch_shuffle_orders(config.seed, n, config.epochs)
@@ -202,56 +236,7 @@ def nn_train(
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"training loss diverged at step {state.t + 1}")
             adam_step(net, grads, state, config)
+            del grads  # so the next step's gradients do not coexist with these
             total += loss * len(batch_idx)
         trace.append(total / n)
     return net, trace
-
-
-# --- checkpointing ------------------------------------------------------------
-
-def save_checkpoint(path: str, net: FeedForwardNet, config: NetConfig) -> None:
-    meta = {
-        "format": "seqclass-net/1",
-        "config": {
-            "input_dim": config.input_dim,
-            "class_count": config.class_count,
-            "hidden_width": config.hidden_width,
-            "batch_size": config.batch_size,
-            "epochs": config.epochs,
-            "learning_rate": config.learning_rate,
-            "beta1": config.beta1,
-            "beta2": config.beta2,
-            "adam_eps": config.adam_eps,
-            "seed": config.seed,
-        },
-    }
-    try:
-        with open(path, "wb") as f:
-            np.savez(f, __meta__=json.dumps(meta, sort_keys=True),
-                     w1=net.w1, b1=net.b1, w2=net.w2, b2=net.b2)
-    except OSError as exc:
-        raise IoFailure(f"cannot write checkpoint {path!r}: {exc}") from exc
-
-
-def load_checkpoint(path: str) -> tuple[FeedForwardNet, NetConfig]:
-    try:
-        blob = np.load(path, allow_pickle=False)
-    except OSError as exc:
-        raise IoFailure(f"cannot read checkpoint {path!r}: {exc}") from exc
-    meta = json.loads(str(blob["__meta__"]))
-    if meta.get("format") != "seqclass-net/1":
-        raise IoFailure(f"{path!r} is not a network checkpoint")
-    config = NetConfig(**meta["config"])
-    net = FeedForwardNet(w1=blob["w1"], b1=blob["b1"], w2=blob["w2"], b2=blob["b2"])
-    return net, config
-
-
-def save_loss_trace(path: str, trace: list[float]) -> None:
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["epoch", "mean_loss"])
-            for epoch, loss in enumerate(trace, start=1):
-                writer.writerow([epoch, f"{loss:.12g}"])
-    except OSError as exc:
-        raise IoFailure(f"cannot write loss trace {path!r}: {exc}") from exc

@@ -10,8 +10,8 @@ reproducible: everything time-derived lives under "timing" keys, which
 measured around fit() only.
 
 Before the first run, the peak bytes of the RFF weights and the model's
-C x d arrays are estimated; a config whose estimate exceeds physical
-memory is an InvalidConfig naming the knob that lowers it.
+C x d (nn: hidden x d) arrays are estimated; a config whose estimate
+exceeds physical memory is an InvalidConfig naming the knob that lowers it.
 
 The RFF projector is built from (dim, D, gamma, seed) alone, so test
 data cannot leak into it by construction. Every model is fitted, then
@@ -44,11 +44,13 @@ from .rff import default_gamma, new_projector, project
 from .version import __version__
 
 # float64 C x d arrays that fit and scoring hold at once, read off linear_models:
-# gnb_scores holds means, variances, its scratch array, inv_var and the C-ordered
-# copy of one weight array that its sparse product makes; logreg_fit, at an
-# accepted step, holds W, the old gradient and the three arrays of the new
-# gradient's sum.
-_MODEL_PEAK_ARRAYS = {"nb": 5, "lr": 5}
+# gnb_scores holds means, variances, its scratch array and inv_var;
+# logreg_fit, at an accepted step, holds W, the old gradient and the three
+# arrays of the new gradient's sum.
+_MODEL_PEAK_ARRAYS = {"nb": 4, "lr": 5}
+# float64 h x d arrays that nn_train holds at once: w1, Adam's m and v, and
+# one step's gradient of w1 (adam_step works in block-sized scratch)
+_NN_PEAK_ARRAYS = 4
 # the D x d RFF weights plus the C-ordered copy of weights.T that scipy's
 # sparse @ dense product makes below rff.GEMM_MIN_DENSITY; the blocked GEMM
 # above it holds the weights and one block, so 2 is the upper bound
@@ -79,12 +81,17 @@ def physical_memory_bytes() -> int | None:
 
 
 def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int) -> tuple[int, str]:
-    """Peak bytes of one run's RFF weights and C x d model arrays, and the knobs that lower them."""
+    """Peak bytes of one run's RFF weights and model arrays, and the knobs that lower them."""
     model_dim = config.rff_dim if config.use_rff else feature_dim
-    needed = _MODEL_PEAK_ARRAYS.get(config.model, 0) * class_count * model_dim * 8
+    if config.model == "nn":
+        hidden = model_dim if config.nn_hidden_width is None else config.nn_hidden_width
+        needed, knob = _NN_PEAK_ARRAYS * hidden * model_dim * 8, "--nn-hidden-width"
+    else:
+        needed, knob = _MODEL_PEAK_ARRAYS.get(config.model, 0) * class_count * model_dim * 8, "--k"
     if config.use_rff:
-        return needed + _RFF_PEAK_ARRAYS * config.rff_dim * feature_dim * 8, "--rff-dim or --k"
-    return needed, "--k"
+        rff_knob = "--nn-hidden-width or --rff-dim" if config.model == "nn" else "--rff-dim or --k"
+        return needed + _RFF_PEAK_ARRAYS * config.rff_dim * feature_dim * 8, rff_knob
+    return needed, knob
 
 
 def _preflight_memory(config: ExperimentConfig, feature_dim: int, class_count: int,

@@ -225,21 +225,175 @@ def test_train_non_finite_loss_detected(rng):
             nnet.nn_train(config, X, y)
 
 
-def test_checkpoint_round_trip(tmp_path):
-    config = _tiny_config(seed=5)
-    net = nnet.nn_init(config)
-    path = tmp_path / "net.ckpt"
-    nnet.save_checkpoint(str(path), net, config)
-    loaded_net, loaded_config = nnet.load_checkpoint(str(path))
-    assert loaded_config == config
-    assert np.array_equal(loaded_net.w1, net.w1)
-    assert np.array_equal(loaded_net.b2, net.b2)
+# --- memory layout and the blocked Adam update --------------------------------
+
+def _reference_init(config):
+    """Glorot-uniform init with every array C-ordered, the reference layout."""
+    d, h, C = config.input_dim, config.resolved_hidden(), config.class_count
+    rng = np.random.default_rng([config.seed, 0])
+    lim1 = np.sqrt(6.0 / (d + h))
+    lim2 = np.sqrt(6.0 / (h + C))
+    return nnet.FeedForwardNet(
+        w1=rng.uniform(-lim1, lim1, size=(h, d)),
+        b1=np.zeros(h),
+        w2=rng.uniform(-lim2, lim2, size=(C, h)),
+        b2=np.zeros(C),
+    )
 
 
-def test_loss_trace_csv(tmp_path):
-    path = tmp_path / "trace.csv"
-    nnet.save_loss_trace(str(path), [1.5, 0.75, 0.5])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,mean_loss"
-    assert lines[1].startswith("1,1.5")
-    assert len(lines) == 4
+def _reference_adam_step(net, grads, state, config):
+    """The whole-array Adam update, the reference for the blocked one."""
+    state.t += 1
+    b1, b2 = config.beta1, config.beta2
+    correction1 = 1.0 - b1**state.t
+    correction2 = 1.0 - b2**state.t
+    params = [net.w1, net.b1, net.w2, net.b2]
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= config.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + config.adam_eps)
+
+
+def _reference_train(config, X, y):
+    """nn_train's loop on the reference init and update; returns net, Adam state and trace."""
+    n = X.shape[0]
+    net = _reference_init(config)
+    state = nnet.adam_init(net)
+    trace = []
+    for order in nnet.epoch_shuffle_orders(config.seed, n, config.epochs):
+        total = 0.0
+        for start in range(0, n, config.batch_size):
+            batch_idx = order[start : start + config.batch_size]
+            loss, grads = nnet.nn_loss_and_grads(net, X[batch_idx], y[batch_idx])
+            _reference_adam_step(net, grads, state, config)
+            total += loss * len(batch_idx)
+        trace.append(total / n)
+    return net, state, trace
+
+
+def _train_with_state(monkeypatch, config, X, y):
+    """nn_train, plus the Adam state its last adam_step call updated."""
+    seen = []
+
+    def recording_step(net, grads, state, cfg):
+        seen.append(state)
+        return step(net, grads, state, cfg)
+
+    step = nnet.adam_step
+    monkeypatch.setattr(nnet, "adam_step", recording_step)
+    net, trace = nnet.nn_train(config, X, y)
+    monkeypatch.setattr(nnet, "adam_step", step)
+    return net, seen[-1], trace
+
+
+def _assert_same_training(got, want):
+    (net, state, trace), (ref_net, ref_state, ref_trace) = got, want
+    assert trace == ref_trace
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(net, name), getattr(ref_net, name)), name
+    assert state.t == ref_state.t
+    for got_arr, ref_arr in zip(state.m + state.v, ref_state.m + ref_state.v):
+        assert np.array_equal(got_arr, ref_arr)
+
+
+def _layout_inputs(kind, rng):
+    from seqclass.features import kmer_matrix, ohe_matrix
+    from seqclass.rff import new_projector, project
+
+    from conftest import random_sequences
+
+    if kind == "ohe":
+        return ohe_matrix(random_sequences(rng, 130, 40), 40)  # d = 840
+    kmers = kmer_matrix(random_sequences(rng, 130, 30), k=2)  # d = 441
+    if kind == "kmers":
+        return kmers
+    return project(new_projector(kmers.shape[1], 64, 1.0 / 441, 3), kmers)  # dense RFF
+
+
+@pytest.mark.parametrize("kind", ["ohe", "kmers", "rff"])
+@pytest.mark.parametrize("h, batch_size, epochs", [(24, 50, 3), (1, 50, 2), (7, 1, 1)])
+def test_train_is_bit_identical_to_reference(monkeypatch, rng, kind, h, batch_size, epochs):
+    # 130 rows in batches of 50 leave a ragged last batch of 30
+    X = _layout_inputs(kind, rng)
+    y = rng.integers(0, 4, X.shape[0])
+    config = nnet.NetConfig(input_dim=X.shape[1], class_count=4, hidden_width=h,
+                            batch_size=batch_size, epochs=epochs, seed=11)
+    net, state, trace = _train_with_state(monkeypatch, config, X, y)
+    assert net.w1.flags.f_contiguous == (sp.issparse(X) or h == 1)
+    _assert_same_training((net, state, trace), _reference_train(config, X, y))
+
+
+@pytest.mark.parametrize("kind, block_bytes", [
+    ("ohe", 11 * 8 * 24),  # Fortran-ordered w1: 840 memory rows of h = 24 are 76 blocks of 11 + 4
+    ("ohe", 8 * 24),  # one memory row per block
+    ("rff", 5 * 8 * 64),  # C-ordered w1: 24 memory rows of D = 64 are 4 blocks of 5 + 4
+    ("ohe", None),  # the default size: d = 3000 rows of h = 16 are 2048 + 952
+    ("rff", None),  # the default size: h = 16 rows of d = 3000 are one partial block
+])
+def test_train_is_bit_identical_with_partial_adam_blocks(monkeypatch, rng, kind, block_bytes):
+    h = 24 if block_bytes else 16
+    if block_bytes:
+        monkeypatch.setattr(nnet, "ADAM_BLOCK_BYTES", block_bytes)
+        X = _layout_inputs(kind, rng)
+    else:
+        X = sp.random(120, 3000, density=0.01, format="csr", random_state=5)
+        X = X if kind == "ohe" else X.toarray()
+    y = rng.integers(0, 3, X.shape[0])
+    config = nnet.NetConfig(input_dim=X.shape[1], class_count=3, hidden_width=h,
+                            batch_size=50, epochs=2, seed=4)
+    got = _train_with_state(monkeypatch, config, X, y)
+    _assert_same_training(got, _reference_train(config, X, y))
+
+
+@pytest.mark.parametrize("param_order, grad_order", [("C", "C"), ("C", "F"), ("F", "C"), ("F", "F")])
+def test_adam_step_any_layout_matches_reference(monkeypatch, rng, param_order, grad_order):
+    # a hand-built net, with a block of 3 rows of w1's memory so blocks end partway
+    h, d, C = 5, 13, 3
+    monkeypatch.setattr(nnet, "ADAM_BLOCK_BYTES", 3 * 8 * h)
+    config = nnet.NetConfig(input_dim=d, class_count=C, hidden_width=h, learning_rate=0.01)
+    arrays = [rng.normal(size=(h, d)), rng.normal(size=h), rng.normal(size=(C, h)), rng.normal(size=C)]
+    net = nnet.FeedForwardNet(*(np.asarray(a, order=param_order) for a in arrays))
+    ref = nnet.FeedForwardNet(*(a.copy() for a in arrays))
+    state, ref_state = nnet.adam_init(net), nnet.adam_init(ref)
+    for _ in range(4):
+        grads = [rng.normal(size=a.shape) for a in arrays]
+        nnet.adam_step(net, [np.asarray(g, order=grad_order) for g in grads], state, config)
+        _reference_adam_step(ref, grads, ref_state, config)
+    _assert_same_training((net, state, []), (ref, ref_state, []))
+
+
+def test_step_on_csr_batch_allocates_only_the_gradient(monkeypatch, rng):
+    """One forward/backward pass and Adam update hold g_w1 and nothing else of size h x d."""
+    import tracemalloc
+
+    from seqclass.features import ohe_matrix
+
+    from conftest import random_sequences
+
+    X = ohe_matrix(random_sequences(rng, 100, 1000), 1000).astype(np.float64)  # d = 21000
+    y = rng.integers(0, 5, 100)
+    config = nnet.NetConfig(input_dim=X.shape[1], class_count=5, hidden_width=32, epochs=1)
+    net, state, _ = _train_with_state(monkeypatch, config, X, y)  # the layout nn_train uses
+    g_w1_bytes = net.w1.nbytes
+
+    # the forward product ends where the softmax starts; a copy of w1.T made
+    # there is freed before g_w1 exists, so the peak up to that point is its own check
+    forward_peak = []
+
+    def softmax_after_forward(z):
+        forward_peak.append(tracemalloc.get_traced_memory()[1])
+        return softmax(z)
+
+    softmax = nnet._softmax
+    monkeypatch.setattr(nnet, "_softmax", softmax_after_forward)
+    tracemalloc.start()
+    _, grads = nnet.nn_loss_and_grads(net, X, y)
+    nnet.adam_step(net, grads, state, config)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert grads[0].shape == net.w1.shape
+    # a copy of w1.T or one full-size Adam temporary would add another 5.4 MB
+    assert forward_peak[0] <= 2**18, forward_peak
+    assert peak <= g_w1_bytes + 2 * nnet.ADAM_BLOCK_BYTES + 2**18, peak

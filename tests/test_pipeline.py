@@ -326,27 +326,32 @@ def test_cli_workers_below_one_is_config_error(tmp_path, workers):
 
 # --- memory pre-flight -----------------------------------------------------------
 
-@pytest.mark.parametrize("model, use_rff", [("nb", False), ("lr", False), ("majority", True)])
+@pytest.mark.parametrize("model, use_rff",
+                         [("nb", False), ("lr", False), ("nn", False), ("majority", True)])
 def test_memory_estimate_matches_traced_peak(model, use_rff):
-    """The C x d (or D x d) array count of the estimate, against tracemalloc's peak."""
+    """The C x d (h x d, D x d) array count of the estimate, against tracemalloc's peak."""
     import tracemalloc
 
     import scipy.sparse as sp
 
     import seqclass.linear_models as lm
+    import seqclass.neural_net as nnet
     from seqclass.pipeline import memory_estimate
     from seqclass.rff import new_projector, project
 
-    n, C, d, D = 60, 20, 20000, 40
+    n, C, d, D, h = 60, 20, 20000, 40, 64
     X = sp.random(n, d, density=0.005, format="csr", random_state=3)
     y = np.arange(n) % C
-    config = ExperimentConfig(model=model, use_rff=use_rff, rff_dim=D)
+    config = ExperimentConfig(model=model, use_rff=use_rff, rff_dim=D, nn_hidden_width=h)
     estimate, _ = memory_estimate(config, d, C)
     tracemalloc.start()
     if use_rff:
         project(new_projector(d, D, 1.0 / d, 0), X)
     elif model == "nb":
         lm.gnb_scores(lm.gnb_fit(X, y, C), X)
+    elif model == "nn":
+        net_config = nnet.NetConfig(input_dim=d, class_count=C, hidden_width=h, epochs=2)
+        nnet.nn_scores(nnet.nn_train(net_config, X, y)[0], X)
     else:
         lm.logreg_proba(lm.logreg_fit(X, y, max_iters=3, class_count=C), X)
     peak = tracemalloc.get_traced_memory()[1]
@@ -358,11 +363,24 @@ def test_memory_estimate_at_long_kmers():
     from seqclass.pipeline import memory_estimate
 
     d5, d6 = 21**5, 21**6
-    assert memory_estimate(ExperimentConfig(model="nb", k=5), d5, 20) == (5 * 20 * d5 * 8, "--k")
+    assert memory_estimate(ExperimentConfig(model="nb", k=5), d5, 20) == (4 * 20 * d5 * 8, "--k")
     assert memory_estimate(ExperimentConfig(model="lr", k=6), d6, 20)[0] == 5 * 20 * d6 * 8
     assert memory_estimate(ExperimentConfig(model="ridge", k=6), d6, 20)[0] == 0
     rff = memory_estimate(ExperimentConfig(model="nb", k=6, use_rff=True), d6, 20)
-    assert rff == (2 * 1000 * d6 * 8 + 5 * 20 * 1000 * 8, "--rff-dim or --k")
+    assert rff == (2 * 1000 * d6 * 8 + 4 * 20 * 1000 * 8, "--rff-dim or --k")
+
+
+def test_memory_estimate_of_nn_counts_hidden_by_input():
+    from seqclass.pipeline import memory_estimate
+
+    d = 1273 * 21  # one-hot on length-1273 sequences
+    # the default width is the input dimension: 4 arrays of 5.7 GB each
+    assert memory_estimate(ExperimentConfig(model="nn", encoding="ohe"), d, 20) == (
+        4 * d * d * 8, "--nn-hidden-width")
+    narrow = ExperimentConfig(model="nn", encoding="ohe", nn_hidden_width=64)
+    assert memory_estimate(narrow, d, 20) == (4 * 64 * d * 8, "--nn-hidden-width")
+    rff = memory_estimate(ExperimentConfig(model="nn", use_rff=True, rff_dim=500), d, 20)
+    assert rff == (2 * 500 * d * 8 + 4 * 500 * 500 * 8, "--nn-hidden-width or --rff-dim")
 
 
 def test_preflight_counts_every_parallel_run(monkeypatch):
@@ -390,6 +408,18 @@ def test_cli_k6_over_physical_memory_is_config_error(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert "GiB" in err and "8.0 GiB of physical memory" in err
     assert ("lower --rff-dim or --k" if flags else "lower --k") in err
+
+
+def test_cli_nn_at_default_width_over_physical_memory_is_config_error(tmp_path, capsys, monkeypatch):
+    import seqclass.pipeline as pipeline
+
+    # one-hot on length-1273 sequences at h = d holds four 5.7 GB arrays
+    monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: 8 * 2**30)
+    monkeypatch.setattr(pipeline, "_single_run", None)  # reaching a run is a failure too
+    _, _, _, corpus = _write_inputs(tmp_path, {"a": 3, "b": 3}, length=1273)
+    assert main(["run", "--corpus", str(corpus), "--model", "nn", "--encoding", "ohe"]) == 2
+    err = capsys.readouterr().err
+    assert "8.0 GiB of physical memory" in err and "lower --nn-hidden-width" in err
 
 
 @pytest.mark.parametrize("k", [5, 6])
