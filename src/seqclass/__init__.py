@@ -19,11 +19,11 @@ from .version import __version__
 _EXPORTS = {
     "config": ["ExperimentConfig"],
     "features": ["ALPHABET", "ALPHABET_SIZE", "featurize_corpus", "kmer_counts", "kmer_index",
-                 "kmer_matrix", "kmer_vector", "ohe_matrix", "ohe_vector"],
+                 "kmer_matrix", "ohe_matrix"],
     "infogain": ["IgTable", "entropy", "information_gain"],
-    "ingest": ["LabeledSequence", "LabelHierarchy", "SequenceRecord", "SplitSpec",
-               "join_metadata", "parse_fasta", "split_train_test"],
-    "metrics": ["RunMetrics", "aggregate", "confusion", "roc_auc_ovr_weighted", "summarize"],
+    "ingest": ["LabeledSequence", "LabelHierarchy", "SequenceRecord", "SplitSpec", "class_ids",
+               "join_metadata", "parse_fasta", "split_indices"],
+    "metrics": ["QUALITY", "aggregate", "confusion", "roc_auc_ovr_weighted", "summarize"],
     "neural_net": ["FeedForwardNet", "NetConfig", "nn_scores", "nn_train"],
     "pipeline": ["run_experiment"],
     "rff": ["RffProjector", "exact_kernel", "new_projector", "project"],

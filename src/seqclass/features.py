@@ -40,7 +40,7 @@ from .errors import (
     SequenceTooShort,
 )
 from .config import ENCODING_KMERS, ENCODING_OHE
-from .ingest import AMINO_ACIDS, LabeledSequence, encode_residues, label_for_level, residue_codes
+from .ingest import AMINO_ACIDS, LabeledSequence, class_ids, encode_residues, residue_codes
 
 ALPHABET = AMINO_ACIDS
 ALPHABET_SIZE = len(ALPHABET)  # 21
@@ -78,7 +78,7 @@ def kmer_from_index(idx: int, k: int) -> str:
 
 def kmer_counts(seq: str, k: int = 3) -> dict[str, int]:
     """Counts of every length-k substring, keyed by the substring itself."""
-    row = kmer_vector(seq, k)
+    row = kmer_matrix([seq], k=k, ids=["<sequence>"])
     return {
         kmer_from_index(int(col), k): int(val)
         for col, val in zip(row.indices, row.data)
@@ -202,24 +202,6 @@ def ohe_matrix(
     return _run_chunked(_ohe_csr_chunk, seqs, expected_len, ALPHABET_SIZE * expected_len, workers, ids)
 
 
-def kmer_vector(seq, k: int = 3) -> sp.csr_matrix:
-    """1 x 21**k count vector for a single sequence (str or SequenceRecord)."""
-    seq_id, residues = _seq_parts(seq)
-    return kmer_matrix([residues], k=k, ids=[seq_id])
-
-
-def ohe_vector(seq, expected_len: int) -> sp.csr_matrix:
-    """1 x 21*expected_len indicator vector for a single sequence."""
-    seq_id, residues = _seq_parts(seq)
-    return ohe_matrix([residues], expected_len=expected_len, ids=[seq_id])
-
-
-def _seq_parts(seq) -> tuple[str, str]:
-    if hasattr(seq, "residues"):
-        return seq.id, seq.residues
-    return "<sequence>", seq
-
-
 @dataclass
 class FeaturizedCorpus:
     matrix: sp.csr_matrix
@@ -239,7 +221,7 @@ def featurize_corpus(
     workers: int = 1,
     l2_normalize: bool = False,
 ) -> FeaturizedCorpus:
-    """Featurize a labeled corpus; class ids follow sorted class names.
+    """Featurize a labeled corpus; labels are `ingest.class_ids` at ``class_level``.
 
     ``mode`` is "kmers" or "ohe". For one-hot, ``expected_len`` defaults
     to the first sequence's length and every sequence must match it.
@@ -258,11 +240,7 @@ def featurize_corpus(
     else:
         raise InvalidConfig(f"unknown featurization mode {mode!r}")
 
-    names = [label_for_level(item.label, class_level) for item in data]
-    class_names = sorted(set(names))
-    name_to_id = {name: i for i, name in enumerate(class_names)}
-    labels = np.array([name_to_id[name] for name in names], dtype=np.int64)
-
+    labels, class_names = class_ids(data, class_level)
     if l2_normalize:
         matrix = l2_normalize_rows(matrix)
     return FeaturizedCorpus(matrix, labels, class_names, mode, matrix.shape[1])

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IoFailure, NotNormalized, RaggedLengths, SingleClass
-from .features import ALPHABET_SIZE
-from .ingest import LabeledSequence, encode_residues, label_for_level
+from .ingest import AMINO_ACIDS, LabeledSequence, class_ids, encode_residues
 
 
 def entropy(dist) -> float:
@@ -48,9 +47,6 @@ class IgTable:
     histograms: np.ndarray  # (L, 21, C) counts the gains were computed from
     class_names: list[str]
 
-    def rows(self) -> list[tuple[int, float]]:
-        return [(p + 1, float(v)) for p, v in enumerate(self.ig_bits)]
-
 
 def position_histograms(
     data: list[LabeledSequence], class_level: str = "country"
@@ -65,12 +61,9 @@ def position_histograms(
         raise RaggedLengths(
             f"{len(ragged)} sequences differ from length {L} (e.g. {shown}); align the corpus first"
         )
-    names = [label_for_level(item.label, class_level) for item in data]
-    class_names = sorted(set(names))
+    y, class_names = class_ids(data, class_level)
     if len(class_names) < 2:
         raise SingleClass("information gain needs at least two distinct classes")
-    name_to_id = {name: i for i, name in enumerate(class_names)}
-    y = np.array([name_to_id[name] for name in names], dtype=np.int64)
     C = len(class_names)
 
     codes, _ = encode_residues(
@@ -78,32 +71,29 @@ def position_histograms(
     )
     codes = codes.reshape(len(data), L).astype(np.int64)
 
-    hist = np.zeros((L, ALPHABET_SIZE, C), dtype=np.int64)
+    A = len(AMINO_ACIDS)
+    hist = np.zeros((L, A, C), dtype=np.int64)
     for p in range(L):
-        joint = np.bincount(codes[:, p] * C + y, minlength=ALPHABET_SIZE * C)
-        hist[p] = joint.reshape(ALPHABET_SIZE, C)
+        hist[p] = np.bincount(codes[:, p] * C + y, minlength=A * C).reshape(A, C)
     return hist, class_names
 
 
 def information_gain(data: list[LabeledSequence], class_level: str = "country") -> IgTable:
     """IG per position over an aligned corpus; values lie in [0, H(class)]."""
     hist, class_names = position_histograms(data, class_level)
-    L = hist.shape[0]
-    n = len(data)
-    class_counts = hist[0].sum(axis=0)
-    h_class = _entropy_from_counts(class_counts)
-
-    ig = np.empty(L)
-    for p in range(L):
-        conditional = 0.0
-        for s in range(ALPHABET_SIZE):
-            n_s = hist[p, s].sum()
-            if n_s == 0:
-                continue
-            conditional += (n_s / n) * _entropy_from_counts(hist[p, s])
-        ig[p] = h_class - conditional
-    np.clip(ig, 0.0, h_class, out=ig)
-    return IgTable(ig_bits=ig, sequence_length=L, class_entropy=h_class,
+    h_class = _entropy_from_counts(hist[0].sum(axis=0))
+    counts = hist.astype(np.float64)
+    n_s = counts.sum(axis=2)  # sequences with residue s at position p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / n_s[:, :, None]
+        plogp = np.where(counts > 0, p * np.log2(p), 0.0)  # 0 log 0 = 0
+    terms = n_s / len(data) * -plogp.sum(axis=2)  # (L, 21): n_s/n * H(class | s)
+    # H(class | residue at p), summed one residue at a time, as a scalar loop would
+    conditional = np.zeros(hist.shape[0])
+    for term in terms.T:
+        conditional += term
+    ig = np.clip(h_class - conditional, 0.0, h_class)
+    return IgTable(ig_bits=ig, sequence_length=hist.shape[0], class_entropy=h_class,
                    histograms=hist, class_names=class_names)
 
 
@@ -127,7 +117,7 @@ def export_ig(table: IgTable, path: str) -> None:
         with open(path, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f)
             writer.writerow(["position", "information_gain"])
-            for position, value in table.rows():
+            for position, value in enumerate(table.ig_bits.tolist(), start=1):
                 writer.writerow([position, f"{value:.10g}"])
     except OSError as exc:
         raise IoFailure(f"cannot write IG table {path!r}: {exc}") from exc
@@ -135,17 +125,15 @@ def export_ig(table: IgTable, path: str) -> None:
 
 def export_histograms(path: str, hist: np.ndarray, class_names: list[str]) -> None:
     """JSON with per-position per-symbol class counts, for plotting."""
-    from .features import ALPHABET
-
     payload = {
         "format": "seqclass-ig-hist/1",
         "class_names": class_names,
-        "alphabet": ALPHABET,
+        "alphabet": AMINO_ACIDS,
         "positions": [
             {
                 "position": p + 1,
                 "symbol_class_counts": {
-                    ALPHABET[s]: hist[p, s].tolist()
+                    AMINO_ACIDS[s]: hist[p, s].tolist()
                     for s in range(hist.shape[1])
                     if hist[p, s].sum() > 0
                 },

@@ -7,6 +7,11 @@ downstream sees stop-free sequences.
 
 Metadata is a tab-separated table ``id<TAB>continent<TAB>country<TAB>state``
 (header row required, ``state`` may be empty).
+
+Class ids have one owner, `class_ids`: at a chosen level (continent,
+country or state), the distinct names sorted by code point, and each
+sequence's id is its name's index there. Features, splits and
+information gain all see these ids.
 """
 
 from __future__ import annotations
@@ -150,11 +155,6 @@ def parse_fasta(stream: Iterable[str]) -> list[SequenceRecord]:
     return records
 
 
-def write_fasta(records: Iterable[SequenceRecord], handle: IO[str]) -> None:
-    for rec in records:
-        handle.write(f">{rec.id}\n{rec.residues}\n")
-
-
 def strip_stop(record: SequenceRecord) -> SequenceRecord:
     """Drop the single trailing stop character, if present."""
     if record.residues.endswith(STOP_CHAR):
@@ -222,6 +222,15 @@ def label_for_level(label: LabelHierarchy, class_level: str) -> str:
     raise InvalidConfig(f"unknown class level {class_level!r} (expected one of {CLASS_LEVELS})")
 
 
+def class_ids(data: Sequence[LabeledSequence], class_level: str) -> tuple[np.ndarray, list[str]]:
+    """Each item's class id (int64) and the sorted class names the ids index."""
+    names = [label_for_level(item.label, class_level) for item in data]
+    class_names = sorted(set(names))
+    index = {name: i for i, name in enumerate(class_names)}
+    ids = np.fromiter((index[name] for name in names), dtype=np.int64, count=len(names))
+    return ids, class_names
+
+
 def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
@@ -243,14 +252,15 @@ def _largest_remainder(total: int, counts: np.ndarray) -> np.ndarray:
 def split_indices(
     n: int,
     spec: SplitSpec,
-    class_labels: Sequence[str] | np.ndarray | None = None,
+    class_labels: Sequence | np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index-level split; |train| = round(train_fraction * n), half up.
 
-    ``class_labels`` (one per item) is required for stratified mode and
-    drives largest-remainder apportionment of the train budget across
-    classes, so per-class proportions hold within rounding. Both outputs
-    are sorted, disjoint and exhaustive.
+    ``class_labels`` (one name or class id per item) is required for
+    stratified mode and drives largest-remainder apportionment of the
+    train budget across classes, taken in sorted label order, so
+    per-class proportions hold within rounding. Both outputs are
+    sorted, disjoint and exhaustive.
     """
     if n < 1:
         raise EmptyJoin("cannot split an empty corpus")
@@ -265,48 +275,23 @@ def split_indices(
     else:
         if class_labels is None or len(class_labels) != n:
             raise InvalidConfig("stratified split needs one class label per item")
-        class_names = sorted(set(class_labels))
-        members: dict[str, list[int]] = {name: [] for name in class_names}
-        for i, name in enumerate(class_labels):
-            members[name].append(i)
-        for name in class_names:
-            if len(members[name]) == 1:
-                raise ClassTooSmall(
-                    f"class {name!r} has a single member; stratified split needs >= 2"
-                )
-        counts = np.array([len(members[name]) for name in class_names])
+        # object dtype compares the Python values: numpy's fixed-width strings drop trailing NULs
+        labels, inverse, counts = np.unique(np.asarray(class_labels, dtype=object),
+                                            return_inverse=True, return_counts=True)
+        if np.any(counts == 1):
+            name = labels[np.argmax(counts == 1)]
+            raise ClassTooSmall(f"class {name!r} has a single member; stratified split needs >= 2")
+        # each class's members in corpus order, classes in sorted label order
+        members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
         takes = _largest_remainder(n_train, counts)
-        picked: list[int] = []
-        for name, take in zip(class_names, takes):
-            idx = np.array(members[name])
-            perm = rng.permutation(len(idx))
-            picked.extend(idx[perm[:take]].tolist())
-        train_idx = np.sort(np.array(picked, dtype=np.int64))
+        train_idx = np.sort(np.concatenate(
+            [idx[rng.permutation(len(idx))[:take]] for idx, take in zip(members, takes)]
+        ))
 
     in_train = np.zeros(n, dtype=bool)
     in_train[train_idx] = True
     test_idx = np.flatnonzero(~in_train)
     return train_idx.astype(np.int64), test_idx.astype(np.int64)
-
-
-def split_train_test(
-    data: list[LabeledSequence],
-    spec: SplitSpec,
-    class_level: str = "country",
-) -> tuple[list[LabeledSequence], list[LabeledSequence]]:
-    """Deterministic train/test split of a labeled corpus.
-
-    Stratified mode (the default) preserves per-class proportions within
-    rounding and rejects classes with a single member (ClassTooSmall).
-    Outputs keep corpus order.
-    """
-    labels = None
-    if spec.stratified:
-        labels = [label_for_level(item.label, class_level) for item in data] if data else []
-    train_idx, test_idx = split_indices(len(data), spec, labels)
-    train = [data[i] for i in train_idx]
-    test = [data[i] for i in test_idx]
-    return train, test
 
 
 # --- corpus container -------------------------------------------------------

@@ -6,23 +6,28 @@ denominator is 0 (a warning counts such classes); macro averages run
 over every class in the label set, including zero-support ones;
 weighted averages use true-class support. ROC-AUC is the midrank
 Mann-Whitney statistic per class, one-vs-rest, support-weighted.
+
+A run's metrics are one record, a flat dict of floats: `summarize`'s
+five keys plus "roc_auc_weighted_ovr", the names and order of QUALITY.
+`aggregate` turns a list of such records (or of any flat float dicts,
+such as a run's timings) into their mean and population std.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DegenerateClass, EmptyMatrix, EmptyRuns, LabelOutOfRange
 
-SUMMARY_FIELDS = (
+QUALITY = (
     "accuracy",
     "precision_weighted",
     "recall_weighted",
     "f1_weighted",
     "f1_macro",
+    "roc_auc_weighted_ovr",
 )
 
 
@@ -137,34 +142,15 @@ def roc_auc_ovr_weighted(scores, y_true) -> float:
     return float(np.dot(aucs, weights_arr / weights_arr.sum()))
 
 
-@dataclass
-class RunMetrics:
-    accuracy: float
-    precision_weighted: float
-    recall_weighted: float
-    f1_weighted: float
-    f1_macro: float
-    roc_auc_weighted_ovr: float
-    train_runtime_seconds: float
-
-
-@dataclass
-class AggregateMetrics:
-    mean: dict[str, float]
-    std: dict[str, float]  # population standard deviation
-    run_count: int
-
-
-def aggregate(runs: list[RunMetrics]) -> AggregateMetrics:
-    """Mean and population std of every metric field across runs."""
-    if not runs:
+def aggregate(records: list[dict[str, float]]) -> dict:
+    """Run count, and mean and population std of every key, across records with the same keys."""
+    if not records:
         raise EmptyRuns("cannot aggregate zero runs")
-    names = [f.name for f in fields(RunMetrics)]
     mean: dict[str, float] = {}
     std: dict[str, float] = {}
-    for name in names:
-        values = np.array([getattr(run, name) for run in runs], dtype=np.float64)
+    for name in records[0]:
+        values = np.array([record[name] for record in records], dtype=np.float64)
         mean[name] = float(values.mean())
         # population std; identical values are exactly 0, not a mean-rounding ulp
         std[name] = 0.0 if np.all(values == values[0]) else float(values.std())
-    return AggregateMetrics(mean=mean, std=std, run_count=len(runs))
+    return {"run_count": len(records), "mean": mean, "std": std}

@@ -36,6 +36,7 @@ from .linear_models import _as_2d, _softmax
 
 PROB_FLOOR = 1e-12  # keeps the loss finite under confident mistakes
 ADAM_BLOCK_BYTES = 256 * 2**10  # memory rows of a parameter that adam_step updates in one pass
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,6 @@ class NetConfig:
     batch_size: int = 100
     epochs: int = 10
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def resolved_hidden(self) -> int:
@@ -162,7 +160,7 @@ def adam_step(net: FeedForwardNet, grads: list[np.ndarray], state: AdamState, co
     with two block-sized scratch buffers and no full-size temporary.
     """
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     correction1 = 1.0 - b1**state.t
     correction2 = 1.0 - b2**state.t
     params = [net.w1, net.b1, net.w2, net.b2]
@@ -180,7 +178,7 @@ def adam_step(net: FeedForwardNet, grads: list[np.ndarray], state: AdamState, co
             np.multiply(gb, 1.0 - b2, out=s)
             vb += np.multiply(s, gb, out=s)
             np.sqrt(np.divide(vb, correction2, out=s), out=s)
-            s += config.adam_eps
+            s += ADAM_EPS
             np.multiply(np.divide(mb, correction1, out=t), config.learning_rate, out=t)
             pb -= np.divide(t, s, out=t)
 
@@ -191,19 +189,12 @@ def epoch_shuffle_orders(seed: int, n: int, epochs: int) -> list[np.ndarray]:
     return [rng.permutation(n) for _ in range(epochs)]
 
 
-def nn_train(
-    config: NetConfig,
-    X,
-    y,
-    *,
-    epoch_orders: list[np.ndarray] | None = None,
-) -> tuple[FeedForwardNet, list[float]]:
+def nn_train(config: NetConfig, X, y) -> tuple[FeedForwardNet, list[float]]:
     """Train for the configured number of epochs; returns per-epoch mean loss.
 
-    The seeded shuffle alone defines the visit order; ``epoch_orders``
-    overrides it (index arrays, one per epoch) so callers can reproduce a
-    run on re-ordered inputs. The final partial batch is trained, not
-    dropped. Raises NonFiniteLoss if the loss diverges.
+    The seeded shuffle alone defines the visit order (`epoch_shuffle_orders`).
+    The final partial batch is trained, not dropped. Raises NonFiniteLoss
+    if the loss diverges.
     """
     config.validate()
     y = np.asarray(y, dtype=np.int64)
@@ -219,14 +210,9 @@ def nn_train(
     if sp.issparse(X):
         net.w1 = np.asfortranarray(net.w1)  # the (d, h) C order of scipy's CSR products
     state = adam_init(net)
-    if epoch_orders is None:
-        epoch_orders = epoch_shuffle_orders(config.seed, n, config.epochs)
-    if len(epoch_orders) != config.epochs:
-        raise InvalidConfig("epoch_orders must supply one index array per epoch")
-
     sparse_in = sp.issparse(X)
     trace: list[float] = []
-    for order in epoch_orders:
+    for order in epoch_shuffle_orders(config.seed, n, config.epochs):
         total = 0.0
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]

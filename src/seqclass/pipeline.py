@@ -39,7 +39,7 @@ from .config import ExperimentConfig
 from .errors import DegenerateLabels, InvalidConfig, IoFailure, SeqclassError
 from .features import FeaturizedCorpus, _usable_cores, featurize_corpus
 from .ingest import LabeledSequence, SplitSpec, split_indices
-from .metrics import RunMetrics, aggregate, confusion, roc_auc_ovr_weighted, summarize
+from .metrics import QUALITY, aggregate, confusion, roc_auc_ovr_weighted, summarize
 from .rff import default_gamma, new_projector, project
 from .version import __version__
 
@@ -55,11 +55,6 @@ _NN_PEAK_ARRAYS = 4
 # sparse @ dense product makes below rff.GEMM_MIN_DENSITY; the blocked GEMM
 # above it holds the weights and one block, so 2 is the upper bound
 _RFF_PEAK_ARRAYS = 2
-
-
-def resolved_config(config: ExperimentConfig) -> dict:
-    """JSON-friendly snapshot embedded in every report."""
-    return asdict(config)
 
 
 @contextmanager
@@ -163,8 +158,10 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
         stratified=config.stratified,
     )
     with _stage("split"):
-        class_labels = [feats.class_names[i] for i in feats.labels] if config.stratified else None
-        train_idx, test_idx = split_indices(feats.matrix.shape[0], spec, class_labels)
+        # by name, so that ClassTooSmall names the class (object dtype: see split_indices)
+        names = np.asarray(feats.class_names, dtype=object)[feats.labels]
+        train_idx, test_idx = split_indices(feats.matrix.shape[0], spec,
+                                            names if config.stratified else None)
 
     X_train = feats.matrix[train_idx]
     X_test = feats.matrix[test_idx]
@@ -190,32 +187,16 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
     predictions = np.argmax(scores, axis=1)
 
     with _stage("metrics"):
-        summary = summarize(confusion(y_test, predictions, class_count))
-        auc = roc_auc_ovr_weighted(scores, y_test)
-    run_metrics = RunMetrics(
-        accuracy=summary["accuracy"],
-        precision_weighted=summary["precision_weighted"],
-        recall_weighted=summary["recall_weighted"],
-        f1_weighted=summary["f1_weighted"],
-        f1_macro=summary["f1_macro"],
-        roc_auc_weighted_ovr=auc,
-        train_runtime_seconds=fit_seconds,
-    )
+        metrics = summarize(confusion(y_test, predictions, class_count))
+        metrics["roc_auc_weighted_ovr"] = roc_auc_ovr_weighted(scores, y_test)
     return {
         "run_index": run_index,
         "seeds": seeds,
         "train_size": int(len(train_idx)),
         "test_size": int(len(test_idx)),
-        "metrics": {
-            "accuracy": run_metrics.accuracy,
-            "precision_weighted": run_metrics.precision_weighted,
-            "recall_weighted": run_metrics.recall_weighted,
-            "f1_weighted": run_metrics.f1_weighted,
-            "f1_macro": run_metrics.f1_macro,
-            "roc_auc_weighted_ovr": run_metrics.roc_auc_weighted_ovr,
-        },
-        "timing": {"train_runtime_seconds": run_metrics.train_runtime_seconds},
-    }, run_metrics
+        "metrics": metrics,
+        "timing": {"train_runtime_seconds": fit_seconds},
+    }
 
 
 def _run_worker(args):
@@ -254,38 +235,28 @@ def run_experiment(
     else:
         results = [_single_run(config, feats, i) for i in range(config.runs)]
 
-    run_dicts = [r[0] for r in results]
-    run_metrics = [r[1] for r in results]
-    agg = aggregate(run_metrics)
-
-    quality = [
-        "accuracy", "precision_weighted", "recall_weighted",
-        "f1_weighted", "f1_macro", "roc_auc_weighted_ovr",
-    ]
+    summary = aggregate([r["metrics"] for r in results])
+    timing = aggregate([r["timing"] for r in results])
+    summary["timing"] = {
+        "train_runtime_seconds_mean": timing["mean"]["train_runtime_seconds"],
+        "train_runtime_seconds_std": timing["std"]["train_runtime_seconds"],
+    }
     report = {
         "format": "seqclass-report/1",
         "tool_version": __version__,
-        "config": resolved_config(config),
+        "config": asdict(config),
         "class_names": feats.class_names,
         "corpus_size": int(feats.matrix.shape[0]),
         "feature_dim": int(feats.matrix.shape[1]),
-        "runs": run_dicts,
-        "aggregate": {
-            "run_count": agg.run_count,
-            "mean": {k: agg.mean[k] for k in quality},
-            "std": {k: agg.std[k] for k in quality},
-            "timing": {
-                "train_runtime_seconds_mean": agg.mean["train_runtime_seconds"],
-                "train_runtime_seconds_std": agg.std["train_runtime_seconds"],
-            },
-        },
+        "runs": results,
+        "aggregate": summary,
     }
     manifest = {
         "format": "seqclass-manifest/1",
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "config": resolved_config(config),
-        "per_run_seeds": [r["seeds"] for r in run_dicts],
+        "config": asdict(config),
+        "per_run_seeds": [r["seeds"] for r in results],
         "artifacts": {},
     }
 
@@ -353,10 +324,7 @@ def write_report_csv(handle: IO[str], reports: list[dict]) -> None:
             _embedding_name(report["config"]),
             report["config"]["model"],
         ]
-        for key in (
-            "accuracy", "precision_weighted", "recall_weighted",
-            "f1_weighted", "f1_macro", "roc_auc_weighted_ovr",
-        ):
+        for key in QUALITY:
             cells.append(f"{agg['mean'][key]:.4f} ± {agg['std'][key]:.4f}")
         cells.append(
             f"{agg['timing']['train_runtime_seconds_mean']:.3f} ± "

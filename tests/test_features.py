@@ -25,12 +25,10 @@ from seqclass.features import (
     kmer_from_index,
     kmer_index,
     kmer_matrix,
-    kmer_vector,
     l2_normalize_rows,
     load_features,
     load_labels,
     ohe_matrix,
-    ohe_vector,
     save_features,
     save_labels,
 )
@@ -80,7 +78,7 @@ def test_kmer_counts_mdpeg():
 
 
 def test_kmer_overlap_counting():
-    vec = kmer_vector("AAAA", 3)
+    vec = kmer_matrix(["AAAA"], 3)
     assert vec.shape == (1, 9261)
     assert vec[0, 0] == 2 and vec.nnz == 1
 
@@ -89,50 +87,50 @@ def test_kmer_sum_property(rng):
     for k in (1, 2, 3, 5):
         for length in rng.integers(k, 50, size=10):
             seq = random_sequences(rng, 1, int(length))[0]
-            vec = kmer_vector(seq, k)
+            vec = kmer_matrix([seq], k)
             assert vec.sum() == len(seq) - k + 1
             assert vec.shape[1] == ALPHABET_SIZE**k
 
 
 def test_kmer_full_length_sequence(rng):
     seq = random_sequences(rng, 1, 1273)[0]
-    vec = kmer_vector(seq, 3)
+    vec = kmer_matrix([seq], 3)
     assert vec.sum() == 1271  # 1273 - 3 + 1
 
 
 def test_kmer_too_short():
     with pytest.raises(SequenceTooShort):
-        kmer_vector("MD", 3)
+        kmer_matrix(["MD"], 3)
 
 
 def test_kmer_invalid_residue_names_record():
     rec = SequenceRecord("bad1", "MDPXZ")
     with pytest.raises(InvalidResidue) as err:
-        kmer_vector(rec, 3)
+        kmer_matrix([rec.residues], 3, ids=[rec.id])
     assert err.value.seq_id == "bad1"
     assert err.value.position == 5
 
 
 def test_ohe_single_symbol():
-    vec = ohe_vector("A", 1)
+    vec = ohe_matrix(["A"], 1)
     assert vec.shape == (1, 21)
     assert vec[0, 0] == 1 and vec.nnz == 1
 
 
 def test_ohe_positional_indices():
     # C=1 at position 0, A=0 at position 1 -> columns 1 and 21
-    vec = ohe_vector("CA", 2)
+    vec = ohe_matrix(["CA"], 2)
     assert sorted(vec.indices.tolist()) == [1, 21]
 
 
 def test_ohe_expected_dim():
-    assert ohe_vector("A" * 1273, 1273).shape == (1, 26733)
+    assert ohe_matrix(["A" * 1273], 1273).shape == (1, 26733)
 
 
 def test_ohe_length_mismatch_names_record():
     rec = SequenceRecord("short7", "MDP")
     with pytest.raises(LengthMismatch, match="short7"):
-        ohe_vector(rec, 5)
+        ohe_matrix([rec.residues], 5, ids=[rec.id])
 
 
 def test_ohe_exactly_one_per_position(rng):
@@ -147,7 +145,7 @@ def test_ohe_inner_product_is_hamming_similarity(rng):
     for _ in range(10):
         a, b = random_sequences(rng, 2, L)
         agree = sum(1 for x, y in zip(a, b) if x == y)
-        va, vb = ohe_vector(a, L), ohe_vector(b, L)
+        va, vb = ohe_matrix([a], L), ohe_matrix([b], L)
         assert (va @ vb.T)[0, 0] == agree
 
 
@@ -179,7 +177,7 @@ def test_featurize_row_order_matches_input(rng):
     data = labeled_corpus({"a": 4, "b": 4}, length=20, seed=1)
     feats = featurize_corpus(data, "kmers")
     for i, item in enumerate(data):
-        row = kmer_vector(item.record.residues, 3)
+        row = kmer_matrix([item.record.residues], 3)
         assert (feats.matrix[i] != row).nnz == 0
 
 

@@ -109,6 +109,41 @@ def test_ig_matches_joint_identity(rng):
         assert np.all(table.ig_bits <= table.class_entropy + 1e-12)
 
 
+def _reference_ig(hist, n):
+    """The per-position, per-residue loop that information_gain replaced, as its reference."""
+    def h(counts):
+        total = counts.sum()
+        if total <= 0:
+            return 0.0
+        p = counts[counts > 0] / total
+        return float(-(p * np.log2(p)).sum())
+
+    h_class = h(hist[0].sum(axis=0))
+    ig = np.empty(hist.shape[0])
+    for p in range(hist.shape[0]):
+        conditional = 0.0
+        for s in range(hist.shape[1]):
+            n_s = hist[p, s].sum()
+            if n_s == 0:
+                continue
+            conditional += (n_s / n) * h(hist[p, s])
+        ig[p] = h_class - conditional
+    np.clip(ig, 0.0, h_class, out=ig)
+    return ig, h_class
+
+
+def test_ig_matches_reference_loop(rng):
+    shapes = [(4, 1, 2, "AC"), (30, 8, 3, "ACDE"), (200, 40, 6, "ACDEFGHIKLMNPQRSTVWXY"),
+              (600, 120, 20, "ACDEFGHIKLMNPQRSTVWXY"), (50, 10, 2, "A")]
+    for n, L, n_classes, letters in shapes * 3:
+        rows = [("".join(rng.choice(list(letters), size=L)), f"c{i % n_classes}")
+                for i in range(n)]
+        table = information_gain(_corpus(rows))
+        want, h_class = _reference_ig(table.histograms, n)
+        assert table.class_entropy == h_class
+        assert np.allclose(table.ig_bits, want, rtol=0.0, atol=1e-15)
+
+
 def test_ig_permutation_invariant(rng):
     data = _corpus([("ACD", "u"), ("CCD", "u"), ("ACE", "v"), ("CDE", "v"), ("AAD", "w"), ("CAD", "w")])
     base = information_gain(data).ig_bits

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -12,11 +13,14 @@ from seqclass.errors import (
     IoFailure,
     MalformedFasta,
 )
+from seqclass.features import featurize_corpus
+from seqclass.infogain import position_histograms
 from seqclass.ingest import (
     AMINO_ACIDS,
     LabelHierarchy,
     SequenceRecord,
     SplitSpec,
+    class_ids,
     join_metadata,
     label_for_level,
     load_corpus,
@@ -24,10 +28,8 @@ from seqclass.ingest import (
     read_metadata_tsv,
     save_corpus,
     split_indices,
-    split_train_test,
     strip_stop,
     validate_residues,
-    write_fasta,
 )
 
 from conftest import labeled_corpus, random_sequences
@@ -73,9 +75,8 @@ def test_parse_duplicate_or_empty_header():
 def test_fasta_round_trip(rng):
     seqs = random_sequences(rng, 25, 40)
     records = [SequenceRecord(f"id{i}", s + ("*" if i % 3 == 0 else "")) for i, s in enumerate(seqs)]
-    buf = io.StringIO()
-    write_fasta(records, buf)
-    assert parse_fasta(io.StringIO(buf.getvalue())) == records
+    text = "".join(f">{rec.id}\n{rec.residues}\n" for rec in records)
+    assert parse_fasta(io.StringIO(text)) == records
 
 
 def test_validation_accepts_exactly_the_alphabet():
@@ -140,21 +141,27 @@ def test_label_for_level():
     assert label_for_level(label, "state") == "IDF"
 
 
+def _split(data, spec):
+    """Train and test items of a split by country, each in corpus order."""
+    train_idx, test_idx = split_indices(len(data), spec, [item.label.country for item in data])
+    return [data[i] for i in train_idx], [data[i] for i in test_idx]
+
+
 def test_split_sizes_and_determinism():
     data = labeled_corpus({"a": 50, "b": 50}, seed=3)
     spec = SplitSpec(train_fraction=0.10, seed=7)
-    train, test = split_train_test(data, spec)
+    train, test = _split(data, spec)
     assert len(train) == 10 and len(test) == 90
     ids = {item.record.id for item in train}
     assert ids.isdisjoint({item.record.id for item in test})
-    train2, _ = split_train_test(data, spec)
+    train2, _ = _split(data, spec)
     assert [t.record.id for t in train] == [t.record.id for t in train2]
 
 
 def test_split_stratified_rounding():
     # 0.10 of {a: 60, b: 40} must give exactly 6 + 4: enumerate memberships
     data = labeled_corpus({"a": 60, "b": 40}, seed=5)
-    train, _ = split_train_test(data, SplitSpec(train_fraction=0.10, seed=11))
+    train, _ = _split(data, SplitSpec(train_fraction=0.10, seed=11))
     by_class = {"a": 0, "b": 0}
     for item in train:
         by_class[item.label.country] += 1
@@ -181,13 +188,97 @@ def test_split_partition_property():
 def test_split_class_too_small():
     data = labeled_corpus({"a": 10, "b": 1}, seed=2)
     with pytest.raises(ClassTooSmall):
-        split_train_test(data, SplitSpec(train_fraction=0.5, seed=0, stratified=True))
+        _split(data, SplitSpec(train_fraction=0.5, seed=0, stratified=True))
 
 
 def test_split_unstratified_ignores_singletons():
     data = labeled_corpus({"a": 10, "b": 1}, seed=2)
-    train, test = split_train_test(data, SplitSpec(train_fraction=0.5, seed=0, stratified=False))
+    train, test = _split(data, SplitSpec(train_fraction=0.5, seed=0, stratified=False))
     assert len(train) == 6 and len(test) == 5
+
+
+def _reference_split(n, spec, class_labels):
+    """The dict-of-lists stratified split that split_indices replaced, as its reference."""
+    n_train = int(np.floor(spec.train_fraction * n + 0.5))
+    rng = np.random.default_rng(spec.seed)
+    class_names = sorted(set(class_labels))
+    members = {name: [] for name in class_names}
+    for i, name in enumerate(class_labels):
+        members[name].append(i)
+    for name in class_names:
+        if len(members[name]) == 1:
+            raise ClassTooSmall(f"class {name!r} has a single member; stratified split needs >= 2")
+    counts = np.array([len(members[name]) for name in class_names])
+    quotas = n_train * counts / counts.sum()
+    takes = np.floor(quotas).astype(int)
+    short = n_train - takes.sum()
+    if short > 0:
+        order = np.lexsort((np.arange(len(counts)), -(quotas - takes)))
+        takes[order[:short]] += 1
+    picked = []
+    for name, take in zip(class_names, takes):
+        idx = np.array(members[name])
+        picked.extend(idx[rng.permutation(len(idx))[:take]].tolist())
+    train_idx = np.sort(np.array(picked, dtype=np.int64))
+    return train_idx, np.setdiff1d(np.arange(n), train_idx)
+
+
+# mixed case, non-ASCII and a trailing NUL: sorted by code point, as Python sorts str
+_NAMES = ["a", "A", "b", "B", "Ä", "é", "ß", "日本", "a b", "a\x00", "z"]
+
+
+def _split_cases(rng, count):
+    for _ in range(count):
+        n = int(rng.integers(2, 200))
+        classes = rng.choice(len(_NAMES), size=int(rng.integers(1, len(_NAMES) + 1)), replace=False)
+        names = [_NAMES[c] for c in rng.choice(classes, size=n)]
+        spec = SplitSpec(train_fraction=float(rng.uniform(0.02, 0.98)),
+                         seed=int(rng.integers(0, 2**31)))
+        yield n, spec, names
+    # largest-remainder ties: equal classes whose quotas all end in .5, or in thirds
+    for sizes, fraction in (([5, 5, 5], 0.1), ([3, 3, 3, 3], 0.5), ([2, 2, 2], 0.5),
+                            ([4, 4, 4, 4, 4, 4], 0.25), ([7, 7, 7], 1 / 3)):
+        names = [_NAMES[c] for c, size in enumerate(sizes) for _ in range(size)]
+        for seed in range(3):
+            yield len(names), SplitSpec(train_fraction=fraction, seed=seed), names
+
+
+def test_split_is_bit_identical_to_reference_for_names_and_ids(rng):
+    small = 0
+    for n, spec, names in _split_cases(rng, 400):
+        index = {name: i for i, name in enumerate(sorted(set(names)))}
+        ids = np.array([index[name] for name in names], dtype=np.int64)
+        try:
+            want = _reference_split(n, spec, names)
+        except ClassTooSmall as exc:
+            small += 1
+            first = min(name for name in names if names.count(name) == 1)
+            assert str(exc).startswith(f"class {first!r} ")
+            with pytest.raises(ClassTooSmall, match=f"^class {re.escape(repr(first))} "):
+                split_indices(n, spec, names)
+            with pytest.raises(ClassTooSmall, match=f"^class {index[first]} "):
+                split_indices(n, spec, ids)
+            continue
+        for labels in (names, ids, np.asarray(names, dtype=object)):
+            got = split_indices(n, spec, labels)
+            assert all(g.dtype == np.int64 for g in got)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert 0 < small < 400  # both branches ran
+
+
+def test_class_ids_own_the_ids_of_features_and_ig():
+    data = labeled_corpus({"b": 4, "Ä": 3, "a": 5, "B": 2, "日本": 3}, length=12, seed=4)
+    for level in ("country", "state"):
+        ids, class_names = class_ids(data, level)
+        assert ids.dtype == np.int64
+        assert class_names == sorted({label_for_level(item.label, level) for item in data})
+        assert [class_names[i] for i in ids] == [label_for_level(item.label, level) for item in data]
+        feats = featurize_corpus(data, "kmers", k=2, class_level=level)
+        assert np.array_equal(feats.labels, ids) and feats.class_names == class_names
+        hist, hist_names = position_histograms(data, level)
+        assert hist_names == class_names
+        # the class axis of every position's histogram counts the members of each id
+        assert np.array_equal(hist.sum(axis=1), np.tile(np.bincount(ids), (hist.shape[0], 1)))
 
 
 def test_corpus_round_trip(tmp_path, rng):

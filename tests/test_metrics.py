@@ -9,7 +9,7 @@ from scipy.stats import rankdata as scipy_rankdata
 import seqclass
 from seqclass.errors import DegenerateClass, EmptyMatrix, EmptyRuns, LabelOutOfRange
 from seqclass.metrics import (
-    RunMetrics,
+    QUALITY,
     aggregate,
     binary_auc,
     confusion,
@@ -256,25 +256,25 @@ def test_auc_ovr_weighted_matches_oracle(rng):
 # --- aggregation ----------------------------------------------------------------------
 
 def _metrics(value, runtime=1.0):
-    return RunMetrics(value, value, value, value, value, value, runtime)
+    return {**dict.fromkeys(QUALITY, value), "train_runtime_seconds": runtime}
 
 
 def test_aggregate_identical_runs_zero_std():
     agg = aggregate([_metrics(0.6)] * 5)
-    assert agg.mean["accuracy"] == 0.6
-    assert agg.std["accuracy"] == 0.0
-    assert agg.run_count == 5
+    assert agg["mean"]["accuracy"] == 0.6
+    assert agg["std"]["accuracy"] == 0.0
+    assert agg["run_count"] == 5
 
 
 def test_aggregate_population_std():
     agg = aggregate([_metrics(0.4), _metrics(0.6)])
-    assert np.isclose(agg.mean["f1_macro"], 0.5)
-    assert np.isclose(agg.std["f1_macro"], 0.1)  # population, not sample
+    assert np.isclose(agg["mean"]["f1_macro"], 0.5)
+    assert np.isclose(agg["std"]["f1_macro"], 0.1)  # population, not sample
 
 
 def test_aggregate_single_run():
     agg = aggregate([_metrics(0.7)])
-    assert agg.std["roc_auc_weighted_ovr"] == 0.0
+    assert agg["std"]["roc_auc_weighted_ovr"] == 0.0
 
 
 def test_aggregate_empty():
@@ -284,4 +284,4 @@ def test_aggregate_empty():
 
 def test_aggregate_covers_runtime():
     agg = aggregate([_metrics(0.5, runtime=2.0), _metrics(0.5, runtime=4.0)])
-    assert agg.mean["train_runtime_seconds"] == 3.0
+    assert agg["mean"]["train_runtime_seconds"] == 3.0

@@ -252,23 +252,52 @@ def test_cli_flag_overrides(tmp_path):
     assert report["config"]["runs"] == 1
 
 
-def test_cli_ingest_leaves_scipy_out(tmp_path):
-    """ingest, all of the benchmark's set-up time, loads neither scipy nor the modules that need it."""
+def _exit_code_and_scipy_modules(argv: list[str]) -> str:
+    """Run a CLI command in a fresh interpreter; its exit code and the scipy modules it loaded."""
     import os
     import subprocess
     import sys
 
     import seqclass
 
-    _, fasta, meta, _ = _write_inputs(tmp_path, {"a": 5, "b": 5})
     src = os.path.dirname(os.path.dirname(seqclass.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    argv = ["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--out", str(tmp_path / "c")]
     code = (f"import sys; from seqclass.cli import main; code = main({argv!r}); "
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.splitlines()[-1] == "0 []"
+    return out.stdout.splitlines()[-1]
+
+
+def test_cli_ingest_leaves_scipy_out(tmp_path):
+    """ingest, all of the benchmark's set-up time, loads neither scipy nor the modules that need it."""
+    _, fasta, meta, _ = _write_inputs(tmp_path, {"a": 5, "b": 5})
+    argv = ["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--out", str(tmp_path / "c")]
+    assert _exit_code_and_scipy_modules(argv) == "0 []"
+
+
+def test_cli_ig_leaves_scipy_out(tmp_path):
+    """ig counts residues by class with numpy alone: no scipy, no features module."""
+    _, _, _, corpus = _write_inputs(tmp_path, {"a": 5, "b": 5}, length=12)
+    argv = ["ig", "--corpus", str(corpus), "--out", str(tmp_path / "ig.csv"),
+            "--histograms", str(tmp_path / "hist.json")]
+    assert _exit_code_and_scipy_modules(argv) == "0 []"
+
+
+def test_cli_run_with_a_one_member_class_names_it(tmp_path, capsys):
+    _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "Zürich": 1, "b": 6})
+    assert main(["run", "--corpus", str(corpus), "--model", "majority", "--runs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "[stage:split] class 'Zürich' has a single member" in err
+
+
+def test_every_export_resolves():
+    import seqclass
+
+    for name in seqclass.__all__:
+        assert getattr(seqclass, name) is not None, name
+    with pytest.raises(AttributeError):
+        getattr(seqclass, "no_such_name")
 
 
 def test_cli_exit_codes(tmp_path):
