@@ -69,12 +69,13 @@ def position_histograms(
     codes, _ = encode_residues(
         [item.record.id for item in data], [item.record.residues for item in data]
     )
-    codes = codes.reshape(len(data), L).astype(np.int64)
-
     A = len(AMINO_ACIDS)
-    hist = np.zeros((L, A, C), dtype=np.int64)
-    for p in range(L):
-        hist[p] = np.bincount(codes[:, p] * C + y, minlength=A * C).reshape(A, C)
+    # one count of the joint index (p*A + code)*C + y over the whole (n, L) array
+    keys = codes.reshape(len(data), L).astype(np.int64)
+    keys += np.arange(L) * A
+    keys *= C
+    keys += y[:, None]
+    hist = np.bincount(keys.ravel(), minlength=L * A * C).reshape(L, A, C)
     return hist, class_names
 
 

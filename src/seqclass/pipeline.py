@@ -40,21 +40,17 @@ from .errors import DegenerateLabels, InvalidConfig, IoFailure, SeqclassError
 from .features import FeaturizedCorpus, _usable_cores, featurize_corpus
 from .ingest import LabeledSequence, SplitSpec, split_indices
 from .metrics import QUALITY, aggregate, confusion, roc_auc_ovr_weighted, summarize
-from .rff import default_gamma, new_projector, project
+from .rff import GEMM_BLOCK_BYTES, default_gamma, new_projector, project
 from .version import __version__
 
 # float64 C x d arrays that fit and scoring hold at once, read off linear_models:
 # gnb_scores holds means, variances, its scratch array and inv_var;
-# logreg_fit, at an accepted step, holds W, the old gradient and the three
-# arrays of the new gradient's sum.
-_MODEL_PEAK_ARRAYS = {"nb": 4, "lr": 5}
+# logreg_fit holds the LBFGS_MEMORY = 5 (s, y) pairs, its parameters,
+# gradient, direction and spare, and one gradient product (tracemalloc: 15.0)
+_MODEL_PEAK_ARRAYS = {"nb": 4, "lr": 15}
 # float64 h x d arrays that nn_train holds at once: w1, Adam's m and v, and
 # one step's gradient of w1 (adam_step works in block-sized scratch)
 _NN_PEAK_ARRAYS = 4
-# the D x d RFF weights plus the C-ordered copy of weights.T that scipy's
-# sparse @ dense product makes below rff.GEMM_MIN_DENSITY; the blocked GEMM
-# above it holds the weights and one block, so 2 is the upper bound
-_RFF_PEAK_ARRAYS = 2
 
 
 @contextmanager
@@ -84,8 +80,10 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
     else:
         needed, knob = _MODEL_PEAK_ARRAYS.get(config.model, 0) * class_count * model_dim * 8, "--k"
     if config.use_rff:
+        # the D x d weights and one block of either route of rff.project
+        rff_bytes = config.rff_dim * feature_dim * 8 + GEMM_BLOCK_BYTES
         rff_knob = "--nn-hidden-width or --rff-dim" if config.model == "nn" else "--rff-dim or --k"
-        return needed + _RFF_PEAK_ARRAYS * config.rff_dim * feature_dim * 8, rff_knob
+        return needed + rff_bytes, rff_knob
     return needed, knob
 
 
@@ -112,17 +110,18 @@ def _run_seeds(config: ExperimentConfig, run_index: int) -> dict[str, int]:
 
 
 def _fit(config: ExperimentConfig, X_train, y_train, class_count: int):
-    """Fit the configured model; returns it with the function that scores it.
+    """Fit the configured model; returns it, the function that scores it, and its summary.
 
     Every score function maps (model, X) to an n x C matrix whose argmax
     is the prediction. Functions are looked up on their modules at call
-    time, so a wrapper installed there is honoured.
+    time, so a wrapper installed there is honoured. The summary is
+    linear_models.model_summary's.
     """
     if config.model == "majority":
-        return lm.majority_fit(y_train, class_count), lm.majority_scores
-    if config.model == "nb":
-        return lm.gnb_fit(X_train, y_train, class_count), lm.gnb_scores
-    if config.model == "lr":
+        model, scores = lm.majority_fit(y_train, class_count), lm.majority_scores
+    elif config.model == "nb":
+        model, scores = lm.gnb_fit(X_train, y_train, class_count), lm.gnb_scores
+    elif config.model == "lr":
         model = lm.logreg_fit(
             X_train, y_train,
             l2_lambda=config.lr_l2_lambda,
@@ -130,23 +129,25 @@ def _fit(config: ExperimentConfig, X_train, y_train, class_count: int):
             tol=config.lr_tol,
             class_count=class_count,
         )
-        return model, lm.logreg_proba
-    if config.model == "ridge":
+        scores = lm.logreg_proba
+    elif config.model == "ridge":
         model = lm.ridge_fit(X_train, y_train, alpha=config.ridge_alpha, class_count=class_count)
-        return model, lm.ridge_scores
-    if class_count < 2:
-        raise DegenerateLabels("the nn model needs at least 2 classes")
-    net_config = nn.NetConfig(
-        input_dim=X_train.shape[1],
-        class_count=class_count,
-        hidden_width=config.nn_hidden_width,
-        batch_size=config.nn_batch_size,
-        epochs=config.nn_epochs,
-        learning_rate=config.nn_learning_rate,
-        seed=config.nn_seed,
-    )
-    net, _trace = nn.nn_train(net_config, X_train, y_train)
-    return net, nn.nn_scores
+        scores = lm.ridge_scores
+    else:
+        if class_count < 2:
+            raise DegenerateLabels("the nn model needs at least 2 classes")
+        net_config = nn.NetConfig(
+            input_dim=X_train.shape[1],
+            class_count=class_count,
+            hidden_width=config.nn_hidden_width,
+            batch_size=config.nn_batch_size,
+            epochs=config.nn_epochs,
+            learning_rate=config.nn_learning_rate,
+            seed=config.nn_seed,
+        )
+        net, epoch_losses = nn.nn_train(net_config, X_train, y_train)
+        return net, nn.nn_scores, lm.model_summary(net, epoch_losses)
+    return model, scores, lm.model_summary(model)
 
 
 def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: int):
@@ -181,7 +182,7 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
     class_count = len(feats.class_names)
     with _stage("fit"):
         tic = time.perf_counter()
-        model, model_scores = _fit(run_config, X_train, y_train, class_count)
+        model, model_scores, diagnostics = _fit(run_config, X_train, y_train, class_count)
         fit_seconds = time.perf_counter() - tic
         scores = model_scores(model, X_test)
     predictions = np.argmax(scores, axis=1)
@@ -195,6 +196,7 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
         "train_size": int(len(train_idx)),
         "test_size": int(len(test_idx)),
         "metrics": metrics,
+        "diagnostics": diagnostics,
         "timing": {"train_runtime_seconds": fit_seconds},
     }
 

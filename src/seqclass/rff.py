@@ -13,13 +13,15 @@ density nnz / (n * d) of at least GEMM_MIN_DENSITY, row blocks of
 GEMM_BLOCK_BYTES are densified and each is multiplied by W^T with one
 BLAS GEMM, which reads the C-ordered (D, d) weights as their transpose
 without copying them. Below it, scipy's sparse @ dense product does less
-work; it makes a C-ordered copy of W^T, so a projection holds at most two
-D x d arrays. On a 2-core host (1000 rows, d = 9261, D = 1000, random
-CSR) the two routes cross at 2.5-3 % density: sparse took 0.22 s and the
-GEMM 0.24 s at 2 %, against 0.36 s and 0.25 s at 5 %. Spike-length k-mer
-counts are 87 % dense at k = 2, 12.7 % at k = 3 and 0.65 % at k = 4, and
-one-hot rows 1/21. The routes sum in different orders, so their linear
-parts agree to rounding (about 1e-15 relative), not bit for bit.
+work. It copies the transposed weights it is given into C order, so it
+is given blocks of GEMM_BLOCK_BYTES of rows of W. Either route holds the
+D x d weights, one block and the output. On a 2-core host (1000 rows,
+d = 9261, D = 1000, random CSR) the two routes cross at 2.5-3 % density:
+sparse took 0.22 s and the GEMM 0.24 s at 2 %, against 0.36 s and 0.25 s
+at 5 %. Spike-length k-mer counts are 87 % dense at k = 2, 12.7 % at
+k = 3 and 0.65 % at k = 4, and one-hot rows 1/21. The routes sum in
+different orders, so their linear parts agree to rounding (about 1e-15
+relative), not bit for bit.
 """
 
 from __future__ import annotations
@@ -108,10 +110,15 @@ def project(projector: RffProjector, x) -> np.ndarray:
 def _sparse_linear(mat, weights: np.ndarray) -> np.ndarray:
     """mat @ weights.T for a float64 CSR mat, by the route its density favours."""
     n, d = mat.shape
-    if mat.nnz < GEMM_MIN_DENSITY * n * d:
-        return np.asarray(mat @ weights.T)
     linear = np.empty((n, weights.shape[0]))
     rows = max(1, GEMM_BLOCK_BYTES // (8 * d))
+    if mat.nnz < GEMM_MIN_DENSITY * n * d:
+        # scipy copies the transposed weights it is given, so it gets one
+        # block of rows at a time; each output column sums the same terms
+        # in the same order as in a product with all of them
+        for start in range(0, weights.shape[0], rows):
+            linear[:, start:start + rows] = mat @ weights[start:start + rows].T
+        return linear
     for start in range(0, n, rows):
         np.matmul(mat[start:start + rows].toarray(), weights.T, out=linear[start:start + rows])
     return linear

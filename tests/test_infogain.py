@@ -179,6 +179,24 @@ def test_position_histograms_shape():
     assert hist.sum() == 2 * len(data)
 
 
+@pytest.mark.parametrize("n_classes", [2, 20])
+def test_position_histograms_match_per_column_counts(rng, n_classes):
+    """The single bincount against the per-column counts it replaced."""
+    letters = list("ACDEFGHIKLMNPQRSTVWXY")
+    n, L = 300, 57
+    rows = [("".join(rng.choice(letters, size=L)), f"c{i % n_classes:02d}") for i in range(n)]
+    data = _corpus(rows)
+    hist, class_names = position_histograms(data)
+    y = np.array([class_names.index(country) for _, country in rows])
+    codes = np.array([[letters.index(ch) for ch in seq] for seq, _ in rows])
+    want = np.zeros((L, 21, n_classes), dtype=np.int64)
+    for p in range(L):
+        want[p] = np.bincount(codes[:, p] * n_classes + y,
+                              minlength=21 * n_classes).reshape(21, n_classes)
+    assert hist.dtype == want.dtype
+    assert np.array_equal(hist, want)
+
+
 # --- subsampling & export -----------------------------------------------------------
 
 def test_subsample_seeded_and_capped():

@@ -104,6 +104,7 @@ def test_experiment_is_deterministic():
     stripped = strip_timing(report_a)
     assert "timing" not in stripped["runs"][0]
     assert "metrics" in stripped["runs"][0]
+    assert stripped["runs"][0]["diagnostics"] == {"kind": "ridge", "alpha": 1.0}
 
 
 def test_rff_path_records_dims():
@@ -118,18 +119,34 @@ def test_rff_path_records_dims():
 
 def test_every_model_runs_end_to_end():
     data = labeled_corpus({"a": 30, "b": 30}, seed=13)
-    for model, extra in (
-        ("majority", {}),
-        ("nb", {}),
-        ("lr", {"lr_max_iters": 30}),
-        ("ridge", {}),
-        ("nn", {"nn_hidden_width": 8, "nn_epochs": 2}),
+    for model, kind, extra in (
+        ("majority", "majority", {}),
+        ("nb", "gnb", {}),
+        ("lr", "logreg", {}),
+        ("ridge", "ridge", {}),
+        ("nn", "nn", {"nn_hidden_width": 8, "nn_epochs": 2}),
     ):
         config = ExperimentConfig(model=model, runs=1, use_rff=True, rff_dim=16, **extra)
         report, _ = run_experiment(config, data)
         metrics = report["runs"][0]["metrics"]
         assert 0.0 <= metrics["accuracy"] <= 1.0
         assert 0.0 <= metrics["roc_auc_weighted_ovr"] <= 1.0
+        assert report["runs"][0]["diagnostics"]["kind"] == kind
+    assert report["runs"][0]["diagnostics"]["hidden_width"] == 8
+    assert report["runs"][0]["diagnostics"]["epochs"] == 2
+
+
+def test_lr_runs_report_convergence():
+    data = labeled_corpus({"a": 40, "b": 30, "c": 30}, seed=5)
+    for use_rff, max_iters in ((False, 1000), (True, 1000), (False, 4)):
+        config = ExperimentConfig(model="lr", k=2, runs=2, train_fraction=0.3,
+                                  use_rff=use_rff, rff_dim=64, lr_max_iters=max_iters)
+        report, _ = run_experiment(config, data)
+        for run in report["runs"]:
+            diagnostics = run["diagnostics"]
+            assert diagnostics["converged"] is (max_iters == 1000)
+            assert (diagnostics["grad_norm"] <= config.lr_tol) is diagnostics["converged"]
+            assert diagnostics["n_iters"] <= max_iters
 
 
 def test_parallel_runs_match_sequential():
@@ -284,6 +301,16 @@ def test_cli_ig_leaves_scipy_out(tmp_path):
     assert _exit_code_and_scipy_modules(argv) == "0 []"
 
 
+def test_cli_run_lr_leaves_scipy_optimize_out(tmp_path):
+    """lr is fitted by linear_models' own L-BFGS, raw and on RFF features."""
+    _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
+    for flags in ([], ["--use-rff", "true", "--rff-dim", "16"]):
+        out = _exit_code_and_scipy_modules(["run", "--corpus", str(corpus), "--model", "lr",
+                                            "--runs", "1", *flags])
+        assert out.startswith("0 ['scipy'")
+        assert "scipy.optimize" not in out
+
+
 def test_cli_run_with_a_one_member_class_names_it(tmp_path, capsys):
     _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "Zürich": 1, "b": 6})
     assert main(["run", "--corpus", str(corpus), "--model", "majority", "--runs", "1"]) == 3
@@ -382,7 +409,9 @@ def test_memory_estimate_matches_traced_peak(model, use_rff):
         net_config = nnet.NetConfig(input_dim=d, class_count=C, hidden_width=h, epochs=2)
         nnet.nn_scores(nnet.nn_train(net_config, X, y)[0], X)
     else:
-        lm.logreg_proba(lm.logreg_fit(X, y, max_iters=3, class_count=C), X)
+        model = lm.logreg_fit(X, y, max_iters=50, class_count=C)
+        assert model.n_iters > lm.LBFGS_MEMORY  # the (s, y) history is full
+        lm.logreg_proba(model, X)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert 0.75 * estimate <= peak <= 1.05 * estimate
@@ -393,10 +422,10 @@ def test_memory_estimate_at_long_kmers():
 
     d5, d6 = 21**5, 21**6
     assert memory_estimate(ExperimentConfig(model="nb", k=5), d5, 20) == (4 * 20 * d5 * 8, "--k")
-    assert memory_estimate(ExperimentConfig(model="lr", k=6), d6, 20)[0] == 5 * 20 * d6 * 8
+    assert memory_estimate(ExperimentConfig(model="lr", k=6), d6, 20)[0] == 15 * 20 * d6 * 8
     assert memory_estimate(ExperimentConfig(model="ridge", k=6), d6, 20)[0] == 0
     rff = memory_estimate(ExperimentConfig(model="nb", k=6, use_rff=True), d6, 20)
-    assert rff == (2 * 1000 * d6 * 8 + 4 * 20 * 1000 * 8, "--rff-dim or --k")
+    assert rff == (1000 * d6 * 8 + (8 << 20) + 4 * 20 * 1000 * 8, "--rff-dim or --k")
 
 
 def test_memory_estimate_of_nn_counts_hidden_by_input():
@@ -409,7 +438,7 @@ def test_memory_estimate_of_nn_counts_hidden_by_input():
     narrow = ExperimentConfig(model="nn", encoding="ohe", nn_hidden_width=64)
     assert memory_estimate(narrow, d, 20) == (4 * 64 * d * 8, "--nn-hidden-width")
     rff = memory_estimate(ExperimentConfig(model="nn", use_rff=True, rff_dim=500), d, 20)
-    assert rff == (2 * 500 * d * 8 + 4 * 500 * 500 * 8, "--nn-hidden-width or --rff-dim")
+    assert rff == (500 * d * 8 + (8 << 20) + 4 * 500 * 500 * 8, "--nn-hidden-width or --rff-dim")
 
 
 def test_preflight_counts_every_parallel_run(monkeypatch):

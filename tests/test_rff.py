@@ -166,6 +166,7 @@ def test_sparse_routes_match_scipy_product_on_ragged_kmers(k):
         assert np.abs(project(proj, mat) - expected).max() <= bound + 1e-15  # cos is 1-Lipschitz
     else:
         assert not _gemm_rows(mat)  # 0.4 % dense: the scipy product, bit for bit
+        assert rff.GEMM_BLOCK_BYTES // (8 * mat.shape[1]) == 5  # weight rows 5 + 5 + 5 + 1
         assert np.array_equal(got, want)
         assert np.array_equal(project(proj, mat), expected)
 
@@ -218,3 +219,22 @@ def test_gemm_route_holds_no_copy_of_the_weights():
     tracemalloc.stop()
     block = (rff.GEMM_BLOCK_BYTES // (8 * d)) * d * 8
     assert peak <= 1.10 * (D * d * 8 + block + n * D * 8)
+
+
+def test_sparse_route_holds_no_copy_of_the_weights():
+    """Below GEMM_MIN_DENSITY scipy copies one block of weight rows at a time, not all of them."""
+    import tracemalloc
+
+    n, d, D = 600, 4000, 1000  # weights 32 MB, four times a block
+    mat = sp.random(n, d, density=0.01, format="csr", random_state=4)
+    assert not _gemm_rows(mat)
+    tracemalloc.start()
+    got = project(new_projector(d, D, 1.0 / d, seed=0), mat)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    block = (rff.GEMM_BLOCK_BYTES // (8 * d)) * d * 8
+    # the weights, a block's transposed copy and its n-row product, and the output
+    assert peak <= 1.10 * (D * d * 8 + block + n * block // d + n * D * 8)
+    proj = new_projector(d, D, 1.0 / d, seed=0)
+    want = np.sqrt(2.0 / D) * np.cos(_scipy_linear(mat, proj.weights) + proj.phases)
+    assert np.array_equal(got, want)
