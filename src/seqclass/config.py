@@ -70,6 +70,11 @@ class ExperimentConfig:
             raise InvalidConfig("train_fraction must be in (0,1)")
         if self.use_rff and self.rff_dim < 1:
             raise InvalidConfig("rff_dim must be >= 1")
+        # a negative penalty leaves lr's objective unbounded below; a negative tol is never met
+        if not self.lr_l2_lambda >= 0.0:
+            raise InvalidConfig(f"lr_l2_lambda must be >= 0, got {self.lr_l2_lambda}")
+        if not self.lr_tol >= 0.0:
+            raise InvalidConfig(f"lr_tol must be >= 0, got {self.lr_tol}")
 
 
 _BOOL_KEYS = {"use_rff", "l2_normalize", "stratified", "parallel_runs"}

@@ -208,7 +208,27 @@ class FeaturizedCorpus:
     labels: np.ndarray  # dense class ids, int64
     class_names: list[str]
     encoding: str
-    dim: int
+    dim: int  # the nominal width, 21**k or 21*L, whatever the matrix's width
+    columns: np.ndarray | None = None  # nominal id of each matrix column; None: the identity
+
+
+def used_columns(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The matrix on the sorted columns that hold a nonzero, and those columns' nominal ids.
+
+    The remap is monotone, so each row keeps its nonzeros in their order;
+    ``indptr`` and ``data`` are shared with ``matrix``. A boolean mask and
+    an int32 lookup table, each d long, do the work: no d-sized int64
+    array is made, and at k = 6 only their touched pages become resident.
+    """
+    used = np.zeros(matrix.shape[1], dtype=bool)
+    used[matrix.indices] = True
+    columns = np.flatnonzero(used)
+    del used
+    lookup = np.empty(matrix.shape[1], dtype=np.int32)
+    lookup[columns] = np.arange(len(columns), dtype=np.int32)
+    restricted = sp.csr_matrix((matrix.data, lookup[matrix.indices], matrix.indptr),
+                               shape=(matrix.shape[0], len(columns)))
+    return restricted, columns
 
 
 def featurize_corpus(

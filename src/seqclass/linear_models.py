@@ -380,7 +380,11 @@ def _ridge_dual(X, targets: np.ndarray, alpha: float) -> tuple[np.ndarray, np.nd
     t_mean = targets.mean(axis=0)
     beta = np.linalg.solve(gram, targets - t_mean)  # (n, C)
     weights = np.asarray(X.T @ beta)  # (d, C)
-    bias = t_mean - np.asarray(X.mean(axis=0)).ravel() @ weights
+    # a column no row touches adds an exact 0 to mean(X) W; leaving those
+    # out keeps the sum's order, and so its bits, free of the input width
+    means = np.asarray(X.mean(axis=0)).ravel()
+    used = np.flatnonzero(means)
+    bias = t_mean - means[used] @ weights[used]
     return weights.T.copy(), bias
 
 

@@ -37,6 +37,7 @@ from .linear_models import _as_2d, _softmax
 PROB_FLOOR = 1e-12  # keeps the loss finite under confident mistakes
 ADAM_BLOCK_BYTES = 256 * 2**10  # memory rows of a parameter that adam_step updates in one pass
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+INIT_BLOCK_BYTES = 2**20  # the part of the nominal w1 draw that nn_init holds at once
 
 
 @dataclass(frozen=True)
@@ -78,15 +79,43 @@ class AdamState:
     t: int = 0
 
 
-def nn_init(config: NetConfig) -> FeedForwardNet:
-    """Glorot-uniform weights, zero biases; deterministic per seed."""
+def _uniform_columns(rng: np.random.Generator, lim: float, shape: tuple[int, int],
+                     columns: np.ndarray) -> np.ndarray:
+    """``rng.uniform(-lim, lim, shape)[:, columns]``, drawn in blocks of INIT_BLOCK_BYTES.
+
+    A block is whole rows, or one segment of a row longer than a block, so
+    the draws follow the stream of the full array and consume all of it.
+    """
+    h, d = shape
+    out = np.empty((h, len(columns)))
+    width = min(d, max(1, INIT_BLOCK_BYTES // 8))
+    rows = max(1, INIT_BLOCK_BYTES // (8 * width))  # 1 whenever width < d
+    for r in range(0, h, rows):
+        for a in range(0, d, width):
+            block = rng.uniform(-lim, lim, size=(min(rows, h - r), min(width, d - a)))
+            lo, hi = np.searchsorted(columns, (a, a + width))
+            out[r : r + rows, lo:hi] = block[:, columns[lo:hi] - a]
+    return out
+
+
+def nn_init(config: NetConfig, columns: np.ndarray | None = None) -> FeedForwardNet:
+    """Glorot-uniform weights, zero biases; deterministic per seed.
+
+    With ``columns`` (sorted ids in [0, input_dim)), ``w1`` holds only those
+    columns of the nominal (h, input_dim) draw, bit for bit; the limit and
+    the default width stay those of the nominal input_dim.
+    """
     config.validate()
     d, h, C = config.input_dim, config.resolved_hidden(), config.class_count
     rng = np.random.default_rng([config.seed, 0])
     lim1 = np.sqrt(6.0 / (d + h))
     lim2 = np.sqrt(6.0 / (h + C))
+    if columns is None:
+        w1 = rng.uniform(-lim1, lim1, size=(h, d))
+    else:
+        w1 = _uniform_columns(rng, lim1, (h, d), np.asarray(columns))
     return FeedForwardNet(
-        w1=rng.uniform(-lim1, lim1, size=(h, d)),
+        w1=w1,
         b1=np.zeros(h),
         w2=rng.uniform(-lim2, lim2, size=(C, h)),
         b2=np.zeros(C),
@@ -189,12 +218,20 @@ def epoch_shuffle_orders(seed: int, n: int, epochs: int) -> list[np.ndarray]:
     return [rng.permutation(n) for _ in range(epochs)]
 
 
-def nn_train(config: NetConfig, X, y) -> tuple[FeedForwardNet, list[float]]:
+def nn_train(config: NetConfig, X, y,
+             columns: np.ndarray | None = None) -> tuple[FeedForwardNet, list[float]]:
     """Train for the configured number of epochs; returns per-epoch mean loss.
 
     The seeded shuffle alone defines the visit order (`epoch_shuffle_orders`).
     The final partial batch is trained, not dropped. Raises NonFiniteLoss
     if the loss diverges.
+
+    With ``columns``, X holds those columns of the nominal input_dim and
+    the net starts from them (`nn_init`). If X's other columns are all
+    zero, the fit equals the nominal one restricted to ``columns``, bit
+    for bit: a column no row touches has a zero gradient, so its Adam
+    moments and updates stay exactly 0, and the monotone remap leaves
+    the sparse products their order of summation.
     """
     config.validate()
     y = np.asarray(y, dtype=np.int64)
@@ -203,10 +240,11 @@ def nn_train(config: NetConfig, X, y) -> tuple[FeedForwardNet, list[float]]:
         raise InvalidConfig("training needs at least one sample")
     if y.min() < 0 or y.max() >= config.class_count:
         raise LabelOutOfRange(f"labels must lie in [0, {config.class_count})")
-    if X.shape[1] != config.input_dim:
-        raise DimensionMismatch(f"X has dim {X.shape[1]}, config says {config.input_dim}")
+    width = config.input_dim if columns is None else len(columns)
+    if X.shape[1] != width:
+        raise DimensionMismatch(f"X has dim {X.shape[1]}, config and columns say {width}")
 
-    net = nn_init(config)
+    net = nn_init(config, columns)
     if sp.issparse(X):
         net.w1 = np.asfortranarray(net.w1)  # the (d, h) C order of scipy's CSR products
     state = adam_init(net)

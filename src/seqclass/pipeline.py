@@ -9,9 +9,18 @@ reproducible: everything time-derived lives under "timing" keys, which
 `strip_timing` removes for byte-level comparison. Wall-clock runtime is
 measured around fit() only.
 
-Before the first run, the peak bytes of the RFF weights and the model's
-C x d (nn: hidden x d) arrays are estimated; a config whose estimate
-exceeds physical memory is an InvalidConfig naming the knob that lowers it.
+Without RFF, every model fits and scores in the used columns: the
+sorted columns of the corpus's feature matrix that hold a nonzero
+(`features.used_columns`), not the nominal 21^k or 21*L. A column no
+row touches adds nothing to a model's fit, so majority, ridge and nn
+results are bit-identical to a nominal-width fit; nb and lr agree up to
+rounding. The report's feature_dim stays nominal, and feature_columns
+gives the width the models (or the RFF projector) read.
+
+Before the first run, the peak bytes of the RFF weights, the model's
+C x used-columns (nn: hidden x used-columns) arrays and ridge's dense
+Gram matrix are estimated; a config whose estimate exceeds physical
+memory is an InvalidConfig naming the knob that lowers it.
 
 The RFF projector is built from (dim, D, gamma, seed) alone, so test
 data cannot leak into it by construction. Every model is fitted, then
@@ -37,20 +46,27 @@ from . import linear_models as lm
 from . import neural_net as nn
 from .config import ExperimentConfig
 from .errors import DegenerateLabels, InvalidConfig, IoFailure, SeqclassError
-from .features import FeaturizedCorpus, _usable_cores, featurize_corpus
-from .ingest import LabeledSequence, SplitSpec, split_indices
+from .features import FeaturizedCorpus, _usable_cores, featurize_corpus, used_columns
+from .ingest import LabeledSequence, SplitSpec, _round_half_up, split_indices
 from .metrics import QUALITY, aggregate, confusion, roc_auc_ovr_weighted, summarize
 from .rff import GEMM_BLOCK_BYTES, default_gamma, new_projector, project
 from .version import __version__
 
-# float64 C x d arrays that fit and scoring hold at once, read off linear_models:
-# gnb_scores holds means, variances, its scratch array and inv_var;
-# logreg_fit holds the LBFGS_MEMORY = 5 (s, y) pairs, its parameters,
-# gradient, direction and spare, and one gradient product (tracemalloc: 15.0)
+# float64 C x used-columns arrays that fit and scoring hold at once, read
+# off linear_models: gnb_scores holds means, variances, its scratch array
+# and inv_var; logreg_fit holds the LBFGS_MEMORY = 5 (s, y) pairs, its
+# parameters, gradient, direction and spare, and one gradient product
+# (tracemalloc: 15.0)
 _MODEL_PEAK_ARRAYS = {"nb": 4, "lr": 15}
-# float64 h x d arrays that nn_train holds at once: w1, Adam's m and v, and
-# one step's gradient of w1 (adam_step works in block-sized scratch)
+# float64 h x used-columns arrays that nn_train holds at once: w1, Adam's m
+# and v, and one step's gradient of w1 (adam_step works in block-sized scratch)
 _NN_PEAK_ARRAYS = 4
+# float64 Gram-sized arrays of ridge's direct solve: while scipy's sparse
+# X X' (or A'A) is densified, both copies live, up to 2.5 arrays (12 bytes
+# an entry when the product is dense); numpy's solve then copies the dense
+# one. tracemalloc saw 2.5 on dense dual Grams; the primal path adds the
+# sparse [X, 1] and the n x C targets, which do not scale with the Gram
+_RIDGE_GRAM_ARRAYS = 3
 
 
 @contextmanager
@@ -71,14 +87,29 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
-def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int) -> tuple[int, str]:
-    """Peak bytes of one run's RFF weights and model arrays, and the knobs that lower them."""
-    model_dim = config.rff_dim if config.use_rff else feature_dim
+def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int,
+                    feature_columns: int | None = None, corpus_size: int = 0) -> tuple[int, str]:
+    """Peak bytes of one run's RFF weights and model arrays, and the knobs that lower them.
+
+    ``feature_columns`` is the number of used columns the raw-feature
+    models fit in (default: the nominal ``feature_dim``); the nn's default
+    hidden width and the RFF weights stay on ``feature_dim``.
+    ``corpus_size`` gives the train rows of ridge's direct solve.
+    """
+    columns = feature_dim if feature_columns is None else feature_columns
+    model_dim, model_columns = (config.rff_dim,) * 2 if config.use_rff else (feature_dim, columns)
     if config.model == "nn":
         hidden = model_dim if config.nn_hidden_width is None else config.nn_hidden_width
-        needed, knob = _NN_PEAK_ARRAYS * hidden * model_dim * 8, "--nn-hidden-width"
+        needed, knob = _NN_PEAK_ARRAYS * hidden * model_columns * 8, "--nn-hidden-width"
+    elif config.model == "ridge":
+        # the dense min(n, columns + 1)^2 Gram matrix of the direct solve; CG holds none
+        n_train = _round_half_up(config.train_fraction * corpus_size)
+        side = min(n_train, model_columns + 1)
+        needed = _RIDGE_GRAM_ARRAYS * side * side * 8 if side <= lm.RIDGE_DENSE_LIMIT else 0
+        knob = "--train-fraction" if n_train <= model_columns else "--k"
     else:
-        needed, knob = _MODEL_PEAK_ARRAYS.get(config.model, 0) * class_count * model_dim * 8, "--k"
+        needed = _MODEL_PEAK_ARRAYS.get(config.model, 0) * class_count * model_columns * 8
+        knob = "--k"
     if config.use_rff:
         # the D x d weights and one block of either route of rff.project
         rff_bytes = config.rff_dim * feature_dim * 8 + GEMM_BLOCK_BYTES
@@ -88,16 +119,18 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
 
 
 def _preflight_memory(config: ExperimentConfig, feature_dim: int, class_count: int,
-                      processes: int) -> None:
+                      processes: int, feature_columns: int | None = None,
+                      corpus_size: int = 0) -> None:
     """InvalidConfig (exit 2) before an allocation that physical memory cannot hold."""
-    per_run, knob = memory_estimate(config, feature_dim, class_count)
+    per_run, knob = memory_estimate(config, feature_dim, class_count, feature_columns, corpus_size)
     needed = per_run * processes
     available = physical_memory_bytes()
     if available is not None and needed > available:
+        used = feature_dim if feature_columns is None else feature_columns
         raise InvalidConfig(
-            f"{config.model}{' with RFF' if config.use_rff else ''} on {feature_dim} features "
-            f"and {class_count} classes needs about {needed / 2**30:.1f} GiB, more than the "
-            f"{available / 2**30:.1f} GiB of physical memory; lower {knob}"
+            f"{config.model}{' with RFF' if config.use_rff else ''} on {used} of {feature_dim} "
+            f"feature columns and {class_count} classes needs about {needed / 2**30:.1f} GiB, "
+            f"more than the {available / 2**30:.1f} GiB of physical memory; lower {knob}"
         )
 
 
@@ -109,13 +142,16 @@ def _run_seeds(config: ExperimentConfig, run_index: int) -> dict[str, int]:
     }
 
 
-def _fit(config: ExperimentConfig, X_train, y_train, class_count: int):
+def _fit(config: ExperimentConfig, X_train, y_train, class_count: int,
+         input_dim: int, columns: np.ndarray | None):
     """Fit the configured model; returns it, the function that scores it, and its summary.
 
     Every score function maps (model, X) to an n x C matrix whose argmax
     is the prediction. Functions are looked up on their modules at call
     time, so a wrapper installed there is honoured. The summary is
-    linear_models.model_summary's.
+    linear_models.model_summary's. ``input_dim`` is the nominal width and
+    ``columns`` the nominal ids of X_train's columns (None: all of them);
+    only the nn reads them, to draw its nominal init.
     """
     if config.model == "majority":
         model, scores = lm.majority_fit(y_train, class_count), lm.majority_scores
@@ -137,7 +173,7 @@ def _fit(config: ExperimentConfig, X_train, y_train, class_count: int):
         if class_count < 2:
             raise DegenerateLabels("the nn model needs at least 2 classes")
         net_config = nn.NetConfig(
-            input_dim=X_train.shape[1],
+            input_dim=input_dim,
             class_count=class_count,
             hidden_width=config.nn_hidden_width,
             batch_size=config.nn_batch_size,
@@ -145,7 +181,7 @@ def _fit(config: ExperimentConfig, X_train, y_train, class_count: int):
             learning_rate=config.nn_learning_rate,
             seed=config.nn_seed,
         )
-        net, epoch_losses = nn.nn_train(net_config, X_train, y_train)
+        net, epoch_losses = nn.nn_train(net_config, X_train, y_train, columns)
         return net, nn.nn_scores, lm.model_summary(net, epoch_losses)
     return model, scores, lm.model_summary(model)
 
@@ -177,12 +213,14 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
             projector = new_projector(d, config.rff_dim, gamma, seeds["rff"])
             X_train = project(projector, X_train)
             X_test = project(projector, X_test)
+    input_dim, columns = (config.rff_dim, None) if config.use_rff else (feats.dim, feats.columns)
 
     run_config = replace(config, nn_seed=seeds["model"])
     class_count = len(feats.class_names)
     with _stage("fit"):
         tic = time.perf_counter()
-        model, model_scores, diagnostics = _fit(run_config, X_train, y_train, class_count)
+        model, model_scores, diagnostics = _fit(run_config, X_train, y_train, class_count,
+                                                input_dim, columns)
         fit_seconds = time.perf_counter() - tic
         scores = model_scores(model, X_test)
     predictions = np.argmax(scores, axis=1)
@@ -226,11 +264,15 @@ def run_experiment(
             workers=config.workers,
             l2_normalize=config.l2_normalize,
         )
+        if not config.use_rff:  # the RFF projector is drawn at nominal width (new_projector)
+            matrix, columns = used_columns(feats.matrix)
+            feats = replace(feats, matrix=matrix, columns=columns)
 
     tasks = [(config, feats, i) for i in range(config.runs)]
     processes = min(config.runs, config.workers, _usable_cores()) if config.parallel_runs else 1
     with _stage("memory"):
-        _preflight_memory(config, feats.dim, len(feats.class_names), processes)
+        _preflight_memory(config, feats.dim, len(feats.class_names), processes,
+                          feats.matrix.shape[1], feats.matrix.shape[0])
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_run_worker, tasks))
@@ -249,7 +291,8 @@ def run_experiment(
         "config": asdict(config),
         "class_names": feats.class_names,
         "corpus_size": int(feats.matrix.shape[0]),
-        "feature_dim": int(feats.matrix.shape[1]),
+        "feature_dim": int(feats.dim),
+        "feature_columns": int(feats.matrix.shape[1]),
         "runs": results,
         "aggregate": summary,
     }

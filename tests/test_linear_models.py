@@ -419,3 +419,56 @@ def test_model_summary_names_each_kind(rng):
     assert lm.model_summary(models["logreg"])["final_loss"] == models["logreg"].loss_trace[-1]
     with pytest.raises(InvalidConfig):
         lm.model_summary(object())
+
+
+# --- fits in the used columns ------------------------------------------------
+
+def _nominal_and_used_columns(rng, n=300, length=30, k=3, C=4):
+    """k-mer rows with class signal, the same rows on their used columns, train and test rows."""
+    from seqclass.features import kmer_matrix, used_columns
+
+    from conftest import random_sequences
+
+    y = rng.integers(0, C, n)
+    seqs = random_sequences(rng, n, length)
+    motifs = random_sequences(rng, C, 6)
+    seqs = [motifs[c] + s[6:] for s, c in zip(seqs, y)]  # a class motif in front
+    X = kmer_matrix(seqs, k=k)
+    restricted, columns = used_columns(X)
+    train = np.sort(rng.choice(n, n // 3, replace=False))
+    test = np.setdiff1d(np.arange(n), train)
+    return X, restricted, columns, y, train, test
+
+
+def test_ridge_dual_on_used_columns_is_bit_identical(rng):
+    X, R, columns, y, train, test = _nominal_and_used_columns(rng)
+    assert len(train) <= R.shape[1]  # the dual path
+    nominal = lm.ridge_fit(X[train], y[train], alpha=0.7, class_count=4)
+    model = lm.ridge_fit(R[train], y[train], alpha=0.7, class_count=4)
+    assert np.array_equal(model.weights, nominal.weights[:, columns])
+    assert not np.any(np.delete(nominal.weights, columns, axis=1))
+    assert np.array_equal(model.bias, nominal.bias)
+    assert np.array_equal(lm.ridge_scores(model, R[test]), lm.ridge_scores(nominal, X[test]))
+
+
+def test_nb_on_used_columns_keeps_argmax_and_auc(rng):
+    from seqclass.metrics import roc_auc_ovr_weighted
+
+    X, R, columns, y, train, test = _nominal_and_used_columns(rng)
+    nominal = lm.gnb_scores(lm.gnb_fit(X[train], y[train], 4), X[test])
+    scores = lm.gnb_scores(lm.gnb_fit(R[train], y[train], 4), R[test])
+    # the dropped columns add one class-independent log-variance term to every score
+    assert np.array_equal(np.argmax(scores, axis=1), np.argmax(nominal, axis=1))
+    assert roc_auc_ovr_weighted(scores, y[test]) == roc_auc_ovr_weighted(nominal, y[test])
+
+
+def test_lr_on_used_columns_agrees_within_tolerance(rng):
+    X, R, columns, y, train, test = _nominal_and_used_columns(rng, n=150)
+    nominal = lm.logreg_fit(X[train], y[train], class_count=4)
+    model = lm.logreg_fit(R[train], y[train], class_count=4)
+    assert nominal.converged and model.converged
+    # every weight outside the used columns stays 0; inner products over a
+    # shorter vector round differently, so the iterates part by rounding
+    assert not np.any(np.delete(nominal.weights, columns, axis=1))
+    got, want = lm.logreg_proba(model, R[test]), lm.logreg_proba(nominal, X[test])
+    assert np.abs(got - want).max() <= 1e-4

@@ -379,3 +379,49 @@ def test_step_on_csr_batch_allocates_only_the_gradient(monkeypatch, rng):
     # a copy of w1.T or one full-size Adam temporary would add another 5.4 MB
     assert forward_peak[0] <= 2**18, forward_peak
     assert peak <= g_w1_bytes + 2 * nnet.ADAM_BLOCK_BYTES + 2**18, peak
+
+
+# --- training in the used columns -----------------------------------------------
+
+@pytest.mark.parametrize("block_bytes", [
+    None,  # the default size: 100 rows of d = 3000 are blocks of 43, 43 and 14 rows
+    2 * 8 * 3000,  # blocks of 2 rows
+    8 * 700,  # a block is a 700-column segment of one row: 4 of them and one of 200
+])
+def test_init_on_columns_is_the_nominal_draw(monkeypatch, rng, block_bytes):
+    if block_bytes:
+        monkeypatch.setattr(nnet, "INIT_BLOCK_BYTES", block_bytes)
+    d = 3000
+    columns = np.union1d(rng.choice(d, 400, replace=False), [0, 699, 700, d - 1])
+    config = nnet.NetConfig(input_dim=d, class_count=3, hidden_width=100, seed=8)
+    full, part = nnet.nn_init(config), nnet.nn_init(config, columns)
+    assert np.array_equal(part.w1, full.w1[:, columns])
+    for name in ("b1", "w2", "b2"):  # w2 comes after the whole w1 stream
+        assert np.array_equal(getattr(part, name), getattr(full, name)), name
+
+
+@pytest.mark.parametrize("kind", ["kmers", "random"])
+def test_train_on_used_columns_equals_the_nominal_fit(rng, kind):
+    """A column that no row touches keeps its init: training without it changes no bit."""
+    from seqclass.features import kmer_matrix, used_columns
+
+    from conftest import random_sequences
+
+    if kind == "kmers":
+        X = kmer_matrix(random_sequences(rng, 130, 30), k=3)  # 9261 wide, at most 3640 used
+    else:
+        X = sp.random(130, 3000, density=0.005, format="csr", random_state=6)
+    restricted, columns = used_columns(X)
+    y = rng.integers(0, 4, X.shape[0])
+    train, test = np.arange(90), np.arange(90, 130)  # the train rows use fewer columns still
+    config = nnet.NetConfig(input_dim=X.shape[1], class_count=4, hidden_width=24,
+                            batch_size=50, epochs=3, seed=5)
+    nominal, nominal_trace = nnet.nn_train(config, X[train], y[train])
+    net, trace = nnet.nn_train(config, restricted[train], y[train], columns)
+    assert trace == nominal_trace
+    assert np.array_equal(net.w1, nominal.w1[:, columns])
+    for name in ("b1", "w2", "b2"):
+        assert np.array_equal(getattr(net, name), getattr(nominal, name)), name
+    assert np.array_equal(nnet.nn_scores(net, restricted[test]), nnet.nn_scores(nominal, X[test]))
+    with pytest.raises(DimensionMismatch):
+        nnet.nn_train(config, X[train], y[train], columns)

@@ -372,6 +372,16 @@ def test_cli_non_numeric_config_value_is_config_error(tmp_path, capsys, key):
     assert f"config key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--lr-l2-lambda", "--lr-tol"])
+def test_cli_negative_lr_penalty_or_tol_is_config_error(tmp_path, capsys, monkeypatch, flag):
+    import seqclass.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "_single_run", None)  # reaching a run is a failure too
+    _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
+    assert main(["run", "--corpus", str(corpus), "--model", "lr", flag, "-1"]) == 2
+    assert f"{flag[2:].replace('-', '_')} must be >= 0, got -1.0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_cli_workers_below_one_is_config_error(tmp_path, workers):
     _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
@@ -382,10 +392,10 @@ def test_cli_workers_below_one_is_config_error(tmp_path, workers):
 
 # --- memory pre-flight -----------------------------------------------------------
 
-@pytest.mark.parametrize("model, use_rff",
-                         [("nb", False), ("lr", False), ("nn", False), ("majority", True)])
+@pytest.mark.parametrize("model, use_rff", [("nb", False), ("lr", False), ("nn", False),
+                                            ("majority", True), ("ridge", False)])
 def test_memory_estimate_matches_traced_peak(model, use_rff):
-    """The C x d (h x d, D x d) array count of the estimate, against tracemalloc's peak."""
+    """The C x d (h x d, D x d, Gram) array count of the estimate, against tracemalloc's peak."""
     import tracemalloc
 
     import scipy.sparse as sp
@@ -396,12 +406,18 @@ def test_memory_estimate_matches_traced_peak(model, use_rff):
     from seqclass.rff import new_projector, project
 
     n, C, d, D, h = 60, 20, 20000, 40, 64
-    X = sp.random(n, d, density=0.005, format="csr", random_state=3)
+    density = 0.005
+    if model == "ridge":  # a dense n x n dual Gram matrix that outweighs the C x d weights
+        n, d, density = 1000, 3000, 0.05
+    X = sp.random(n, d, density=density, format="csr", random_state=3)
     y = np.arange(n) % C
-    config = ExperimentConfig(model=model, use_rff=use_rff, rff_dim=D, nn_hidden_width=h)
-    estimate, _ = memory_estimate(config, d, C)
+    config = ExperimentConfig(model=model, use_rff=use_rff, rff_dim=D, nn_hidden_width=h,
+                              train_fraction=0.5)
+    estimate, _ = memory_estimate(config, d, C, corpus_size=2 * n)  # n train rows
     tracemalloc.start()
-    if use_rff:
+    if model == "ridge":
+        lm.ridge_scores(lm.ridge_fit(X, y, class_count=C), X)
+    elif use_rff:
         project(new_projector(d, D, 1.0 / d, 0), X)
     elif model == "nb":
         lm.gnb_scores(lm.gnb_fit(X, y, C), X)
@@ -458,26 +474,43 @@ def test_preflight_counts_every_parallel_run(monkeypatch):
 def test_cli_k6_over_physical_memory_is_config_error(tmp_path, capsys, monkeypatch, model, flags):
     import seqclass.pipeline as pipeline
 
-    # a fixed 8 GiB host, so no run here gets as far as its 13.7 GB C x d arrays
-    monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: 8 * 2**30)
+    # Raw nb and lr hold C x used-columns arrays: at most 20 x 1140 here,
+    # 0.7 and 2.7 MB, so a 256 KiB host is below them. With RFF, a fixed
+    # 8 GiB host is below the 1000 x 21^6 projector alone.
+    available = 8 * 2**30 if flags else 2**18
+    monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: available)
     monkeypatch.setattr(pipeline, "_single_run", None)  # reaching a run is a failure too
     _, _, _, corpus = _write_inputs(tmp_path, {f"c{i:02d}": 3 for i in range(20)})
     assert main(["run", "--corpus", str(corpus), "--k", "6", "--model", model, *flags]) == 2
     err = capsys.readouterr().err
-    assert "GiB" in err and "8.0 GiB of physical memory" in err
+    assert f"{available / 2**30:.1f} GiB of physical memory" in err
     assert ("lower --rff-dim or --k" if flags else "lower --k") in err
+
+
+@pytest.mark.parametrize("model", ["nb", "lr"])
+def test_cli_raw_k6_runs_in_the_used_columns(tmp_path, capsys, model):
+    """21^6 nominal columns, but the models hold only the few the corpus uses."""
+    _, _, _, corpus = _write_inputs(tmp_path, {f"c{i:02d}": 3 for i in range(20)})
+    out = tmp_path / "out"
+    assert main(["run", "--corpus", str(corpus), "--k", "6", "--model", model, "--runs", "1",
+                 "--train-fraction", "0.5", "--output-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["feature_dim"] == 21**6
+    assert 0 < report["feature_columns"] <= 60 * (24 - 6 + 1)
 
 
 def test_cli_nn_at_default_width_over_physical_memory_is_config_error(tmp_path, capsys, monkeypatch):
     import seqclass.pipeline as pipeline
 
-    # one-hot on length-1273 sequences at h = d holds four 5.7 GB arrays
-    monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: 8 * 2**30)
+    # One-hot on length-1273 sequences: the default width is the nominal
+    # 21 * 1273 = 26733, and w1 spans at least the 1273 used columns, so
+    # four h x used-columns arrays need over 1.09e9 bytes, above 1 GiB.
+    monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: 2**30)
     monkeypatch.setattr(pipeline, "_single_run", None)  # reaching a run is a failure too
     _, _, _, corpus = _write_inputs(tmp_path, {"a": 3, "b": 3}, length=1273)
     assert main(["run", "--corpus", str(corpus), "--model", "nn", "--encoding", "ohe"]) == 2
     err = capsys.readouterr().err
-    assert "8.0 GiB of physical memory" in err and "lower --nn-hidden-width" in err
+    assert "1.0 GiB of physical memory" in err and "lower --nn-hidden-width" in err
 
 
 @pytest.mark.parametrize("k", [5, 6])
