@@ -25,7 +25,7 @@ _EXPORTS = {
                "join_metadata", "parse_fasta", "split_indices"],
     "metrics": ["QUALITY", "aggregate", "confusion", "roc_auc_ovr_weighted", "summarize"],
     "neural_net": ["FeedForwardNet", "NetConfig", "nn_scores", "nn_train"],
-    "pipeline": ["run_experiment"],
+    "pipeline": ["run_experiment", "strip_timing"],
     "rff": ["RffProjector", "exact_kernel", "new_projector", "project"],
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

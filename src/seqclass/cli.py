@@ -16,19 +16,25 @@ import sys
 
 from .config import ExperimentConfig, config_from_mapping, parse_config_file
 from .errors import ConfigError, DataError, NumericalError
-from .ingest import join_metadata, load_corpus, parse_fasta, read_metadata_tsv, save_corpus
+from .ingest import (LabeledSequence, join_metadata, load_corpus, parse_fasta, read_metadata_tsv,
+                     save_corpus)
 from .version import __version__
 
 # features, infogain and pipeline import scipy, so each command imports what it
 # uses: `seqclass ingest` loads neither them nor scipy.
 
 
-def _cmd_ingest(args) -> int:
-    with open(args.fasta, "r", encoding="utf-8") as f:
+def _read_inputs(fasta: str, metadata: str) -> list[LabeledSequence]:
+    """Parse a FASTA file and join it with its metadata TSV."""
+    with open(fasta, "r", encoding="utf-8") as f:
         records = parse_fasta(f)
-    with open(args.metadata, "r", encoding="utf-8") as f:
-        metadata = read_metadata_tsv(f)
-    corpus = join_metadata(records, metadata)
+    with open(metadata, "r", encoding="utf-8") as f:
+        labels = read_metadata_tsv(f)
+    return join_metadata(records, labels)
+
+
+def _cmd_ingest(args) -> int:
+    corpus = _read_inputs(args.fasta, args.metadata)
     save_corpus(args.out, corpus)
     print(f"wrote {len(corpus)} sequences to {args.out}")
     return 0
@@ -60,7 +66,7 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .pipeline import run_experiment
+    from .pipeline import _embedding_name, run_experiment
 
     mapping: dict[str, str] = {}
     if args.config:
@@ -74,18 +80,14 @@ def _cmd_run(args) -> int:
     if config.corpus:
         data = load_corpus(config.corpus)
     elif config.fasta and config.metadata:
-        with open(config.fasta, "r", encoding="utf-8") as f:
-            records = parse_fasta(f)
-        with open(config.metadata, "r", encoding="utf-8") as f:
-            metadata = read_metadata_tsv(f)
-        data = join_metadata(records, metadata)
+        data = _read_inputs(config.fasta, config.metadata)
     else:
         raise ConfigError("run needs either corpus=... or fasta=...+metadata=...")
 
     report, _manifest = run_experiment(config, data)
     agg = report["aggregate"]
     print(
-        f"{config.model} ({_embedding(config)}) over {agg['run_count']} runs: "
+        f"{config.model} ({_embedding_name(report['config'])}) over {agg['run_count']} runs: "
         f"accuracy {agg['mean']['accuracy']:.4f} ± {agg['std']['accuracy']:.4f}, "
         f"F1w {agg['mean']['f1_weighted']:.4f}, F1m {agg['mean']['f1_macro']:.4f}, "
         f"ROC-AUC {agg['mean']['roc_auc_weighted_ovr']:.4f}"
@@ -93,10 +95,6 @@ def _cmd_run(args) -> int:
     if config.output_dir:
         print(f"artifacts in {config.output_dir}")
     return 0
-
-
-def _embedding(config: ExperimentConfig) -> str:
-    return f"{config.encoding}+rff" if config.use_rff else config.encoding
 
 
 def _cmd_ig(args) -> int:

@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise InvalidConfig(f"lr_l2_lambda must be >= 0, got {self.lr_l2_lambda}")
         if not self.lr_tol >= 0.0:
             raise InvalidConfig(f"lr_tol must be >= 0, got {self.lr_tol}")
+        if self.lr_max_iters < 0:  # would return the unfitted zero-weight model
+            raise InvalidConfig(f"lr_max_iters must be >= 0, got {self.lr_max_iters}")
 
 
 _BOOL_KEYS = {"use_rff", "l2_normalize", "stratified", "parallel_runs"}

@@ -13,11 +13,11 @@ k-mers are counted by sorting each chunk's (row, k-mer) window keys, so
 a chunk's memory is linear in its window count and independent of
 21**k: every k up to MAX_K featurizes.
 
-Feature container format ("SQFV1"): the 5 magic bytes, u8 encoding tag
-(0 = kmers, 1 = ohe, 2 = rff), u64 dim, u64 rows, u64 nnz, then the CSR
-triplet of arrays: indptr int64[rows+1], indices int32[nnz],
-data float64[nnz]. All integers little-endian. Labels and class names
-travel in a JSON sidecar.
+Feature container format ("SQFV1"), an export like the COO CSV that no
+command reads back: the 5 magic bytes, u8 encoding tag (0 = kmers,
+1 = ohe), u64 dim, u64 rows, u64 nnz, then the CSR triplet of arrays:
+indptr int64[rows+1], indices int32[nnz], data float64[nnz]. All
+integers little-endian. Labels and class names travel in a JSON sidecar.
 """
 
 from __future__ import annotations
@@ -47,10 +47,7 @@ ALPHABET_SIZE = len(ALPHABET)  # 21
 
 MAX_K = 6  # 21**7 would exceed 1.8e9 columns
 
-ENCODING_RFF = "rff"  # a stored-feature encoding only, never a config value
-
-_ENCODING_TAGS = {ENCODING_KMERS: 0, ENCODING_OHE: 1, ENCODING_RFF: 2}
-_TAG_ENCODINGS = {v: k for k, v in _ENCODING_TAGS.items()}
+_ENCODING_TAGS = {ENCODING_KMERS: 0, ENCODING_OHE: 1}
 
 
 def kmer_dim(k: int) -> int:
@@ -295,37 +292,6 @@ def save_features(path: str, matrix: sp.csr_matrix | np.ndarray, encoding: str) 
         raise IoFailure(f"cannot write features {path!r}: {exc}") from exc
 
 
-def load_features(path: str) -> tuple[sp.csr_matrix, str]:
-    """Read an SQFV1 file; a short, oversized or inconsistent one is an IoFailure."""
-    try:
-        with open(path, "rb") as f:
-            if f.read(5) != _MAGIC:
-                raise IoFailure(f"{path!r} is not an SQFV1 feature file")
-            header = f.read(25)
-            if len(header) != 25:
-                raise IoFailure(f"feature file {path!r} is truncated in its header")
-            tag, dim, rows, nnz = struct.unpack("<BQQQ", header)
-            if tag not in _TAG_ENCODINGS:
-                raise IoFailure(f"feature file {path!r} has unknown encoding tag {tag}")
-            if dim > 2**31:  # columns are int32 indices
-                raise IoFailure(f"feature file {path!r} claims {dim} columns")
-            body = f.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read features {path!r}: {exc}") from exc
-    expected = 8 * (rows + 1) + 12 * nnz
-    if len(body) != expected:
-        raise IoFailure(f"feature file {path!r} has {len(body)} array bytes, "
-                        f"its header needs {expected}")
-    indptr = np.frombuffer(body, dtype="<i8", count=rows + 1)
-    indices = np.frombuffer(body, dtype="<i4", count=nnz, offset=8 * (rows + 1))
-    data = np.frombuffer(body, dtype="<f8", count=nnz, offset=8 * (rows + 1) + 4 * nnz)
-    if (indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0)
-            or (nnz and not 0 <= indices.min() <= indices.max() < dim)):
-        raise IoFailure(f"feature file {path!r} has inconsistent indptr or indices")
-    matrix = sp.csr_matrix((data.copy(), indices.copy(), indptr.copy()), shape=(rows, dim))
-    return matrix, _TAG_ENCODINGS[tag]
-
-
 def export_features_csv(handle: IO[str], matrix: sp.csr_matrix) -> None:
     """COO triplets (row, col, value) with a header, for interoperability."""
     coo = sp.coo_matrix(matrix)
@@ -349,22 +315,3 @@ def save_labels(path: str, labels: np.ndarray, class_names: list[str], encoding:
     except OSError as exc:
         raise IoFailure(f"cannot write labels {path!r}: {exc}") from exc
 
-
-def load_labels(path: str) -> tuple[np.ndarray, list[str]]:
-    """Read a labels sidecar; anything but ids in [0, len(class_names)) is an IoFailure."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            payload = json.load(f)
-    except OSError as exc:
-        raise IoFailure(f"cannot read labels {path!r}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise IoFailure(f"labels file {path!r} is not UTF-8 JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise IoFailure(f"labels file {path!r} does not hold a JSON object")
-    labels, names = payload.get("labels"), payload.get("class_names")
-    if not isinstance(labels, list) or not isinstance(names, list):
-        raise IoFailure(f"labels file {path!r} needs 'labels' and 'class_names' lists")
-    if not all(type(x) is int and 0 <= x < len(names) for x in labels):
-        raise IoFailure(f"labels file {path!r} has a label that is not a class id "
-                        f"in [0, {len(names)})")
-    return np.array(labels, dtype=np.int64), list(names)

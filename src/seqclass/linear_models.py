@@ -429,44 +429,3 @@ def ridge_scores(model: RidgeClassifierModel, X) -> np.ndarray:
     _check_dim(X, model.weights.shape[1])
     return np.asarray(X @ model.weights.T) + model.bias
 
-
-_MODEL_KINDS = {
-    MajorityModel: "majority",
-    GaussianNbModel: "gnb",
-    LogisticRegressionModel: "logreg",
-    RidgeClassifierModel: "ridge",
-}
-
-
-def model_summary(model, epoch_losses: list[float] | None = None) -> dict:
-    """JSON-friendly hyperparameters and training diagnostics.
-
-    ``epoch_losses`` is the per-epoch loss trace that nn_train returns
-    beside a net, which the net itself does not keep.
-    """
-    from .neural_net import FeedForwardNet  # neural_net imports this module
-
-    if isinstance(model, FeedForwardNet):
-        return {
-            "kind": "nn",
-            "hidden_width": int(model.w1.shape[0]),
-            "epochs": len(epoch_losses),
-            "final_loss": epoch_losses[-1],
-        }
-    kind = _MODEL_KINDS.get(type(model))
-    if kind == "majority":
-        return {"kind": kind, "majority_class": model.majority_class, "class_count": model.class_count}
-    if kind == "gnb":
-        return {"kind": kind, "class_count": model.class_count, "input_dim": model.input_dim}
-    if kind == "logreg":
-        return {
-            "kind": kind,
-            "l2_lambda": model.l2_lambda,
-            "n_iters": model.n_iters,
-            "converged": model.converged,
-            "grad_norm": model.grad_norm,
-            "final_loss": model.loss_trace[-1],
-        }
-    if kind == "ridge":
-        return {"kind": kind, "alpha": model.alpha}
-    raise InvalidConfig(f"unknown model type {type(model).__name__}")

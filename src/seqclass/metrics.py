@@ -139,7 +139,8 @@ def roc_auc_ovr_weighted(scores, y_true) -> float:
             stacklevel=2,
         )
     weights_arr = np.asarray(weights, dtype=np.float64)
-    return float(np.dot(aucs, weights_arr / weights_arr.sum()))
+    # dividing the dot product, not the weights, keeps perfect per-class AUCs at exactly 1
+    return float(np.dot(aucs, weights_arr) / weights_arr.sum())
 
 
 def aggregate(records: list[dict[str, float]]) -> dict:

@@ -17,10 +17,11 @@ results are bit-identical to a nominal-width fit; nb and lr agree up to
 rounding. The report's feature_dim stays nominal, and feature_columns
 gives the width the models (or the RFF projector) read.
 
-Before the first run, the peak bytes of the RFF weights, the model's
-C x used-columns (nn: hidden x used-columns) arrays and ridge's dense
-Gram matrix are estimated; a config whose estimate exceeds physical
-memory is an InvalidConfig naming the knob that lowers it.
+Before the first run, the peak bytes of the RFF weights and projected
+splits, the model's C x used-columns (nn: hidden x used-columns) arrays
+and ridge's dense Gram matrix are estimated; a config whose estimate
+exceeds physical memory is an InvalidConfig naming the knob that lowers
+it.
 
 The RFF projector is built from (dim, D, gamma, seed) alone, so test
 data cannot leak into it by construction. Every model is fitted, then
@@ -37,6 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 from typing import IO
 
@@ -94,16 +96,17 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
     ``feature_columns`` is the number of used columns the raw-feature
     models fit in (default: the nominal ``feature_dim``); the nn's default
     hidden width and the RFF weights stay on ``feature_dim``.
-    ``corpus_size`` gives the train rows of ridge's direct solve.
+    ``corpus_size`` gives the train rows of ridge's direct solve and the
+    rows that RFF projects.
     """
     columns = feature_dim if feature_columns is None else feature_columns
     model_dim, model_columns = (config.rff_dim,) * 2 if config.use_rff else (feature_dim, columns)
+    n_train = _round_half_up(config.train_fraction * corpus_size)
     if config.model == "nn":
         hidden = model_dim if config.nn_hidden_width is None else config.nn_hidden_width
         needed, knob = _NN_PEAK_ARRAYS * hidden * model_columns * 8, "--nn-hidden-width"
     elif config.model == "ridge":
         # the dense min(n, columns + 1)^2 Gram matrix of the direct solve; CG holds none
-        n_train = _round_half_up(config.train_fraction * corpus_size)
         side = min(n_train, model_columns + 1)
         needed = _RIDGE_GRAM_ARRAYS * side * side * 8 if side <= lm.RIDGE_DENSE_LIMIT else 0
         knob = "--train-fraction" if n_train <= model_columns else "--k"
@@ -111,8 +114,11 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
         needed = _MODEL_PEAK_ARRAYS.get(config.model, 0) * class_count * model_columns * 8
         knob = "--k"
     if config.use_rff:
-        # the D x d weights and one block of either route of rff.project
-        rff_bytes = config.rff_dim * feature_dim * 8 + GEMM_BLOCK_BYTES
+        # the D x d weights, one block of either route of rff.project, and the
+        # dense n x D splits it returns, whose n_test x D test split gnb_scores
+        # also squares
+        projected = corpus_size + (corpus_size - n_train if config.model == "nb" else 0)
+        rff_bytes = config.rff_dim * (feature_dim + projected) * 8 + GEMM_BLOCK_BYTES
         rff_knob = "--nn-hidden-width or --rff-dim" if config.model == "nn" else "--rff-dim or --k"
         return needed + rff_bytes, rff_knob
     return needed, knob
@@ -144,19 +150,22 @@ def _run_seeds(config: ExperimentConfig, run_index: int) -> dict[str, int]:
 
 def _fit(config: ExperimentConfig, X_train, y_train, class_count: int,
          input_dim: int, columns: np.ndarray | None):
-    """Fit the configured model; returns it, the function that scores it, and its summary.
+    """Fit the configured model; returns it, the function that scores it, and its diagnostics.
 
     Every score function maps (model, X) to an n x C matrix whose argmax
     is the prediction. Functions are looked up on their modules at call
-    time, so a wrapper installed there is honoured. The summary is
-    linear_models.model_summary's. ``input_dim`` is the nominal width and
-    ``columns`` the nominal ids of X_train's columns (None: all of them);
-    only the nn reads them, to draw its nominal init.
+    time, so a wrapper installed there is honoured. The diagnostics give
+    the model's kind, hyperparameters and training outcome. ``input_dim``
+    is the nominal width and ``columns`` the nominal ids of X_train's
+    columns (None: all of them); only the nn reads them, for its nominal init.
     """
     if config.model == "majority":
         model, scores = lm.majority_fit(y_train, class_count), lm.majority_scores
+        diagnostics = {"kind": "majority", "majority_class": model.majority_class,
+                       "class_count": model.class_count}
     elif config.model == "nb":
         model, scores = lm.gnb_fit(X_train, y_train, class_count), lm.gnb_scores
+        diagnostics = {"kind": "gnb", "class_count": model.class_count, "input_dim": model.input_dim}
     elif config.model == "lr":
         model = lm.logreg_fit(
             X_train, y_train,
@@ -166,9 +175,12 @@ def _fit(config: ExperimentConfig, X_train, y_train, class_count: int,
             class_count=class_count,
         )
         scores = lm.logreg_proba
+        diagnostics = {"kind": "logreg", "l2_lambda": model.l2_lambda, "n_iters": model.n_iters,
+                       "converged": model.converged, "grad_norm": model.grad_norm,
+                       "final_loss": model.loss_trace[-1]}
     elif config.model == "ridge":
         model = lm.ridge_fit(X_train, y_train, alpha=config.ridge_alpha, class_count=class_count)
-        scores = lm.ridge_scores
+        scores, diagnostics = lm.ridge_scores, {"kind": "ridge", "alpha": model.alpha}
     else:
         if class_count < 2:
             raise DegenerateLabels("the nn model needs at least 2 classes")
@@ -181,9 +193,11 @@ def _fit(config: ExperimentConfig, X_train, y_train, class_count: int,
             learning_rate=config.nn_learning_rate,
             seed=config.nn_seed,
         )
-        net, epoch_losses = nn.nn_train(net_config, X_train, y_train, columns)
-        return net, nn.nn_scores, lm.model_summary(net, epoch_losses)
-    return model, scores, lm.model_summary(model)
+        model, epoch_losses = nn.nn_train(net_config, X_train, y_train, columns)
+        scores = nn.nn_scores
+        diagnostics = {"kind": "nn", "hidden_width": int(model.w1.shape[0]),
+                       "epochs": len(epoch_losses), "final_loss": epoch_losses[-1]}
+    return model, scores, diagnostics
 
 
 def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: int):
@@ -239,11 +253,6 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
     }
 
 
-def _run_worker(args):
-    config, feats, run_index = args
-    return _single_run(config, feats, run_index)
-
-
 def run_experiment(
     config: ExperimentConfig,
     data: list[LabeledSequence],
@@ -268,14 +277,13 @@ def run_experiment(
             matrix, columns = used_columns(feats.matrix)
             feats = replace(feats, matrix=matrix, columns=columns)
 
-    tasks = [(config, feats, i) for i in range(config.runs)]
     processes = min(config.runs, config.workers, _usable_cores()) if config.parallel_runs else 1
     with _stage("memory"):
         _preflight_memory(config, feats.dim, len(feats.class_names), processes,
                           feats.matrix.shape[1], feats.matrix.shape[0])
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(pool.map(_run_worker, tasks))
+            results = list(pool.map(_single_run, repeat(config), repeat(feats), range(config.runs)))
     else:
         results = [_single_run(config, feats, i) for i in range(config.runs)]
 
@@ -342,11 +350,6 @@ def strip_timing(obj):
     if isinstance(obj, list):
         return [strip_timing(v) for v in obj]
     return obj
-
-
-def determinism_bytes(report: dict) -> bytes:
-    """Canonical bytes of a report with time-derived fields excluded."""
-    return report_to_json(strip_timing(report)).encode("utf-8")
 
 
 CSV_COLUMNS = (

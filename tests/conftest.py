@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,19 @@ def labeled_corpus(
             )
             i += 1
     return data
+
+
+def read_sqfv1(path) -> tuple[int, tuple[int, int], np.ndarray, np.ndarray, np.ndarray]:
+    """Encoding tag, shape and CSR arrays of an SQFV1 file, which no command reads back."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    assert raw[:5] == b"SQFV1"
+    tag, dim, rows, nnz = struct.unpack("<BQQQ", raw[5:30])
+    assert len(raw) == 30 + 8 * (rows + 1) + 12 * nnz
+    indptr = np.frombuffer(raw, dtype="<i8", count=rows + 1, offset=30)
+    indices = np.frombuffer(raw, dtype="<i4", count=nnz, offset=30 + 8 * (rows + 1))
+    data = np.frombuffer(raw, dtype="<f8", count=nnz, offset=30 + 8 * (rows + 1) + 4 * nnz)
+    return tag, (rows, dim), indptr, indices, data
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import collections
 import io
+import json
 import os
 
 import numpy as np
@@ -10,7 +11,6 @@ from seqclass.errors import (
     EmptyCorpus,
     InvalidConfig,
     InvalidResidue,
-    IoFailure,
     LengthMismatch,
     SequenceTooShort,
 )
@@ -26,8 +26,6 @@ from seqclass.features import (
     kmer_index,
     kmer_matrix,
     l2_normalize_rows,
-    load_features,
-    load_labels,
     ohe_matrix,
     save_features,
     save_labels,
@@ -38,7 +36,7 @@ from seqclass.ingest import LabeledSequence, LabelHierarchy, SequenceRecord
 from seqclass.infogain import information_gain
 from seqclass.ingest import LabeledSequence, LabelHierarchy, SequenceRecord, parse_fasta
 
-from conftest import labeled_corpus, random_sequences
+from conftest import labeled_corpus, random_sequences, read_sqfv1
 
 
 def test_kmer_index_extremes():
@@ -353,73 +351,22 @@ def test_feature_container_round_trip(tmp_path, rng):
     mat = kmer_matrix(random_sequences(rng, 12, 25), 3)
     path = tmp_path / "feat.sqfv"
     save_features(str(path), mat, "kmers")
-    loaded, encoding = load_features(str(path))
-    assert encoding == "kmers"
-    assert loaded.shape == mat.shape
+    tag, shape, indptr, indices, data = read_sqfv1(path)
+    assert tag == 0 and shape == mat.shape
+    loaded = sp.csr_matrix((data, indices, indptr), shape=shape)
     assert (loaded != mat.astype(np.float64)).nnz == 0
-    with open(path, "rb") as f:
-        assert f.read(5) == b"SQFV1"
-
-
-def test_corrupt_feature_file_is_io_failure(tmp_path):
-    path = tmp_path / "feat.sqfv"
-    save_features(str(path), sp.csr_matrix(np.array([[1.0, 0, 2], [0, 3, 0]])), "kmers")
-    raw = path.read_bytes()  # magic 0-4, tag 5, dim 6-13, rows 14-21, nnz 22-29, indptr from 30
-    assert len(raw) == 90
-    bad = tmp_path / "bad.sqfv"
-
-    def corrupt(offset, value):
-        out = bytearray(raw)
-        out[offset : offset + len(value)] = value
-        return bytes(out)
-
-    cases = [raw[:cut] for cut in range(len(raw))]
-    cases += [corrupt(i, b"\x00") for i in range(5)]  # magic
-    cases += [corrupt(5, bytes([tag])) for tag in (3, 0x80, 0xFF)]  # unknown encoding
-    cases += [
-        corrupt(6, (2**63).to_bytes(8, "little")),  # dim beyond int32 indices
-        corrupt(6, (2).to_bytes(8, "little")),  # column index 2 out of range
-        corrupt(14, (3).to_bytes(8, "little")),  # rows disagree with the array bytes
-        corrupt(22, (2).to_bytes(8, "little")),  # nnz disagrees with the array bytes
-        corrupt(30, (1).to_bytes(8, "little")),  # indptr[0] != 0
-        corrupt(38, (4).to_bytes(8, "little")),  # indptr decreases
-        corrupt(46, (2).to_bytes(8, "little")),  # indptr[-1] != nnz
-        raw + b"\x00",  # trailing byte
-    ]
-    for case in cases:
-        bad.write_bytes(case)
-        with pytest.raises(IoFailure):  # a DataError: CLI exit code 3
-            load_features(str(bad))
+    save_features(str(path), ohe_matrix(["AC", "CA"], 2), "ohe")
+    assert read_sqfv1(path)[:2] == (1, (2, 42))
+    with pytest.raises(InvalidConfig):
+        save_features(str(path), mat, "rff")  # no command writes projected features
 
 
 def test_labels_sidecar_round_trip(tmp_path):
     path = tmp_path / "labels.json"
     save_labels(str(path), np.array([0, 1, 1]), ["x", "y"], "kmers", 9261)
-    labels, names = load_labels(str(path))
-    assert labels.tolist() == [0, 1, 1]
-    assert names == ["x", "y"]
-
-
-@pytest.mark.parametrize("raw", [
-    b"not json {",
-    b'{"labels": [0], "class_names": ["\xff"]}',
-    b"[0, 1]",
-    b'{"class_names": ["x", "y"]}',
-    b'{"labels": [0, 1]}',
-    b'{"labels": {"0": 1}, "class_names": ["x", "y"]}',
-    b'{"labels": [0, 1.5], "class_names": ["x", "y"]}',
-    b'{"labels": [0, "1"], "class_names": ["x", "y"]}',
-    b'{"labels": [0, true], "class_names": ["x", "y"]}',
-    b'{"labels": [0, 2], "class_names": ["x", "y"]}',
-    b'{"labels": [-1, 0], "class_names": ["x", "y"]}',
-], ids=["not-json", "not-utf8", "top-level-list", "no-labels", "no-class-names",
-        "labels-not-list", "float-label", "string-label", "bool-label", "label-too-big",
-        "negative-label"])
-def test_corrupt_labels_file_is_io_failure(tmp_path, raw):
-    path = tmp_path / "labels.json"
-    path.write_bytes(raw)
-    with pytest.raises(IoFailure):  # a DataError: CLI exit code 3
-        load_labels(str(path))
+    assert json.loads(path.read_text()) == {"format": "seqclass-labels/1", "encoding": "kmers",
+                                            "dim": 9261, "class_names": ["x", "y"],
+                                            "labels": [0, 1, 1]}
 
 
 def test_csv_export(rng):

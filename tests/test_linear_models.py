@@ -260,8 +260,6 @@ def test_logreg_reports_convergence(rng):
                       rtol=1e-9, atol=0.0)
     capped = lm.logreg_fit(X, y, max_iters=3, tol=1e-6)
     assert capped.n_iters == 3 and not capped.converged and capped.grad_norm > 1e-6
-    assert lm.model_summary(capped)["converged"] is False
-    assert lm.model_summary(model)["converged"] is True
 
 
 def test_logreg_non_finite_features_raise(rng):
@@ -405,20 +403,41 @@ def test_score_shapes_and_tie_direction(rng):
 
 
 def test_model_summary_names_each_kind(rng):
+    """pipeline._fit gives each model's kind and diagnostics, in one key order per kind."""
+    from seqclass.config import ExperimentConfig
+    from seqclass.pipeline import _fit
+
     X = rng.normal(size=(30, 4))
     y = rng.integers(0, 2, 30)
     y[:2] = [0, 1]
-    models = {
-        "majority": lm.majority_fit(y),
-        "gnb": lm.gnb_fit(X, y),
-        "logreg": lm.logreg_fit(X, y, max_iters=30),
-        "ridge": lm.ridge_fit(X, y),
+    keys = {
+        "majority": ["kind", "majority_class", "class_count"],
+        "nb": ["kind", "class_count", "input_dim"],
+        "lr": ["kind", "l2_lambda", "n_iters", "converged", "grad_norm", "final_loss"],
+        "ridge": ["kind", "alpha"],
+        "nn": ["kind", "hidden_width", "epochs", "final_loss"],
     }
-    for name, model in models.items():
-        assert lm.model_summary(model)["kind"] == name
-    assert lm.model_summary(models["logreg"])["final_loss"] == models["logreg"].loss_trace[-1]
-    with pytest.raises(InvalidConfig):
-        lm.model_summary(object())
+    fitted = {}
+    for name in keys:
+        config = ExperimentConfig(model=name, lr_max_iters=30, nn_hidden_width=8, nn_epochs=3)
+        model, scores, diagnostics = _fit(config, X, y, 2, 4, None)
+        assert list(diagnostics) == keys[name]
+        assert scores(model, X).shape == (30, 2)
+        fitted[name] = model, diagnostics
+    kinds = {name: diagnostics["kind"] for name, (_, diagnostics) in fitted.items()}
+    assert kinds == {"majority": "majority", "nb": "gnb", "lr": "logreg", "ridge": "ridge", "nn": "nn"}
+    majority, diagnostics = fitted["majority"]
+    assert diagnostics["majority_class"] == majority.majority_class == np.argmax(np.bincount(y))
+    assert fitted["nb"][1]["class_count"] == 2 and fitted["nb"][1]["input_dim"] == 4
+    logreg, diagnostics = fitted["lr"]
+    assert diagnostics["final_loss"] == logreg.loss_trace[-1]
+    assert diagnostics["n_iters"] == logreg.n_iters <= 30
+    assert diagnostics["converged"] is logreg.converged
+    assert fitted["ridge"][1]["alpha"] == 1.0
+    nn_diagnostics = fitted["nn"][1]
+    assert nn_diagnostics["hidden_width"] == 8 and nn_diagnostics["epochs"] == 3
+    net_config = nnet.NetConfig(input_dim=4, class_count=2, hidden_width=8, epochs=3)
+    assert nn_diagnostics["final_loss"] == nnet.nn_train(net_config, X, y)[1][-1]
 
 
 # --- fits in the used columns ------------------------------------------------

@@ -159,6 +159,9 @@ def test_auc_perfect_ordering_is_one():
     scores = np.zeros((5, 3))
     scores[np.arange(5), y] = 10.0
     assert roc_auc_ovr_weighted(scores, y) == 1.0
+    # supports 6, 23 and 1: normalising the weights before the dot product gave 1.0000000000000002
+    y = np.repeat([0, 1, 2], [6, 23, 1])
+    assert roc_auc_ovr_weighted(np.eye(3)[y], y) == 1.0
 
 
 def test_auc_worked_example():

@@ -7,9 +7,9 @@ from seqclass.cli import main
 from seqclass.config import _FLOAT_KEYS, _INT_KEYS, ExperimentConfig, config_from_mapping, parse_config_file
 from seqclass.errors import InvalidConfig
 from seqclass.ingest import save_corpus
-from seqclass.pipeline import determinism_bytes, run_experiment, strip_timing, write_report_csv
+from seqclass.pipeline import report_to_json, run_experiment, strip_timing, write_report_csv
 
-from conftest import labeled_corpus, random_sequences
+from conftest import labeled_corpus, random_sequences, read_sqfv1
 
 
 def _write_inputs(tmp_path, class_sizes, length=24, seed=0):
@@ -99,7 +99,7 @@ def test_experiment_is_deterministic():
     config = ExperimentConfig(model="ridge", use_rff=True, rff_dim=32, runs=2)
     report_a, _ = run_experiment(config, data)
     report_b, _ = run_experiment(config, data)
-    assert determinism_bytes(report_a) == determinism_bytes(report_b)
+    assert report_to_json(strip_timing(report_a)) == report_to_json(strip_timing(report_b))
     # the timing subtree is the only thing stripped
     stripped = strip_timing(report_a)
     assert "timing" not in stripped["runs"][0]
@@ -372,14 +372,16 @@ def test_cli_non_numeric_config_value_is_config_error(tmp_path, capsys, key):
     assert f"config key {key!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--lr-l2-lambda", "--lr-tol"])
+@pytest.mark.parametrize("flag", ["--lr-l2-lambda", "--lr-tol", "--lr-max-iters"])
 def test_cli_negative_lr_penalty_or_tol_is_config_error(tmp_path, capsys, monkeypatch, flag):
     import seqclass.pipeline as pipeline
 
     monkeypatch.setattr(pipeline, "_single_run", None)  # reaching a run is a failure too
     _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
     assert main(["run", "--corpus", str(corpus), "--model", "lr", flag, "-1"]) == 2
-    assert f"{flag[2:].replace('-', '_')} must be >= 0, got -1.0" in capsys.readouterr().err
+    key = flag[2:].replace("-", "_")
+    shown = -1 if key in _INT_KEYS else -1.0
+    assert f"{key} must be >= 0, got {shown}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -442,6 +444,12 @@ def test_memory_estimate_at_long_kmers():
     assert memory_estimate(ExperimentConfig(model="ridge", k=6), d6, 20)[0] == 0
     rff = memory_estimate(ExperimentConfig(model="nb", k=6, use_rff=True), d6, 20)
     assert rff == (1000 * d6 * 8 + (8 << 20) + 4 * 20 * 1000 * 8, "--rff-dim or --k")
+    # 3000 rows: both dense 1000-wide splits, and nb's square of the 2700 test rows
+    rff = memory_estimate(ExperimentConfig(model="nb", k=2, use_rff=True), 441, 20, corpus_size=3000)
+    assert rff == (1000 * 441 * 8 + (8 << 20) + 4 * 20 * 1000 * 8 + (3000 + 2700) * 1000 * 8,
+                   "--rff-dim or --k")
+    rff = memory_estimate(ExperimentConfig(model="lr", k=2, use_rff=True), 441, 20, corpus_size=3000)
+    assert rff[0] == 1000 * 441 * 8 + (8 << 20) + 15 * 20 * 1000 * 8 + 3000 * 1000 * 8
 
 
 def test_memory_estimate_of_nn_counts_hidden_by_input():
@@ -515,12 +523,37 @@ def test_cli_nn_at_default_width_over_physical_memory_is_config_error(tmp_path, 
 
 @pytest.mark.parametrize("k", [5, 6])
 def test_cli_featurize_long_kmers(tmp_path, k):
-    from seqclass.features import load_features
-
     data, _, _, corpus = _write_inputs(tmp_path, {"a": 300, "b": 300})  # two chunks
     feats, labels = tmp_path / "f.sqfv", tmp_path / "l.json"
     assert main(["featurize", "--corpus", str(corpus), "--encoding", "kmers", "--k", str(k),
                  "--workers", "2", "--out-features", str(feats), "--out-labels", str(labels)]) == 0
-    matrix, encoding = load_features(str(feats))
-    assert encoding == "kmers" and matrix.shape == (600, 21**k)
-    assert matrix.sum(axis=1).A1.tolist() == [len(item.record.residues) - k + 1 for item in data]
+    tag, shape, indptr, _, data_values = read_sqfv1(feats)
+    assert tag == 0 and shape == (600, 21**k)
+    row_sums = np.add.reduceat(data_values, indptr[:-1]).tolist()
+    assert row_sums == [len(item.record.residues) - k + 1 for item in data]
+
+
+@pytest.mark.parametrize("flags, features_sha256, labels_sha256", [
+    (["--encoding", "kmers", "--k", "2"],
+     "6eeaef91fd45d578dfd7e3a1f0510e43759efe2ae94745db6e9cd8eb25c57e9e",
+     "954d09feb0982706955521f29fb59d9345eb21753fb67209afe7908f919eb33b"),
+    (["--encoding", "ohe"],
+     "cb41f31bc6d0f8b6c5de3858cd9fd5edc53a2e48c921f17e65f14d625772d68a",
+     "81b4a24cde2736a7060744fd25afd0cfa86d4b0d2be1df2e08c3ccd138f1bb0d"),
+], ids=["kmers", "ohe"])
+def test_cli_featurize_golden_bytes(tmp_path, flags, features_sha256, labels_sha256):
+    """The SQFV1 container and labels sidecar of a 3-sequence corpus, byte for byte."""
+    import hashlib
+
+    from seqclass.ingest import LabeledSequence, LabelHierarchy, SequenceRecord
+
+    corpus, feats, labels = tmp_path / "c.bin", tmp_path / "f.sqfv", tmp_path / "l.json"
+    save_corpus(str(corpus), [
+        LabeledSequence(SequenceRecord(seq_id, residues), LabelHierarchy("c", country, None))
+        for seq_id, residues, country in [("s1", "ACDEFA", "x"), ("s2", "WYACDW", "y"),
+                                          ("s3", "ACACAC", "x")]
+    ])
+    assert main(["featurize", "--corpus", str(corpus), *flags, "--out-features", str(feats),
+                 "--out-labels", str(labels)]) == 0
+    assert hashlib.sha256(feats.read_bytes()).hexdigest() == features_sha256
+    assert hashlib.sha256(labels.read_bytes()).hexdigest() == labels_sha256

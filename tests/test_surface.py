@@ -1,0 +1,44 @@
+"""No top-level function or class in the package that only tests reach."""
+
+import ast
+from pathlib import Path
+
+import seqclass
+
+PACKAGE = Path(seqclass.__file__).parent
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name the node reads, imports or reaches as an attribute."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name.rsplit(".", 1)[-1])
+    return found
+
+
+def unreached_definitions(package: Path) -> list[str]:
+    """Top-level functions and classes that no module names outside their own definition.
+
+    Dunders and the names that ``__init__._EXPORTS`` makes public are exempt.
+    """
+    defined, named = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((f"{path.stem}.{node.name}", node.name))
+                named |= _names(node) - {node.name}
+            else:
+                named |= _names(node)
+    exported = {name for names in seqclass._EXPORTS.values() for name in names}
+    return [qualified for qualified, name in defined
+            if name not in named and name not in exported
+            and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_definition_is_reached_from_the_package():
+    assert unreached_definitions(PACKAGE) == []
