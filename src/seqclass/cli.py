@@ -14,23 +14,28 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ExperimentConfig, config_from_mapping, parse_config_file
-from .errors import ConfigError, DataError, NumericalError
-from .ingest import (LabeledSequence, join_metadata, load_corpus, parse_fasta, read_metadata_tsv,
-                     save_corpus)
+from .config import ENCODINGS, ExperimentConfig, config_from_mapping, parse_config_file
+from .errors import ConfigError, DataError, IoFailure, NumericalError
+from .ingest import (CLASS_LEVELS, LabeledSequence, join_metadata, load_corpus, parse_fasta,
+                     read_metadata_tsv, save_corpus)
 from .version import __version__
 
 # features, infogain and pipeline import scipy, so each command imports what it
 # uses: `seqclass ingest` loads neither them nor scipy.
 
 
+def _read_text(path: str, parse):
+    """``parse`` applied to a UTF-8 text file; IoFailure names a file that is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return parse(f)
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"{path!r} is not UTF-8 text: {exc}") from exc
+
+
 def _read_inputs(fasta: str, metadata: str) -> list[LabeledSequence]:
     """Parse a FASTA file and join it with its metadata TSV."""
-    with open(fasta, "r", encoding="utf-8") as f:
-        records = parse_fasta(f)
-    with open(metadata, "r", encoding="utf-8") as f:
-        labels = read_metadata_tsv(f)
-    return join_metadata(records, labels)
+    return join_metadata(_read_text(fasta, parse_fasta), _read_text(metadata, read_metadata_tsv))
 
 
 def _cmd_ingest(args) -> int:
@@ -101,7 +106,7 @@ def _cmd_ig(args) -> int:
     from .infogain import export_histograms, export_ig, information_gain, subsample
 
     data = load_corpus(args.corpus)
-    if args.subsample:
+    if args.subsample is not None:
         data = subsample(data, args.subsample, args.seed)
     table = information_gain(data, class_level=args.class_level)
     export_ig(table, args.out)
@@ -121,8 +126,13 @@ def _cmd_report(args) -> int:
 
     reports = []
     for path in args.reports:
-        with open(path, "r", encoding="utf-8") as f:
-            reports.append(json.load(f))
+        try:
+            report = _read_text(path, json.load)
+        except json.JSONDecodeError as exc:
+            raise IoFailure(f"report {path!r} is not JSON: {exc}") from exc
+        if not isinstance(report, dict) or report.get("format") != "seqclass-report/1":
+            raise IoFailure(f"{path!r} is not a seqclass-report/1 report")
+        reports.append(report)
     with open(args.out, "w", encoding="utf-8") as f:
         write_report_csv(f, reports)
     print(f"merged {len(reports)} reports into {args.out}")
@@ -146,11 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("featurize", help="corpus -> feature container + labels sidecar")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--encoding", choices=("kmers", "ohe"), default="kmers")
+    p.add_argument("--encoding", choices=ENCODINGS, default="kmers")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--expected-len", type=int, default=None, dest="expected_len")
-    p.add_argument("--class-level", choices=("continent", "country", "state"),
-                   default="country", dest="class_level")
+    p.add_argument("--class-level", choices=CLASS_LEVELS, default="country", dest="class_level")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--l2-normalize", action="store_true", dest="l2_normalize")
     p.add_argument("--out-features", required=True, dest="out_features")
@@ -167,8 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ig", help="per-position information gain -> CSV")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--class-level", choices=("continent", "country", "state"),
-                   default="country", dest="class_level")
+    p.add_argument("--class-level", choices=CLASS_LEVELS, default="country", dest="class_level")
     p.add_argument("--subsample", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -6,7 +6,7 @@ scipy, so the CLI can build its parser without loading it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import InvalidConfig, IoFailure
@@ -16,6 +16,7 @@ MODELS = ("majority", "nb", "lr", "ridge", "nn")
 
 ENCODING_KMERS = "kmers"
 ENCODING_OHE = "ohe"
+ENCODINGS = (ENCODING_KMERS, ENCODING_OHE)
 
 
 @dataclass
@@ -58,7 +59,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.class_level not in CLASS_LEVELS:
             raise InvalidConfig(f"class_level must be one of {CLASS_LEVELS}")
-        if self.encoding not in (ENCODING_KMERS, ENCODING_OHE):
+        if self.encoding not in ENCODINGS:
             raise InvalidConfig(f"encoding must be 'kmers' or 'ohe', got {self.encoding!r}")
         if self.model not in MODELS:
             raise InvalidConfig(f"model must be one of {MODELS}")
@@ -79,19 +80,19 @@ class ExperimentConfig:
             raise InvalidConfig(f"lr_max_iters must be >= 0, got {self.lr_max_iters}")
 
 
-_BOOL_KEYS = {"use_rff", "l2_normalize", "stratified", "parallel_runs"}
-_INT_KEYS = {
-    "k", "expected_len", "rff_dim", "rff_seed", "lr_max_iters", "nn_hidden_width",
-    "nn_batch_size", "nn_epochs", "nn_seed", "split_seed", "runs", "workers",
-}
-_FLOAT_KEYS = {
-    "rff_gamma", "lr_l2_lambda", "lr_tol", "ridge_alpha", "nn_learning_rate",
-    "train_fraction",
-}
-_OPTIONAL_KEYS = {
-    "fasta", "metadata", "corpus", "expected_len", "rff_gamma",
-    "nn_hidden_width", "output_dir",
-}
+# each key's annotation as written, e.g. "int" or "float | None"
+_ANNOTATIONS = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("1", "true", "yes", "on"):
+        return True
+    if raw.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -99,7 +100,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read config {path!r}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -114,33 +115,21 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     """Build a config from string key/values (file or CLI overrides)."""
-    known = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
     kwargs: dict = {}
     for key, raw in mapping.items():
-        if key not in known:
+        if key not in _ANNOTATIONS:
             raise InvalidConfig(f"unknown config key {key!r}")
+        kind, _, optional = _ANNOTATIONS[key].partition(" | ")
         if raw is None or raw == "" or raw.lower() == "none":
-            if key not in _OPTIONAL_KEYS:
+            if not optional:
                 raise InvalidConfig(f"config key {key!r} cannot be empty")
             kwargs[key] = None
             continue
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("1", "true", "yes", "on"):
-                kwargs[key] = True
-            elif raw.lower() in ("0", "false", "no", "off"):
-                kwargs[key] = False
-            else:
-                raise InvalidConfig(f"config key {key!r} expects a boolean, got {raw!r}")
-        elif key in _INT_KEYS or key in _FLOAT_KEYS:
-            kind = int if key in _INT_KEYS else float
-            try:
-                kwargs[key] = kind(raw)
-            except ValueError:
-                raise InvalidConfig(
-                    f"config key {key!r} expects {kind.__name__}, got {raw!r}"
-                ) from None
-        else:
-            kwargs[key] = raw
+        try:
+            kwargs[key] = _PARSERS[kind](raw)
+        except ValueError:
+            shown = "a boolean" if kind == "bool" else kind
+            raise InvalidConfig(f"config key {key!r} expects {shown}, got {raw!r}") from None
     config = ExperimentConfig(**kwargs)
     config.validate()
     return config

@@ -7,11 +7,11 @@ k-mers in a vector of dimension 21**k. One-hot encoding expands a
 length-L sequence into 21*L indicator columns (column 21*p + code of the
 residue at position p).
 
-Matrices are scipy CSR; extraction is vectorized over chunks of
-sequences and can fan out over worker processes (order preserving).
-k-mers are counted by sorting each chunk's (row, k-mer) window keys, so
-a chunk's memory is linear in its window count and independent of
-21**k: every k up to MAX_K featurizes.
+Matrices are scipy CSR. k-mers are counted in 512-row chunks that can
+fan out over worker processes (order preserving), by sorting each
+chunk's (row, k-mer) window keys, so a chunk's memory is linear in its
+window count and independent of 21**k: every k up to MAX_K featurizes.
+One-hot is one vectorized pass over the whole corpus.
 
 Feature container format ("SQFV1"), an export like the COO CSV that no
 command reads back: the 5 magic bytes, u8 encoding tag (0 = kmers,
@@ -27,6 +27,7 @@ import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO, Sequence
 
 import numpy as np
@@ -40,12 +41,13 @@ from .errors import (
     SequenceTooShort,
 )
 from .config import ENCODING_KMERS, ENCODING_OHE
-from .ingest import AMINO_ACIDS, LabeledSequence, class_ids, encode_residues, residue_codes
+from .ingest import AMINO_ACIDS, LabeledSequence, class_ids, encode_residues
 
 ALPHABET = AMINO_ACIDS
 ALPHABET_SIZE = len(ALPHABET)  # 21
 
 MAX_K = 6  # 21**7 would exceed 1.8e9 columns
+_CHUNK_ROWS = 512  # k-mer rows counted per task
 
 _ENCODING_TAGS = {ENCODING_KMERS: 0, ENCODING_OHE: 1}
 
@@ -59,7 +61,7 @@ def kmer_dim(k: int) -> int:
 def kmer_index(kmer: str) -> int:
     """Base-21 index of a k-mer, leftmost character most significant."""
     idx = 0
-    for code in residue_codes("<kmer>", kmer).tolist():
+    for code in encode_residues(["<kmer>"], [kmer])[0].tolist():
         idx = idx * ALPHABET_SIZE + code
     return idx
 
@@ -114,24 +116,6 @@ def _kmer_csr_chunk(
     return indptr, indices, data
 
 
-def _ohe_csr_chunk(
-    ids: Sequence[str], seqs: Sequence[str], expected_len: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR triplet of one-hot indicators; every sequence must have expected_len."""
-    codes, lengths = encode_residues(ids, seqs)
-    if np.any(lengths != expected_len):
-        row = int(np.argmax(lengths != expected_len))
-        raise LengthMismatch(
-            f"sequence {ids[row]!r} has length {lengths[row]}, expected {expected_len}"
-        )
-    n = len(seqs)
-    positions = np.tile(np.arange(expected_len, dtype=np.int64), n)
-    indices = (positions * ALPHABET_SIZE + codes.astype(np.int64)).astype(np.int32)
-    data = np.ones(n * expected_len, dtype=np.int8)
-    indptr = np.arange(0, n * expected_len + 1, expected_len, dtype=np.int64)
-    return indptr, indices, data
-
-
 def _assemble(chunks, dim: int, n_rows: int) -> sp.csr_matrix:
     indptrs, indices, datas = zip(*chunks)
     nnz_offsets = np.cumsum([0] + [len(ix) for ix in indices])
@@ -152,43 +136,39 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _run_chunked(chunk_csr, seqs: Sequence[str], extra, dim: int, workers: int,
-                 ids: Sequence[str] | None, chunk_size: int = 512) -> sp.csr_matrix:
-    """Featurize in chunks; the pool never outnumbers the chunks or the usable cores."""
-    if workers < 1:
-        raise InvalidConfig(f"workers must be >= 1, got {workers}")
-    if ids is None:
-        ids = [f"<row {row}>" for row in range(len(seqs))]
-    starts = range(0, len(seqs), chunk_size)
-    id_chunks = [ids[i : i + chunk_size] for i in starts]
-    seq_chunks = [seqs[i : i + chunk_size] for i in starts]
-    extras = [extra] * len(starts)
-    processes = min(workers, len(starts), _usable_cores())
-    if processes > 1:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(pool.map(chunk_csr, id_chunks, seq_chunks, extras))
-    else:
-        results = list(map(chunk_csr, id_chunks, seq_chunks, extras))
-    return _assemble(results, dim, len(seqs))
-
-
 def kmer_matrix(
     seqs: Sequence[str],
     k: int = 3,
     workers: int = 1,
     ids: Sequence[str] | None = None,
 ) -> sp.csr_matrix:
-    """n x 21**k sparse count matrix; row i sums to len(seqs[i]) - k + 1."""
+    """n x 21**k sparse count matrix; row i sums to len(seqs[i]) - k + 1.
+
+    Each 512-row chunk is encoded and counted in its own task; the pool
+    never outnumbers the chunks or the usable cores.
+    """
     dim = kmer_dim(k)
     if not seqs:
         raise EmptyCorpus("no sequences to featurize")
-    return _run_chunked(_kmer_csr_chunk, seqs, k, dim, workers, ids)
+    if workers < 1:
+        raise InvalidConfig(f"workers must be >= 1, got {workers}")
+    if ids is None:
+        ids = [f"<row {row}>" for row in range(len(seqs))]
+    starts = range(0, len(seqs), _CHUNK_ROWS)
+    id_chunks = [ids[i : i + _CHUNK_ROWS] for i in starts]
+    seq_chunks = [seqs[i : i + _CHUNK_ROWS] for i in starts]
+    processes = min(workers, len(starts), _usable_cores())
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            results = list(pool.map(_kmer_csr_chunk, id_chunks, seq_chunks, repeat(k)))
+    else:
+        results = list(map(_kmer_csr_chunk, id_chunks, seq_chunks, repeat(k)))
+    return _assemble(results, dim, len(seqs))
 
 
 def ohe_matrix(
     seqs: Sequence[str],
     expected_len: int,
-    workers: int = 1,
     ids: Sequence[str] | None = None,
 ) -> sp.csr_matrix:
     """n x 21*expected_len sparse 0/1 matrix with exactly expected_len ones per row."""
@@ -196,7 +176,21 @@ def ohe_matrix(
         raise InvalidConfig(f"expected_len must be positive, got {expected_len}")
     if not seqs:
         raise EmptyCorpus("no sequences to featurize")
-    return _run_chunked(_ohe_csr_chunk, seqs, expected_len, ALPHABET_SIZE * expected_len, workers, ids)
+    if ids is None:
+        ids = [f"<row {row}>" for row in range(len(seqs))]
+    codes, lengths = encode_residues(ids, seqs)
+    if np.any(lengths != expected_len):
+        row = int(np.argmax(lengths != expected_len))
+        raise LengthMismatch(
+            f"sequence {ids[row]!r} has length {lengths[row]}, expected {expected_len}"
+        )
+    n, dim = len(seqs), ALPHABET_SIZE * expected_len
+    # column 21*p + code, built in int32 straight from the uint8 codes
+    indices = np.tile(np.arange(0, dim, ALPHABET_SIZE, dtype=np.int32), n)
+    indices += codes
+    data = np.ones(n * expected_len, dtype=np.int8)
+    indptr = np.arange(0, n * expected_len + 1, expected_len, dtype=np.int64)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, dim))
 
 
 @dataclass
@@ -253,7 +247,7 @@ def featurize_corpus(
     elif mode == ENCODING_OHE:
         if expected_len is None:
             expected_len = len(seqs[0])
-        matrix = ohe_matrix(seqs, expected_len=expected_len, workers=workers, ids=ids)
+        matrix = ohe_matrix(seqs, expected_len=expected_len, ids=ids)
     else:
         raise InvalidConfig(f"unknown featurization mode {mode!r}")
 

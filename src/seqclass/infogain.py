@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IoFailure, NotNormalized, RaggedLengths, SingleClass
+from .errors import InvalidConfig, IoFailure, NotNormalized, RaggedLengths, SingleClass
 from .ingest import AMINO_ACIDS, LabeledSequence, class_ids, encode_residues
 
 
@@ -100,6 +100,8 @@ def information_gain(data: list[LabeledSequence], class_level: str = "country") 
 
 def subsample(data: list[LabeledSequence], size: int, seed: int) -> list[LabeledSequence]:
     """Uniform sample without replacement; the whole corpus if size exceeds it."""
+    if size < 1:
+        raise InvalidConfig(f"subsample size must be >= 1, got {size}")
     if size >= len(data):
         if size > len(data):
             warnings.warn(

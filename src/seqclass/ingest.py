@@ -73,42 +73,24 @@ class SplitSpec:
     stratified: bool = True
 
 
-def residue_codes(seq_id: str, residues: str) -> np.ndarray:
-    """Alphabet index (0..20) of every residue, as uint8.
+def encode_residues(ids: Sequence[str], seqs: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Alphabet index (0..20) of every residue, concatenated as uint8, plus per-sequence lengths.
 
     Raises InvalidResidue for the first character outside the alphabet,
-    with its 1-based position and the character as given (non-ASCII
-    included: each becomes one ``?`` byte, so offsets stay aligned).
+    with its sequence's id, its 1-based position and the character as
+    given (non-ASCII included: each becomes one ``?`` byte, so offsets
+    stay aligned).
     """
-    codes = _CODE[np.frombuffer(residues.encode("ascii", errors="replace"), dtype=np.uint8)]
-    bad = np.flatnonzero(codes == 255)
-    if bad.size:
-        pos = int(bad[0])
-        raise InvalidResidue(seq_id, pos + 1, residues[pos])
-    return codes
-
-
-def encode_residues(ids: Sequence[str], seqs: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Residue codes of many sequences, concatenated, plus per-sequence lengths.
-
-    Encodes everything at once; only when some code is invalid does it
-    walk the sequences to raise InvalidResidue for the first bad one.
-    """
-    blob = "".join(seqs).encode("ascii", errors="replace")
-    codes = _CODE[np.frombuffer(blob, dtype=np.uint8)]
-    if np.any(codes == 255):
-        for seq_id, seq in zip(ids, seqs):
-            residue_codes(seq_id, seq)
+    blob = "".join(seqs)
+    codes = _CODE[np.frombuffer(blob.encode("ascii", errors="replace"), dtype=np.uint8)]
     lengths = np.fromiter((len(s) for s in seqs), dtype=np.int64, count=len(seqs))
+    bad = codes == 255
+    if bad.any():
+        at = int(np.argmax(bad))
+        ends = np.cumsum(lengths)
+        row = int(np.searchsorted(ends, at, side="right"))
+        raise InvalidResidue(ids[row], int(at - ends[row] + lengths[row]) + 1, blob[at])
     return codes, lengths
-
-
-def validate_residues(seq_id: str, residues: str) -> None:
-    """Raise InvalidResidue unless every character is in the alphabet.
-
-    One trailing ``*`` is allowed; positions are reported 1-based.
-    """
-    residue_codes(seq_id, residues[:-1] if residues.endswith(STOP_CHAR) else residues)
 
 
 def parse_fasta(stream: Iterable[str]) -> list[SequenceRecord]:
@@ -116,8 +98,9 @@ def parse_fasta(stream: Iterable[str]) -> list[SequenceRecord]:
 
     Sequence lines may be wrapped; surrounding whitespace is ignored.
     Raises MalformedFasta for sequence data before the first header,
-    empty headers/bodies or duplicate ids, and InvalidResidue for
-    characters outside the alphabet (plus optional trailing stop).
+    empty headers/bodies or duplicate ids; once the whole text parses,
+    InvalidResidue for the first character outside the alphabet (one
+    trailing stop per record is allowed).
     """
     records: list[SequenceRecord] = []
     seen: set[str] = set()
@@ -131,7 +114,6 @@ def parse_fasta(stream: Iterable[str]) -> list[SequenceRecord]:
         body = "".join(chunks)
         if not body:
             raise MalformedFasta(f"record {header!r} has an empty sequence body")
-        validate_residues(header, body)
         if header in seen:
             raise MalformedFasta(f"duplicate sequence id {header!r}")
         seen.add(header)
@@ -152,6 +134,7 @@ def parse_fasta(stream: Iterable[str]) -> list[SequenceRecord]:
                 raise MalformedFasta("sequence data before first '>' header")
             chunks.append(line)
     flush()
+    encode_residues([rec.id for rec in records], [strip_stop(rec).residues for rec in records])
     return records
 
 
@@ -211,15 +194,12 @@ def join_metadata(
 
 
 def label_for_level(label: LabelHierarchy, class_level: str) -> str:
-    if class_level == "continent":
-        return label.continent
-    if class_level == "country":
-        return label.country
-    if class_level == "state":
-        if label.state is None:
-            raise InvalidConfig("class level 'state' requested but a label has no state")
-        return label.state
-    raise InvalidConfig(f"unknown class level {class_level!r} (expected one of {CLASS_LEVELS})")
+    if class_level not in CLASS_LEVELS:
+        raise InvalidConfig(f"unknown class level {class_level!r} (expected one of {CLASS_LEVELS})")
+    name = getattr(label, class_level)
+    if name is None:
+        raise InvalidConfig("class level 'state' requested but a label has no state")
+    return name
 
 
 def class_ids(data: Sequence[LabeledSequence], class_level: str) -> tuple[np.ndarray, list[str]]:

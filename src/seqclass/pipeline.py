@@ -66,9 +66,12 @@ _NN_PEAK_ARRAYS = 4
 # float64 Gram-sized arrays of ridge's direct solve: while scipy's sparse
 # X X' (or A'A) is densified, both copies live, up to 2.5 arrays (12 bytes
 # an entry when the product is dense); numpy's solve then copies the dense
-# one. tracemalloc saw 2.5 on dense dual Grams; the primal path adds the
-# sparse [X, 1] and the n x C targets, which do not scale with the Gram
+# one. tracemalloc saw 2.5 on dense dual Grams. The primal path also holds
+# the n x C targets and A = [X, 1]: dense, or sparse at 12 bytes a nonzero.
+# Building a sparse A peaks higher than A and the CSR transpose scipy takes
+# of it for A'A (12 more): tracemalloc saw 32.1 bytes a nonzero in sp.hstack
 _RIDGE_GRAM_ARRAYS = 3
+_RIDGE_SPARSE_A_BYTES = 32
 
 
 @contextmanager
@@ -90,14 +93,16 @@ def physical_memory_bytes() -> int | None:
 
 
 def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int,
-                    feature_columns: int | None = None, corpus_size: int = 0) -> tuple[int, str]:
+                    feature_columns: int | None = None, corpus_size: int = 0,
+                    corpus_nnz: int = 0) -> tuple[int, str]:
     """Peak bytes of one run's RFF weights and model arrays, and the knobs that lower them.
 
     ``feature_columns`` is the number of used columns the raw-feature
     models fit in (default: the nominal ``feature_dim``); the nn's default
     hidden width and the RFF weights stay on ``feature_dim``.
     ``corpus_size`` gives the train rows of ridge's direct solve and the
-    rows that RFF projects.
+    rows that RFF projects; ``corpus_nnz``, the feature matrix's nonzeros,
+    gives the train split's share that ridge's primal solve copies.
     """
     columns = feature_dim if feature_columns is None else feature_columns
     model_dim, model_columns = (config.rff_dim,) * 2 if config.use_rff else (feature_dim, columns)
@@ -109,6 +114,12 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
         # the dense min(n, columns + 1)^2 Gram matrix of the direct solve; CG holds none
         side = min(n_train, model_columns + 1)
         needed = _RIDGE_GRAM_ARRAYS * side * side * 8 if side <= lm.RIDGE_DENSE_LIMIT else 0
+        if needed and n_train > model_columns:  # the primal solve
+            if config.use_rff:  # a dense [X, 1]
+                needed += 8 * n_train * (model_columns + 1)
+            else:
+                needed += _RIDGE_SPARSE_A_BYTES * (corpus_nnz * n_train // corpus_size + n_train)
+            needed += 8 * n_train * class_count
         knob = "--train-fraction" if n_train <= model_columns else "--k"
     else:
         needed = _MODEL_PEAK_ARRAYS.get(config.model, 0) * class_count * model_columns * 8
@@ -126,9 +137,10 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
 
 def _preflight_memory(config: ExperimentConfig, feature_dim: int, class_count: int,
                       processes: int, feature_columns: int | None = None,
-                      corpus_size: int = 0) -> None:
+                      corpus_size: int = 0, corpus_nnz: int = 0) -> None:
     """InvalidConfig (exit 2) before an allocation that physical memory cannot hold."""
-    per_run, knob = memory_estimate(config, feature_dim, class_count, feature_columns, corpus_size)
+    per_run, knob = memory_estimate(config, feature_dim, class_count, feature_columns,
+                                    corpus_size, corpus_nnz)
     needed = per_run * processes
     available = physical_memory_bytes()
     if available is not None and needed > available:
@@ -280,7 +292,7 @@ def run_experiment(
     processes = min(config.runs, config.workers, _usable_cores()) if config.parallel_runs else 1
     with _stage("memory"):
         _preflight_memory(config, feats.dim, len(feats.class_names), processes,
-                          feats.matrix.shape[1], feats.matrix.shape[0])
+                          feats.matrix.shape[1], feats.matrix.shape[0], feats.matrix.nnz)
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_single_run, repeat(config), repeat(feats), range(config.runs)))

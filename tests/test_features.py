@@ -263,20 +263,45 @@ def test_sorted_counting_matches_dense_bincount(rng, k):
     seqs = _ragged(rng, 1100, k, 40)  # three 512-row chunks
     ids = [f"q{i}" for i in range(len(seqs))]
     # chunk by chunk: the same triplets with the same dtypes
+    chunks = []
     for start in range(0, len(seqs), 64):  # 64 rows keep the dense counters below 100 MB at k=4
         got = features._kmer_csr_chunk(ids[start : start + 64], seqs[start : start + 64], k)
-        want = _dense_kmer_csr_chunk(ids[start : start + 64], seqs[start : start + 64], k)
-        for g, w in zip(got, want):
+        chunks.append(_dense_kmer_csr_chunk(ids[start : start + 64], seqs[start : start + 64], k))
+        for g, w in zip(got, chunks[-1]):
             assert g.dtype == w.dtype and np.array_equal(g, w)
     # whole matrix across 512-row chunk boundaries, serial and pooled
-    want = features._run_chunked(_dense_kmer_csr_chunk, seqs, k, ALPHABET_SIZE**k, 1, ids,
-                                 chunk_size=64)
+    want = features._assemble(chunks, ALPHABET_SIZE**k, len(seqs))
     for workers in (1, 2):
         got = kmer_matrix(seqs, k, workers=workers, ids=ids)
         for attr in ("indptr", "indices", "data"):
             g, w = getattr(got, attr), getattr(want, attr)
             assert g.dtype == w.dtype and np.array_equal(g, w)
         assert got.shape == want.shape
+
+
+def _chunked_ohe(ids, seqs, expected_len, chunk_size=512):
+    """The construction the one-pass one-hot replaced: 512-row chunks of int64 indices."""
+    chunks = []
+    for start in range(0, len(seqs), chunk_size):
+        codes, _ = features.encode_residues(ids[start : start + chunk_size],
+                                            seqs[start : start + chunk_size])
+        n = len(seqs[start : start + chunk_size])
+        positions = np.tile(np.arange(expected_len, dtype=np.int64), n)
+        indices = (positions * ALPHABET_SIZE + codes.astype(np.int64)).astype(np.int32)
+        data = np.ones(n * expected_len, dtype=np.int8)
+        indptr = np.arange(0, n * expected_len + 1, expected_len, dtype=np.int64)
+        chunks.append((indptr, indices, data))
+    return features._assemble(chunks, ALPHABET_SIZE * expected_len, len(seqs))
+
+
+def test_ohe_one_pass_matches_the_chunked_construction(rng):
+    seqs = random_sequences(rng, 1100, 60)  # three 512-row chunks
+    ids = [f"q{i}" for i in range(len(seqs))]
+    got, want = ohe_matrix(seqs, 60, ids=ids), _chunked_ohe(ids, seqs, 60)
+    assert got.shape == want.shape == (1100, 21 * 60)
+    for attr in ("indptr", "indices", "data"):
+        g, w = getattr(got, attr), getattr(want, attr)
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("k", [5, 6])

@@ -9,6 +9,7 @@ from seqclass.errors import (
     ClassTooSmall,
     DuplicateMetadataKey,
     EmptyJoin,
+    InvalidConfig,
     InvalidResidue,
     IoFailure,
     MalformedFasta,
@@ -29,7 +30,6 @@ from seqclass.ingest import (
     save_corpus,
     split_indices,
     strip_stop,
-    validate_residues,
 )
 
 from conftest import labeled_corpus, random_sequences
@@ -83,15 +83,23 @@ def test_validation_accepts_exactly_the_alphabet():
     # every printable byte: valid inside the body iff it is an alphabet letter
     for code in range(33, 127):
         ch = chr(code)
-        body = "A" + ch + "A"
+        fasta = io.StringIO(f">x\nA{ch}A\n")
         if ch in AMINO_ACIDS:
-            validate_residues("x", body)
+            assert parse_fasta(fasta) == [SequenceRecord("x", "A" + ch + "A")]
         else:
-            with pytest.raises(InvalidResidue):
-                validate_residues("x", body)
-    validate_residues("x", "AA*")  # single trailing stop is fine
+            with pytest.raises(InvalidResidue) as err:
+                parse_fasta(fasta)
+            assert (err.value.seq_id, err.value.position, err.value.char) == ("x", 2, ch)
+    assert parse_fasta(io.StringIO(">x\nAA*\n"))[0].residues == "AA*"  # single trailing stop is fine
     with pytest.raises(InvalidResidue):
-        validate_residues("x", "AA**")  # but only one
+        parse_fasta(io.StringIO(">x\nAA**\n"))  # but only one
+
+
+def test_structural_fault_is_reported_before_a_bad_residue():
+    # residues are checked once the whole file parses
+    for text in (">s1\nMDZ\n>s2\n>s3\nAAA\n", ">s1\nMDZ\n>s1\nAAA\n", ">s1\nMDZ\nAA\nQQ\n>\n"):
+        with pytest.raises(MalformedFasta):
+            parse_fasta(io.StringIO(text))
 
 
 def test_strip_stop():
@@ -139,6 +147,10 @@ def test_label_for_level():
     assert label_for_level(label, "continent") == "Europe"
     assert label_for_level(label, "country") == "France"
     assert label_for_level(label, "state") == "IDF"
+    with pytest.raises(InvalidConfig, match="unknown class level 'city'"):
+        label_for_level(label, "city")
+    with pytest.raises(InvalidConfig, match="class level 'state' requested but a label has no state"):
+        label_for_level(LabelHierarchy("Europe", "France"), "state")
 
 
 def _split(data, spec):

@@ -1,15 +1,21 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from seqclass.cli import main
-from seqclass.config import _FLOAT_KEYS, _INT_KEYS, ExperimentConfig, config_from_mapping, parse_config_file
+from seqclass.config import ExperimentConfig, config_from_mapping, parse_config_file
 from seqclass.errors import InvalidConfig
 from seqclass.ingest import save_corpus
 from seqclass.pipeline import report_to_json, run_experiment, strip_timing, write_report_csv
 
 from conftest import labeled_corpus, random_sequences, read_sqfv1
+
+
+# each config key's kind, read off its annotation ("int", "float | None", ...)
+KINDS = {f.name: f.type.split(" | ")[0] for f in fields(ExperimentConfig)}
+NUMERIC_KEYS = sorted(key for key, kind in KINDS.items() if kind in ("int", "float"))
 
 
 def _write_inputs(tmp_path, class_sizes, length=24, seed=0):
@@ -48,6 +54,23 @@ def test_parse_config_file(tmp_path):
     assert config.runs == 3
     assert config.use_rff is True
     assert config.train_fraction == 0.2
+
+
+def test_every_field_round_trips_through_its_string():
+    values = dict(
+        fasta="a.fa", metadata="m.tsv", corpus="c.bin", class_level="state", encoding="ohe", k=4,
+        expected_len=30, l2_normalize=True, use_rff=True, rff_dim=64, rff_gamma=0.25, rff_seed=3,
+        model="nn", lr_l2_lambda=0.01, lr_max_iters=7, lr_tol=1e-3, ridge_alpha=2.5,
+        nn_hidden_width=16, nn_batch_size=10, nn_epochs=3, nn_learning_rate=0.01, nn_seed=4,
+        train_fraction=0.3, stratified=False, split_seed=5, runs=2, parallel_runs=True, workers=2,
+        output_dir="out",
+    )
+    assert list(values) == list(KINDS)
+    default = ExperimentConfig()
+    assert all(getattr(default, key) != value for key, value in values.items())
+    config = config_from_mapping({key: str(value) for key, value in values.items()})
+    assert config == ExperimentConfig(**values)
+    assert all(type(getattr(config, key)).__name__ == kind for key, kind in KINDS.items())
 
 
 def test_config_rejects_unknown_key():
@@ -327,15 +350,46 @@ def test_every_export_resolves():
         getattr(seqclass, "no_such_name")
 
 
-def test_cli_exit_codes(tmp_path):
-    # missing input file -> data error
-    assert main(["ingest", "--fasta", str(tmp_path / "nope.fa"),
-                 "--metadata", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "x")]) == 3
-    # bad config value -> config error
-    _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
-    assert main(["run", "--corpus", str(corpus), "--model", "svm"]) == 2
-    # run without inputs -> config error
-    assert main(["run", "--model", "majority"]) == 2
+def test_cli_exit_codes(tmp_path, capsys):
+    _, fasta, meta, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
+    files = {
+        "latin1.fa": b">s1\nMD\xe9PEG\n",
+        "latin1.tsv": b"id\tcontinent\tcountry\tstate\ns1\tEurope\tFran\xe7e\t\n",
+        "latin1.cfg": b"model = nb  # caf\xe9\n",
+        "latin1.json": b'{"format": "seqclass-report/1", "note": "\xe9"}',
+        "object.json": b'{"a": 1}',
+        "list.json": b"[1]",
+        "text.json": b"not json",
+    }
+    for name, raw in files.items():
+        (tmp_path / name).write_bytes(raw)
+
+    def path(name):
+        return str(tmp_path / name)
+
+    out = path("out")
+    # argv, exit code, and text the error message must hold
+    table = [
+        (["ingest", "--fasta", path("nope.fa"), "--metadata", path("nope.tsv"), "--out", out],
+         3, "nope.fa"),
+        (["run", "--corpus", str(corpus), "--model", "svm"], 2, "model must be one of"),
+        (["run", "--model", "majority"], 2, "run needs either"),
+        (["ig", "--corpus", str(corpus), "--subsample", "-5", "--out", out], 2, "got -5"),
+        (["ig", "--corpus", str(corpus), "--subsample", "0", "--out", out], 2, "got 0"),
+        (["report", path("object.json"), "--out", out], 3, "object.json"),
+        (["report", path("list.json"), "--out", out], 3, "list.json"),
+        (["report", path("text.json"), "--out", out], 3, "text.json"),
+        (["report", path("latin1.json"), "--out", out], 3, "latin1.json"),
+        (["ingest", "--fasta", path("latin1.fa"), "--metadata", str(meta), "--out", out],
+         3, "latin1.fa"),
+        (["run", "--fasta", path("latin1.fa"), "--metadata", str(meta)], 3, "latin1.fa"),
+        (["ingest", "--fasta", str(fasta), "--metadata", path("latin1.tsv"), "--out", out],
+         3, "latin1.tsv"),
+        (["run", "--config", path("latin1.cfg"), "--corpus", str(corpus)], 3, "latin1.cfg"),
+    ]
+    for argv, code, named in table:
+        assert main(argv) == code, argv
+        assert named in capsys.readouterr().err, argv
 
 
 def test_cli_ig_subsample_and_histograms(tmp_path, monkeypatch):
@@ -365,7 +419,7 @@ def test_cli_ig_subsample_and_histograms(tmp_path, monkeypatch):
     assert len(passes) == 1
 
 
-@pytest.mark.parametrize("key", sorted(_INT_KEYS | _FLOAT_KEYS))
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
 def test_cli_non_numeric_config_value_is_config_error(tmp_path, capsys, key):
     flag = f"--{key.replace('_', '-')}"
     assert main(["run", "--corpus", str(tmp_path / "unread.bin"), flag, "abc"]) == 2
@@ -380,7 +434,7 @@ def test_cli_negative_lr_penalty_or_tol_is_config_error(tmp_path, capsys, monkey
     _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
     assert main(["run", "--corpus", str(corpus), "--model", "lr", flag, "-1"]) == 2
     key = flag[2:].replace("-", "_")
-    shown = -1 if key in _INT_KEYS else -1.0
+    shown = -1 if KINDS[key] == "int" else -1.0
     assert f"{key} must be >= 0, got {shown}" in capsys.readouterr().err
 
 
@@ -394,9 +448,22 @@ def test_cli_workers_below_one_is_config_error(tmp_path, workers):
 
 # --- memory pre-flight -----------------------------------------------------------
 
-@pytest.mark.parametrize("model, use_rff", [("nb", False), ("lr", False), ("nn", False),
-                                            ("majority", True), ("ridge", False)])
-def test_memory_estimate_matches_traced_peak(model, use_rff):
+# id: (model, use_rff, the train split's rows, columns and density)
+TRACED_PEAK_CASES = {
+    "nb-False": ("nb", False, 60, 20000, 0.005),
+    "lr-False": ("lr", False, 60, 20000, 0.005),
+    "nn-False": ("nn", False, 60, 20000, 0.005),
+    "majority-True": ("majority", True, 60, 20000, 0.005),
+    # a dense n x n dual Gram matrix that outweighs the C x d weights
+    "ridge-False": ("ridge", False, 1000, 3000, 0.05),
+    # n > d: the primal [X, 1] and its transpose outweigh the (d + 1)^2 Gram matrix
+    "ridge-primal": ("ridge", False, 4000, 300, 0.9),
+}
+
+
+@pytest.mark.parametrize("model, use_rff, n, d, density", TRACED_PEAK_CASES.values(),
+                         ids=TRACED_PEAK_CASES.keys())
+def test_memory_estimate_matches_traced_peak(model, use_rff, n, d, density):
     """The C x d (h x d, D x d, Gram) array count of the estimate, against tracemalloc's peak."""
     import tracemalloc
 
@@ -407,15 +474,13 @@ def test_memory_estimate_matches_traced_peak(model, use_rff):
     from seqclass.pipeline import memory_estimate
     from seqclass.rff import new_projector, project
 
-    n, C, d, D, h = 60, 20, 20000, 40, 64
-    density = 0.005
-    if model == "ridge":  # a dense n x n dual Gram matrix that outweighs the C x d weights
-        n, d, density = 1000, 3000, 0.05
+    C, D, h = 20, 40, 64
     X = sp.random(n, d, density=density, format="csr", random_state=3)
     y = np.arange(n) % C
     config = ExperimentConfig(model=model, use_rff=use_rff, rff_dim=D, nn_hidden_width=h,
                               train_fraction=0.5)
-    estimate, _ = memory_estimate(config, d, C, corpus_size=2 * n)  # n train rows
+    # n train rows, and a test split as dense as X
+    estimate, _ = memory_estimate(config, d, C, corpus_size=2 * n, corpus_nnz=2 * X.nnz)
     tracemalloc.start()
     if model == "ridge":
         lm.ridge_scores(lm.ridge_fit(X, y, class_count=C), X)
