@@ -21,10 +21,10 @@ _EXPORTS = {
     "features": ["ALPHABET", "ALPHABET_SIZE", "featurize_corpus", "kmer_counts", "kmer_index",
                  "kmer_matrix", "ohe_matrix"],
     "infogain": ["IgTable", "entropy", "information_gain"],
-    "ingest": ["LabeledSequence", "LabelHierarchy", "SequenceRecord", "SplitSpec", "class_ids",
-               "join_metadata", "parse_fasta", "split_indices"],
+    "ingest": ["LabeledSequence", "LabelHierarchy", "SequenceRecord", "class_ids", "join_metadata",
+               "parse_fasta", "split_indices"],
     "metrics": ["QUALITY", "aggregate", "confusion", "roc_auc_ovr_weighted", "summarize"],
-    "neural_net": ["FeedForwardNet", "NetConfig", "nn_scores", "nn_train"],
+    "neural_net": ["FeedForwardNet", "nn_scores", "nn_train"],
     "pipeline": ["run_experiment", "strip_timing"],
     "rff": ["RffProjector", "exact_kernel", "new_projector", "project"],
 }

@@ -89,7 +89,7 @@ def _cmd_run(args) -> int:
     else:
         raise ConfigError("run needs either corpus=... or fasta=...+metadata=...")
 
-    report, _manifest = run_experiment(config, data)
+    report = run_experiment(config, data)
     agg = report["aggregate"]
     print(
         f"{config.model} ({_embedding_name(report['config'])}) over {agg['run_count']} runs: "
@@ -122,7 +122,7 @@ def _cmd_ig(args) -> int:
 def _cmd_report(args) -> int:
     import json
 
-    from .pipeline import write_report_csv
+    from .pipeline import report_csv_row, write_report_csv
 
     reports = []
     for path in args.reports:
@@ -132,6 +132,12 @@ def _cmd_report(args) -> int:
             raise IoFailure(f"report {path!r} is not JSON: {exc}") from exc
         if not isinstance(report, dict) or report.get("format") != "seqclass-report/1":
             raise IoFailure(f"{path!r} is not a seqclass-report/1 report")
+        try:  # its row, so that a missing key is named before the output is opened
+            report_csv_row(report)
+        except KeyError as exc:
+            raise IoFailure(f"report {path!r} lacks the key {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:  # a field of the wrong kind
+            raise IoFailure(f"report {path!r} has a malformed field: {exc}") from exc
         reports.append(report)
     with open(args.out, "w", encoding="utf-8") as f:
         write_report_csv(f, reports)

@@ -64,15 +64,6 @@ class LabeledSequence:
     label: LabelHierarchy
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Train/test split parameters. ``train_fraction`` defaults to 0.10."""
-
-    train_fraction: float = 0.10
-    seed: int = 0
-    stratified: bool = True
-
-
 def encode_residues(ids: Sequence[str], seqs: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Alphabet index (0..20) of every residue, concatenated as uint8, plus per-sequence lengths.
 
@@ -198,7 +189,8 @@ def label_for_level(label: LabelHierarchy, class_level: str) -> str:
         raise InvalidConfig(f"unknown class level {class_level!r} (expected one of {CLASS_LEVELS})")
     name = getattr(label, class_level)
     if name is None:
-        raise InvalidConfig("class level 'state' requested but a label has no state")
+        raise InvalidConfig(
+            f"class level {class_level!r} requested but a label has no {class_level}")
     return name
 
 
@@ -231,29 +223,30 @@ def _largest_remainder(total: int, counts: np.ndarray) -> np.ndarray:
 
 def split_indices(
     n: int,
-    spec: SplitSpec,
+    train_fraction: float = 0.10,
+    seed: int = 0,
     class_labels: Sequence | np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index-level split; |train| = round(train_fraction * n), half up.
 
-    ``class_labels`` (one name or class id per item) is required for
-    stratified mode and drives largest-remainder apportionment of the
+    The split is stratified exactly when ``class_labels`` (one name or
+    class id per item) is given: largest-remainder apportionment of the
     train budget across classes, taken in sorted label order, so
     per-class proportions hold within rounding. Both outputs are
     sorted, disjoint and exhaustive.
     """
     if n < 1:
         raise EmptyJoin("cannot split an empty corpus")
-    if not 0.0 < spec.train_fraction < 1.0:
-        raise InvalidConfig(f"train_fraction must be in (0,1), got {spec.train_fraction}")
-    n_train = _round_half_up(spec.train_fraction * n)
-    rng = np.random.default_rng(spec.seed)
+    if not 0.0 < train_fraction < 1.0:
+        raise InvalidConfig(f"train_fraction must be in (0,1), got {train_fraction}")
+    n_train = _round_half_up(train_fraction * n)
+    rng = np.random.default_rng(seed)
 
-    if not spec.stratified:
+    if class_labels is None:
         perm = rng.permutation(n)
         train_idx = np.sort(perm[:n_train])
     else:
-        if class_labels is None or len(class_labels) != n:
+        if len(class_labels) != n:
             raise InvalidConfig("stratified split needs one class label per item")
         # object dtype compares the Python values: numpy's fixed-width strings drop trailing NULs
         labels, inverse, counts = np.unique(np.asarray(class_labels, dtype=object),
@@ -278,7 +271,8 @@ def split_indices(
 #
 # Binary layout: magic "SQCR1", u8 format version, u64 record count, then per
 # record five length-prefixed UTF-8 fields (id, continent, country, state,
-# residues); an absent state is encoded with length 0xFFFFFFFF.
+# residues); an absent state is encoded with length 0xFFFFFFFF, and no other
+# field may be absent.
 
 _CORPUS_MAGIC = b"SQCR1"
 _ABSENT = 0xFFFFFFFF
@@ -335,12 +329,12 @@ def load_corpus(path: str) -> list[LabeledSequence]:
             if version != 1:
                 raise IoFailure(f"unsupported corpus version {version}")
             data = []
-            for _ in range(count):
-                seq_id = _read_str(f)
-                continent = _read_str(f)
-                country = _read_str(f)
-                state = _read_str(f)
-                residues = _read_str(f)
+            for index in range(count):
+                seq_id, continent, country, state, residues = (_read_str(f) for _ in range(5))
+                required = (seq_id, continent, country, residues)
+                if None in required:  # only the state may be absent
+                    name = ("id", "continent", "country", "residues")[required.index(None)]
+                    raise IoFailure(f"corpus {path!r} record {index + 1} of {count} has no {name}")
                 data.append(
                     LabeledSequence(
                         record=SequenceRecord(id=seq_id, residues=residues),

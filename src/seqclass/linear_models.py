@@ -393,7 +393,11 @@ def _ridge_primal(X, targets: np.ndarray, alpha: float) -> tuple[np.ndarray, np.
     n, d = X.shape
     C = targets.shape[1]
     if sp.issparse(X):
-        A = sp.hstack([X, np.ones((n, 1))], format="csr")
+        # ridge_fit's float64 CSR with each row's 1 appended, as sp.hstack lays it
+        # out, but without the COO copy through which hstack peaks at 32 bytes a nonzero
+        row_ends = X.indptr[1:]
+        A = sp.csr_matrix((np.insert(X.data, row_ends, 1.0), np.insert(X.indices, row_ends, d),
+                           X.indptr + np.arange(n + 1, dtype=X.indptr.dtype)), shape=(n, d + 1))
     else:
         A = np.hstack([X, np.ones((n, 1))])
     penalty = np.ones(d + 1)

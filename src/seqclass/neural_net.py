@@ -21,12 +21,13 @@ not depend on the blocking or on the layouts of parameter and gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import (
+    DegenerateLabels,
     DimensionMismatch,
     InvalidConfig,
     LabelOutOfRange,
@@ -40,36 +41,13 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 INIT_BLOCK_BYTES = 2**20  # the part of the nominal w1 draw that nn_init holds at once
 
 
-@dataclass(frozen=True)
-class NetConfig:
-    input_dim: int
-    class_count: int
-    hidden_width: int | None = None  # None means one hidden unit per feature
-    batch_size: int = 100
-    epochs: int = 10
-    learning_rate: float = 0.001
-    seed: int = 0
-
-    def resolved_hidden(self) -> int:
-        return self.input_dim if self.hidden_width is None else self.hidden_width
-
-    def validate(self) -> None:
-        if self.input_dim < 1 or self.class_count < 1:
-            raise InvalidConfig("input_dim and class_count must be >= 1")
-        if self.resolved_hidden() < 1:
-            raise InvalidConfig("hidden_width must be >= 1")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise InvalidConfig("batch_size and epochs must be >= 1")
-        if not self.learning_rate > 0:
-            raise InvalidConfig("learning_rate must be positive")
-
-
 @dataclass
 class FeedForwardNet:
     w1: np.ndarray  # (h, d); Fortran-ordered while nn_train fits CSR input
     b1: np.ndarray  # (h,)
     w2: np.ndarray  # (C, h)
     b2: np.ndarray  # (C,)
+    loss_trace: list[float] = field(default_factory=list)  # nn_train's mean loss per epoch
 
 
 @dataclass
@@ -98,16 +76,22 @@ def _uniform_columns(rng: np.random.Generator, lim: float, shape: tuple[int, int
     return out
 
 
-def nn_init(config: NetConfig, columns: np.ndarray | None = None) -> FeedForwardNet:
+def nn_init(input_dim: int, class_count: int, hidden_width: int | None = None, seed: int = 0,
+            columns: np.ndarray | None = None) -> FeedForwardNet:
     """Glorot-uniform weights, zero biases; deterministic per seed.
 
+    The hidden width defaults to input_dim (one hidden unit per feature).
     With ``columns`` (sorted ids in [0, input_dim)), ``w1`` holds only those
     columns of the nominal (h, input_dim) draw, bit for bit; the limit and
     the default width stay those of the nominal input_dim.
     """
-    config.validate()
-    d, h, C = config.input_dim, config.resolved_hidden(), config.class_count
-    rng = np.random.default_rng([config.seed, 0])
+    d, C = input_dim, class_count
+    h = d if hidden_width is None else hidden_width
+    if d < 1 or C < 1:
+        raise InvalidConfig("input_dim and class_count must be >= 1")
+    if h < 1:
+        raise InvalidConfig("hidden_width must be >= 1")
+    rng = np.random.default_rng([seed, 0])
     lim1 = np.sqrt(6.0 / (d + h))
     lim2 = np.sqrt(6.0 / (h + C))
     if columns is None:
@@ -181,7 +165,8 @@ def _memory_rows(a: np.ndarray, layout: np.ndarray) -> np.ndarray:
     return a.T if layout.flags.f_contiguous and not layout.flags.c_contiguous else a
 
 
-def adam_step(net: FeedForwardNet, grads: list[np.ndarray], state: AdamState, config: NetConfig) -> None:
+def adam_step(net: FeedForwardNet, grads: list[np.ndarray], state: AdamState,
+              learning_rate: float) -> None:
     """Bias-corrected Adam update, in place, over blocks of ADAM_BLOCK_BYTES.
 
     Per element, in this order: m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
@@ -208,7 +193,7 @@ def adam_step(net: FeedForwardNet, grads: list[np.ndarray], state: AdamState, co
             vb += np.multiply(s, gb, out=s)
             np.sqrt(np.divide(vb, correction2, out=s), out=s)
             s += ADAM_EPS
-            np.multiply(np.divide(mb, correction1, out=t), config.learning_rate, out=t)
+            np.multiply(np.divide(mb, correction1, out=t), learning_rate, out=t)
             pb -= np.divide(t, s, out=t)
 
 
@@ -218,49 +203,55 @@ def epoch_shuffle_orders(seed: int, n: int, epochs: int) -> list[np.ndarray]:
     return [rng.permutation(n) for _ in range(epochs)]
 
 
-def nn_train(config: NetConfig, X, y,
-             columns: np.ndarray | None = None) -> tuple[FeedForwardNet, list[float]]:
-    """Train for the configured number of epochs; returns per-epoch mean loss.
+def nn_train(X, y, class_count: int, hidden_width: int | None = None, batch_size: int = 100,
+             epochs: int = 10, learning_rate: float = 0.001, seed: int = 0,
+             input_dim: int | None = None, columns: np.ndarray | None = None) -> FeedForwardNet:
+    """Train for ``epochs`` epochs; the net's loss_trace holds each epoch's mean loss.
 
     The seeded shuffle alone defines the visit order (`epoch_shuffle_orders`).
-    The final partial batch is trained, not dropped. Raises NonFiniteLoss
-    if the loss diverges.
+    The final partial batch is trained, not dropped. Raises DegenerateLabels
+    below 2 classes and NonFiniteLoss if the loss diverges.
 
-    With ``columns``, X holds those columns of the nominal input_dim and
-    the net starts from them (`nn_init`). If X's other columns are all
-    zero, the fit equals the nominal one restricted to ``columns``, bit
-    for bit: a column no row touches has a zero gradient, so its Adam
-    moments and updates stay exactly 0, and the monotone remap leaves
-    the sparse products their order of summation.
+    ``input_dim`` is the nominal width (default: X's). With ``columns``, X
+    holds those columns of it and the net starts from them (`nn_init`). If
+    X's other columns are all zero, the fit equals the nominal one
+    restricted to ``columns``, bit for bit: a column no row touches has a
+    zero gradient, so its Adam moments and updates stay exactly 0, and the
+    monotone remap leaves the sparse products their order of summation.
     """
-    config.validate()
+    if class_count < 2:
+        raise DegenerateLabels("the nn model needs at least 2 classes")
+    if batch_size < 1 or epochs < 1:
+        raise InvalidConfig("batch_size and epochs must be >= 1")
+    if not learning_rate > 0:
+        raise InvalidConfig("learning_rate must be positive")
     y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]
     if n < 1:
         raise InvalidConfig("training needs at least one sample")
-    if y.min() < 0 or y.max() >= config.class_count:
-        raise LabelOutOfRange(f"labels must lie in [0, {config.class_count})")
-    width = config.input_dim if columns is None else len(columns)
+    if y.min() < 0 or y.max() >= class_count:
+        raise LabelOutOfRange(f"labels must lie in [0, {class_count})")
+    input_dim = X.shape[1] if input_dim is None else input_dim
+    width = input_dim if columns is None else len(columns)
     if X.shape[1] != width:
-        raise DimensionMismatch(f"X has dim {X.shape[1]}, config and columns say {width}")
+        raise DimensionMismatch(f"X has dim {X.shape[1]}, input_dim and columns say {width}")
 
-    net = nn_init(config, columns)
+    net = nn_init(input_dim, class_count, hidden_width, seed, columns)
     if sp.issparse(X):
         net.w1 = np.asfortranarray(net.w1)  # the (d, h) C order of scipy's CSR products
     state = adam_init(net)
     sparse_in = sp.issparse(X)
-    trace: list[float] = []
-    for order in epoch_shuffle_orders(config.seed, n, config.epochs):
+    for order in epoch_shuffle_orders(seed, n, epochs):
         total = 0.0
-        for start in range(0, n, config.batch_size):
-            batch_idx = order[start : start + config.batch_size]
+        for start in range(0, n, batch_size):
+            batch_idx = order[start : start + batch_size]
             Xb = X[batch_idx] if sparse_in else np.asarray(X)[batch_idx]
             yb = y[batch_idx]
             loss, grads = nn_loss_and_grads(net, Xb, yb)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"training loss diverged at step {state.t + 1}")
-            adam_step(net, grads, state, config)
+            adam_step(net, grads, state, learning_rate)
             del grads  # so the next step's gradients do not coexist with these
             total += loss * len(batch_idx)
-        trace.append(total / n)
-    return net, trace
+        net.loss_trace.append(total / n)
+    return net

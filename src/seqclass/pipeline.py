@@ -47,19 +47,19 @@ import numpy as np
 from . import linear_models as lm
 from . import neural_net as nn
 from .config import ExperimentConfig
-from .errors import DegenerateLabels, InvalidConfig, IoFailure, SeqclassError
+from .errors import InvalidConfig, IoFailure, SeqclassError
 from .features import FeaturizedCorpus, _usable_cores, featurize_corpus, used_columns
-from .ingest import LabeledSequence, SplitSpec, _round_half_up, split_indices
+from .ingest import LabeledSequence, _round_half_up, split_indices
 from .metrics import QUALITY, aggregate, confusion, roc_auc_ovr_weighted, summarize
 from .rff import GEMM_BLOCK_BYTES, default_gamma, new_projector, project
 from .version import __version__
 
 # float64 C x used-columns arrays that fit and scoring hold at once, read
 # off linear_models: gnb_scores holds means, variances, its scratch array
-# and inv_var; logreg_fit holds the LBFGS_MEMORY = 5 (s, y) pairs, its
+# and inv_var; logreg_fit holds the LBFGS_MEMORY (s, y) pairs, its
 # parameters, gradient, direction and spare, and one gradient product
-# (tracemalloc: 15.0)
-_MODEL_PEAK_ARRAYS = {"nb": 4, "lr": 15}
+# (tracemalloc: 15.0 at LBFGS_MEMORY = 5)
+_MODEL_PEAK_ARRAYS = {"nb": 4, "lr": 2 * lm.LBFGS_MEMORY + 5}
 # float64 h x used-columns arrays that nn_train holds at once: w1, Adam's m
 # and v, and one step's gradient of w1 (adam_step works in block-sized scratch)
 _NN_PEAK_ARRAYS = 4
@@ -67,11 +67,12 @@ _NN_PEAK_ARRAYS = 4
 # X X' (or A'A) is densified, both copies live, up to 2.5 arrays (12 bytes
 # an entry when the product is dense); numpy's solve then copies the dense
 # one. tracemalloc saw 2.5 on dense dual Grams. The primal path also holds
-# the n x C targets and A = [X, 1]: dense, or sparse at 12 bytes a nonzero.
-# Building a sparse A peaks higher than A and the CSR transpose scipy takes
-# of it for A'A (12 more): tracemalloc saw 32.1 bytes a nonzero in sp.hstack
+# the n x C targets and A = [X, 1]: dense, or sparse at 12 bytes a nonzero
+# plus 12 for the CSR transpose scipy takes of it for A'A (building A peaks
+# at 13.1). On a 4000 x 300 split at 90 % density, tracemalloc saw 23.0
+# bytes a nonzero beside the Gram matrix and the targets
 _RIDGE_GRAM_ARRAYS = 3
-_RIDGE_SPARSE_A_BYTES = 32
+_RIDGE_SPARSE_A_BYTES = 24
 
 
 @contextmanager
@@ -161,7 +162,7 @@ def _run_seeds(config: ExperimentConfig, run_index: int) -> dict[str, int]:
 
 
 def _fit(config: ExperimentConfig, X_train, y_train, class_count: int,
-         input_dim: int, columns: np.ndarray | None):
+         input_dim: int, columns: np.ndarray | None, seed: int):
     """Fit the configured model; returns it, the function that scores it, and its diagnostics.
 
     Every score function maps (model, X) to an n x C matrix whose argmax
@@ -169,7 +170,8 @@ def _fit(config: ExperimentConfig, X_train, y_train, class_count: int,
     time, so a wrapper installed there is honoured. The diagnostics give
     the model's kind, hyperparameters and training outcome. ``input_dim``
     is the nominal width and ``columns`` the nominal ids of X_train's
-    columns (None: all of them); only the nn reads them, for its nominal init.
+    columns (None: all of them); only the nn reads them, for its nominal
+    init, and ``seed``, the run's model seed.
     """
     if config.model == "majority":
         model, scores = lm.majority_fit(y_train, class_count), lm.majority_scores
@@ -194,37 +196,30 @@ def _fit(config: ExperimentConfig, X_train, y_train, class_count: int,
         model = lm.ridge_fit(X_train, y_train, alpha=config.ridge_alpha, class_count=class_count)
         scores, diagnostics = lm.ridge_scores, {"kind": "ridge", "alpha": model.alpha}
     else:
-        if class_count < 2:
-            raise DegenerateLabels("the nn model needs at least 2 classes")
-        net_config = nn.NetConfig(
-            input_dim=input_dim,
-            class_count=class_count,
+        model = nn.nn_train(
+            X_train, y_train, class_count,
             hidden_width=config.nn_hidden_width,
             batch_size=config.nn_batch_size,
             epochs=config.nn_epochs,
             learning_rate=config.nn_learning_rate,
-            seed=config.nn_seed,
+            seed=seed,
+            input_dim=input_dim,
+            columns=columns,
         )
-        model, epoch_losses = nn.nn_train(net_config, X_train, y_train, columns)
         scores = nn.nn_scores
         diagnostics = {"kind": "nn", "hidden_width": int(model.w1.shape[0]),
-                       "epochs": len(epoch_losses), "final_loss": epoch_losses[-1]}
+                       "epochs": len(model.loss_trace), "final_loss": model.loss_trace[-1]}
     return model, scores, diagnostics
 
 
 def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: int):
     """One repetition: split, optional projection, fit, score."""
     seeds = _run_seeds(config, run_index)
-    spec = SplitSpec(
-        train_fraction=config.train_fraction,
-        seed=seeds["split"],
-        stratified=config.stratified,
-    )
     with _stage("split"):
         # by name, so that ClassTooSmall names the class (object dtype: see split_indices)
         names = np.asarray(feats.class_names, dtype=object)[feats.labels]
-        train_idx, test_idx = split_indices(feats.matrix.shape[0], spec,
-                                            names if config.stratified else None)
+        train_idx, test_idx = split_indices(feats.matrix.shape[0], config.train_fraction,
+                                            seeds["split"], names if config.stratified else None)
 
     X_train = feats.matrix[train_idx]
     X_test = feats.matrix[test_idx]
@@ -241,12 +236,11 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
             X_test = project(projector, X_test)
     input_dim, columns = (config.rff_dim, None) if config.use_rff else (feats.dim, feats.columns)
 
-    run_config = replace(config, nn_seed=seeds["model"])
     class_count = len(feats.class_names)
     with _stage("fit"):
         tic = time.perf_counter()
-        model, model_scores, diagnostics = _fit(run_config, X_train, y_train, class_count,
-                                                input_dim, columns)
+        model, model_scores, diagnostics = _fit(config, X_train, y_train, class_count,
+                                                input_dim, columns, seeds["model"])
         fit_seconds = time.perf_counter() - tic
         scores = model_scores(model, X_test)
     predictions = np.argmax(scores, axis=1)
@@ -268,11 +262,11 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
 def run_experiment(
     config: ExperimentConfig,
     data: list[LabeledSequence],
-) -> tuple[dict, dict]:
+) -> dict:
     """Execute the full protocol on an in-memory corpus.
 
-    Returns (report, manifest); artifacts are also written when
-    config.output_dir is set (report.json, report.csv, manifest.json).
+    Returns the report, which is also written as report.json and
+    report.csv when config.output_dir is set.
     """
     config.validate()
     with _stage("featurize"):
@@ -315,32 +309,16 @@ def run_experiment(
         "feature_columns": int(feats.matrix.shape[1]),
         "runs": results,
         "aggregate": summary,
-    }
-    manifest = {
-        "format": "seqclass-manifest/1",
-        "tool_version": __version__,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "config": asdict(config),
-        "per_run_seeds": [r["seeds"] for r in results],
-        "artifacts": {},
+        "timing": {"created_utc": datetime.now(timezone.utc).isoformat()},
     }
 
     if config.output_dir:
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        report_json = out / "report.json"
-        report_csv = out / "report.csv"
-        manifest_json = out / "manifest.json"
-        manifest["artifacts"] = {
-            "report_json": str(report_json),
-            "report_csv": str(report_csv),
-            "manifest_json": str(manifest_json),
-        }
-        write_json(report_json, report)
-        with open(report_csv, "w", encoding="utf-8") as f:
+        write_json(out / "report.json", report)
+        with open(out / "report.csv", "w", encoding="utf-8") as f:
             write_report_csv(f, [report])
-        write_json(manifest_json, manifest)
-    return report, manifest
+    return report
 
 
 def write_json(path, payload: dict) -> None:
@@ -375,19 +353,23 @@ def _embedding_name(config: dict) -> str:
     return f"{base}+rff" if config.get("use_rff") else base
 
 
+def report_csv_row(report: dict) -> str:
+    """A report's `mean ± std` row in the fixed column layout; KeyError names a missing key."""
+    agg = report["aggregate"]
+    cells = [
+        _embedding_name(report["config"]),
+        report["config"]["model"],
+    ]
+    for key in QUALITY:
+        cells.append(f"{agg['mean'][key]:.4f} ± {agg['std'][key]:.4f}")
+    cells.append(
+        f"{agg['timing']['train_runtime_seconds_mean']:.3f} ± "
+        f"{agg['timing']['train_runtime_seconds_std']:.3f}"
+    )
+    return ",".join(cells) + "\n"
+
+
 def write_report_csv(handle: IO[str], reports: list[dict]) -> None:
-    """One `mean ± std` row per report, with the fixed metric column layout."""
+    """The header, then one `report_csv_row` per report."""
     handle.write(",".join(CSV_COLUMNS) + "\n")
-    for report in reports:
-        agg = report["aggregate"]
-        cells = [
-            _embedding_name(report["config"]),
-            report["config"]["model"],
-        ]
-        for key in QUALITY:
-            cells.append(f"{agg['mean'][key]:.4f} ± {agg['std'][key]:.4f}")
-        cells.append(
-            f"{agg['timing']['train_runtime_seconds_mean']:.3f} ± "
-            f"{agg['timing']['train_runtime_seconds_std']:.3f}"
-        )
-        handle.write(",".join(cells) + "\n")
+    handle.writelines(report_csv_row(report) for report in reports)

@@ -38,7 +38,7 @@ def _majority_aggregate(class_sizes, runs=5, length=24, seed=0):
     config = ExperimentConfig(model="majority", class_level="country", runs=runs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report, _ = run_experiment(config, data)
+        report = run_experiment(config, data)
     return report["aggregate"]
 
 
@@ -217,9 +217,7 @@ def test_c05_gradient_correctness():
     for _ in range(50):  # feed-forward net on tiny instances
         d, h, C = int(rng.integers(2, 6)), int(rng.integers(2, 5)), int(rng.integers(2, 4))
         n = int(rng.integers(2, 11))
-        config = nnet.NetConfig(input_dim=d, class_count=C, hidden_width=h,
-                                seed=int(rng.integers(10_000)))
-        net = nnet.nn_init(config)
+        net = nnet.nn_init(d, C, h, seed=int(rng.integers(10_000)))
         X = rng.normal(size=(n, d))
         y = rng.integers(0, C, size=n)
         _, grads = nnet.nn_loss_and_grads(net, X, y)
@@ -292,7 +290,7 @@ def test_c06_learnability_ordering():
             ("ridge", {"use_rff": True}),
         ):
             config = ExperimentConfig(model=model, encoding="kmers", runs=1, **extra)
-            report, _ = run_experiment(config, data)
+            report = run_experiment(config, data)
             accs[model] = report["aggregate"]["mean"]["accuracy"]
     elapsed = time.perf_counter() - tic
     ok = (

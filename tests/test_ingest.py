@@ -18,9 +18,9 @@ from seqclass.features import featurize_corpus
 from seqclass.infogain import position_histograms
 from seqclass.ingest import (
     AMINO_ACIDS,
+    LabeledSequence,
     LabelHierarchy,
     SequenceRecord,
-    SplitSpec,
     class_ids,
     join_metadata,
     label_for_level,
@@ -153,27 +153,27 @@ def test_label_for_level():
         label_for_level(LabelHierarchy("Europe", "France"), "state")
 
 
-def _split(data, spec):
-    """Train and test items of a split by country, each in corpus order."""
-    train_idx, test_idx = split_indices(len(data), spec, [item.label.country for item in data])
+def _split(data, train_fraction, seed, stratified=True):
+    """Train and test items of a split (by country when stratified), each in corpus order."""
+    labels = [item.label.country for item in data] if stratified else None
+    train_idx, test_idx = split_indices(len(data), train_fraction, seed, labels)
     return [data[i] for i in train_idx], [data[i] for i in test_idx]
 
 
 def test_split_sizes_and_determinism():
     data = labeled_corpus({"a": 50, "b": 50}, seed=3)
-    spec = SplitSpec(train_fraction=0.10, seed=7)
-    train, test = _split(data, spec)
+    train, test = _split(data, 0.10, 7)
     assert len(train) == 10 and len(test) == 90
     ids = {item.record.id for item in train}
     assert ids.isdisjoint({item.record.id for item in test})
-    train2, _ = _split(data, spec)
+    train2, _ = _split(data, 0.10, 7)
     assert [t.record.id for t in train] == [t.record.id for t in train2]
 
 
 def test_split_stratified_rounding():
     # 0.10 of {a: 60, b: 40} must give exactly 6 + 4: enumerate memberships
     data = labeled_corpus({"a": 60, "b": 40}, seed=5)
-    train, _ = _split(data, SplitSpec(train_fraction=0.10, seed=11))
+    train, _ = _split(data, 0.10, 11)
     by_class = {"a": 0, "b": 0}
     for item in train:
         by_class[item.label.country] += 1
@@ -190,8 +190,7 @@ def test_split_partition_property():
         labels = [f"c{int(x)}" for x in rng.integers(0, 3, size=n)]
         while stratified and min(labels.count(c) for c in set(labels)) < 2:
             labels = [f"c{int(x)}" for x in rng.integers(0, 3, size=n)]
-        spec = SplitSpec(train_fraction=frac, seed=seed, stratified=stratified)
-        tr, te = split_indices(n, spec, labels)
+        tr, te = split_indices(n, frac, seed, labels if stratified else None)
         assert len(tr) == int(np.floor(frac * n + 0.5))
         assert len(set(tr) & set(te)) == 0
         assert sorted(set(tr) | set(te)) == list(range(n))
@@ -200,19 +199,19 @@ def test_split_partition_property():
 def test_split_class_too_small():
     data = labeled_corpus({"a": 10, "b": 1}, seed=2)
     with pytest.raises(ClassTooSmall):
-        _split(data, SplitSpec(train_fraction=0.5, seed=0, stratified=True))
+        _split(data, 0.5, 0, stratified=True)
 
 
 def test_split_unstratified_ignores_singletons():
     data = labeled_corpus({"a": 10, "b": 1}, seed=2)
-    train, test = _split(data, SplitSpec(train_fraction=0.5, seed=0, stratified=False))
+    train, test = _split(data, 0.5, 0, stratified=False)
     assert len(train) == 6 and len(test) == 5
 
 
-def _reference_split(n, spec, class_labels):
+def _reference_split(n, train_fraction, seed, class_labels):
     """The dict-of-lists stratified split that split_indices replaced, as its reference."""
-    n_train = int(np.floor(spec.train_fraction * n + 0.5))
-    rng = np.random.default_rng(spec.seed)
+    n_train = int(np.floor(train_fraction * n + 0.5))
+    rng = np.random.default_rng(seed)
     class_names = sorted(set(class_labels))
     members = {name: [] for name in class_names}
     for i, name in enumerate(class_labels):
@@ -244,15 +243,14 @@ def _split_cases(rng, count):
         n = int(rng.integers(2, 200))
         classes = rng.choice(len(_NAMES), size=int(rng.integers(1, len(_NAMES) + 1)), replace=False)
         names = [_NAMES[c] for c in rng.choice(classes, size=n)]
-        spec = SplitSpec(train_fraction=float(rng.uniform(0.02, 0.98)),
-                         seed=int(rng.integers(0, 2**31)))
-        yield n, spec, names
+        fraction = float(rng.uniform(0.02, 0.98))
+        yield n, (fraction, int(rng.integers(0, 2**31))), names
     # largest-remainder ties: equal classes whose quotas all end in .5, or in thirds
     for sizes, fraction in (([5, 5, 5], 0.1), ([3, 3, 3, 3], 0.5), ([2, 2, 2], 0.5),
                             ([4, 4, 4, 4, 4, 4], 0.25), ([7, 7, 7], 1 / 3)):
         names = [_NAMES[c] for c, size in enumerate(sizes) for _ in range(size)]
         for seed in range(3):
-            yield len(names), SplitSpec(train_fraction=fraction, seed=seed), names
+            yield len(names), (fraction, seed), names
 
 
 def test_split_is_bit_identical_to_reference_for_names_and_ids(rng):
@@ -261,18 +259,18 @@ def test_split_is_bit_identical_to_reference_for_names_and_ids(rng):
         index = {name: i for i, name in enumerate(sorted(set(names)))}
         ids = np.array([index[name] for name in names], dtype=np.int64)
         try:
-            want = _reference_split(n, spec, names)
+            want = _reference_split(n, *spec, names)
         except ClassTooSmall as exc:
             small += 1
             first = min(name for name in names if names.count(name) == 1)
             assert str(exc).startswith(f"class {first!r} ")
             with pytest.raises(ClassTooSmall, match=f"^class {re.escape(repr(first))} "):
-                split_indices(n, spec, names)
+                split_indices(n, *spec, names)
             with pytest.raises(ClassTooSmall, match=f"^class {index[first]} "):
-                split_indices(n, spec, ids)
+                split_indices(n, *spec, ids)
             continue
         for labels in (names, ids, np.asarray(names, dtype=object)):
-            got = split_indices(n, spec, labels)
+            got = split_indices(n, *spec, labels)
             assert all(g.dtype == np.int64 for g in got)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert 0 < small < 400  # both branches ran
@@ -299,6 +297,23 @@ def test_corpus_round_trip(tmp_path, rng):
     path = tmp_path / "corpus.bin"
     save_corpus(str(path), data)
     assert load_corpus(str(path)) == data
+
+
+@pytest.mark.parametrize("field", ["id", "continent", "country", "residues"])
+def test_corpus_with_an_absent_field_other_than_state_is_io_failure(tmp_path, field):
+    data = labeled_corpus({"a": 3, "b": 2}, length=6, seed=4)
+    item = data[-1]
+    record = SequenceRecord(None if field == "id" else item.record.id,
+                            None if field == "residues" else item.record.residues)
+    label = LabelHierarchy(None if field == "continent" else item.label.continent,
+                           None if field == "country" else item.label.country, item.label.state)
+    path = tmp_path / "corpus.bin"
+    save_corpus(str(path), data[:-1] + [LabeledSequence(record, label)])
+    with pytest.raises(IoFailure, match=f"corpus.bin' record 5 of 5 has no {field}$"):
+        load_corpus(str(path))
+    absent_state = LabeledSequence(item.record, LabelHierarchy("Europe", "France"))
+    save_corpus(str(path), data[:-1] + [absent_state])
+    assert load_corpus(str(path))[-1] == absent_state
 
 
 def test_truncated_or_undecodable_corpus_is_io_failure(tmp_path):

@@ -383,13 +383,12 @@ def test_score_shapes_and_tie_direction(rng):
     X = rng.normal(size=(12, 5))
     y = rng.integers(0, 3, 12)
     y[:3] = [0, 1, 2]
-    net_config = nnet.NetConfig(input_dim=5, class_count=3, hidden_width=4, epochs=2)
     for fit, score in (
         (lambda: lm.majority_fit(y, 3), lm.majority_scores),
         (lambda: lm.gnb_fit(X, y), lm.gnb_scores),
         (lambda: lm.logreg_fit(X, y, max_iters=20), lm.logreg_proba),
         (lambda: lm.ridge_fit(X, y), lm.ridge_scores),
-        (lambda: nnet.nn_train(net_config, X, y)[0], nnet.nn_scores),
+        (lambda: nnet.nn_train(X, y, 3, hidden_width=4, epochs=2), nnet.nn_scores),
     ):
         model = fit()
         for rows in (X, sp.csr_matrix(X), X[:1]):
@@ -420,7 +419,7 @@ def test_model_summary_names_each_kind(rng):
     fitted = {}
     for name in keys:
         config = ExperimentConfig(model=name, lr_max_iters=30, nn_hidden_width=8, nn_epochs=3)
-        model, scores, diagnostics = _fit(config, X, y, 2, 4, None)
+        model, scores, diagnostics = _fit(config, X, y, 2, 4, None, config.nn_seed)
         assert list(diagnostics) == keys[name]
         assert scores(model, X).shape == (30, 2)
         fitted[name] = model, diagnostics
@@ -436,8 +435,8 @@ def test_model_summary_names_each_kind(rng):
     assert fitted["ridge"][1]["alpha"] == 1.0
     nn_diagnostics = fitted["nn"][1]
     assert nn_diagnostics["hidden_width"] == 8 and nn_diagnostics["epochs"] == 3
-    net_config = nnet.NetConfig(input_dim=4, class_count=2, hidden_width=8, epochs=3)
-    assert nn_diagnostics["final_loss"] == nnet.nn_train(net_config, X, y)[1][-1]
+    net = nnet.nn_train(X, y, 2, hidden_width=8, epochs=3)
+    assert nn_diagnostics["final_loss"] == net.loss_trace[-1]
 
 
 # --- fits in the used columns ------------------------------------------------

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 import seqclass.neural_net as nnet
 from seqclass.errors import (
+    DegenerateLabels,
     DimensionMismatch,
     InvalidConfig,
     LabelOutOfRange,
@@ -11,8 +12,16 @@ from seqclass.errors import (
 )
 
 
-def _tiny_config(d=4, C=3, h=5, seed=0, **kw):
-    return nnet.NetConfig(input_dim=d, class_count=C, hidden_width=h, seed=seed, **kw)
+def _tiny_config(d=4, C=3, h=5, seed=0):
+    """nn_init's arguments for a small net."""
+    return {"input_dim": d, "class_count": C, "hidden_width": h, "seed": seed}
+
+
+def _settings(input_dim, class_count, **kw):
+    """nn_train's keyword arguments, its defaults filled in, as the reference loop reads them."""
+    defaults = {"hidden_width": None, "batch_size": 100, "epochs": 10, "learning_rate": 0.001,
+                "seed": 0}
+    return {"input_dim": input_dim, "class_count": class_count, **defaults, **kw}
 
 
 def _blobs(rng, n_per_class, centers, scale=1.0):
@@ -26,29 +35,46 @@ def _blobs(rng, n_per_class, centers, scale=1.0):
 
 
 def test_init_deterministic():
-    a = nnet.nn_init(_tiny_config(seed=9))
-    b = nnet.nn_init(_tiny_config(seed=9))
+    a = nnet.nn_init(**_tiny_config(seed=9))
+    b = nnet.nn_init(**_tiny_config(seed=9))
     assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
 
 
 def test_init_biases_zero_and_glorot_bound():
-    net = nnet.nn_init(_tiny_config(d=6, C=2, h=10))
+    net = nnet.nn_init(**_tiny_config(d=6, C=2, h=10))
     assert np.all(net.b1 == 0) and np.all(net.b2 == 0)
     assert np.abs(net.w1).max() <= np.sqrt(6.0 / (6 + 10))
     assert np.abs(net.w2).max() <= np.sqrt(6.0 / (10 + 2))
 
 
-def test_hidden_width_defaults_to_input_dim():
-    config = nnet.NetConfig(input_dim=7, class_count=2)
-    assert config.resolved_hidden() == 7
-    assert nnet.nn_init(config).w1.shape == (7, 7)
+def test_hidden_width_defaults_to_input_dim(rng):
+    assert nnet.nn_init(7, 2).w1.shape == (7, 7)
+    assert nnet.nn_train(rng.normal(size=(4, 7)), [0, 1, 0, 1], 2, epochs=1).w1.shape == (7, 7)
 
 
 def test_init_rejects_bad_config():
     with pytest.raises(InvalidConfig):
-        nnet.nn_init(nnet.NetConfig(input_dim=0, class_count=2))
+        nnet.nn_init(0, 2)
     with pytest.raises(InvalidConfig):
-        nnet.nn_init(nnet.NetConfig(input_dim=2, class_count=2, batch_size=0))
+        nnet.nn_train(np.zeros((2, 2)), [0, 1], 2, batch_size=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nnet.nn_init(2, 0), "input_dim and class_count must be >= 1"),
+    (lambda: nnet.nn_init(2, 2, hidden_width=0), "hidden_width must be >= 1"),
+    (lambda: nnet.nn_train(np.zeros((2, 2)), [0, 1], 2, hidden_width=0), "hidden_width must be >= 1"),
+    (lambda: nnet.nn_train(np.zeros((2, 2)), [0, 1], 2, epochs=0), "batch_size and epochs must be >= 1"),
+    (lambda: nnet.nn_train(np.zeros((2, 2)), [0, 1], 2, learning_rate=0.0),
+     "learning_rate must be positive"),
+])
+def test_each_setting_is_checked_where_it_is_used(call, message):
+    with pytest.raises(InvalidConfig, match=message):
+        call()
+
+
+def test_train_on_one_class_is_degenerate(rng):
+    with pytest.raises(DegenerateLabels, match="at least 2 classes"):
+        nnet.nn_train(rng.normal(size=(6, 3)), np.zeros(6, dtype=int), 1)
 
 
 def test_forward_zero_net_is_uniform(rng):
@@ -58,8 +84,7 @@ def test_forward_zero_net_is_uniform(rng):
 
 
 def test_forward_shift_invariance(rng):
-    config = _tiny_config()
-    net = nnet.nn_init(config)
+    net = nnet.nn_init(**_tiny_config())
     X = rng.normal(size=(8, 4))
     base = nnet.nn_scores(net, X)
     shifted = nnet.FeedForwardNet(net.w1, net.b1, net.w2, net.b2 + 12.5)
@@ -77,13 +102,13 @@ def test_forward_stability_at_huge_logits(rng):
 
 def test_forward_rows_sum_to_one(rng):
     for seed in range(3):
-        net = nnet.nn_init(_tiny_config(d=6, C=4, h=8, seed=seed))
+        net = nnet.nn_init(**_tiny_config(d=6, C=4, h=8, seed=seed))
         probs = nnet.nn_scores(net, rng.normal(size=(10, 6)))
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_forward_dimension_mismatch(rng):
-    net = nnet.nn_init(_tiny_config())
+    net = nnet.nn_init(**_tiny_config())
     with pytest.raises(DimensionMismatch):
         nnet.nn_scores(net, rng.normal(size=(2, 9)))
 
@@ -108,9 +133,7 @@ def test_gradients_match_finite_differences(rng):
         h = int(rng.integers(2, 5))
         C = int(rng.integers(2, 4))
         n = int(rng.integers(2, 10))
-        config = nnet.NetConfig(input_dim=d, class_count=C, hidden_width=h,
-                                seed=int(rng.integers(1000)))
-        net = nnet.nn_init(config)
+        net = nnet.nn_init(d, C, h, seed=int(rng.integers(1000)))
         X = rng.normal(size=(n, d))
         y = rng.integers(0, C, size=n)
         _, grads = nnet.nn_loss_and_grads(net, X, y)
@@ -132,12 +155,11 @@ def test_gradients_match_finite_differences(rng):
 
 
 def test_adam_zero_gradient_is_identity():
-    config = _tiny_config()
-    net = nnet.nn_init(config)
+    net = nnet.nn_init(**_tiny_config())
     before = [net.w1.copy(), net.b1.copy(), net.w2.copy(), net.b2.copy()]
     state = nnet.adam_init(net)
     zero_grads = [np.zeros_like(p) for p in before]
-    nnet.adam_step(net, zero_grads, state, config)
+    nnet.adam_step(net, zero_grads, state, 0.001)
     after = [net.w1, net.b1, net.w2, net.b2]
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
@@ -147,72 +169,64 @@ def test_adam_zero_gradient_is_identity():
 def test_train_blobs_reaches_high_accuracy(rng):
     # centers 6 sigma apart in 10-d: label noise is negligible by construction
     X, y = _blobs(rng, 500, [tuple([0.0] * 10), tuple([6.0] * 10)], scale=1.0)
-    config = nnet.NetConfig(input_dim=10, class_count=2, hidden_width=128, seed=4)
-    net, trace = nnet.nn_train(config, X, y)
+    net = nnet.nn_train(X, y, 2, hidden_width=128, seed=4)
     acc = (np.argmax(nnet.nn_scores(net, X), axis=1) == y).mean()
     assert acc >= 0.99
-    assert len(trace) == config.epochs == 10
+    assert len(net.loss_trace) == 10
 
 
 def test_train_loss_decreases_across_seeds(rng):
     for seed in range(5):
         X, y = _blobs(rng, 80, [(0.0, 0.0), (3.0, 3.0)], scale=1.0)
-        config = nnet.NetConfig(input_dim=2, class_count=2, hidden_width=8, seed=seed)
-        _, trace = nnet.nn_train(config, X, y)
+        trace = nnet.nn_train(X, y, 2, hidden_width=8, seed=seed).loss_trace
         assert trace[-1] < trace[0]
 
 
 def test_train_full_batch_degenerate(rng):
     # batch_size >= n means one full-batch step per epoch; still converges
     X, y = _blobs(rng, 50, [(0.0,), (5.0,)], scale=0.5)
-    config = nnet.NetConfig(input_dim=1, class_count=2, hidden_width=8,
-                            batch_size=10_000, epochs=300, seed=1)
-    net, trace = nnet.nn_train(config, X, y)
-    assert len(trace) == 300
+    net = nnet.nn_train(X, y, 2, hidden_width=8, batch_size=10_000, epochs=300, seed=1)
+    assert len(net.loss_trace) == 300
     assert (np.argmax(nnet.nn_scores(net, X), axis=1) == y).mean() >= 0.99
 
 
 def test_train_deterministic(rng):
     X, y = _blobs(rng, 40, [(0.0, 1.0), (2.0, -1.0)], scale=1.0)
-    config = nnet.NetConfig(input_dim=2, class_count=2, hidden_width=6, seed=3)
-    net_a, trace_a = nnet.nn_train(config, X, y)
-    net_b, trace_b = nnet.nn_train(config, X, y)
-    assert trace_a == trace_b
+    net_a = nnet.nn_train(X, y, 2, hidden_width=6, seed=3)
+    net_b = nnet.nn_train(X, y, 2, hidden_width=6, seed=3)
+    assert net_a.loss_trace == net_b.loss_trace
     assert np.array_equal(net_a.w1, net_b.w1) and np.array_equal(net_a.w2, net_b.w2)
 
 
 def test_train_sparse_input_close_to_dense(rng):
     X = rng.poisson(1.0, size=(120, 12)).astype(np.float64)
     y = (X[:, 0] + X[:, 1] > 2).astype(int)
-    config = nnet.NetConfig(input_dim=12, class_count=2, hidden_width=6, seed=2, epochs=3)
-    net_d, trace_d = nnet.nn_train(config, X, y)
-    net_s, trace_s = nnet.nn_train(config, sp.csr_matrix(X), y)
-    assert abs(trace_d[-1] - trace_s[-1]) < 1e-6
+    net_d = nnet.nn_train(X, y, 2, hidden_width=6, seed=2, epochs=3)
+    net_s = nnet.nn_train(sp.csr_matrix(X), y, 2, hidden_width=6, seed=2, epochs=3)
+    assert abs(net_d.loss_trace[-1] - net_s.loss_trace[-1]) < 1e-6
     assert np.allclose(net_d.w1, net_s.w1, atol=1e-8)
 
 
 def test_train_label_out_of_range(rng):
-    config = _tiny_config(d=2, C=2, h=3)
     with pytest.raises(LabelOutOfRange):
-        nnet.nn_train(config, rng.normal(size=(4, 2)), [0, 1, 2, 0])
+        nnet.nn_train(rng.normal(size=(4, 2)), [0, 1, 2, 0], 2, hidden_width=3)
 
 
 def test_train_non_finite_loss_detected(rng):
     X = rng.normal(size=(10, 2))
     X[3, 1] = np.inf  # poisoned input propagates to a non-finite loss
     y = rng.integers(0, 2, 10)
-    config = nnet.NetConfig(input_dim=2, class_count=2, hidden_width=3, seed=0)
     with pytest.raises(NonFiniteLoss):
         with np.errstate(over="ignore", invalid="ignore"):
-            nnet.nn_train(config, X, y)
+            nnet.nn_train(X, y, 2, hidden_width=3, seed=0)
 
 
 # --- memory layout and the blocked Adam update --------------------------------
 
 def _reference_init(config):
     """Glorot-uniform init with every array C-ordered, the reference layout."""
-    d, h, C = config.input_dim, config.resolved_hidden(), config.class_count
-    rng = np.random.default_rng([config.seed, 0])
+    d, h, C = config["input_dim"], config["hidden_width"], config["class_count"]
+    rng = np.random.default_rng([config["seed"], 0])
     lim1 = np.sqrt(6.0 / (d + h))
     lim2 = np.sqrt(6.0 / (h + C))
     return nnet.FeedForwardNet(
@@ -223,7 +237,7 @@ def _reference_init(config):
     )
 
 
-def _reference_adam_step(net, grads, state, config):
+def _reference_adam_step(net, grads, state, learning_rate):
     """The whole-array Adam update, the reference for the blocked one."""
     state.t += 1
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -235,7 +249,7 @@ def _reference_adam_step(net, grads, state, config):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= config.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + eps)
+        p -= learning_rate * (m / correction1) / (np.sqrt(v / correction2) + eps)
 
 
 def _reference_train(config, X, y):
@@ -244,12 +258,13 @@ def _reference_train(config, X, y):
     net = _reference_init(config)
     state = nnet.adam_init(net)
     trace = []
-    for order in nnet.epoch_shuffle_orders(config.seed, n, config.epochs):
+    batch_size = config["batch_size"]
+    for order in nnet.epoch_shuffle_orders(config["seed"], n, config["epochs"]):
         total = 0.0
-        for start in range(0, n, config.batch_size):
-            batch_idx = order[start : start + config.batch_size]
+        for start in range(0, n, batch_size):
+            batch_idx = order[start : start + batch_size]
             loss, grads = nnet.nn_loss_and_grads(net, X[batch_idx], y[batch_idx])
-            _reference_adam_step(net, grads, state, config)
+            _reference_adam_step(net, grads, state, config["learning_rate"])
             total += loss * len(batch_idx)
         trace.append(total / n)
     return net, state, trace
@@ -259,15 +274,15 @@ def _train_with_state(monkeypatch, config, X, y):
     """nn_train, plus the Adam state its last adam_step call updated."""
     seen = []
 
-    def recording_step(net, grads, state, cfg):
+    def recording_step(net, grads, state, learning_rate):
         seen.append(state)
-        return step(net, grads, state, cfg)
+        return step(net, grads, state, learning_rate)
 
     step = nnet.adam_step
     monkeypatch.setattr(nnet, "adam_step", recording_step)
-    net, trace = nnet.nn_train(config, X, y)
+    net = nnet.nn_train(X, y, **config)
     monkeypatch.setattr(nnet, "adam_step", step)
-    return net, seen[-1], trace
+    return net, seen[-1], net.loss_trace
 
 
 def _assert_same_training(got, want):
@@ -300,8 +315,8 @@ def test_train_is_bit_identical_to_reference(monkeypatch, rng, kind, h, batch_si
     # 130 rows in batches of 50 leave a ragged last batch of 30
     X = _layout_inputs(kind, rng)
     y = rng.integers(0, 4, X.shape[0])
-    config = nnet.NetConfig(input_dim=X.shape[1], class_count=4, hidden_width=h,
-                            batch_size=batch_size, epochs=epochs, seed=11)
+    config = _settings(X.shape[1], 4, hidden_width=h, batch_size=batch_size, epochs=epochs,
+                       seed=11)
     net, state, trace = _train_with_state(monkeypatch, config, X, y)
     assert net.w1.flags.f_contiguous == (sp.issparse(X) or h == 1)
     _assert_same_training((net, state, trace), _reference_train(config, X, y))
@@ -323,8 +338,7 @@ def test_train_is_bit_identical_with_partial_adam_blocks(monkeypatch, rng, kind,
         X = sp.random(120, 3000, density=0.01, format="csr", random_state=5)
         X = X if kind == "ohe" else X.toarray()
     y = rng.integers(0, 3, X.shape[0])
-    config = nnet.NetConfig(input_dim=X.shape[1], class_count=3, hidden_width=h,
-                            batch_size=50, epochs=2, seed=4)
+    config = _settings(X.shape[1], 3, hidden_width=h, batch_size=50, epochs=2, seed=4)
     got = _train_with_state(monkeypatch, config, X, y)
     _assert_same_training(got, _reference_train(config, X, y))
 
@@ -334,15 +348,14 @@ def test_adam_step_any_layout_matches_reference(monkeypatch, rng, param_order, g
     # a hand-built net, with a block of 3 rows of w1's memory so blocks end partway
     h, d, C = 5, 13, 3
     monkeypatch.setattr(nnet, "ADAM_BLOCK_BYTES", 3 * 8 * h)
-    config = nnet.NetConfig(input_dim=d, class_count=C, hidden_width=h, learning_rate=0.01)
     arrays = [rng.normal(size=(h, d)), rng.normal(size=h), rng.normal(size=(C, h)), rng.normal(size=C)]
     net = nnet.FeedForwardNet(*(np.asarray(a, order=param_order) for a in arrays))
     ref = nnet.FeedForwardNet(*(a.copy() for a in arrays))
     state, ref_state = nnet.adam_init(net), nnet.adam_init(ref)
     for _ in range(4):
         grads = [rng.normal(size=a.shape) for a in arrays]
-        nnet.adam_step(net, [np.asarray(g, order=grad_order) for g in grads], state, config)
-        _reference_adam_step(ref, grads, ref_state, config)
+        nnet.adam_step(net, [np.asarray(g, order=grad_order) for g in grads], state, 0.01)
+        _reference_adam_step(ref, grads, ref_state, 0.01)
     _assert_same_training((net, state, []), (ref, ref_state, []))
 
 
@@ -356,7 +369,7 @@ def test_step_on_csr_batch_allocates_only_the_gradient(monkeypatch, rng):
 
     X = ohe_matrix(random_sequences(rng, 100, 1000), 1000).astype(np.float64)  # d = 21000
     y = rng.integers(0, 5, 100)
-    config = nnet.NetConfig(input_dim=X.shape[1], class_count=5, hidden_width=32, epochs=1)
+    config = _settings(X.shape[1], 5, hidden_width=32, epochs=1)
     net, state, _ = _train_with_state(monkeypatch, config, X, y)  # the layout nn_train uses
     g_w1_bytes = net.w1.nbytes
 
@@ -372,7 +385,7 @@ def test_step_on_csr_batch_allocates_only_the_gradient(monkeypatch, rng):
     monkeypatch.setattr(nnet, "_softmax", softmax_after_forward)
     tracemalloc.start()
     _, grads = nnet.nn_loss_and_grads(net, X, y)
-    nnet.adam_step(net, grads, state, config)
+    nnet.adam_step(net, grads, state, config["learning_rate"])
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert grads[0].shape == net.w1.shape
@@ -393,8 +406,7 @@ def test_init_on_columns_is_the_nominal_draw(monkeypatch, rng, block_bytes):
         monkeypatch.setattr(nnet, "INIT_BLOCK_BYTES", block_bytes)
     d = 3000
     columns = np.union1d(rng.choice(d, 400, replace=False), [0, 699, 700, d - 1])
-    config = nnet.NetConfig(input_dim=d, class_count=3, hidden_width=100, seed=8)
-    full, part = nnet.nn_init(config), nnet.nn_init(config, columns)
+    full, part = nnet.nn_init(d, 3, 100, seed=8), nnet.nn_init(d, 3, 100, seed=8, columns=columns)
     assert np.array_equal(part.w1, full.w1[:, columns])
     for name in ("b1", "w2", "b2"):  # w2 comes after the whole w1 stream
         assert np.array_equal(getattr(part, name), getattr(full, name)), name
@@ -414,14 +426,13 @@ def test_train_on_used_columns_equals_the_nominal_fit(rng, kind):
     restricted, columns = used_columns(X)
     y = rng.integers(0, 4, X.shape[0])
     train, test = np.arange(90), np.arange(90, 130)  # the train rows use fewer columns still
-    config = nnet.NetConfig(input_dim=X.shape[1], class_count=4, hidden_width=24,
-                            batch_size=50, epochs=3, seed=5)
-    nominal, nominal_trace = nnet.nn_train(config, X[train], y[train])
-    net, trace = nnet.nn_train(config, restricted[train], y[train], columns)
-    assert trace == nominal_trace
+    config = _settings(X.shape[1], 4, hidden_width=24, batch_size=50, epochs=3, seed=5)
+    nominal = nnet.nn_train(X[train], y[train], **config)
+    net = nnet.nn_train(restricted[train], y[train], columns=columns, **config)
+    assert net.loss_trace == nominal.loss_trace
     assert np.array_equal(net.w1, nominal.w1[:, columns])
     for name in ("b1", "w2", "b2"):
         assert np.array_equal(getattr(net, name), getattr(nominal, name)), name
     assert np.array_equal(nnet.nn_scores(net, restricted[test]), nnet.nn_scores(nominal, X[test]))
     with pytest.raises(DimensionMismatch):
-        nnet.nn_train(config, X[train], y[train], columns)
+        nnet.nn_train(X[train], y[train], columns=columns, **config)

@@ -7,7 +7,7 @@ import pytest
 from seqclass.cli import main
 from seqclass.config import ExperimentConfig, config_from_mapping, parse_config_file
 from seqclass.errors import InvalidConfig
-from seqclass.ingest import save_corpus
+from seqclass.ingest import LabeledSequence, LabelHierarchy, SequenceRecord, save_corpus
 from seqclass.pipeline import report_to_json, run_experiment, strip_timing, write_report_csv
 
 from conftest import labeled_corpus, random_sequences, read_sqfv1
@@ -98,7 +98,7 @@ def test_config_optional_none():
 def test_majority_experiment_matches_closed_form():
     data = labeled_corpus({"big": 60, "s1": 10, "s2": 10, "s3": 10, "s4": 10}, seed=7)
     config = ExperimentConfig(model="majority", class_level="country", runs=5)
-    report, manifest = run_experiment(config, data)
+    report = run_experiment(config, data)
     agg = report["aggregate"]
     assert agg["mean"]["accuracy"] == pytest.approx(0.60, abs=1e-9)
     assert agg["mean"]["precision_weighted"] == pytest.approx(0.36, abs=1e-9)
@@ -106,13 +106,13 @@ def test_majority_experiment_matches_closed_form():
     assert agg["mean"]["f1_macro"] == pytest.approx(0.15, abs=1e-9)
     assert agg["mean"]["roc_auc_weighted_ovr"] == pytest.approx(0.50, abs=1e-9)
     assert all(v == 0.0 for v in agg["std"].values())
-    assert manifest["per_run_seeds"][1]["split"] == 1  # seed + run index
+    assert report["runs"][1]["seeds"]["split"] == 1  # seed + run index
 
 
 def test_single_run_has_zero_std():
     data = labeled_corpus({"a": 30, "b": 20}, seed=3)
     config = ExperimentConfig(model="majority", runs=1)
-    report, _ = run_experiment(config, data)
+    report = run_experiment(config, data)
     assert report["aggregate"]["run_count"] == 1
     assert all(v == 0.0 for v in report["aggregate"]["std"].values())
 
@@ -120,8 +120,8 @@ def test_single_run_has_zero_std():
 def test_experiment_is_deterministic():
     data = labeled_corpus({"a": 40, "b": 30, "c": 30}, seed=5)
     config = ExperimentConfig(model="ridge", use_rff=True, rff_dim=32, runs=2)
-    report_a, _ = run_experiment(config, data)
-    report_b, _ = run_experiment(config, data)
+    report_a = run_experiment(config, data)
+    report_b = run_experiment(config, data)
     assert report_to_json(strip_timing(report_a)) == report_to_json(strip_timing(report_b))
     # the timing subtree is the only thing stripped
     stripped = strip_timing(report_a)
@@ -134,7 +134,7 @@ def test_rff_path_records_dims():
     data = labeled_corpus({"a": 40, "b": 40}, seed=11)
     config = ExperimentConfig(model="lr", use_rff=True, rff_dim=64,
                               lr_max_iters=50, runs=1)
-    report, _ = run_experiment(config, data)
+    report = run_experiment(config, data)
     assert report["config"]["rff_dim"] == 64
     assert report["config"]["use_rff"] is True
     assert report["feature_dim"] == 9261
@@ -150,7 +150,7 @@ def test_every_model_runs_end_to_end():
         ("nn", "nn", {"nn_hidden_width": 8, "nn_epochs": 2}),
     ):
         config = ExperimentConfig(model=model, runs=1, use_rff=True, rff_dim=16, **extra)
-        report, _ = run_experiment(config, data)
+        report = run_experiment(config, data)
         metrics = report["runs"][0]["metrics"]
         assert 0.0 <= metrics["accuracy"] <= 1.0
         assert 0.0 <= metrics["roc_auc_weighted_ovr"] <= 1.0
@@ -164,7 +164,7 @@ def test_lr_runs_report_convergence():
     for use_rff, max_iters in ((False, 1000), (True, 1000), (False, 4)):
         config = ExperimentConfig(model="lr", k=2, runs=2, train_fraction=0.3,
                                   use_rff=use_rff, rff_dim=64, lr_max_iters=max_iters)
-        report, _ = run_experiment(config, data)
+        report = run_experiment(config, data)
         for run in report["runs"]:
             diagnostics = run["diagnostics"]
             assert diagnostics["converged"] is (max_iters == 1000)
@@ -175,10 +175,10 @@ def test_lr_runs_report_convergence():
 def test_parallel_runs_match_sequential():
     data = labeled_corpus({"a": 30, "b": 30}, seed=17)
     base = ExperimentConfig(model="nb", runs=3, workers=2)
-    seq_report, _ = run_experiment(base, data)
+    seq_report = run_experiment(base, data)
     from dataclasses import replace
 
-    par_report, _ = run_experiment(replace(base, parallel_runs=True), data)
+    par_report = run_experiment(replace(base, parallel_runs=True), data)
     # same numbers; only the echoed config (the parallel flag itself) may differ
     for key in ("runs", "aggregate", "class_names", "feature_dim"):
         assert strip_timing(seq_report[key]) == strip_timing(par_report[key])
@@ -195,10 +195,10 @@ def test_parallel_runs_pool_is_capped_at_usable_cores(monkeypatch, inline_pool):
     data = labeled_corpus({"a": 30, "b": 30}, seed=17)
     config = ExperimentConfig(model="nb", runs=3, workers=8, parallel_runs=True)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    inline, _ = run_experiment(config, data)
+    inline = run_experiment(config, data)
     assert pools == []  # one usable core: the runs stay in this process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    pooled, _ = run_experiment(config, data)
+    pooled = run_experiment(config, data)
     assert pools == [2]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
     run_experiment(config, data)
@@ -231,7 +231,7 @@ def test_nn_rejects_single_class_corpus():
 def test_report_csv_layout(tmp_path):
     data = labeled_corpus({"a": 30, "b": 30}, seed=19)
     config = ExperimentConfig(model="majority", runs=2)
-    report, _ = run_experiment(config, data)
+    report = run_experiment(config, data)
     import io
 
     buf = io.StringIO()
@@ -268,7 +268,7 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 0
     report = json.loads((out_dir / "report.json").read_text())
     assert report["aggregate"]["run_count"] == 2
-    assert (out_dir / "manifest.json").exists()
+    assert report["timing"]["created_utc"]  # the run's date, outside the determinism check
     assert (out_dir / "report.csv").exists()
 
     ig_csv = tmp_path / "ig.csv"
@@ -351,7 +351,12 @@ def test_every_export_resolves():
 
 
 def test_cli_exit_codes(tmp_path, capsys):
-    _, fasta, meta, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
+    data, fasta, meta, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
+    last = data[-1]
+    save_corpus(str(tmp_path / "no_residues.bin"),
+                data[:-1] + [LabeledSequence(SequenceRecord(last.record.id, None), last.label)])
+    save_corpus(str(tmp_path / "no_country.bin"),
+                data[:-1] + [LabeledSequence(last.record, LabelHierarchy("Europe", None))])
     files = {
         "latin1.fa": b">s1\nMD\xe9PEG\n",
         "latin1.tsv": b"id\tcontinent\tcountry\tstate\ns1\tEurope\tFran\xe7e\t\n",
@@ -360,6 +365,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         "object.json": b'{"a": 1}',
         "list.json": b"[1]",
         "text.json": b"not json",
+        "bare.json": b'{"format": "seqclass-report/1"}',
+        "empty.json": b'{"format": "seqclass-report/1", "aggregate": {}, "config": {}}',
     }
     for name, raw in files.items():
         (tmp_path / name).write_bytes(raw)
@@ -386,6 +393,14 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["ingest", "--fasta", str(fasta), "--metadata", path("latin1.tsv"), "--out", out],
          3, "latin1.tsv"),
         (["run", "--config", path("latin1.cfg"), "--corpus", str(corpus)], 3, "latin1.cfg"),
+        (["run", "--corpus", path("no_residues.bin"), "--model", "majority"],
+         3, "no_residues.bin' record 20 of 20 has no residues"),
+        (["ig", "--corpus", path("no_residues.bin"), "--out", out],
+         3, "no_residues.bin' record 20 of 20 has no residues"),
+        (["run", "--corpus", path("no_country.bin"), "--model", "majority"],
+         3, "no_country.bin' record 20 of 20 has no country"),
+        (["report", path("bare.json"), "--out", out], 3, "bare.json' lacks the key 'aggregate'"),
+        (["report", path("empty.json"), "--out", out], 3, "empty.json' lacks the key 'encoding'"),
     ]
     for argv, code, named in table:
         assert main(argv) == code, argv
@@ -489,8 +504,7 @@ def test_memory_estimate_matches_traced_peak(model, use_rff, n, d, density):
     elif model == "nb":
         lm.gnb_scores(lm.gnb_fit(X, y, C), X)
     elif model == "nn":
-        net_config = nnet.NetConfig(input_dim=d, class_count=C, hidden_width=h, epochs=2)
-        nnet.nn_scores(nnet.nn_train(net_config, X, y)[0], X)
+        nnet.nn_scores(nnet.nn_train(X, y, C, hidden_width=h, epochs=2), X)
     else:
         model = lm.logreg_fit(X, y, max_iters=50, class_count=C)
         assert model.n_iters > lm.LBFGS_MEMORY  # the (s, y) history is full

@@ -1,6 +1,8 @@
-"""No top-level function or class in the package that only tests reach."""
+"""No top-level function or class in the package that only tests reach, and the README's
+export table lists what the package exports."""
 
 import ast
+import re
 from pathlib import Path
 
 import seqclass
@@ -42,3 +44,19 @@ def unreached_definitions(package: Path) -> list[str]:
 
 def test_every_definition_is_reached_from_the_package():
     assert unreached_definitions(PACKAGE) == []
+
+
+def readme_exports(readme: str) -> dict[str, list[str]]:
+    """The README's "Library use" table: each module's exported names, in the table's order."""
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0].startswith("`"):
+            table[cells[0].strip("`")] = re.findall(r"`([^`]+)`", cells[1])
+    return table
+
+
+def test_readme_export_table_matches_the_package():
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    assert readme_exports(readme) == seqclass._EXPORTS
