@@ -11,6 +11,7 @@ Matrices are scipy CSR. k-mers are counted in 512-row chunks that can
 fan out over worker processes (order preserving), by sorting each
 chunk's (row, k-mer) window keys, so a chunk's memory is linear in its
 window count and independent of 21**k: every k up to MAX_K featurizes.
+Each chunk is a CSR matrix, and scipy stacks the chunks.
 One-hot is one vectorized pass over the whole corpus.
 
 Feature container format ("SQFV1"), an export like the COO CSV that no
@@ -84,10 +85,8 @@ def kmer_counts(seq: str, k: int = 3) -> dict[str, int]:
     }
 
 
-def _kmer_csr_chunk(
-    ids: Sequence[str], seqs: Sequence[str], k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR triplet (indptr, indices, data) of k-mer counts for a chunk."""
+def _kmer_csr_chunk(ids: Sequence[str], seqs: Sequence[str], k: int) -> sp.csr_matrix:
+    """The chunk's rows x 21**k CSR matrix of k-mer counts."""
     dim = ALPHABET_SIZE**k
     codes, lengths = encode_residues(ids, seqs)
     if np.any(lengths < k):
@@ -113,20 +112,7 @@ def _kmer_csr_chunk(
     data = counts.astype(np.int32)
     indices = (keys % dim).astype(np.int32)
     indptr = np.searchsorted(keys // dim, np.arange(len(seqs) + 1)).astype(np.int64)
-    return indptr, indices, data
-
-
-def _assemble(chunks, dim: int, n_rows: int) -> sp.csr_matrix:
-    indptrs, indices, datas = zip(*chunks)
-    nnz_offsets = np.cumsum([0] + [len(ix) for ix in indices])
-    indptr = np.concatenate(
-        [ip[:-1] + off for ip, off in zip(indptrs, nnz_offsets)]
-        + [np.array([nnz_offsets[-1]], dtype=np.int64)]
-    )
-    return sp.csr_matrix(
-        (np.concatenate(datas), np.concatenate(indices), indptr),
-        shape=(n_rows, dim),
-    )
+    return sp.csr_matrix((data, indices, indptr), shape=(len(seqs), dim))
 
 
 def _usable_cores() -> int:
@@ -147,7 +133,7 @@ def kmer_matrix(
     Each 512-row chunk is encoded and counted in its own task; the pool
     never outnumbers the chunks or the usable cores.
     """
-    dim = kmer_dim(k)
+    kmer_dim(k)  # InvalidConfig outside [1, MAX_K], before any other check
     if not seqs:
         raise EmptyCorpus("no sequences to featurize")
     if workers < 1:
@@ -160,10 +146,10 @@ def kmer_matrix(
     processes = min(workers, len(starts), _usable_cores())
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(pool.map(_kmer_csr_chunk, id_chunks, seq_chunks, repeat(k)))
+            chunks = list(pool.map(_kmer_csr_chunk, id_chunks, seq_chunks, repeat(k)))
     else:
-        results = list(map(_kmer_csr_chunk, id_chunks, seq_chunks, repeat(k)))
-    return _assemble(results, dim, len(seqs))
+        chunks = list(map(_kmer_csr_chunk, id_chunks, seq_chunks, repeat(k)))
+    return sp.vstack(chunks, format="csr")
 
 
 def ohe_matrix(

@@ -6,7 +6,8 @@ by the parser and stripped when a corpus is assembled, so everything
 downstream sees stop-free sequences.
 
 Metadata is a tab-separated table ``id<TAB>continent<TAB>country<TAB>state``
-(header row required, ``state`` may be empty).
+(header row required; ``state`` may be empty, ``continent`` and ``country``
+may not).
 
 Class ids have one owner, `class_ids`: at a chosen level (continent,
 country or state), the distinct names sorted by code point, and each
@@ -151,6 +152,9 @@ def read_metadata_tsv(stream: Iterable[str]) -> dict[str, LabelHierarchy]:
         if len(parts) < 3:
             raise IoFailure(f"metadata line {lineno}: expected at least 3 tab-separated fields")
         seq_id, continent, country = parts[0], parts[1], parts[2]
+        if "" in (continent, country):  # only the state may be absent
+            name = "continent" if continent == "" else "country"
+            raise IoFailure(f"metadata line {lineno}: empty {name} field")
         state = parts[3] if len(parts) > 3 and parts[3] != "" else None
         if seq_id in table:
             raise DuplicateMetadataKey(f"duplicate metadata key {seq_id!r} (line {lineno})")

@@ -92,7 +92,8 @@ def gnb_fit(X, y, class_count: int | None = None) -> GaussianNbModel:
     n, d = X.shape
     C = class_count or int(y.max()) + 1
 
-    if sp.issparse(X):
+    sparse = sp.issparse(X)
+    if sparse:
         Xsq = X.multiply(X)
         global_mean = np.asarray(X.mean(axis=0)).ravel()
         global_var = np.asarray(Xsq.mean(axis=0)).ravel() - global_mean**2
@@ -101,23 +102,24 @@ def gnb_fit(X, y, class_count: int | None = None) -> GaussianNbModel:
     max_var = float(global_var.max()) if d else 0.0
     eps = 1e-9 * max_var if max_var > 0 else 1e-9
 
-    priors = np.bincount(y, minlength=C).astype(np.float64) / n
-    means = np.zeros((C, d))
-    variances = np.zeros((C, d))
-    for c in range(C):
-        rows = np.flatnonzero(y == c)
-        if rows.size == 0:
-            variances[c] = eps
-            continue
-        Xc = X[rows]
-        if sp.issparse(Xc):
-            mu = np.asarray(Xc.mean(axis=0)).ravel()
-            ex2 = np.asarray(Xc.multiply(Xc).mean(axis=0)).ravel()
-        else:
-            mu = Xc.mean(axis=0)
-            ex2 = (Xc**2).mean(axis=0)
-        means[c] = mu
-        variances[c] = np.maximum(ex2 - mu**2, 0.0) + eps
+    counts = np.bincount(y, minlength=C)
+    priors = counts.astype(np.float64) / n
+    # Each class's mean and E[x^2] come from one product with a C x n class
+    # indicator, which sums each column in row order. The weights round as a
+    # per-class mean would: scipy's mean of a CSR scales by 1/n_c and then
+    # sums, numpy's sums and then divides. An empty class gets means 0 and
+    # variance eps.
+    weights = 1.0 / counts[y] if sparse else np.ones(n)
+    members = sp.csr_matrix((weights, (y, np.arange(n))), shape=(C, n))
+    if sparse:
+        means = (members @ X).toarray()
+        ex2 = (members @ Xsq).toarray()
+    else:
+        sizes = np.maximum(counts, 1)[:, None]
+        means = (members @ X) / sizes
+        ex2 = (members @ X**2) / sizes
+    ex2 -= means**2
+    variances = np.maximum(ex2, 0.0, out=ex2) + eps
 
     with np.errstate(divide="ignore"):
         log_priors = np.log(priors)
@@ -200,24 +202,21 @@ def _logreg_loss(weights, bias, X, y, l2_lambda, probs=None):
     return loss, probs
 
 
-def logreg_loss_grad(weights, bias, X, y, l2_lambda, probs=None, out=None):
+def logreg_loss_grad(weights, bias, X, y, l2_lambda, probs=None):
     """Multinomial cross-entropy plus (lambda/2)||W||^2 and its gradients.
 
     ``probs``, when given, are the softmax probabilities at (weights, bias)
-    from an earlier loss evaluation; they are not recomputed. ``out``, when
-    given, is a pair of arrays shaped like (weights, bias) that receive the
-    gradients.
+    from an earlier loss evaluation; they are not recomputed. The weight
+    gradient is the (C, d) transpose of the (d, C) product X'delta.
     """
     n = X.shape[0]
     loss, probs = _logreg_loss(weights, bias, X, y, l2_lambda, probs)
     delta = probs.copy()
     delta[np.arange(n), y] -= 1.0
     delta /= n
-    grad_w, grad_b = out if out is not None else (np.empty(weights.shape), np.empty(bias.shape))
-    np.multiply(weights, l2_lambda, out=grad_w)
-    grad_w += np.asarray(X.T @ delta).T
-    np.sum(delta, axis=0, out=grad_b)
-    return loss, grad_w, grad_b
+    grad_w = np.asarray(X.T @ delta).T
+    grad_w += l2_lambda * weights
+    return loss, grad_w, delta.sum(axis=0)
 
 
 def logreg_fit(
@@ -244,10 +243,9 @@ def logreg_fit(
     at most ``tol`` (the model is then ``converged``), after ``max_iters``
     accepted steps, or when 60 halvings find no decrease.
 
-    Beside the pairs, the fit holds four vectors: the parameters, the
-    gradient, the direction and a spare that takes each candidate. Vectors
-    change roles by swapping, never by copying, and nothing is allocated
-    once the history is full.
+    Beside the pairs, the fit holds the parameters, the gradient and the
+    direction as flat arrays, plus the candidate during the search, or the
+    new gradient and y = g' - g once a step is accepted.
     """
     X = _as_2d(X)
     y = np.asarray(y, dtype=np.int64)
@@ -259,27 +257,30 @@ def logreg_fit(
     def views(theta):
         return theta[:C * d].reshape(d, C).T, theta[C * d:]
 
-    size = C * (d + 1)
-    x, grad = np.zeros(size), np.empty(size)
-    direction, spare = np.empty(size), np.empty(size)
-    loss, _, _ = logreg_loss_grad(*views(x), X, y, l2_lambda, out=views(grad))
+    def loss_grad(theta, probs=None):
+        loss, grad_w, grad_b = logreg_loss_grad(*views(theta), X, y, l2_lambda, probs)
+        return loss, np.concatenate((grad_w.T.ravel(), grad_b))
+
+    x = np.zeros(C * (d + 1))
+    loss, grad = loss_grad(x)
     if not np.isfinite(loss):
         raise NonFiniteLoss("logistic loss is non-finite at zero weights; check the features")
     gnorm = float(np.linalg.norm(grad))
     trace = [loss]
-    s_hist, y_hist, rho = [], [], []  # oldest pair first
+    pairs = []  # (s, y, 1 / s'y), oldest first
     while gnorm > tol and len(trace) <= max_iters:
-        np.copyto(direction, grad)
+        direction = grad.copy()
         alphas = []
-        for s, yv, r in zip(reversed(s_hist), reversed(y_hist), reversed(rho)):
-            alphas.append(r * (s @ direction))
+        for s, yv, rho in reversed(pairs):
+            alphas.append(rho * (s @ direction))
             direction -= alphas[-1] * yv
-        if s_hist:  # the initial matrix (s'y / y'y) I of the newest pair
-            direction *= 1.0 / (rho[-1] * (y_hist[-1] @ y_hist[-1]))
+        if pairs:  # the initial matrix (s'y / y'y) I of the newest pair
+            _, yv, rho = pairs[-1]
+            direction *= 1.0 / (rho * (yv @ yv))
         else:
             direction /= gnorm
-        for s, yv, r, a in zip(s_hist, y_hist, rho, reversed(alphas)):
-            direction += (a - r * (yv @ direction)) * s
+        for (s, yv, rho), a in zip(pairs, reversed(alphas)):
+            direction += (a - rho * (yv @ direction)) * s
         np.negative(direction, out=direction)
         slope = float(grad @ direction)
         if not slope < 0:
@@ -287,9 +288,8 @@ def logreg_fit(
 
         step = 1.0
         for _ in range(60):
-            np.multiply(direction, step, out=spare)
-            spare += x
-            cand_loss, cand_probs = _logreg_loss(*views(spare), X, y, l2_lambda)
+            candidate = direction * step + x
+            cand_loss, cand_probs = _logreg_loss(*views(candidate), X, y, l2_lambda)
             if not np.isfinite(cand_loss):
                 raise NonFiniteLoss("logistic loss became non-finite; rescale the features")
             if cand_loss <= loss + 1e-4 * step * slope:
@@ -298,26 +298,17 @@ def logreg_fit(
         else:
             break  # step underflow: the direction no longer improves the objective
 
-        # the old parameters take the new gradient, the old gradient becomes y = g' - g
-        x, spare = spare, x
-        loss, _, _ = logreg_loss_grad(*views(x), X, y, l2_lambda, cand_probs, out=views(spare))
-        np.subtract(spare, grad, out=grad)
-        grad, y_new = spare, grad
+        x = candidate
+        loss, new_grad = loss_grad(x, cand_probs)
+        y_new = new_grad - grad
+        grad = new_grad
         gnorm = float(np.linalg.norm(grad))
         trace.append(loss)
         direction *= step  # s = x' - x, up to rounding
         sy = float(direction @ y_new)
         if sy > 0:
-            s_hist.append(direction)
-            y_hist.append(y_new)
-            rho.append(1.0 / sy)
-            if len(s_hist) > LBFGS_MEMORY:  # the oldest pair's vectors are reused
-                direction, spare = s_hist.pop(0), y_hist.pop(0)
-                rho.pop(0)
-            else:
-                direction, spare = np.empty(size), np.empty(size)
-        else:
-            spare = y_new
+            pairs.append((direction, y_new, 1.0 / sy))
+            del pairs[:-LBFGS_MEMORY]
     weights, bias = views(x)
     return LogisticRegressionModel(weights, bias, l2_lambda, len(trace) - 1, trace,
                                    converged=gnorm <= tol, grad_norm=gnorm)

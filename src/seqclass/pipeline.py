@@ -47,7 +47,7 @@ import numpy as np
 from . import linear_models as lm
 from . import neural_net as nn
 from .config import ExperimentConfig
-from .errors import InvalidConfig, IoFailure, SeqclassError
+from .errors import EmptyTrainingSet, InvalidConfig, IoFailure, SeqclassError
 from .features import FeaturizedCorpus, _usable_cores, featurize_corpus, used_columns
 from .ingest import LabeledSequence, _round_half_up, split_indices
 from .metrics import QUALITY, aggregate, confusion, roc_auc_ovr_weighted, summarize
@@ -57,7 +57,8 @@ from .version import __version__
 # float64 C x used-columns arrays that fit and scoring hold at once, read
 # off linear_models: gnb_scores holds means, variances, its scratch array
 # and inv_var; logreg_fit holds the LBFGS_MEMORY (s, y) pairs, its
-# parameters, gradient, direction and spare, and one gradient product
+# parameters, gradient and direction, and two transients: a candidate and
+# its squared weights, X'delta and lambda W, or the new gradient and y
 # (tracemalloc: 15.0 at LBFGS_MEMORY = 5)
 _MODEL_PEAK_ARRAYS = {"nb": 4, "lr": 2 * lm.LBFGS_MEMORY + 5}
 # float64 h x used-columns arrays that nn_train holds at once: w1, Adam's m
@@ -266,7 +267,8 @@ def run_experiment(
     """Execute the full protocol on an in-memory corpus.
 
     Returns the report, which is also written as report.json and
-    report.csv when config.output_dir is set.
+    report.csv when config.output_dir is set (IoFailure, naming the
+    directory, when they cannot be).
     """
     config.validate()
     with _stage("featurize"):
@@ -283,10 +285,15 @@ def run_experiment(
             matrix, columns = used_columns(feats.matrix)
             feats = replace(feats, matrix=matrix, columns=columns)
 
+    corpus_size = feats.matrix.shape[0]
+    if _round_half_up(config.train_fraction * corpus_size) == 0:
+        with _stage("split"):  # every model's fit needs a train row
+            raise EmptyTrainingSet(f"--train-fraction {config.train_fraction} leaves no train "
+                                   f"rows of {corpus_size} sequences; raise it")
     processes = min(config.runs, config.workers, _usable_cores()) if config.parallel_runs else 1
     with _stage("memory"):
         _preflight_memory(config, feats.dim, len(feats.class_names), processes,
-                          feats.matrix.shape[1], feats.matrix.shape[0], feats.matrix.nnz)
+                          feats.matrix.shape[1], corpus_size, feats.matrix.nnz)
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_single_run, repeat(config), repeat(feats), range(config.runs)))
@@ -304,7 +311,7 @@ def run_experiment(
         "tool_version": __version__,
         "config": asdict(config),
         "class_names": feats.class_names,
-        "corpus_size": int(feats.matrix.shape[0]),
+        "corpus_size": int(corpus_size),
         "feature_dim": int(feats.dim),
         "feature_columns": int(feats.matrix.shape[1]),
         "runs": results,
@@ -314,19 +321,14 @@ def run_experiment(
 
     if config.output_dir:
         out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "report.json", report)
-        with open(out / "report.csv", "w", encoding="utf-8") as f:
-            write_report_csv(f, [report])
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "report.json").write_text(report_to_json(report), encoding="utf-8")
+            with open(out / "report.csv", "w", encoding="utf-8") as f:
+                write_report_csv(f, [report])
+        except OSError as exc:
+            raise IoFailure(f"cannot write the report to {config.output_dir!r}: {exc}") from exc
     return report
-
-
-def write_json(path, payload: dict) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(report_to_json(payload))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path!r}: {exc}") from exc
 
 
 def report_to_json(payload: dict) -> str:

@@ -248,7 +248,7 @@ def _dense_kmer_csr_chunk(ids, seqs, k):
     data = counts[flat_nz].astype(np.int32)
     indices = (flat_nz % dim).astype(np.int32)
     indptr = np.searchsorted(flat_nz // dim, np.arange(len(seqs) + 1)).astype(np.int64)
-    return indptr, indices, data
+    return sp.csr_matrix((data, indices, indptr), shape=(len(seqs), dim))
 
 
 def _ragged(rng, n, k, longest):
@@ -258,25 +258,27 @@ def _ragged(rng, n, k, longest):
     return seqs
 
 
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for attr in ("indptr", "indices", "data"):
+        g, w = getattr(got, attr), getattr(want, attr)
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_sorted_counting_matches_dense_bincount(rng, k):
     seqs = _ragged(rng, 1100, k, 40)  # three 512-row chunks
     ids = [f"q{i}" for i in range(len(seqs))]
-    # chunk by chunk: the same triplets with the same dtypes
+    # chunk by chunk: the same CSR arrays with the same dtypes
     chunks = []
     for start in range(0, len(seqs), 64):  # 64 rows keep the dense counters below 100 MB at k=4
         got = features._kmer_csr_chunk(ids[start : start + 64], seqs[start : start + 64], k)
         chunks.append(_dense_kmer_csr_chunk(ids[start : start + 64], seqs[start : start + 64], k))
-        for g, w in zip(got, chunks[-1]):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+        _assert_same_csr(got, chunks[-1])
     # whole matrix across 512-row chunk boundaries, serial and pooled
-    want = features._assemble(chunks, ALPHABET_SIZE**k, len(seqs))
+    want = sp.vstack(chunks, format="csr")
     for workers in (1, 2):
-        got = kmer_matrix(seqs, k, workers=workers, ids=ids)
-        for attr in ("indptr", "indices", "data"):
-            g, w = getattr(got, attr), getattr(want, attr)
-            assert g.dtype == w.dtype and np.array_equal(g, w)
-        assert got.shape == want.shape
+        _assert_same_csr(kmer_matrix(seqs, k, workers=workers, ids=ids), want)
 
 
 def _chunked_ohe(ids, seqs, expected_len, chunk_size=512):
@@ -290,18 +292,17 @@ def _chunked_ohe(ids, seqs, expected_len, chunk_size=512):
         indices = (positions * ALPHABET_SIZE + codes.astype(np.int64)).astype(np.int32)
         data = np.ones(n * expected_len, dtype=np.int8)
         indptr = np.arange(0, n * expected_len + 1, expected_len, dtype=np.int64)
-        chunks.append((indptr, indices, data))
-    return features._assemble(chunks, ALPHABET_SIZE * expected_len, len(seqs))
+        chunks.append(sp.csr_matrix((data, indices, indptr),
+                                    shape=(n, ALPHABET_SIZE * expected_len)))
+    return sp.vstack(chunks, format="csr")
 
 
 def test_ohe_one_pass_matches_the_chunked_construction(rng):
     seqs = random_sequences(rng, 1100, 60)  # three 512-row chunks
     ids = [f"q{i}" for i in range(len(seqs))]
     got, want = ohe_matrix(seqs, 60, ids=ids), _chunked_ohe(ids, seqs, 60)
-    assert got.shape == want.shape == (1100, 21 * 60)
-    for attr in ("indptr", "indices", "data"):
-        g, w = getattr(got, attr), getattr(want, attr)
-        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert got.shape == (1100, 21 * 60)
+    _assert_same_csr(got, want)
 
 
 @pytest.mark.parametrize("k", [5, 6])

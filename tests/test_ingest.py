@@ -114,6 +114,15 @@ def test_metadata_reader_and_state_optional():
     assert table["b"].state == "IDF"
 
 
+@pytest.mark.parametrize("row, name", [("b\t\tFrance\tIDF", "continent"),
+                                       ("b\tEurope\t\t", "country"),
+                                       ("b\t\t", "continent")])
+def test_metadata_empty_continent_or_country_is_io_failure(row, name):
+    tsv = f"id\tcontinent\tcountry\tstate\na\tAsia\tJapan\t\n{row}\n"
+    with pytest.raises(IoFailure, match=f"metadata line 3: empty {name} field"):
+        read_metadata_tsv(io.StringIO(tsv))
+
+
 def test_metadata_duplicate_key():
     tsv = "id\tcontinent\tcountry\tstate\na\tAsia\tJapan\t\na\tAsia\tJapan\t\n"
     with pytest.raises(DuplicateMetadataKey):

@@ -108,6 +108,52 @@ def test_gnb_scores_bit_identical_to_reference(rng, n, d, C):
         assert np.array_equal(lm.gnb_scores(model, rows), _reference_gnb_scores(model, rows))
 
 
+def _reference_gnb_fit(X, y, C):
+    """The per-class loop that gnb_fit's class-indicator product replaced: (means, variances)."""
+    X = lm._as_2d(X)
+    d = X.shape[1]
+    if sp.issparse(X):
+        global_mean = np.asarray(X.mean(axis=0)).ravel()
+        global_var = np.asarray(X.multiply(X).mean(axis=0)).ravel() - global_mean**2
+    else:
+        global_var = X.var(axis=0)
+    max_var = float(global_var.max())
+    eps = 1e-9 * max_var if max_var > 0 else 1e-9
+    means, variances = np.zeros((C, d)), np.zeros((C, d))
+    for c in range(C):
+        rows = np.flatnonzero(y == c)
+        if rows.size == 0:
+            variances[c] = eps
+            continue
+        Xc = X[rows]
+        if sp.issparse(Xc):
+            mu = np.asarray(Xc.mean(axis=0)).ravel()
+            ex2 = np.asarray(Xc.multiply(Xc).mean(axis=0)).ravel()
+        else:
+            mu = Xc.mean(axis=0)
+            ex2 = (Xc**2).mean(axis=0)
+        means[c] = mu
+        variances[c] = np.maximum(ex2 - mu**2, 0.0) + eps
+    return means, variances
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr", "dense-empty-class", "csr-empty-class"])
+@pytest.mark.parametrize("n, d, C", [(1, 9, 2), (40, 15, 3), (90, 441, 7), (300, 2000, 20)])
+def test_gnb_fit_bit_identical_to_per_class_loop(rng, kind, n, d, C):
+    X = rng.poisson(0.3, size=(n, d)) * rng.normal(2.0, 3.0, size=(n, d))
+    y = rng.permutation(np.arange(n) % C)
+    if kind.endswith("empty-class"):
+        y[y == 1] = 0  # class 1 has no rows
+    if kind.startswith("csr"):
+        X = sp.csr_matrix(X)
+    model = lm.gnb_fit(X, y, C)
+    means, variances = _reference_gnb_fit(X, y, C)
+    assert model.means.tobytes() == means.tobytes()
+    assert model.variances.tobytes() == variances.tobytes()
+    if kind.endswith("empty-class"):
+        assert not model.means[1].any() and np.all(model.variances[1] == model.variances.min())
+
+
 def test_gnb_variance_floor_positive():
     X = np.ones((4, 2))  # all features constant
     model = lm.gnb_fit(X, np.array([0, 0, 1, 1]))

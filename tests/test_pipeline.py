@@ -6,7 +6,7 @@ import pytest
 
 from seqclass.cli import main
 from seqclass.config import ExperimentConfig, config_from_mapping, parse_config_file
-from seqclass.errors import InvalidConfig
+from seqclass.errors import EmptyTrainingSet, InvalidConfig, IoFailure
 from seqclass.ingest import LabeledSequence, LabelHierarchy, SequenceRecord, save_corpus
 from seqclass.pipeline import report_to_json, run_experiment, strip_timing, write_report_csv
 
@@ -341,6 +341,37 @@ def test_cli_run_with_a_one_member_class_names_it(tmp_path, capsys):
     assert "[stage:split] class 'Zürich' has a single member" in err
 
 
+@pytest.mark.parametrize("model", ["majority", "nb", "lr", "ridge", "nn"])
+def test_empty_train_split_is_one_data_error_for_every_model(tmp_path, capsys, monkeypatch,
+                                                              model):
+    import seqclass.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "_single_run", None)  # checked before any split or fit
+    _, _, _, corpus = _write_inputs(tmp_path, {"a": 4, "b": 4})
+    argv = ["run", "--corpus", str(corpus), "--model", model, "--train-fraction", "0.05"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "[stage:split] --train-fraction 0.05 leaves no train rows of 8 sequences" in err
+    with pytest.raises(EmptyTrainingSet):
+        run_experiment(ExperimentConfig(model=model, train_fraction=0.05),
+                       labeled_corpus({"a": 4, "b": 4}, length=24))
+
+
+def test_unwritable_output_dir_is_io_failure(tmp_path, capsys):
+    _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    for out_dir in (blocker, blocker / "below"):  # a regular file, and a directory below one
+        config = ExperimentConfig(corpus=str(corpus), model="majority", runs=1,
+                                  output_dir=str(out_dir))
+        with pytest.raises(IoFailure, match="cannot write the report to"):
+            run_experiment(config, labeled_corpus({"a": 10, "b": 10}, length=24))
+        argv = ["run", "--corpus", str(corpus), "--model", "majority", "--runs", "1",
+                "--output-dir", str(out_dir)]
+        assert main(argv) == 3
+        assert f"cannot write the report to {str(out_dir)!r}" in capsys.readouterr().err
+
+
 def test_every_export_resolves():
     import seqclass
 
@@ -360,6 +391,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     files = {
         "latin1.fa": b">s1\nMD\xe9PEG\n",
         "latin1.tsv": b"id\tcontinent\tcountry\tstate\ns1\tEurope\tFran\xe7e\t\n",
+        "no_country.tsv": b"id\tcontinent\tcountry\tstate\ns1\tEurope\t\t\n",
         "latin1.cfg": b"model = nb  # caf\xe9\n",
         "latin1.json": b'{"format": "seqclass-report/1", "note": "\xe9"}',
         "object.json": b'{"a": 1}',
@@ -393,6 +425,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["ingest", "--fasta", str(fasta), "--metadata", path("latin1.tsv"), "--out", out],
          3, "latin1.tsv"),
         (["run", "--config", path("latin1.cfg"), "--corpus", str(corpus)], 3, "latin1.cfg"),
+        (["ingest", "--fasta", str(fasta), "--metadata", path("no_country.tsv"), "--out", out],
+         3, "metadata line 2: empty country field"),
         (["run", "--corpus", path("no_residues.bin"), "--model", "majority"],
          3, "no_residues.bin' record 20 of 20 has no residues"),
         (["ig", "--corpus", path("no_residues.bin"), "--out", out],
