@@ -186,11 +186,10 @@ class FeaturizedCorpus:
     class_names: list[str]
     encoding: str
     dim: int  # the nominal width, 21**k or 21*L, whatever the matrix's width
-    columns: np.ndarray | None = None  # nominal id of each matrix column; None: the identity
 
 
-def used_columns(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The matrix on the sorted columns that hold a nonzero, and those columns' nominal ids.
+def used_columns(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """The matrix on the columns that hold a nonzero; its column j is the j-th smallest of them.
 
     The remap is monotone, so each row keeps its nonzeros in their order;
     ``indptr`` and ``data`` are shared with ``matrix``. A boolean mask and
@@ -203,9 +202,8 @@ def used_columns(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
     del used
     lookup = np.empty(matrix.shape[1], dtype=np.int32)
     lookup[columns] = np.arange(len(columns), dtype=np.int32)
-    restricted = sp.csr_matrix((matrix.data, lookup[matrix.indices], matrix.indptr),
-                               shape=(matrix.shape[0], len(columns)))
-    return restricted, columns
+    return sp.csr_matrix((matrix.data, lookup[matrix.indices], matrix.indptr),
+                         shape=(matrix.shape[0], len(columns)))
 
 
 def featurize_corpus(

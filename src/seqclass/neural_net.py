@@ -2,10 +2,12 @@
 
 Architecture: input -> dense(hidden, ReLU) -> dense(classes, softmax),
 optimized with mini-batch Adam against integer-label cross-entropy.
-Hidden width defaults to the input dimension (one hidden unit per
-feature); batch size defaults to 100 and training runs a fixed 10
-epochs with a seeded shuffle per epoch. Inputs may be dense or CSR;
-batches are the only thing ever densified.
+Hidden width defaults to the width of the input it is fitted on (one
+hidden unit per column; on the raw path of `seqclass run`, the used
+columns), which is also the Glorot limit's fan-in; batch size defaults
+to 100 and training runs a fixed 10 epochs with a seeded shuffle per
+epoch. Inputs may be dense or CSR; batches are the only thing ever
+densified.
 
 On CSR input, `nn_train` stores the first layer `w1` (shape (h, d)) in
 Fortran order, so its memory is the C-ordered (d, h) array that scipy's
@@ -28,17 +30,15 @@ import scipy.sparse as sp
 
 from .errors import (
     DegenerateLabels,
-    DimensionMismatch,
     InvalidConfig,
     LabelOutOfRange,
     NonFiniteLoss,
 )
-from .linear_models import _as_2d, _softmax
+from .linear_models import _as_2d, _check_dim, _softmax
 
 PROB_FLOOR = 1e-12  # keeps the loss finite under confident mistakes
 ADAM_BLOCK_BYTES = 256 * 2**10  # memory rows of a parameter that adam_step updates in one pass
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
-INIT_BLOCK_BYTES = 2**20  # the part of the nominal w1 draw that nn_init holds at once
 
 
 @dataclass
@@ -57,33 +57,11 @@ class AdamState:
     t: int = 0
 
 
-def _uniform_columns(rng: np.random.Generator, lim: float, shape: tuple[int, int],
-                     columns: np.ndarray) -> np.ndarray:
-    """``rng.uniform(-lim, lim, shape)[:, columns]``, drawn in blocks of INIT_BLOCK_BYTES.
-
-    A block is whole rows, or one segment of a row longer than a block, so
-    the draws follow the stream of the full array and consume all of it.
-    """
-    h, d = shape
-    out = np.empty((h, len(columns)))
-    width = min(d, max(1, INIT_BLOCK_BYTES // 8))
-    rows = max(1, INIT_BLOCK_BYTES // (8 * width))  # 1 whenever width < d
-    for r in range(0, h, rows):
-        for a in range(0, d, width):
-            block = rng.uniform(-lim, lim, size=(min(rows, h - r), min(width, d - a)))
-            lo, hi = np.searchsorted(columns, (a, a + width))
-            out[r : r + rows, lo:hi] = block[:, columns[lo:hi] - a]
-    return out
-
-
-def nn_init(input_dim: int, class_count: int, hidden_width: int | None = None, seed: int = 0,
-            columns: np.ndarray | None = None) -> FeedForwardNet:
+def nn_init(input_dim: int, class_count: int, hidden_width: int | None = None,
+            seed: int = 0) -> FeedForwardNet:
     """Glorot-uniform weights, zero biases; deterministic per seed.
 
     The hidden width defaults to input_dim (one hidden unit per feature).
-    With ``columns`` (sorted ids in [0, input_dim)), ``w1`` holds only those
-    columns of the nominal (h, input_dim) draw, bit for bit; the limit and
-    the default width stay those of the nominal input_dim.
     """
     d, C = input_dim, class_count
     h = d if hidden_width is None else hidden_width
@@ -94,12 +72,8 @@ def nn_init(input_dim: int, class_count: int, hidden_width: int | None = None, s
     rng = np.random.default_rng([seed, 0])
     lim1 = np.sqrt(6.0 / (d + h))
     lim2 = np.sqrt(6.0 / (h + C))
-    if columns is None:
-        w1 = rng.uniform(-lim1, lim1, size=(h, d))
-    else:
-        w1 = _uniform_columns(rng, lim1, (h, d), np.asarray(columns))
     return FeedForwardNet(
-        w1=w1,
+        w1=rng.uniform(-lim1, lim1, size=(h, d)),
         b1=np.zeros(h),
         w2=rng.uniform(-lim2, lim2, size=(C, h)),
         b2=np.zeros(C),
@@ -109,8 +83,7 @@ def nn_init(input_dim: int, class_count: int, hidden_width: int | None = None, s
 def nn_scores(net: FeedForwardNet, X) -> np.ndarray:
     """Class probabilities; rows sum to 1 within 1e-9."""
     X = _as_2d(X)
-    if X.shape[1] != net.w1.shape[1]:
-        raise DimensionMismatch(f"input has dim {X.shape[1]}, net expects {net.w1.shape[1]}")
+    _check_dim(X, net.w1.shape[1])
     hidden = np.asarray(X @ net.w1.T) + net.b1
     np.maximum(hidden, 0.0, out=hidden)
     return _softmax(hidden @ net.w2.T + net.b2)
@@ -204,20 +177,15 @@ def epoch_shuffle_orders(seed: int, n: int, epochs: int) -> list[np.ndarray]:
 
 
 def nn_train(X, y, class_count: int, hidden_width: int | None = None, batch_size: int = 100,
-             epochs: int = 10, learning_rate: float = 0.001, seed: int = 0,
-             input_dim: int | None = None, columns: np.ndarray | None = None) -> FeedForwardNet:
+             epochs: int = 10, learning_rate: float = 0.001, seed: int = 0) -> FeedForwardNet:
     """Train for ``epochs`` epochs; the net's loss_trace holds each epoch's mean loss.
 
     The seeded shuffle alone defines the visit order (`epoch_shuffle_orders`).
     The final partial batch is trained, not dropped. Raises DegenerateLabels
     below 2 classes and NonFiniteLoss if the loss diverges.
 
-    ``input_dim`` is the nominal width (default: X's). With ``columns``, X
-    holds those columns of it and the net starts from them (`nn_init`). If
-    X's other columns are all zero, the fit equals the nominal one
-    restricted to ``columns``, bit for bit: a column no row touches has a
-    zero gradient, so its Adam moments and updates stay exactly 0, and the
-    monotone remap leaves the sparse products their order of summation.
+    The net is `nn_init`'s for X's width, so the Glorot limit and the
+    default hidden width follow the columns X has.
     """
     if class_count < 2:
         raise DegenerateLabels("the nn model needs at least 2 classes")
@@ -231,12 +199,8 @@ def nn_train(X, y, class_count: int, hidden_width: int | None = None, batch_size
         raise InvalidConfig("training needs at least one sample")
     if y.min() < 0 or y.max() >= class_count:
         raise LabelOutOfRange(f"labels must lie in [0, {class_count})")
-    input_dim = X.shape[1] if input_dim is None else input_dim
-    width = input_dim if columns is None else len(columns)
-    if X.shape[1] != width:
-        raise DimensionMismatch(f"X has dim {X.shape[1]}, input_dim and columns say {width}")
 
-    net = nn_init(input_dim, class_count, hidden_width, seed, columns)
+    net = nn_init(X.shape[1], class_count, hidden_width, seed)
     if sp.issparse(X):
         net.w1 = np.asfortranarray(net.w1)  # the (d, h) C order of scipy's CSR products
     state = adam_init(net)

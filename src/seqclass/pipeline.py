@@ -12,10 +12,12 @@ measured around fit() only.
 Without RFF, every model fits and scores in the used columns: the
 sorted columns of the corpus's feature matrix that hold a nonzero
 (`features.used_columns`), not the nominal 21^k or 21*L. A column no
-row touches adds nothing to a model's fit, so majority, ridge and nn
-results are bit-identical to a nominal-width fit; nb and lr agree up to
-rounding. The report's feature_dim stays nominal, and feature_columns
-gives the width the models (or the RFF projector) read.
+row touches adds nothing to a linear fit, so majority and ridge results
+are bit-identical to a nominal-width fit and nb and lr agree up to
+rounding; nn draws its init and sizes its default hidden width on the
+used columns, so its fit is its own. The report's feature_dim stays
+nominal, and feature_columns gives the width the models (or the RFF
+projector) read.
 
 Before the first run, the peak bytes of the RFF weights and projected
 splits, the model's C x used-columns (nn: hidden x used-columns) arrays
@@ -47,7 +49,7 @@ import numpy as np
 from . import linear_models as lm
 from . import neural_net as nn
 from .config import ExperimentConfig
-from .errors import EmptyTrainingSet, InvalidConfig, IoFailure, SeqclassError
+from .errors import EmptyMatrix, EmptyTrainingSet, InvalidConfig, IoFailure, SeqclassError
 from .features import FeaturizedCorpus, _usable_cores, featurize_corpus, used_columns
 from .ingest import LabeledSequence, _round_half_up, split_indices
 from .metrics import QUALITY, aggregate, confusion, roc_auc_ovr_weighted, summarize
@@ -100,17 +102,17 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
     """Peak bytes of one run's RFF weights and model arrays, and the knobs that lower them.
 
     ``feature_columns`` is the number of used columns the raw-feature
-    models fit in (default: the nominal ``feature_dim``); the nn's default
-    hidden width and the RFF weights stay on ``feature_dim``.
+    models fit in (default: the nominal ``feature_dim``), and so the nn's
+    default hidden width; only the RFF weights stay on ``feature_dim``.
     ``corpus_size`` gives the train rows of ridge's direct solve and the
     rows that RFF projects; ``corpus_nnz``, the feature matrix's nonzeros,
     gives the train split's share that ridge's primal solve copies.
     """
     columns = feature_dim if feature_columns is None else feature_columns
-    model_dim, model_columns = (config.rff_dim,) * 2 if config.use_rff else (feature_dim, columns)
+    model_columns = config.rff_dim if config.use_rff else columns
     n_train = _round_half_up(config.train_fraction * corpus_size)
     if config.model == "nn":
-        hidden = model_dim if config.nn_hidden_width is None else config.nn_hidden_width
+        hidden = model_columns if config.nn_hidden_width is None else config.nn_hidden_width
         needed, knob = _NN_PEAK_ARRAYS * hidden * model_columns * 8, "--nn-hidden-width"
     elif config.model == "ridge":
         # the dense min(n, columns + 1)^2 Gram matrix of the direct solve; CG holds none
@@ -162,17 +164,14 @@ def _run_seeds(config: ExperimentConfig, run_index: int) -> dict[str, int]:
     }
 
 
-def _fit(config: ExperimentConfig, X_train, y_train, class_count: int,
-         input_dim: int, columns: np.ndarray | None, seed: int):
+def _fit(config: ExperimentConfig, X_train, y_train, class_count: int, seed: int):
     """Fit the configured model; returns it, the function that scores it, and its diagnostics.
 
     Every score function maps (model, X) to an n x C matrix whose argmax
     is the prediction. Functions are looked up on their modules at call
     time, so a wrapper installed there is honoured. The diagnostics give
-    the model's kind, hyperparameters and training outcome. ``input_dim``
-    is the nominal width and ``columns`` the nominal ids of X_train's
-    columns (None: all of them); only the nn reads them, for its nominal
-    init, and ``seed``, the run's model seed.
+    the model's kind, hyperparameters and training outcome. Only the nn
+    reads ``seed``, the run's model seed.
     """
     if config.model == "majority":
         model, scores = lm.majority_fit(y_train, class_count), lm.majority_scores
@@ -204,8 +203,6 @@ def _fit(config: ExperimentConfig, X_train, y_train, class_count: int,
             epochs=config.nn_epochs,
             learning_rate=config.nn_learning_rate,
             seed=seed,
-            input_dim=input_dim,
-            columns=columns,
         )
         scores = nn.nn_scores
         diagnostics = {"kind": "nn", "hidden_width": int(model.w1.shape[0]),
@@ -235,13 +232,12 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
             projector = new_projector(d, config.rff_dim, gamma, seeds["rff"])
             X_train = project(projector, X_train)
             X_test = project(projector, X_test)
-    input_dim, columns = (config.rff_dim, None) if config.use_rff else (feats.dim, feats.columns)
 
     class_count = len(feats.class_names)
     with _stage("fit"):
         tic = time.perf_counter()
         model, model_scores, diagnostics = _fit(config, X_train, y_train, class_count,
-                                                input_dim, columns, seeds["model"])
+                                                seeds["model"])
         fit_seconds = time.perf_counter() - tic
         scores = model_scores(model, X_test)
     predictions = np.argmax(scores, axis=1)
@@ -282,14 +278,17 @@ def run_experiment(
             l2_normalize=config.l2_normalize,
         )
         if not config.use_rff:  # the RFF projector is drawn at nominal width (new_projector)
-            matrix, columns = used_columns(feats.matrix)
-            feats = replace(feats, matrix=matrix, columns=columns)
+            feats = replace(feats, matrix=used_columns(feats.matrix))
 
     corpus_size = feats.matrix.shape[0]
-    if _round_half_up(config.train_fraction * corpus_size) == 0:
-        with _stage("split"):  # every model's fit needs a train row
+    n_train = _round_half_up(config.train_fraction * corpus_size)
+    with _stage("split"):  # every model's fit needs a train row, and its metrics a test row
+        if n_train == 0:
             raise EmptyTrainingSet(f"--train-fraction {config.train_fraction} leaves no train "
                                    f"rows of {corpus_size} sequences; raise it")
+        if n_train == corpus_size:
+            raise EmptyMatrix(f"--train-fraction {config.train_fraction} leaves no test "
+                              f"rows of {corpus_size} sequences; lower it")
     processes = min(config.runs, config.workers, _usable_cores()) if config.parallel_runs else 1
     with _stage("memory"):
         _preflight_memory(config, feats.dim, len(feats.class_names), processes,

@@ -465,7 +465,7 @@ def test_model_summary_names_each_kind(rng):
     fitted = {}
     for name in keys:
         config = ExperimentConfig(model=name, lr_max_iters=30, nn_hidden_width=8, nn_epochs=3)
-        model, scores, diagnostics = _fit(config, X, y, 2, 4, None, config.nn_seed)
+        model, scores, diagnostics = _fit(config, X, y, 2, config.nn_seed)
         assert list(diagnostics) == keys[name]
         assert scores(model, X).shape == (30, 2)
         fitted[name] = model, diagnostics
@@ -498,7 +498,7 @@ def _nominal_and_used_columns(rng, n=300, length=30, k=3, C=4):
     motifs = random_sequences(rng, C, 6)
     seqs = [motifs[c] + s[6:] for s, c in zip(seqs, y)]  # a class motif in front
     X = kmer_matrix(seqs, k=k)
-    restricted, columns = used_columns(X)
+    restricted, columns = used_columns(X), np.unique(X.indices)
     train = np.sort(rng.choice(n, n // 3, replace=False))
     test = np.setdiff1d(np.arange(n), train)
     return X, restricted, columns, y, train, test

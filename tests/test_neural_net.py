@@ -17,11 +17,11 @@ def _tiny_config(d=4, C=3, h=5, seed=0):
     return {"input_dim": d, "class_count": C, "hidden_width": h, "seed": seed}
 
 
-def _settings(input_dim, class_count, **kw):
+def _settings(class_count, **kw):
     """nn_train's keyword arguments, its defaults filled in, as the reference loop reads them."""
     defaults = {"hidden_width": None, "batch_size": 100, "epochs": 10, "learning_rate": 0.001,
                 "seed": 0}
-    return {"input_dim": input_dim, "class_count": class_count, **defaults, **kw}
+    return {"class_count": class_count, **defaults, **kw}
 
 
 def _blobs(rng, n_per_class, centers, scale=1.0):
@@ -223,9 +223,9 @@ def test_train_non_finite_loss_detected(rng):
 
 # --- memory layout and the blocked Adam update --------------------------------
 
-def _reference_init(config):
-    """Glorot-uniform init with every array C-ordered, the reference layout."""
-    d, h, C = config["input_dim"], config["hidden_width"], config["class_count"]
+def _reference_init(config, d):
+    """Glorot-uniform init of a d-wide input with every array C-ordered, the reference layout."""
+    h, C = config["hidden_width"], config["class_count"]
     rng = np.random.default_rng([config["seed"], 0])
     lim1 = np.sqrt(6.0 / (d + h))
     lim2 = np.sqrt(6.0 / (h + C))
@@ -255,7 +255,7 @@ def _reference_adam_step(net, grads, state, learning_rate):
 def _reference_train(config, X, y):
     """nn_train's loop on the reference init and update; returns net, Adam state and trace."""
     n = X.shape[0]
-    net = _reference_init(config)
+    net = _reference_init(config, X.shape[1])
     state = nnet.adam_init(net)
     trace = []
     batch_size = config["batch_size"]
@@ -315,8 +315,7 @@ def test_train_is_bit_identical_to_reference(monkeypatch, rng, kind, h, batch_si
     # 130 rows in batches of 50 leave a ragged last batch of 30
     X = _layout_inputs(kind, rng)
     y = rng.integers(0, 4, X.shape[0])
-    config = _settings(X.shape[1], 4, hidden_width=h, batch_size=batch_size, epochs=epochs,
-                       seed=11)
+    config = _settings(4, hidden_width=h, batch_size=batch_size, epochs=epochs, seed=11)
     net, state, trace = _train_with_state(monkeypatch, config, X, y)
     assert net.w1.flags.f_contiguous == (sp.issparse(X) or h == 1)
     _assert_same_training((net, state, trace), _reference_train(config, X, y))
@@ -338,7 +337,7 @@ def test_train_is_bit_identical_with_partial_adam_blocks(monkeypatch, rng, kind,
         X = sp.random(120, 3000, density=0.01, format="csr", random_state=5)
         X = X if kind == "ohe" else X.toarray()
     y = rng.integers(0, 3, X.shape[0])
-    config = _settings(X.shape[1], 3, hidden_width=h, batch_size=50, epochs=2, seed=4)
+    config = _settings(3, hidden_width=h, batch_size=50, epochs=2, seed=4)
     got = _train_with_state(monkeypatch, config, X, y)
     _assert_same_training(got, _reference_train(config, X, y))
 
@@ -369,7 +368,7 @@ def test_step_on_csr_batch_allocates_only_the_gradient(monkeypatch, rng):
 
     X = ohe_matrix(random_sequences(rng, 100, 1000), 1000).astype(np.float64)  # d = 21000
     y = rng.integers(0, 5, 100)
-    config = _settings(X.shape[1], 5, hidden_width=32, epochs=1)
+    config = _settings(5, hidden_width=32, epochs=1)
     net, state, _ = _train_with_state(monkeypatch, config, X, y)  # the layout nn_train uses
     g_w1_bytes = net.w1.nbytes
 
@@ -392,47 +391,3 @@ def test_step_on_csr_batch_allocates_only_the_gradient(monkeypatch, rng):
     # a copy of w1.T or one full-size Adam temporary would add another 5.4 MB
     assert forward_peak[0] <= 2**18, forward_peak
     assert peak <= g_w1_bytes + 2 * nnet.ADAM_BLOCK_BYTES + 2**18, peak
-
-
-# --- training in the used columns -----------------------------------------------
-
-@pytest.mark.parametrize("block_bytes", [
-    None,  # the default size: 100 rows of d = 3000 are blocks of 43, 43 and 14 rows
-    2 * 8 * 3000,  # blocks of 2 rows
-    8 * 700,  # a block is a 700-column segment of one row: 4 of them and one of 200
-])
-def test_init_on_columns_is_the_nominal_draw(monkeypatch, rng, block_bytes):
-    if block_bytes:
-        monkeypatch.setattr(nnet, "INIT_BLOCK_BYTES", block_bytes)
-    d = 3000
-    columns = np.union1d(rng.choice(d, 400, replace=False), [0, 699, 700, d - 1])
-    full, part = nnet.nn_init(d, 3, 100, seed=8), nnet.nn_init(d, 3, 100, seed=8, columns=columns)
-    assert np.array_equal(part.w1, full.w1[:, columns])
-    for name in ("b1", "w2", "b2"):  # w2 comes after the whole w1 stream
-        assert np.array_equal(getattr(part, name), getattr(full, name)), name
-
-
-@pytest.mark.parametrize("kind", ["kmers", "random"])
-def test_train_on_used_columns_equals_the_nominal_fit(rng, kind):
-    """A column that no row touches keeps its init: training without it changes no bit."""
-    from seqclass.features import kmer_matrix, used_columns
-
-    from conftest import random_sequences
-
-    if kind == "kmers":
-        X = kmer_matrix(random_sequences(rng, 130, 30), k=3)  # 9261 wide, at most 3640 used
-    else:
-        X = sp.random(130, 3000, density=0.005, format="csr", random_state=6)
-    restricted, columns = used_columns(X)
-    y = rng.integers(0, 4, X.shape[0])
-    train, test = np.arange(90), np.arange(90, 130)  # the train rows use fewer columns still
-    config = _settings(X.shape[1], 4, hidden_width=24, batch_size=50, epochs=3, seed=5)
-    nominal = nnet.nn_train(X[train], y[train], **config)
-    net = nnet.nn_train(restricted[train], y[train], columns=columns, **config)
-    assert net.loss_trace == nominal.loss_trace
-    assert np.array_equal(net.w1, nominal.w1[:, columns])
-    for name in ("b1", "w2", "b2"):
-        assert np.array_equal(getattr(net, name), getattr(nominal, name)), name
-    assert np.array_equal(nnet.nn_scores(net, restricted[test]), nnet.nn_scores(nominal, X[test]))
-    with pytest.raises(DimensionMismatch):
-        nnet.nn_train(X[train], y[train], columns=columns, **config)

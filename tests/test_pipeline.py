@@ -6,7 +6,7 @@ import pytest
 
 from seqclass.cli import main
 from seqclass.config import ExperimentConfig, config_from_mapping, parse_config_file
-from seqclass.errors import EmptyTrainingSet, InvalidConfig, IoFailure
+from seqclass.errors import EmptyMatrix, EmptyTrainingSet, InvalidConfig, IoFailure
 from seqclass.ingest import LabeledSequence, LabelHierarchy, SequenceRecord, save_corpus
 from seqclass.pipeline import report_to_json, run_experiment, strip_timing, write_report_csv
 
@@ -344,17 +344,23 @@ def test_cli_run_with_a_one_member_class_names_it(tmp_path, capsys):
 @pytest.mark.parametrize("model", ["majority", "nb", "lr", "ridge", "nn"])
 def test_empty_train_split_is_one_data_error_for_every_model(tmp_path, capsys, monkeypatch,
                                                               model):
+    """A split with no train row, or (train every row) no test row, fails before any fit."""
     import seqclass.pipeline as pipeline
 
     monkeypatch.setattr(pipeline, "_single_run", None)  # checked before any split or fit
     _, _, _, corpus = _write_inputs(tmp_path, {"a": 4, "b": 4})
-    argv = ["run", "--corpus", str(corpus), "--model", model, "--train-fraction", "0.05"]
-    assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert "[stage:split] --train-fraction 0.05 leaves no train rows of 8 sequences" in err
-    with pytest.raises(EmptyTrainingSet):
-        run_experiment(ExperimentConfig(model=model, train_fraction=0.05),
-                       labeled_corpus({"a": 4, "b": 4}, length=24))
+    for fraction, side, error in [(0.05, "train", EmptyTrainingSet), (0.95, "test", EmptyMatrix)]:
+        for stratified in ("true", "false"):
+            argv = ["run", "--corpus", str(corpus), "--model", model,
+                    "--train-fraction", str(fraction), "--stratified", stratified]
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert (f"[stage:split] --train-fraction {fraction} leaves no {side} rows "
+                    f"of 8 sequences") in err
+            with pytest.raises(error):
+                run_experiment(ExperimentConfig(model=model, train_fraction=fraction,
+                                                stratified=stratified == "true"),
+                               labeled_corpus({"a": 4, "b": 4}, length=24))
 
 
 def test_unwritable_output_dir_is_io_failure(tmp_path, capsys):
@@ -572,6 +578,9 @@ def test_memory_estimate_of_nn_counts_hidden_by_input():
     # the default width is the input dimension: 4 arrays of 5.7 GB each
     assert memory_estimate(ExperimentConfig(model="nn", encoding="ohe"), d, 20) == (
         4 * d * d * 8, "--nn-hidden-width")
+    # on 6746 used columns the default width is 6746 too
+    assert memory_estimate(ExperimentConfig(model="nn", encoding="ohe"), d, 20, 6746) == (
+        4 * 6746 * 6746 * 8, "--nn-hidden-width")
     narrow = ExperimentConfig(model="nn", encoding="ohe", nn_hidden_width=64)
     assert memory_estimate(narrow, d, 20) == (4 * 64 * d * 8, "--nn-hidden-width")
     rff = memory_estimate(ExperimentConfig(model="nn", use_rff=True, rff_dim=500), d, 20)
@@ -608,7 +617,7 @@ def test_cli_k6_over_physical_memory_is_config_error(tmp_path, capsys, monkeypat
     assert ("lower --rff-dim or --k" if flags else "lower --k") in err
 
 
-@pytest.mark.parametrize("model", ["nb", "lr"])
+@pytest.mark.parametrize("model", ["nb", "lr", "nn"])
 def test_cli_raw_k6_runs_in_the_used_columns(tmp_path, capsys, model):
     """21^6 nominal columns, but the models hold only the few the corpus uses."""
     _, _, _, corpus = _write_inputs(tmp_path, {f"c{i:02d}": 3 for i in range(20)})
@@ -623,9 +632,9 @@ def test_cli_raw_k6_runs_in_the_used_columns(tmp_path, capsys, model):
 def test_cli_nn_at_default_width_over_physical_memory_is_config_error(tmp_path, capsys, monkeypatch):
     import seqclass.pipeline as pipeline
 
-    # One-hot on length-1273 sequences: the default width is the nominal
-    # 21 * 1273 = 26733, and w1 spans at least the 1273 used columns, so
-    # four h x used-columns arrays need over 1.09e9 bytes, above 1 GiB.
+    # One-hot on six length-1273 sequences: the default width is the 6746
+    # used columns, so four h x used-columns arrays need 4 * 6746^2 * 8
+    # bytes = 1.36 GiB, above 1 GiB.
     monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: 2**30)
     monkeypatch.setattr(pipeline, "_single_run", None)  # reaching a run is a failure too
     _, _, _, corpus = _write_inputs(tmp_path, {"a": 3, "b": 3}, length=1273)

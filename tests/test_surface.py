@@ -1,5 +1,5 @@
-"""No top-level function or class in the package that only tests reach, and the README's
-export table lists what the package exports."""
+"""No top-level function, class or constant in the package that only tests reach, and the
+README's export table lists what the package exports."""
 
 import ast
 import re
@@ -23,19 +23,30 @@ def _names(node: ast.AST) -> set[str]:
     return found
 
 
+def _defined(node: ast.stmt) -> set[str]:
+    """The names a top-level statement defines: a function, a class or assigned constants."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return set()
+    return {sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)}
+
+
 def unreached_definitions(package: Path) -> list[str]:
-    """Top-level functions and classes that no module names outside their own definition.
+    """Top-level functions, classes and constants that no module names outside their own definition.
 
     Dunders and the names that ``__init__._EXPORTS`` makes public are exempt.
     """
     defined, named = [], set()
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((f"{path.stem}.{node.name}", node.name))
-                named |= _names(node) - {node.name}
-            else:
-                named |= _names(node)
+            own = _defined(node)
+            defined += [(f"{path.stem}.{name}", name) for name in sorted(own)]
+            named |= _names(node) - own
     exported = {name for names in seqclass._EXPORTS.values() for name in names}
     return [qualified for qualified, name in defined
             if name not in named and name not in exported
