@@ -13,6 +13,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -128,6 +129,7 @@ def export_ig(table: IgTable, path: str) -> None:
 
 def export_histograms(path: str, hist: np.ndarray, class_names: list[str]) -> None:
     """JSON with per-position per-symbol class counts, for plotting."""
+    counts = hist.tolist()  # one conversion, then one string and one write
     payload = {
         "format": "seqclass-ig-hist/1",
         "class_names": class_names,
@@ -136,17 +138,14 @@ def export_histograms(path: str, hist: np.ndarray, class_names: list[str]) -> No
             {
                 "position": p + 1,
                 "symbol_class_counts": {
-                    AMINO_ACIDS[s]: hist[p, s].tolist()
-                    for s in range(hist.shape[1])
-                    if hist[p, s].sum() > 0
+                    AMINO_ACIDS[s]: by_class for s, by_class in enumerate(symbols) if any(by_class)
                 },
             }
-            for p in range(hist.shape[0])
+            for p, symbols in enumerate(counts)
         ],
     }
+    text = json.dumps(payload, indent=2) + "\n"
     try:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2)
-            f.write("\n")
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot write histograms {path!r}: {exc}") from exc

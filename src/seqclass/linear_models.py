@@ -7,7 +7,7 @@ resolve toward the smaller class id throughout.
 
 Feature matrices may be dense ndarrays or scipy CSR; fitting never
 densifies anything larger than d x d, and ridge nothing larger than
-min(n, d+1) squared.
+min(n, d+1) squared beside one block of rff.GEMM_BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import rff
 from .errors import (
     DegenerateLabels,
     DimensionMismatch,
@@ -327,6 +328,7 @@ class RidgeClassifierModel:
     weights: np.ndarray  # (C, d)
     bias: np.ndarray  # (C,)
     alpha: float
+    solver: str  # "dual", "primal" or "cg": the path ridge_fit took
 
 
 def ridge_fit(X, y, alpha: float = 1.0, class_count: int | None = None) -> RidgeClassifierModel:
@@ -350,10 +352,37 @@ def ridge_fit(X, y, alpha: float = 1.0, class_count: int | None = None) -> Ridge
     targets[np.arange(n), y] = 1.0
 
     if n <= d and n <= RIDGE_DENSE_LIMIT:  # the n x n dual system is the smaller one
-        weights, bias = _ridge_dual(X, targets, alpha)
+        solver, (weights, bias) = "dual", _ridge_dual(X, targets, alpha)
     else:  # its CG fallback runs only when min(n, d+1) > RIDGE_DENSE_LIMIT
+        solver = "primal" if d + 1 <= RIDGE_DENSE_LIMIT else "cg"
         weights, bias = _ridge_primal(X, targets, alpha)
-    return RidgeClassifierModel(weights=weights, bias=bias, alpha=alpha)
+    return RidgeClassifierModel(weights=weights, bias=bias, alpha=alpha, solver=solver)
+
+
+def _gram(M, bias: bool = False) -> np.ndarray:
+    """M'M, or [M, 1]'[M, 1] with ``bias``, as the sum of B'B over blocks B of M's rows.
+
+    Each block is written densely into one buffer of rff.GEMM_BLOCK_BYTES.
+    On integer input every partial sum is an integer below 2^53, exact in
+    any order, so the result is bit-identical to scipy's product.
+    """
+    n, d = M.shape
+    rows = max(1, rff.GEMM_BLOCK_BYTES // (8 * (d + bias)))
+    buffer = np.ones((min(rows, n), d + bias))
+    gram = np.zeros((d + bias, d + bias))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = buffer[:stop - start]
+        if sp.issparse(M):  # views of M, set directly: scipy's constructor copies small ones
+            part, lo, hi = sp.csr_matrix(block.shape), M.indptr[start], M.indptr[stop]
+            part.indptr = M.indptr[start:stop + 1] - lo
+            part.indices, part.data = M.indices[lo:hi], M.data[lo:hi]
+            part.toarray(out=block)
+            block[:, d:] = 1.0  # the 1s, if any, which toarray zeroed
+        else:
+            block[:, :d] = M[start:stop]
+        gram += block.T @ block
+    return gram
 
 
 def _ridge_dual(X, targets: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -363,8 +392,7 @@ def _ridge_dual(X, targets: np.ndarray, alpha: float) -> tuple[np.ndarray, np.nd
     Gram matrix X X'. Its column sums force 1'beta = 0, so W = X'beta
     without centring X, and b = mean(T) - mean(X) W.
     """
-    gram = X @ X.T
-    gram = gram.toarray() if sp.issparse(gram) else gram
+    gram = _gram(X.T.tocsr() if sp.issparse(X) else X.T)
     means = gram.mean(axis=0)  # gram is symmetric: row and column means agree
     gram -= means[None, :] + means[:, None] - means.mean()
     gram[np.diag_indices_from(gram)] += alpha
@@ -380,42 +408,29 @@ def _ridge_dual(X, targets: np.ndarray, alpha: float) -> tuple[np.ndarray, np.nd
 
 
 def _ridge_primal(X, targets: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """(d+1)-dimensional normal equations on [X, 1]; CG above RIDGE_DENSE_LIMIT."""
-    n, d = X.shape
-    C = targets.shape[1]
-    if sp.issparse(X):
-        # ridge_fit's float64 CSR with each row's 1 appended, as sp.hstack lays it
-        # out, but without the COO copy through which hstack peaks at 32 bytes a nonzero
-        row_ends = X.indptr[1:]
-        A = sp.csr_matrix((np.insert(X.data, row_ends, 1.0), np.insert(X.indices, row_ends, d),
-                           X.indptr + np.arange(n + 1, dtype=X.indptr.dtype)), shape=(n, d + 1))
-    else:
-        A = np.hstack([X, np.ones((n, 1))])
-    penalty = np.ones(d + 1)
-    penalty[d] = 0.0  # intercept stays unpenalized
+    """(d+1)-dimensional normal equations on [X, 1]; CG above RIDGE_DENSE_LIMIT.
 
+    [X, 1] is never formed: _gram's blocks and CG's bias term hold its 1s.
+    """
+    d = X.shape[1]
+    rhs = np.vstack([np.asarray(X.T @ targets), targets.sum(axis=0)])  # [X, 1]'T
     if d + 1 <= RIDGE_DENSE_LIMIT:
-        if sp.issparse(A):
-            gram = (A.T @ A).toarray()
-        else:
-            gram = A.T @ A
-        gram[np.diag_indices_from(gram)] += alpha * penalty
-        rhs = np.asarray(A.T @ targets)
+        gram = _gram(X, bias=True)
+        gram[np.diag_indices(d)] += alpha  # the intercept stays unpenalized
         solution = np.linalg.solve(gram, rhs)  # (d+1, C)
     else:
         from scipy.sparse.linalg import LinearOperator, cg  # costs start-up; only this path needs it
 
         def matvec(v):
-            return np.asarray(A.T @ (A @ v)).ravel() + alpha * penalty * v
+            u = np.asarray(X @ v[:d]).ravel() + v[d]  # [X, 1] v
+            return np.append(np.asarray(X.T @ u).ravel() + alpha * v[:d], u.sum())
 
         op = LinearOperator((d + 1, d + 1), matvec=matvec, dtype=np.float64)
-        solution = np.zeros((d + 1, C))
-        for c in range(C):
-            rhs_c = np.asarray(A.T @ targets[:, c]).ravel()
-            sol, info = cg(op, rhs_c, rtol=1e-8, atol=0.0, maxiter=10 * (d + 1))
+        solution = np.zeros_like(rhs)
+        for c in range(rhs.shape[1]):
+            solution[:, c], info = cg(op, rhs[:, c], rtol=1e-8, atol=0.0, maxiter=10 * (d + 1))
             if info != 0:
                 raise NonFiniteLoss(f"ridge CG failed to converge for class {c} (info={info})")
-            solution[:, c] = sol
     return solution[:d].T.copy(), solution[d].copy()
 
 

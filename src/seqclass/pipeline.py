@@ -19,11 +19,11 @@ used columns, so its fit is its own. The report's feature_dim stays
 nominal, and feature_columns gives the width the models (or the RFF
 projector) read.
 
-Before the first run, the peak bytes of the RFF weights and projected
-splits, the model's C x used-columns (nn: hidden x used-columns) arrays
-and ridge's dense Gram matrix are estimated; a config whose estimate
-exceeds physical memory is an InvalidConfig naming the knob that lowers
-it.
+Before the first run, the peak bytes of the RFF weights, projected
+splits and CSR copies, the model's C x used-columns (nn: hidden x
+used-columns) arrays and ridge's dense Gram matrix are estimated; a
+config whose estimate exceeds physical memory is an InvalidConfig naming
+the knob that lowers it.
 
 The RFF projector is built from (dim, D, gamma, seed) alone, so test
 data cannot leak into it by construction. Every model is fitted, then
@@ -66,16 +66,10 @@ _MODEL_PEAK_ARRAYS = {"nb": 4, "lr": 2 * lm.LBFGS_MEMORY + 5}
 # float64 h x used-columns arrays that nn_train holds at once: w1, Adam's m
 # and v, and one step's gradient of w1 (adam_step works in block-sized scratch)
 _NN_PEAK_ARRAYS = 4
-# float64 Gram-sized arrays of ridge's direct solve: while scipy's sparse
-# X X' (or A'A) is densified, both copies live, up to 2.5 arrays (12 bytes
-# an entry when the product is dense); numpy's solve then copies the dense
-# one. tracemalloc saw 2.5 on dense dual Grams. The primal path also holds
-# the n x C targets and A = [X, 1]: dense, or sparse at 12 bytes a nonzero
-# plus 12 for the CSR transpose scipy takes of it for A'A (building A peaks
-# at 13.1). On a 4000 x 300 split at 90 % density, tracemalloc saw 23.0
-# bytes a nonzero beside the Gram matrix and the targets
-_RIDGE_GRAM_ARRAYS = 3
-_RIDGE_SPARSE_A_BYTES = 24
+# float64 Gram-sized arrays of ridge's direct solve beside one block of
+# linear_models._gram: the Gram matrix and one block's product, or the copy
+# numpy's solve takes (tracemalloc: 2.0 beside the block and the targets)
+_RIDGE_GRAM_ARRAYS = 2
 
 
 @contextmanager
@@ -106,7 +100,8 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
     default hidden width; only the RFF weights stay on ``feature_dim``.
     ``corpus_size`` gives the train rows of ridge's direct solve and the
     rows that RFF projects; ``corpus_nnz``, the feature matrix's nonzeros,
-    gives the train split's share that ridge's primal solve copies.
+    gives the CSR copies that RFF makes of them and the train split's share
+    that ridge's dual copies as X'.
     """
     columns = feature_dim if feature_columns is None else feature_columns
     model_columns = config.rff_dim if config.use_rff else columns
@@ -115,15 +110,15 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
         hidden = model_columns if config.nn_hidden_width is None else config.nn_hidden_width
         needed, knob = _NN_PEAK_ARRAYS * hidden * model_columns * 8, "--nn-hidden-width"
     elif config.model == "ridge":
-        # the dense min(n, columns + 1)^2 Gram matrix of the direct solve; CG holds none
+        # the direct solve's min(n, columns + 1)^2 arrays, one block, the n x C
+        # targets and the dual's X' of a CSR X; CG holds none of these
         side = min(n_train, model_columns + 1)
-        needed = _RIDGE_GRAM_ARRAYS * side * side * 8 if side <= lm.RIDGE_DENSE_LIMIT else 0
-        if needed and n_train > model_columns:  # the primal solve
-            if config.use_rff:  # a dense [X, 1]
-                needed += 8 * n_train * (model_columns + 1)
-            else:
-                needed += _RIDGE_SPARSE_A_BYTES * (corpus_nnz * n_train // corpus_size + n_train)
-            needed += 8 * n_train * class_count
+        needed = 0
+        if 0 < side <= lm.RIDGE_DENSE_LIMIT:
+            needed = (_RIDGE_GRAM_ARRAYS * side * side * 8 + GEMM_BLOCK_BYTES
+                      + 8 * n_train * class_count)
+            if n_train <= model_columns and not config.use_rff:
+                needed += 12 * (corpus_nnz * n_train // corpus_size)
         knob = "--train-fraction" if n_train <= model_columns else "--k"
     else:
         needed = _MODEL_PEAK_ARRAYS.get(config.model, 0) * class_count * model_columns * 8
@@ -131,9 +126,11 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
     if config.use_rff:
         # the D x d weights, one block of either route of rff.project, and the
         # dense n x D splits it returns, whose n_test x D test split gnb_scores
-        # also squares
+        # also squares; and 3 CSR copies of the corpus's nonzeros at 12 bytes at
+        # most: the splits, project's float64 copy and the rows a block densifies
         projected = corpus_size + (corpus_size - n_train if config.model == "nb" else 0)
-        rff_bytes = config.rff_dim * (feature_dim + projected) * 8 + GEMM_BLOCK_BYTES
+        rff_bytes = (config.rff_dim * (feature_dim + projected) * 8 + GEMM_BLOCK_BYTES
+                     + 36 * corpus_nnz)
         rff_knob = "--nn-hidden-width or --rff-dim" if config.model == "nn" else "--rff-dim or --k"
         return needed + rff_bytes, rff_knob
     return needed, knob
@@ -194,7 +191,8 @@ def _fit(config: ExperimentConfig, X_train, y_train, class_count: int, seed: int
                        "final_loss": model.loss_trace[-1]}
     elif config.model == "ridge":
         model = lm.ridge_fit(X_train, y_train, alpha=config.ridge_alpha, class_count=class_count)
-        scores, diagnostics = lm.ridge_scores, {"kind": "ridge", "alpha": model.alpha}
+        scores = lm.ridge_scores
+        diagnostics = {"kind": "ridge", "alpha": model.alpha, "solver": model.solver}
     else:
         model = nn.nn_train(
             X_train, y_train, class_count,

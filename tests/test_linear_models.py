@@ -360,6 +360,7 @@ def test_ridge_cg_matches_normal_equations(rng, monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "cg", lambda *a, **kw: cg_calls.append(1) or cg(*a, **kw))
     iterative = lm.ridge_fit(X, y, alpha=0.5)
     assert len(cg_calls) == 3  # one solve per class
+    assert (direct.solver, iterative.solver) == ("primal", "cg")
     scale = np.abs(direct.weights).max()
     assert np.allclose(direct.weights, iterative.weights, atol=1e-6 * scale, rtol=1e-6)
     assert np.allclose(direct.bias, iterative.bias, atol=1e-6)
@@ -405,9 +406,50 @@ def test_ridge_dual_matches_primal(rng, sparse, n, d):
     model = lm.ridge_fit(X, y, alpha=0.5, class_count=C)
     chosen = dual if n < d + 1 else primal  # the direct solve runs in the smaller space
     assert np.array_equal(model.weights, chosen[0]) and np.array_equal(model.bias, chosen[1])
+    assert model.solver == ("dual" if n < d + 1 else "primal")
     assert _ridge_residual(X, y, C, model) < 1e-10
     assert np.allclose(model.weights[4:], 0.0, atol=1e-12)  # unseen classes: all -1 targets
     assert np.allclose(model.bias[4:], -1.0, atol=1e-12)
+
+
+def _bordered(X):
+    """[X, 1] as a dense array."""
+    X = X.toarray() if sp.issparse(X) else X
+    return np.hstack([X, np.ones((X.shape[0], 1))])
+
+
+def test_gram_of_counts_in_uneven_blocks_is_bit_identical(rng, monkeypatch):
+    """Row blocks of 3 and 4 rows, the last of one row, on both sides of the solve."""
+    counts = rng.poisson(3.0, size=(13, 10)).astype(np.float64)
+    counts[2] = 0.0  # an empty row, and so an empty column of X'
+    X = sp.csr_matrix(counts)
+    monkeypatch.setattr(lm.rff, "GEMM_BLOCK_BYTES", 3 * 8 * 13)  # X' rows 3 + 3 + 3 + 1
+    assert np.array_equal(lm._gram(X.T.tocsr()), (X @ X.T).toarray())
+    monkeypatch.setattr(lm.rff, "GEMM_BLOCK_BYTES", 4 * 8 * 11)  # [X, 1] rows 4 + 4 + 4 + 1
+    A = sp.csr_matrix(_bordered(X))
+    assert np.array_equal(lm._gram(X, bias=True), (A.T @ A).toarray())
+
+
+def test_gram_of_one_dense_block_is_numpys_product(rng):
+    """One block is one product: [X, 1] is copied as np.hstack lays it out, and X' is copied
+    into C order, whose product OpenBLAS sums as it sums X @ X.T."""
+    X = rng.normal(size=(13, 10))
+    assert np.array_equal(lm._gram(X.T), X @ X.T)
+    A = _bordered(X)
+    assert np.array_equal(lm._gram(X, bias=True), A.T @ A)
+
+
+def test_gram_of_normalized_rows_agrees_to_rounding(rng, monkeypatch):
+    """l2_normalize input is not integer: the blocks sum in another order than scipy."""
+    from seqclass.features import l2_normalize_rows
+
+    X = l2_normalize_rows(sp.csr_matrix(rng.poisson(1.0, size=(40, 30)).astype(np.float64)))
+    monkeypatch.setattr(lm.rff, "GEMM_BLOCK_BYTES", 7 * 8 * 40)  # X' rows 7 + ... + 2
+    dual = lm._gram(X.T.tocsr())
+    assert np.allclose(dual, (X @ X.T).toarray(), rtol=0, atol=1e-14)  # entries are at most 1
+    A = sp.csr_matrix(_bordered(X))
+    primal = lm._gram(X, bias=True)  # rows 9 + 9 + 9 + 9 + 4
+    assert np.allclose(primal, (A.T @ A).toarray(), rtol=0, atol=1e-13)  # entries up to 40
 
 
 def test_ridge_rejects_bad_alpha(rng):
@@ -459,7 +501,7 @@ def test_model_summary_names_each_kind(rng):
         "majority": ["kind", "majority_class", "class_count"],
         "nb": ["kind", "class_count", "input_dim"],
         "lr": ["kind", "l2_lambda", "n_iters", "converged", "grad_norm", "final_loss"],
-        "ridge": ["kind", "alpha"],
+        "ridge": ["kind", "alpha", "solver"],
         "nn": ["kind", "hidden_width", "epochs", "final_loss"],
     }
     fitted = {}
@@ -478,7 +520,9 @@ def test_model_summary_names_each_kind(rng):
     assert diagnostics["final_loss"] == logreg.loss_trace[-1]
     assert diagnostics["n_iters"] == logreg.n_iters <= 30
     assert diagnostics["converged"] is logreg.converged
-    assert fitted["ridge"][1]["alpha"] == 1.0
+    ridge, diagnostics = fitted["ridge"]
+    assert diagnostics["alpha"] == 1.0
+    assert diagnostics["solver"] == ridge.solver == "primal"  # 30 rows, 4 columns
     nn_diagnostics = fitted["nn"][1]
     assert nn_diagnostics["hidden_width"] == 8 and nn_diagnostics["epochs"] == 3
     net = nnet.nn_train(X, y, 2, hidden_width=8, epochs=3)

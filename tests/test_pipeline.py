@@ -127,7 +127,8 @@ def test_experiment_is_deterministic():
     stripped = strip_timing(report_a)
     assert "timing" not in stripped["runs"][0]
     assert "metrics" in stripped["runs"][0]
-    assert stripped["runs"][0]["diagnostics"] == {"kind": "ridge", "alpha": 1.0}
+    # 10 train rows on 32 RFF columns: the dual solve
+    assert stripped["runs"][0]["diagnostics"] == {"kind": "ridge", "alpha": 1.0, "solver": "dual"}
 
 
 def test_rff_path_records_dims():
@@ -334,6 +335,15 @@ def test_cli_run_lr_leaves_scipy_optimize_out(tmp_path):
         assert "scipy.optimize" not in out
 
 
+def test_cli_run_ridge_leaves_scipy_linalg_out(tmp_path):
+    """ridge's dual solve is numpy's: neither scipy.linalg nor scipy.sparse.linalg is loaded."""
+    _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
+    out = _exit_code_and_scipy_modules(["run", "--corpus", str(corpus), "--model", "ridge",
+                                        "--runs", "1"])  # 2 train rows on 3-mers: the dual
+    assert out.startswith("0 ['scipy'")
+    assert "scipy.linalg" not in out and "scipy.sparse.linalg" not in out
+
+
 def test_cli_run_with_a_one_member_class_names_it(tmp_path, capsys):
     _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "Zürich": 1, "b": 6})
     assert main(["run", "--corpus", str(corpus), "--model", "majority", "--runs", "1"]) == 3
@@ -511,7 +521,8 @@ TRACED_PEAK_CASES = {
     "majority-True": ("majority", True, 60, 20000, 0.005),
     # a dense n x n dual Gram matrix that outweighs the C x d weights
     "ridge-False": ("ridge", False, 1000, 3000, 0.05),
-    # n > d: the primal [X, 1] and its transpose outweigh the (d + 1)^2 Gram matrix
+    # n > d: the primal solve, whose one block of rows with their 1s outweighs
+    # the (d + 1)^2 Gram matrix
     "ridge-primal": ("ridge", False, 4000, 300, 0.9),
 }
 
@@ -552,6 +563,27 @@ def test_memory_estimate_matches_traced_peak(model, use_rff, n, d, density):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert 0.75 * estimate <= peak <= 1.05 * estimate
+
+
+@pytest.mark.parametrize("model", ["lr", "ridge", "nb"])
+def test_memory_estimate_covers_traced_rff_run(model):
+    """The CSR copies that RFF makes of the corpus's nonzeros are counted too."""
+    import tracemalloc
+
+    from seqclass.features import featurize_corpus
+    from seqclass.pipeline import memory_estimate
+
+    data = labeled_corpus({"a": 1000, "b": 1000, "c": 1000}, length=60, seed=1)
+    config = ExperimentConfig(model=model, k=2, use_rff=True, rff_dim=2000, lr_max_iters=20,
+                              runs=1)
+    matrix = featurize_corpus(data, "kmers", k=2).matrix
+    estimate, _ = memory_estimate(config, matrix.shape[1], 3, corpus_size=matrix.shape[0],
+                                  corpus_nnz=matrix.nnz)
+    tracemalloc.start()
+    run_experiment(config, data)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= estimate <= 1.25 * peak
 
 
 def test_memory_estimate_at_long_kmers():
