@@ -95,9 +95,11 @@ def _kmer_csr_chunk(ids: Sequence[str], seqs: Sequence[str], k: int) -> sp.csr_m
             f"sequence {ids[row]!r} is shorter than k={k} ({lengths[row]} residues)"
         )
     offsets = np.concatenate(([0], np.cumsum(lengths)))
-    codes = codes.astype(np.int64)
+    # (row, k-mer) keys sort faster as int32, which holds them while rows * 21**k < 2^31
+    key_type = np.int32 if len(seqs) * dim < 2**31 else np.int64
+    codes = codes.astype(key_type)
     n_windows = len(codes) - k + 1
-    idx = np.zeros(n_windows, dtype=np.int64)
+    idx = np.zeros(n_windows, dtype=key_type)
     for j in range(k):
         idx = idx * ALPHABET_SIZE + codes[j : n_windows + j]
     # windows that straddle a sequence boundary are not k-mers
@@ -106,12 +108,12 @@ def _kmer_csr_chunk(ids: Sequence[str], seqs: Sequence[str], k: int) -> sp.csr_m
         valid[boundary - k + 1 : boundary] = False
     idx = idx[valid]
     per_row = lengths - k + 1
-    rows = np.repeat(np.arange(len(seqs), dtype=np.int64), per_row)
+    rows = np.repeat(np.arange(len(seqs), dtype=key_type), per_row)
     # sorted distinct (row, k-mer) keys: memory follows the window count, not rows * 21**k
     keys, counts = np.unique(rows * dim + idx, return_counts=True)
     data = counts.astype(np.int32)
     indices = (keys % dim).astype(np.int32)
-    indptr = np.searchsorted(keys // dim, np.arange(len(seqs) + 1)).astype(np.int64)
+    indptr = np.searchsorted(keys // dim, np.arange(len(seqs) + 1, dtype=key_type)).astype(np.int64)
     return sp.csr_matrix((data, indices, indptr), shape=(len(seqs), dim))
 
 

@@ -8,6 +8,11 @@ resolve toward the smaller class id throughout.
 Feature matrices may be dense ndarrays or scipy CSR; fitting never
 densifies anything larger than d x d, and ridge nothing larger than
 min(n, d+1) squared beside one block of rff.GEMM_BLOCK_BYTES.
+
+A score function gives each row's scores from that row alone, so the
+pipeline passes it one block of test rows at a time, never the whole
+test split. gnb squares CSR input with power(2): one copy, where scipy's
+elementwise multiply allocates for twice the nonzeros.
 """
 
 from __future__ import annotations
@@ -95,7 +100,7 @@ def gnb_fit(X, y, class_count: int | None = None) -> GaussianNbModel:
 
     sparse = sp.issparse(X)
     if sparse:
-        Xsq = X.multiply(X)
+        Xsq = X.power(2)
         global_mean = np.asarray(X.mean(axis=0)).ravel()
         global_var = np.asarray(Xsq.mean(axis=0)).ravel() - global_mean**2
     else:
@@ -161,7 +166,7 @@ def gnb_scores(model: GaussianNbModel, X) -> np.ndarray:
     inv_var *= -0.5
     b = inv_var.T  # (d, C)
     if sparse:
-        scores = np.asarray(X @ a) + np.asarray(X.multiply(X) @ b)
+        scores = np.asarray(X @ a) + np.asarray(X.power(2) @ b)
     else:
         scores = X @ a + (X * X) @ b
     return scores + const
@@ -362,25 +367,16 @@ def ridge_fit(X, y, alpha: float = 1.0, class_count: int | None = None) -> Ridge
 def _gram(M, bias: bool = False) -> np.ndarray:
     """M'M, or [M, 1]'[M, 1] with ``bias``, as the sum of B'B over blocks B of M's rows.
 
-    Each block is written densely into one buffer of rff.GEMM_BLOCK_BYTES.
-    On integer input every partial sum is an integer below 2^53, exact in
-    any order, so the result is bit-identical to scipy's product.
+    Each block is written densely into one buffer of rff.GEMM_BLOCK_BYTES
+    by rff.dense_row_blocks. On integer input every partial sum is an
+    integer below 2^53, exact in any order, so the result is bit-identical
+    to scipy's product.
     """
-    n, d = M.shape
+    d = M.shape[1]
     rows = max(1, rff.GEMM_BLOCK_BYTES // (8 * (d + bias)))
-    buffer = np.ones((min(rows, n), d + bias))
     gram = np.zeros((d + bias, d + bias))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        block = buffer[:stop - start]
-        if sp.issparse(M):  # views of M, set directly: scipy's constructor copies small ones
-            part, lo, hi = sp.csr_matrix(block.shape), M.indptr[start], M.indptr[stop]
-            part.indptr = M.indptr[start:stop + 1] - lo
-            part.indices, part.data = M.indices[lo:hi], M.data[lo:hi]
-            part.toarray(out=block)
-            block[:, d:] = 1.0  # the 1s, if any, which toarray zeroed
-        else:
-            block[:, :d] = M[start:stop]
+    for _, block in rff.dense_row_blocks(M, rows, d + bias):
+        block[:, d:] = 1.0  # the 1s of [M, 1], if any
         gram += block.T @ block
     return gram
 

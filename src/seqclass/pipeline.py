@@ -19,11 +19,20 @@ used columns, so its fit is its own. The report's feature_dim stays
 nominal, and feature_columns gives the width the models (or the RFF
 projector) read.
 
-Before the first run, the peak bytes of the RFF weights, projected
-splits and CSR copies, the model's C x used-columns (nn: hidden x
-used-columns) arrays and ridge's dense Gram matrix are estimated; a
-config whose estimate exceeds physical memory is an InvalidConfig naming
-the knob that lowers it.
+No run holds its whole test split: one n_test x C score array is filled
+block by block, each block's rows taken from the corpus matrix by test
+index and, with RFF, projected just before they are scored. A block is
+rff.GEMM_BLOCK_BYTES over what a row costs while scored (8 D bytes, or
+about 12 bytes a CSR nonzero). Each row is scored on its own, so scipy's
+CSR products give the same bits in any blocking; a dense GEMM can round
+by its height, so a remainder shorter than a block joins the last one.
+
+Before the first run, the peak bytes of the RFF weights, the projected
+train split, one projection block and one score block with their CSR
+copies, the model's C x used-columns (nn: hidden x used-columns) arrays
+and ridge's dense Gram matrix are estimated; a config whose estimate
+exceeds physical memory is an InvalidConfig naming the knob that lowers
+it.
 
 The RFF projector is built from (dim, D, gamma, seed) alone, so test
 data cannot leak into it by construction. Every model is fitted, then
@@ -98,10 +107,12 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
     ``feature_columns`` is the number of used columns the raw-feature
     models fit in (default: the nominal ``feature_dim``), and so the nn's
     default hidden width; only the RFF weights stay on ``feature_dim``.
-    ``corpus_size`` gives the train rows of ridge's direct solve and the
-    rows that RFF projects; ``corpus_nnz``, the feature matrix's nonzeros,
-    gives the CSR copies that RFF makes of them and the train split's share
-    that ridge's dual copies as X'.
+    ``corpus_size`` gives the train rows of ridge's direct solve and of
+    RFF's projected train split, and the test rows that set the largest
+    score block; ``corpus_nnz``, the feature matrix's nonzeros, gives the
+    CSR copies that RFF makes of the train split and of a block, and the
+    train split's share that ridge's dual copies as X'. A raw-feature score
+    block, a few CSR copies of GEMM_BLOCK_BYTES, is not counted.
     """
     columns = feature_dim if feature_columns is None else feature_columns
     model_columns = config.rff_dim if config.use_rff else columns
@@ -124,15 +135,23 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
         needed = _MODEL_PEAK_ARRAYS.get(config.model, 0) * class_count * model_columns * 8
         knob = "--k"
     if config.use_rff:
-        # the D x d weights, one block of either route of rff.project, and the
-        # dense n x D splits it returns, whose n_test x D test split gnb_scores
-        # also squares; and 3 CSR copies of the corpus's nonzeros at 12 bytes at
-        # most: the splits, project's float64 copy and the rows a block densifies
-        projected = corpus_size + (corpus_size - n_train if config.model == "nb" else 0)
-        rff_bytes = (config.rff_dim * (feature_dim + projected) * 8 + GEMM_BLOCK_BYTES
-                     + 36 * corpus_nnz)
+        # The D x d weights and the dense n_train x D train split are held throughout.
+        # Beside them lies the largest of: the model's arrays in the fit; one block of
+        # either route of rff.project with the train split's 2 CSR copies (the rows
+        # taken and project's float64 copy, 12 bytes a nonzero at most); or that block
+        # with the largest block of test rows, its 2 CSR copies and its projection,
+        # which gnb_scores squares beside its own arrays.
+        n_test = corpus_size - n_train
+        rows = _score_block_rows(config, corpus_size, corpus_nnz)
+        block = min(n_test, rows + n_test % rows)
+        csr_row_bytes = 24 * corpus_nnz / max(corpus_size, 1)
+        scoring = GEMM_BLOCK_BYTES + block * (csr_row_bytes + 8 * config.rff_dim)
+        if config.model == "nb":
+            scoring += 8 * config.rff_dim * block + needed
+        peak = max(needed, GEMM_BLOCK_BYTES + n_train * csr_row_bytes, scoring)
+        held = 8 * config.rff_dim * (feature_dim + n_train)
         rff_knob = "--nn-hidden-width or --rff-dim" if config.model == "nn" else "--rff-dim or --k"
-        return needed + rff_bytes, rff_knob
+        return int(held + peak), rff_knob
     return needed, knob
 
 
@@ -208,8 +227,18 @@ def _fit(config: ExperimentConfig, X_train, y_train, class_count: int, seed: int
     return model, scores, diagnostics
 
 
+def _score_block_rows(config: ExperimentConfig, corpus_size: int, corpus_nnz: int) -> int:
+    """Test rows scored at once: GEMM_BLOCK_BYTES over what one row costs while it is scored.
+
+    That is its 8 * D projected bytes with RFF, else about 12 bytes (a
+    float64 value and an int32 index) for each of its CSR nonzeros.
+    """
+    row_bytes = 8 * config.rff_dim if config.use_rff else 12 * corpus_nnz / max(corpus_size, 1)
+    return max(1, int(GEMM_BLOCK_BYTES // max(row_bytes, 1)))
+
+
 def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: int):
-    """One repetition: split, optional projection, fit, score."""
+    """One repetition: split, optional projection, fit, then scoring in blocks of test rows."""
     seeds = _run_seeds(config, run_index)
     with _stage("split"):
         # by name, so that ClassTooSmall names the class (object dtype: see split_indices)
@@ -218,10 +247,10 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
                                             seeds["split"], names if config.stratified else None)
 
     X_train = feats.matrix[train_idx]
-    X_test = feats.matrix[test_idx]
     y_train = feats.labels[train_idx]
     y_test = feats.labels[test_idx]
 
+    projector = None
     if config.use_rff:
         with _stage("rff"):
             d = feats.matrix.shape[1]
@@ -229,7 +258,6 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
             # built from (d, D, gamma, seed) alone: no row reaches it
             projector = new_projector(d, config.rff_dim, gamma, seeds["rff"])
             X_train = project(projector, X_train)
-            X_test = project(projector, X_test)
 
     class_count = len(feats.class_names)
     with _stage("fit"):
@@ -237,7 +265,18 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
         model, model_scores, diagnostics = _fit(config, X_train, y_train, class_count,
                                                 seeds["model"])
         fit_seconds = time.perf_counter() - tic
-        scores = model_scores(model, X_test)
+
+    # blocks of test rows, the last one taking a shorter remainder (module docstring)
+    rows = _score_block_rows(config, feats.matrix.shape[0], feats.matrix.nnz)
+    starts = range(0, max(len(test_idx) - rows, 0) + 1, rows)
+    scores = np.empty((len(test_idx), class_count))
+    for start, stop in zip(starts, [*starts[1:], len(test_idx)]):
+        X_block = feats.matrix[test_idx[start:stop]]
+        if projector is not None:
+            with _stage("rff"):
+                X_block = project(projector, X_block)
+        with _stage("fit"):
+            scores[start:stop] = model_scores(model, X_block)
     predictions = np.argmax(scores, axis=1)
 
     with _stage("metrics"):

@@ -119,9 +119,33 @@ def _sparse_linear(mat, weights: np.ndarray) -> np.ndarray:
         for start in range(0, weights.shape[0], rows):
             linear[:, start:start + rows] = mat @ weights[start:start + rows].T
         return linear
-    for start in range(0, n, rows):
-        np.matmul(mat[start:start + rows].toarray(), weights.T, out=linear[start:start + rows])
+    for start, block in dense_row_blocks(mat, rows):
+        np.matmul(block, weights.T, out=linear[start:start + len(block)])
     return linear
+
+
+def dense_row_blocks(M, rows: int, width: int | None = None):
+    """Yield (start, block) for each run of ``rows`` rows of M, as dense rows of M's dtype.
+
+    Every block is a view of one buffer, ``width`` columns wide (default:
+    M's width), so it is overwritten by the next. CSR rows are densified
+    straight from views of M's arrays, as scipy's constructor and row
+    slicing both copy them; columns beyond M's are 0 for CSR M and left as
+    they were for dense M.
+    """
+    n, d = M.shape
+    buffer = np.zeros((min(rows, n), width or d), dtype=M.dtype)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = buffer[:stop - start]
+        if sp.issparse(M):
+            part, lo, hi = sp.csr_matrix(block.shape), M.indptr[start], M.indptr[stop]
+            part.indptr = M.indptr[start:stop + 1] - lo
+            part.indices, part.data = M.indices[lo:hi], M.data[lo:hi]
+            part.toarray(out=block)
+        else:
+            block[:, :d] = M[start:stop]
+        yield start, block
 
 
 def exact_kernel(a, b, gamma: float) -> float:

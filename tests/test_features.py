@@ -227,9 +227,8 @@ def test_parallel_propagates_errors(rng):
     assert err.value.position == 40
 
 
-def _dense_kmer_csr_chunk(ids, seqs, k):
-    """The counter the sort-based one replaced: np.bincount over rows x 21**k counters."""
-    dim = ALPHABET_SIZE**k
+def _windows(ids, seqs, k):
+    """int64 row ids and base-21 k-mer ids of every window inside a sequence."""
     codes, lengths = features.encode_residues(ids, seqs)
     offsets = np.concatenate(([0], np.cumsum(lengths)))
     codes = codes.astype(np.int64)
@@ -240,14 +239,29 @@ def _dense_kmer_csr_chunk(ids, seqs, k):
     valid = np.ones(n_windows, dtype=bool)
     for boundary in offsets[1:-1]:
         valid[boundary - k + 1 : boundary] = False
-    idx = idx[valid]
-    rows = np.repeat(np.arange(len(seqs), dtype=np.int64), lengths - k + 1)
+    return np.repeat(np.arange(len(seqs), dtype=np.int64), lengths - k + 1), idx[valid]
+
+
+def _dense_kmer_csr_chunk(ids, seqs, k):
+    """The counter the sort-based one replaced: np.bincount over rows x 21**k counters."""
+    dim = ALPHABET_SIZE**k
+    rows, idx = _windows(ids, seqs, k)
     counts = np.bincount(rows * dim + idx, minlength=len(seqs) * dim)
     flat_nz = np.flatnonzero(counts)
     data = counts[flat_nz].astype(np.int32)
     indices = (flat_nz % dim).astype(np.int32)
     indptr = np.searchsorted(flat_nz // dim, np.arange(len(seqs) + 1)).astype(np.int64)
     return sp.csr_matrix((data, indices, indptr), shape=(len(seqs), dim))
+
+
+def _int64_kmer_csr_chunk(ids, seqs, k):
+    """The sort of int64 (row, k-mer) keys, which int32 keys replaced below 2^31."""
+    dim = ALPHABET_SIZE**k
+    rows, idx = _windows(ids, seqs, k)
+    keys, counts = np.unique(rows * dim + idx, return_counts=True)
+    indptr = np.searchsorted(keys // dim, np.arange(len(seqs) + 1)).astype(np.int64)
+    return sp.csr_matrix((counts.astype(np.int32), (keys % dim).astype(np.int32), indptr),
+                         shape=(len(seqs), dim))
 
 
 def _ragged(rng, n, k, longest):
@@ -278,6 +292,18 @@ def test_sorted_counting_matches_dense_bincount(rng, k):
     want = sp.vstack(chunks, format="csr")
     for workers in (1, 2):
         _assert_same_csr(kmer_matrix(seqs, k, workers=workers, ids=ids), want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_int32_keys_match_the_int64_sort(rng, k):
+    seqs = _ragged(rng, 1100, k, 40)
+    ids = [f"q{i}" for i in range(len(seqs))]
+    # a full chunk sorts int32 keys up to k = 5 (512 * 21**5 < 2^31), int64 ones at k = 6
+    assert (features._CHUNK_ROWS * ALPHABET_SIZE**k < 2**31) == (k <= 5)
+    for start in range(0, len(seqs), features._CHUNK_ROWS):
+        chunk = slice(start, start + features._CHUNK_ROWS)
+        _assert_same_csr(features._kmer_csr_chunk(ids[chunk], seqs[chunk], k),
+                         _int64_kmer_csr_chunk(ids[chunk], seqs[chunk], k))
 
 
 def _chunked_ohe(ids, seqs, expected_len, chunk_size=512):

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ from seqclass.cli import main
 from seqclass.config import ExperimentConfig, config_from_mapping, parse_config_file
 from seqclass.errors import EmptyMatrix, EmptyTrainingSet, InvalidConfig, IoFailure
 from seqclass.ingest import LabeledSequence, LabelHierarchy, SequenceRecord, save_corpus
-from seqclass.pipeline import report_to_json, run_experiment, strip_timing, write_report_csv
+from seqclass.pipeline import (_score_block_rows, report_to_json, run_experiment, strip_timing,
+                               write_report_csv)
 
 from conftest import labeled_corpus, random_sequences, read_sqfv1
 
@@ -511,6 +512,115 @@ def test_cli_workers_below_one_is_config_error(tmp_path, workers):
                  "--out-features", str(tmp_path / "f"), "--out-labels", str(tmp_path / "l")]) == 2
 
 
+# --- scoring in blocks of test rows ------------------------------------------------
+
+
+def _blocked_and_whole_scores(monkeypatch, config, data, rows=None):
+    """One _single_run's test scores, the heights of the blocks it scored, and its
+    model's scores of the whole test split at once; ``rows`` fixes the block height."""
+    import seqclass.pipeline as pipeline
+    from seqclass.features import featurize_corpus, used_columns
+
+    feats = featurize_corpus(data, config.encoding, k=config.k)
+    if not config.use_rff:
+        feats = replace(feats, matrix=used_columns(feats.matrix))
+    seen = {"blocks": []}
+
+    def recording(name, fn):
+        def wrapper(*args):
+            seen[name] = fn(*args)
+            return seen[name]
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    def fit(*args):
+        model, scores, diagnostics = fit_model(*args)
+
+        def block_scores(model, X):
+            seen["blocks"].append(X.shape[0])
+            return scores(model, X)
+
+        seen["model"], seen["scores"] = model, scores
+        return model, block_scores, diagnostics
+
+    fit_model = pipeline._fit
+    monkeypatch.setattr(pipeline, "_fit", fit)
+    recording("split_indices", pipeline.split_indices)
+    recording("new_projector", pipeline.new_projector)
+    if rows is not None:
+        monkeypatch.setattr(pipeline, "_score_block_rows", lambda *args: rows)
+    monkeypatch.setattr(pipeline, "roc_auc_ovr_weighted",
+                        lambda scores, y: seen.update(blocked=scores.copy()) or 0.5)
+    pipeline._single_run(config, feats, 0)
+    X_test = feats.matrix[seen["split_indices"][1]]
+    if config.use_rff:
+        X_test = pipeline.project(seen["new_projector"], X_test)
+    return seen["blocked"], seen["scores"](seen["model"], X_test), seen["blocks"]
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("model", ["majority", "nb", "lr", "ridge"])
+def test_raw_csr_scores_in_blocks_are_bit_identical(monkeypatch, model, rows):
+    """scipy's CSR products score each row on its own, so every block height agrees."""
+    data = labeled_corpus({"a": 20, "b": 15, "c": 15}, length=30, seed=4)
+    config = ExperimentConfig(model=model, k=2, train_fraction=0.3, lr_max_iters=30)
+    blocked, whole, blocks = _blocked_and_whole_scores(monkeypatch, config, data, rows)
+    # 35 test rows: 1-row blocks, or 4-row ones whose 3-row remainder joins the last
+    assert blocks == ([1] * 35 if rows == 1 else [4] * 7 + [7])
+    assert np.array_equal(blocked, whole)
+
+
+DENSE_SCORING = [("nn", False)] + [(model, True) for model in ("majority", "nb", "lr", "ridge", "nn")]
+
+
+@pytest.mark.parametrize("model, use_rff", DENSE_SCORING,
+                         ids=[f"{m}-{'rff' if r else 'raw'}" for m, r in DENSE_SCORING])
+def test_dense_scores_in_blocks(monkeypatch, model, use_rff):
+    """A dense GEMM rounds by its height: bit-identical at the blocks of D = 1000, and
+    within 1e-14 of the largest score (at least 1) at 7-row blocks."""
+    data = labeled_corpus({"a": 1200, "b": 900, "c": 900}, length=40, seed=4)  # 2700 test rows
+    config = ExperimentConfig(model=model, k=2, use_rff=use_rff, nn_hidden_width=16, nn_epochs=2,
+                              lr_max_iters=30)
+    rows = _score_block_rows(config, 3000, 0) if use_rff else 1048
+    assert rows == 1048
+    blocked, whole, blocks = _blocked_and_whole_scores(monkeypatch, config, data, rows)
+    assert blocks == [1048, 1652]  # the 604-row remainder joins the last block
+    assert np.array_equal(blocked, whole)
+    blocked, whole, blocks = _blocked_and_whole_scores(monkeypatch, config, data, 7)
+    assert blocks == [7] * 384 + [12]
+    assert np.abs(blocked - whole).max() <= 1e-14 * max(1.0, np.abs(whole).max())
+
+
+def test_score_block_rows():
+    # 8 MiB over a row's 8 D projected bytes, or over 12 bytes a CSR nonzero
+    assert _score_block_rows(ExperimentConfig(use_rff=True, rff_dim=1000), 3000, 10**6) == 1048
+    assert _score_block_rows(ExperimentConfig(use_rff=True, rff_dim=3000), 1, 0) == 349
+    assert _score_block_rows(ExperimentConfig(), 1000, 37_000) == (8 << 20) // (12 * 37)
+    assert _score_block_rows(ExperimentConfig(use_rff=True, rff_dim=2 << 20), 1, 0) == 1
+
+
+def test_raw_nb_run_holds_less_than_the_test_split(monkeypatch):
+    """Scoring 64 KiB blocks, raw nb's run peaks below one float64 CSR copy of its test split."""
+    import tracemalloc
+
+    import seqclass.pipeline as pipeline
+    from seqclass.features import featurize_corpus, used_columns
+
+    data = labeled_corpus({"a": 800, "b": 600, "c": 600}, length=300, seed=2)
+    feats = featurize_corpus(data, "kmers", k=2)
+    feats = replace(feats, matrix=used_columns(feats.matrix))
+    config = ExperimentConfig(model="nb", k=2)
+    _, test_idx = pipeline.split_indices(2000, config.train_fraction, config.split_seed)
+    test = feats.matrix[test_idx].astype(np.float64)
+    split_bytes = test.data.nbytes + test.indices.nbytes + test.indptr.nbytes
+    del test
+    monkeypatch.setattr(pipeline, "GEMM_BLOCK_BYTES", 64 << 10)
+    tracemalloc.start()
+    pipeline._single_run(config, feats, 0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < split_bytes
+
+
 # --- memory pre-flight -----------------------------------------------------------
 
 # id: (model, use_rff, the train split's rows, columns and density)
@@ -595,12 +705,24 @@ def test_memory_estimate_at_long_kmers():
     assert memory_estimate(ExperimentConfig(model="ridge", k=6), d6, 20)[0] == 0
     rff = memory_estimate(ExperimentConfig(model="nb", k=6, use_rff=True), d6, 20)
     assert rff == (1000 * d6 * 8 + (8 << 20) + 4 * 20 * 1000 * 8, "--rff-dim or --k")
-    # 3000 rows: both dense 1000-wide splits, and nb's square of the 2700 test rows
+    # 3000 rows: the dense 300-row train split, and the largest block of the 2700
+    # test rows (2 x 1048 + 604, the 604 joining a block) with nb's square of it
     rff = memory_estimate(ExperimentConfig(model="nb", k=2, use_rff=True), 441, 20, corpus_size=3000)
-    assert rff == (1000 * 441 * 8 + (8 << 20) + 4 * 20 * 1000 * 8 + (3000 + 2700) * 1000 * 8,
+    assert rff == (1000 * (441 + 300) * 8 + (8 << 20) + 2 * 1652 * 1000 * 8 + 4 * 20 * 1000 * 8,
                    "--rff-dim or --k")
-    rff = memory_estimate(ExperimentConfig(model="lr", k=2, use_rff=True), 441, 20, corpus_size=3000)
-    assert rff[0] == 1000 * 441 * 8 + (8 << 20) + 15 * 20 * 1000 * 8 + 3000 * 1000 * 8
+    lr = ExperimentConfig(model="lr", k=2, use_rff=True)
+    rff = memory_estimate(lr, 441, 20, corpus_size=3000)
+    assert rff[0] == 1000 * (441 + 300) * 8 + (8 << 20) + 1652 * 1000 * 8
+    # with 50 nonzeros a row, 2 CSR copies of 12 bytes a nonzero: of the block, or of
+    # the 2700-row train split when that outweighs the block and its projection
+    rff = memory_estimate(lr, 441, 20, corpus_size=3000, corpus_nnz=3000 * 50)
+    assert rff[0] == 1000 * (441 + 300) * 8 + (8 << 20) + 1652 * (1000 * 8 + 24 * 50)
+    wide = replace(lr, train_fraction=0.9)
+    rff = memory_estimate(wide, 441, 20, corpus_size=3000, corpus_nnz=3000 * 50)
+    assert rff[0] == 1000 * (441 + 2700) * 8 + (8 << 20) + 2700 * 24 * 50
+    # 200 classes: lr's 15 C x D arrays outweigh either block
+    assert memory_estimate(lr, 441, 200, corpus_size=3000)[0] == (
+        1000 * (441 + 300) * 8 + 15 * 200 * 1000 * 8)
 
 
 def test_memory_estimate_of_nn_counts_hidden_by_input():
@@ -615,8 +737,9 @@ def test_memory_estimate_of_nn_counts_hidden_by_input():
         4 * 6746 * 6746 * 8, "--nn-hidden-width")
     narrow = ExperimentConfig(model="nn", encoding="ohe", nn_hidden_width=64)
     assert memory_estimate(narrow, d, 20) == (4 * 64 * d * 8, "--nn-hidden-width")
-    rff = memory_estimate(ExperimentConfig(model="nn", use_rff=True, rff_dim=500), d, 20)
-    assert rff == (500 * d * 8 + (8 << 20) + 4 * 500 * 500 * 8, "--nn-hidden-width or --rff-dim")
+    # with RFF the width is D, and the fit's 4 D x D arrays outweigh one block of project
+    rff = memory_estimate(ExperimentConfig(model="nn", use_rff=True, rff_dim=1000), d, 20)
+    assert rff == (1000 * d * 8 + 4 * 1000 * 1000 * 8, "--nn-hidden-width or --rff-dim")
 
 
 def test_preflight_counts_every_parallel_run(monkeypatch):

@@ -182,6 +182,30 @@ def test_gemm_route_on_one_hot_rows():
     assert np.array_equal(project(proj, mat), project(proj, mat.astype(np.float64)))
 
 
+def test_gemm_route_matches_products_of_sliced_blocks(rng, monkeypatch):
+    """Blocks densified from views of the CSR arrays give the GEMMs of sliced copies, bit for bit."""
+    d, D = 50, 24
+    proj = new_projector(d, D, 0.05, seed=8)
+    monkeypatch.setattr(rff, "GEMM_BLOCK_BYTES", 3 * 8 * d)  # 3-row blocks: 3 + 3 + 3 + 1
+    mat = sp.csr_matrix(rng.poisson(0.4, size=(10, d)).astype(np.float64))
+    want = np.vstack([mat[s:s + 3].toarray() @ proj.weights.T for s in range(0, 10, 3)])
+    assert np.array_equal(rff._sparse_linear(mat, proj.weights), want)
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+def test_dense_row_blocks_reuse_one_buffer(rng, sparse):
+    dense = rng.poisson(0.4, size=(10, 6)).astype(np.float64)
+    M = sp.csr_matrix(dense) if sparse else dense
+    starts, buffers = [], set()
+    for start, block in rff.dense_row_blocks(M, 4, width=8):
+        starts.append(start)
+        buffers.add(block.ctypes.data)  # every block starts the one buffer
+        assert np.array_equal(block[:, :6], dense[start:start + 4])
+        if sparse:
+            assert not block[:, 6:].any()
+    assert starts == [0, 4, 8] and len(buffers) == 1
+
+
 def test_gemm_route_edge_shapes(rng, monkeypatch):
     d, D = 50, 24
     proj = new_projector(d, D, 0.05, seed=8)
