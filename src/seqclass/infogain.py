@@ -5,6 +5,11 @@ with base-2 entropies, so a constant column scores 0 and a column that
 determines the class scores the full class entropy. Corpora must be
 positionally aligned (equal lengths); an optional seeded subsample caps
 the counting cost on large corpora.
+
+`export_histograms` writes the bytes of json's indenting encoder for the
+counts without running it on them: json formats only the header, so
+class names keep its escaping, and the counts are joined at their fixed
+indentation, converted only where a symbol occurs at a position.
 """
 
 from __future__ import annotations
@@ -128,24 +133,30 @@ def export_ig(table: IgTable, path: str) -> None:
 
 
 def export_histograms(path: str, hist: np.ndarray, class_names: list[str]) -> None:
-    """JSON with per-position per-symbol class counts, for plotting."""
-    counts = hist.tolist()  # one conversion, then one string and one write
-    payload = {
-        "format": "seqclass-ig-hist/1",
-        "class_names": class_names,
-        "alphabet": AMINO_ACIDS,
-        "positions": [
-            {
-                "position": p + 1,
-                "symbol_class_counts": {
-                    AMINO_ACIDS[s]: by_class for s, by_class in enumerate(symbols) if any(by_class)
-                },
-            }
-            for p, symbols in enumerate(counts)
-        ],
-    }
-    text = json.dumps(payload, indent=2) + "\n"
+    """JSON with per-position per-symbol class counts, for plotting.
+
+    The bytes are ``json.dumps(payload, indent=2) + "\n"`` of
+    {format, class_names, alphabet, positions: [{position,
+    symbol_class_counts: {symbol: counts by class}}]}, where a symbol is
+    listed at the positions where it occurs (module docstring).
+    """
+    header = json.dumps({"format": "seqclass-ig-hist/1", "class_names": class_names,
+                         "alphabet": AMINO_ACIDS, "positions": []}, indent=2)
+    present = hist.any(axis=2)  # (L, 21): the symbols that occur at each position
+    leaves = iter(hist[present].tolist())
+    keys = [json.dumps(symbol) for symbol in AMINO_ACIDS]
+    positions = []
+    for p, symbols in enumerate(present.tolist()):
+        counts = ",\n        ".join(
+            f"{keys[s]}: [\n          " + ",\n          ".join(map(str, next(leaves))) + "\n        ]"
+            for s, occurs in enumerate(symbols) if occurs
+        )
+        counts = "{\n        " + counts + "\n      }" if counts else "{}"
+        positions.append(f'    {{\n      "position": {p + 1},\n'
+                         f'      "symbol_class_counts": {counts}\n    }}')
+    if positions:  # the header ends in '"positions": []\n}'
+        header = header[: -len("[]\n}")] + "[\n" + ",\n".join(positions) + "\n  ]\n}"
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_text(header + "\n", encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot write histograms {path!r}: {exc}") from exc

@@ -11,7 +11,8 @@ min(n, d+1) squared beside one block of rff.GEMM_BLOCK_BYTES.
 
 A score function gives each row's scores from that row alone, so the
 pipeline passes it one block of test rows at a time, never the whole
-test split. gnb squares CSR input with power(2): one copy, where scipy's
+test split. gnb_fit computes gnb's score terms once per model, not once
+per block. gnb squares CSR input with power(2): one copy, where scipy's
 elementwise multiply allocates for twice the nonzeros.
 """
 
@@ -82,6 +83,10 @@ class GaussianNbModel:
     variances: np.ndarray  # (C, d), floored
     class_count: int
     input_dim: int
+    # gnb_scores' quadratic form const_c + x . a_c + (x*x) . b_c, from gnb_fit
+    const: np.ndarray  # (C,)
+    a: np.ndarray  # (d, C): C-ordered when fitted on CSR, the transpose of C x d memory if dense
+    b: np.ndarray  # (d, C), in a's layout
 
 
 def gnb_fit(X, y, class_count: int | None = None) -> GaussianNbModel:
@@ -125,51 +130,56 @@ def gnb_fit(X, y, class_count: int | None = None) -> GaussianNbModel:
         means = (members @ X) / sizes
         ex2 = (members @ X**2) / sizes
     ex2 -= means**2
-    variances = np.maximum(ex2, 0.0, out=ex2) + eps
+    variances = np.maximum(ex2, 0.0, out=ex2)
+    variances += eps
 
     with np.errstate(divide="ignore"):
         log_priors = np.log(priors)
-    return GaussianNbModel(log_priors, means, variances, C, d)
+
+    # The score terms, once per model, in two C x d arrays beside means and
+    # variances: a scratch array that holds each term of const and then a,
+    # and inv_var, which becomes b in place. Fitted on CSR, a and b are
+    # C-ordered (d, C) arrays, which scipy's sparse product reads without a
+    # copy; they are computed in that order from transposed inputs, as a
+    # write through a transposed view is about three times slower. Fitted on
+    # dense input, they keep C x d memory. const always sums along C x d rows.
+    scratch = np.multiply(2.0 * np.pi, variances)
+    log_det = np.sum(np.log(scratch, out=scratch), axis=1)
+    if sparse:
+        inv_var = np.divide(1.0, variances.T, out=np.empty((d, C))).T
+    else:
+        inv_var = 1.0 / variances
+    np.square(means, out=scratch)
+    scratch *= inv_var
+    const = log_priors - 0.5 * log_det - 0.5 * np.sum(scratch, axis=1)
+    if sparse:
+        a = np.multiply(means.T, inv_var.T, out=scratch.reshape(d, C))
+    else:
+        a = np.multiply(means, inv_var, out=scratch).T
+    inv_var *= -0.5
+    return GaussianNbModel(log_priors, means, variances, C, d, const, a, inv_var.T)
 
 
 def gnb_scores(model: GaussianNbModel, X) -> np.ndarray:
     """Per-class log-posteriors (up to the shared evidence term).
 
-    Written as a quadratic form const_c + x . a_c + (x*x) . b_c so sparse
-    inputs never densify.
+    Written as the quadratic form const_c + x . a_c + (x*x) . b_c that
+    gnb_fit computed, so sparse inputs never densify. CSR input reads a
+    and b as C-ordered (d, C) arrays; dense input reads them as the
+    transpose of C x d memory, because BLAS rounds small products
+    differently when an operand's layout changes. Each is copied into
+    that layout only when the model was fitted on the other input type,
+    so the scores do not depend on which type that was.
     """
     X = _as_2d(X)
     _check_dim(X, model.input_dim)
-    # Two C x d arrays beside the model's: a scratch array that holds each
-    # term of const and then a, and inv_var, which becomes b in place. For
-    # CSR input, a and inv_var are C-ordered (d, C) arrays, which scipy's
-    # sparse product reads without a copy; they are computed in that order
-    # from transposed inputs, as a write through a transposed view is about
-    # three times slower. Dense input keeps C x d memory, because BLAS rounds
-    # small products differently when an operand's layout changes. const
-    # always sums along C x d rows.
-    sparse = sp.issparse(X)
-    d, C = model.input_dim, model.class_count
-    scratch = np.multiply(2.0 * np.pi, model.variances)
-    log_det = np.sum(np.log(scratch, out=scratch), axis=1)
-    if sparse:
-        inv_var = np.divide(1.0, model.variances.T, out=np.empty((d, C))).T
-    else:
-        inv_var = 1.0 / model.variances
-    np.square(model.means, out=scratch)
-    scratch *= inv_var
-    const = model.log_priors - 0.5 * log_det - 0.5 * np.sum(scratch, axis=1)
-    if sparse:
-        a = np.multiply(model.means.T, inv_var.T, out=scratch.reshape(d, C))
-    else:
-        a = np.multiply(model.means, inv_var, out=scratch).T  # (d, C)
-    inv_var *= -0.5
-    b = inv_var.T  # (d, C)
-    if sparse:
+    if sp.issparse(X):
+        a, b = (np.asarray(t, order="C") for t in (model.a, model.b))
         scores = np.asarray(X @ a) + np.asarray(X.power(2) @ b)
     else:
+        a, b = (np.asarray(t, order="F") for t in (model.a, model.b))
         scores = X @ a + (X * X) @ b
-    return scores + const
+    return scores + model.const
 
 
 # --- multinomial logistic regression ------------------------------------------

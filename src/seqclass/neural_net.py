@@ -6,19 +6,18 @@ Hidden width defaults to the width of the input it is fitted on (one
 hidden unit per column; on the raw path of `seqclass run`, the used
 columns), which is also the Glorot limit's fan-in; batch size defaults
 to 100 and training runs a fixed 10 epochs with a seeded shuffle per
-epoch. Inputs may be dense or CSR; batches are the only thing ever
-densified.
+epoch.
 
-On CSR input, `nn_train` stores the first layer `w1` (shape (h, d)) in
-Fortran order, so its memory is the C-ordered (d, h) array that scipy's
-CSR products read and write: `X @ w1.T` reads it in place, `X.T @ delta`
-returns its gradient in the same layout, and Adam's moments inherit it.
-Dense input keeps C order, because BLAS rounds small products
-differently when an operand's layout changes, and dense results must
-not move. `adam_step` updates every parameter in place, one cache-sized
-block of memory rows at a time, with the operations of the textbook
-update in the same order (Kingma & Ba, ICLR 2015), so its result does
-not depend on the blocking or on the layouts of parameter and gradient.
+Inputs may be dense or CSR. `nn_loss_and_grads` (one training batch)
+and `nn_scores` (one block of rows) densify CSR input and run one code
+path: each layer is one BLAS GEMM, not scipy's scalar CSR kernels, and
+CSR input trains and scores bit for bit like its `.toarray()`. So a
+batch, or a block the caller sizes, is the only thing ever densified.
+Every array of the net is C-ordered. `adam_step` updates every
+parameter in place, one cache-sized block of rows at a time, with the
+operations of the textbook update in the same order (Kingma & Ba, ICLR
+2015), so its result does not depend on the blocking or on the layouts
+of parameter and gradient.
 """
 
 from __future__ import annotations
@@ -37,13 +36,13 @@ from .errors import (
 from .linear_models import _as_2d, _check_dim, _softmax
 
 PROB_FLOOR = 1e-12  # keeps the loss finite under confident mistakes
-ADAM_BLOCK_BYTES = 256 * 2**10  # memory rows of a parameter that adam_step updates in one pass
+ADAM_BLOCK_BYTES = 256 * 2**10  # rows of a parameter that adam_step updates in one pass
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
 @dataclass
 class FeedForwardNet:
-    w1: np.ndarray  # (h, d); Fortran-ordered while nn_train fits CSR input
+    w1: np.ndarray  # (h, d)
     b1: np.ndarray  # (h,)
     w2: np.ndarray  # (C, h)
     b2: np.ndarray  # (C,)
@@ -80,11 +79,17 @@ def nn_init(input_dim: int, class_count: int, hidden_width: int | None = None,
     )
 
 
+def _dense(X) -> np.ndarray:
+    """X's rows as a float64 ndarray; CSR input is densified."""
+    X = _as_2d(X)
+    return X.toarray() if sp.issparse(X) else X
+
+
 def nn_scores(net: FeedForwardNet, X) -> np.ndarray:
     """Class probabilities; rows sum to 1 within 1e-9."""
-    X = _as_2d(X)
+    X = _dense(X)
     _check_dim(X, net.w1.shape[1])
-    hidden = np.asarray(X @ net.w1.T) + net.b1
+    hidden = X @ net.w1.T + net.b1
     np.maximum(hidden, 0.0, out=hidden)
     return _softmax(hidden @ net.w2.T + net.b2)
 
@@ -102,8 +107,8 @@ def nn_loss_and_grads(net: FeedForwardNet, X, y) -> tuple[float, list[np.ndarray
     """Loss on a batch plus gradients for (w1, b1, w2, b2)."""
     y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]
-    Xf = _as_2d(X)
-    pre = np.asarray(Xf @ net.w1.T) + net.b1
+    X = _dense(X)
+    pre = X @ net.w1.T + net.b1
     hidden = np.maximum(pre, 0.0)
     probs = _softmax(hidden @ net.w2.T + net.b2)
     loss = nn_loss(probs, y)
@@ -114,10 +119,7 @@ def nn_loss_and_grads(net: FeedForwardNet, X, y) -> tuple[float, list[np.ndarray
     g_w2 = delta2.T @ hidden
     g_b2 = delta2.sum(axis=0)
     delta1 = (delta2 @ net.w2) * (pre > 0.0)
-    if sp.issparse(Xf):
-        g_w1 = np.asarray(Xf.T @ delta1).T
-    else:
-        g_w1 = delta1.T @ Xf
+    g_w1 = delta1.T @ X
     g_b1 = delta1.sum(axis=0)
     return loss, [g_w1, g_b1, g_w2, g_b2]
 
@@ -129,13 +131,6 @@ def adam_init(net: FeedForwardNet) -> AdamState:
         v=[np.zeros_like(p) for p in params],
         t=0,
     )
-
-
-def _memory_rows(a: np.ndarray, layout: np.ndarray) -> np.ndarray:
-    """A 2-d view of ``a`` whose rows run along ``layout``'s memory (its transpose if Fortran)."""
-    if a.ndim == 1:
-        return a[None, :]
-    return a.T if layout.flags.f_contiguous and not layout.flags.c_contiguous else a
 
 
 def adam_step(net: FeedForwardNet, grads: list[np.ndarray], state: AdamState,
@@ -152,7 +147,7 @@ def adam_step(net: FeedForwardNet, grads: list[np.ndarray], state: AdamState,
     correction2 = 1.0 - b2**state.t
     params = [net.w1, net.b1, net.w2, net.b2]
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        P, G, M, V = (_memory_rows(a, p) for a in (p, g, m, v))
+        P, G, M, V = (np.atleast_2d(a) for a in (p, g, m, v))
         rows = max(1, ADAM_BLOCK_BYTES // (P.itemsize * P.shape[1]))
         scratch = np.empty((2, min(rows, P.shape[0]), P.shape[1]))
         for start in range(0, P.shape[0], rows):
@@ -201,17 +196,12 @@ def nn_train(X, y, class_count: int, hidden_width: int | None = None, batch_size
         raise LabelOutOfRange(f"labels must lie in [0, {class_count})")
 
     net = nn_init(X.shape[1], class_count, hidden_width, seed)
-    if sp.issparse(X):
-        net.w1 = np.asfortranarray(net.w1)  # the (d, h) C order of scipy's CSR products
     state = adam_init(net)
-    sparse_in = sp.issparse(X)
     for order in epoch_shuffle_orders(seed, n, epochs):
         total = 0.0
         for start in range(0, n, batch_size):
             batch_idx = order[start : start + batch_size]
-            Xb = X[batch_idx] if sparse_in else np.asarray(X)[batch_idx]
-            yb = y[batch_idx]
-            loss, grads = nn_loss_and_grads(net, Xb, yb)
+            loss, grads = nn_loss_and_grads(net, X[batch_idx], y[batch_idx])
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"training loss diverged at step {state.t + 1}")
             adam_step(net, grads, state, learning_rate)

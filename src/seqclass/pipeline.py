@@ -22,17 +22,18 @@ projector) read.
 No run holds its whole test split: one n_test x C score array is filled
 block by block, each block's rows taken from the corpus matrix by test
 index and, with RFF, projected just before they are scored. A block is
-rff.GEMM_BLOCK_BYTES over what a row costs while scored (8 D bytes, or
-about 12 bytes a CSR nonzero). Each row is scored on its own, so scipy's
-CSR products give the same bits in any blocking; a dense GEMM can round
-by its height, so a remainder shorter than a block joins the last one.
+rff.GEMM_BLOCK_BYTES over what a row costs while scored: 8 D bytes with
+RFF, 8 bytes a used column for raw nn, which densifies it, or about 12
+bytes a CSR nonzero. Each row is scored on its own, so scipy's CSR
+products give the same bits in any blocking; a dense GEMM can round by
+its height, so a remainder shorter than a block joins the last one.
 
 Before the first run, the peak bytes of the RFF weights, the projected
 train split, one projection block and one score block with their CSR
-copies, the model's C x used-columns (nn: hidden x used-columns) arrays
-and ridge's dense Gram matrix are estimated; a config whose estimate
-exceeds physical memory is an InvalidConfig naming the knob that lowers
-it.
+copies, the model's C x used-columns arrays (nn: hidden x used-columns,
+beside one dense batch or score block) and ridge's dense Gram matrix
+are estimated; a config whose estimate exceeds physical memory is an
+InvalidConfig naming the knob that lowers it.
 
 The RFF projector is built from (dim, D, gamma, seed) alone, so test
 data cannot leak into it by construction. Every model is fitted, then
@@ -66,8 +67,8 @@ from .rff import GEMM_BLOCK_BYTES, default_gamma, new_projector, project
 from .version import __version__
 
 # float64 C x used-columns arrays that fit and scoring hold at once, read
-# off linear_models: gnb_scores holds means, variances, its scratch array
-# and inv_var; logreg_fit holds the LBFGS_MEMORY (s, y) pairs, its
+# off linear_models: a gnb model holds means, variances and its score terms
+# a and b; logreg_fit holds the LBFGS_MEMORY (s, y) pairs, its
 # parameters, gradient and direction, and two transients: a candidate and
 # its squared weights, X'delta and lambda W, or the new gradient and y
 # (tracemalloc: 15.0 at LBFGS_MEMORY = 5)
@@ -107,19 +108,28 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
     ``feature_columns`` is the number of used columns the raw-feature
     models fit in (default: the nominal ``feature_dim``), and so the nn's
     default hidden width; only the RFF weights stay on ``feature_dim``.
-    ``corpus_size`` gives the train rows of ridge's direct solve and of
-    RFF's projected train split, and the test rows that set the largest
-    score block; ``corpus_nnz``, the feature matrix's nonzeros, gives the
-    CSR copies that RFF makes of the train split and of a block, and the
-    train split's share that ridge's dual copies as X'. A raw-feature score
+    ``corpus_size`` gives the train rows of ridge's direct solve, of RFF's
+    projected train split and of nn's batches, and the test rows that set
+    the largest score block; ``corpus_nnz``, the feature matrix's
+    nonzeros, gives the CSR copies that RFF makes of the train split and of
+    a block, and the train split's share that ridge's dual copies as X'.
+    Raw nn densifies each batch and score block; another raw-feature score
     block, a few CSR copies of GEMM_BLOCK_BYTES, is not counted.
     """
     columns = feature_dim if feature_columns is None else feature_columns
     model_columns = config.rff_dim if config.use_rff else columns
     n_train = _round_half_up(config.train_fraction * corpus_size)
+    n_test = corpus_size - n_train
+    rows = _score_block_rows(config, corpus_size, columns, corpus_nnz)
+    block = min(n_test, rows + n_test % rows)  # the largest block of test rows
     if config.model == "nn":
         hidden = model_columns if config.nn_hidden_width is None else config.nn_hidden_width
-        needed, knob = _NN_PEAK_ARRAYS * hidden * model_columns * 8, "--nn-hidden-width"
+        # the fit's arrays beside one dense batch, or w1 beside one dense raw score block
+        batch = min(config.nn_batch_size, n_train)
+        needed = (_NN_PEAK_ARRAYS * hidden + batch) * model_columns * 8
+        if not config.use_rff:
+            needed = max(needed, (hidden + block) * columns * 8)
+        knob = "--nn-hidden-width"
     elif config.model == "ridge":
         # the direct solve's min(n, columns + 1)^2 arrays, one block, the n x C
         # targets and the dual's X' of a CSR X; CG holds none of these
@@ -141,9 +151,6 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
         # taken and project's float64 copy, 12 bytes a nonzero at most); or that block
         # with the largest block of test rows, its 2 CSR copies and its projection,
         # which gnb_scores squares beside its own arrays.
-        n_test = corpus_size - n_train
-        rows = _score_block_rows(config, corpus_size, corpus_nnz)
-        block = min(n_test, rows + n_test % rows)
         csr_row_bytes = 24 * corpus_nnz / max(corpus_size, 1)
         scoring = GEMM_BLOCK_BYTES + block * (csr_row_bytes + 8 * config.rff_dim)
         if config.model == "nb":
@@ -227,13 +234,20 @@ def _fit(config: ExperimentConfig, X_train, y_train, class_count: int, seed: int
     return model, scores, diagnostics
 
 
-def _score_block_rows(config: ExperimentConfig, corpus_size: int, corpus_nnz: int) -> int:
+def _score_block_rows(config: ExperimentConfig, corpus_size: int, columns: int,
+                      corpus_nnz: int) -> int:
     """Test rows scored at once: GEMM_BLOCK_BYTES over what one row costs while it is scored.
 
-    That is its 8 * D projected bytes with RFF, else about 12 bytes (a
-    float64 value and an int32 index) for each of its CSR nonzeros.
+    That is its 8 * D projected bytes with RFF, its 8 bytes a column once
+    nn densifies it, else about 12 bytes (a float64 value and an int32
+    index) for each of its CSR nonzeros.
     """
-    row_bytes = 8 * config.rff_dim if config.use_rff else 12 * corpus_nnz / max(corpus_size, 1)
+    if config.use_rff:
+        row_bytes = 8 * config.rff_dim
+    elif config.model == "nn":
+        row_bytes = 8 * columns
+    else:
+        row_bytes = 12 * corpus_nnz / max(corpus_size, 1)
     return max(1, int(GEMM_BLOCK_BYTES // max(row_bytes, 1)))
 
 
@@ -267,7 +281,7 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
         fit_seconds = time.perf_counter() - tic
 
     # blocks of test rows, the last one taking a shorter remainder (module docstring)
-    rows = _score_block_rows(config, feats.matrix.shape[0], feats.matrix.nnz)
+    rows = _score_block_rows(config, *feats.matrix.shape, feats.matrix.nnz)
     starts = range(0, max(len(test_idx) - rows, 0) + 1, rows)
     scores = np.empty((len(test_idx), class_count))
     for start, stop in zip(starts, [*starts[1:], len(test_idx)]):

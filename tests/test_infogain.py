@@ -233,3 +233,45 @@ def test_export_histograms(tmp_path):
     assert payload["class_names"] == ["u", "v"]
     assert len(payload["positions"]) == 2
     assert payload["positions"][0]["position"] == 1
+
+
+def _json_encoder_histograms(hist, class_names):
+    """The bytes export_histograms wrote through json's indenting encoder, the reference."""
+    import json
+
+    from seqclass.ingest import AMINO_ACIDS
+
+    positions = [
+        {"position": p + 1,
+         "symbol_class_counts": {AMINO_ACIDS[s]: counts for s, counts in enumerate(symbols)
+                                 if any(counts)}}
+        for p, symbols in enumerate(hist.tolist())
+    ]
+    payload = {"format": "seqclass-ig-hist/1", "class_names": class_names,
+               "alphabet": AMINO_ACIDS, "positions": positions}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("length, class_names", [
+    (1, ["u", "v"]),
+    (9, ["Zürich", "東京", 'say "hi"\\']),  # non-ASCII and escaped class names
+    (40, [f"c{i}" for i in range(20)]),
+    (0, ["u", "v"]),
+])
+def test_export_histograms_writes_json_encoder_bytes(tmp_path, rng, length, class_names):
+    hist = rng.poisson(0.2, size=(length, 21, len(class_names)))
+    if length > 2:
+        hist[1] = 0  # a position where no symbol occurs
+        hist[2] = 0
+        hist[2, 4, 1] = 7  # a position where only one symbol occurs
+    path = tmp_path / "hist.json"
+    export_histograms(str(path), hist, class_names)
+    assert path.read_bytes() == _json_encoder_histograms(hist, class_names).encode("utf-8")
+
+
+def test_export_histograms_of_a_corpus_writes_json_encoder_bytes(tmp_path):
+    data = labeled_corpus({"a": 30, "b": 20}, length=50, seed=3)
+    hist, class_names = position_histograms(data)
+    path = tmp_path / "hist.json"
+    export_histograms(str(path), hist, class_names)
+    assert path.read_bytes() == _json_encoder_histograms(hist, class_names).encode("utf-8")

@@ -108,6 +108,22 @@ def test_gnb_scores_bit_identical_to_reference(rng, n, d, C):
         assert np.array_equal(lm.gnb_scores(model, rows), _reference_gnb_scores(model, rows))
 
 
+@pytest.mark.parametrize("fitted_on", ["dense", "csr"])
+def test_gnb_scores_of_either_input_type_in_blocks_are_bit_identical(rng, fitted_on):
+    """gnb_fit computes the score terms once; each input type still reads them in its own
+    layout, so every block scores as the per-call reference does, whatever the fit saw."""
+    n, d, C = 90, 441, 7
+    X = rng.poisson(0.3, size=(n, d)) * rng.normal(2.0, 3.0, size=(n, d))
+    y = np.arange(n) % C
+    model = lm.gnb_fit(X if fitted_on == "dense" else sp.csr_matrix(X), y, C)
+    for rows in (X, sp.csr_matrix(X)):
+        for height in (1, 7, 64, n):
+            for start in range(0, n, height):
+                block = rows[start : start + height]
+                assert np.array_equal(lm.gnb_scores(model, block),
+                                      _reference_gnb_scores(model, block)), (height, start)
+
+
 def _reference_gnb_fit(X, y, C):
     """The per-class loop that gnb_fit's class-indicator product replaced: (means, variances)."""
     X = lm._as_2d(X)

@@ -198,13 +198,17 @@ def test_train_deterministic(rng):
     assert np.array_equal(net_a.w1, net_b.w1) and np.array_equal(net_a.w2, net_b.w2)
 
 
-def test_train_sparse_input_close_to_dense(rng):
-    X = rng.poisson(1.0, size=(120, 12)).astype(np.float64)
-    y = (X[:, 0] + X[:, 1] > 2).astype(int)
-    net_d = nnet.nn_train(X, y, 2, hidden_width=6, seed=2, epochs=3)
-    net_s = nnet.nn_train(sp.csr_matrix(X), y, 2, hidden_width=6, seed=2, epochs=3)
-    assert abs(net_d.loss_trace[-1] - net_s.loss_trace[-1]) < 1e-6
-    assert np.allclose(net_d.w1, net_s.w1, atol=1e-8)
+@pytest.mark.parametrize("dtype", ["float64", "int8"])
+def test_sparse_input_trains_and_scores_like_dense(rng, dtype):
+    """CSR input is densified batch by batch and block by block: the same bits as its toarray."""
+    X = sp.csr_matrix(rng.poisson(1.0, size=(120, 12)).astype(dtype))
+    y = (X[:, 0] + X[:, 1] > 2).toarray().ravel().astype(int)
+    net_d = nnet.nn_train(X.toarray(), y, 2, hidden_width=6, seed=2, epochs=3)
+    net_s = nnet.nn_train(X, y, 2, hidden_width=6, seed=2, epochs=3)
+    assert net_d.loss_trace == net_s.loss_trace
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(net_d, name), getattr(net_s, name)), name
+    assert np.array_equal(nnet.nn_scores(net_s, X), nnet.nn_scores(net_d, X.toarray()))
 
 
 def test_train_label_out_of_range(rng):
@@ -317,19 +321,20 @@ def test_train_is_bit_identical_to_reference(monkeypatch, rng, kind, h, batch_si
     y = rng.integers(0, 4, X.shape[0])
     config = _settings(4, hidden_width=h, batch_size=batch_size, epochs=epochs, seed=11)
     net, state, trace = _train_with_state(monkeypatch, config, X, y)
-    assert net.w1.flags.f_contiguous == (sp.issparse(X) or h == 1)
+    for arr in (net.w1, net.w2, *state.m, *state.v):
+        assert arr.flags.c_contiguous
     _assert_same_training((net, state, trace), _reference_train(config, X, y))
 
 
 @pytest.mark.parametrize("kind, block_bytes", [
-    ("ohe", 11 * 8 * 24),  # Fortran-ordered w1: 840 memory rows of h = 24 are 76 blocks of 11 + 4
-    ("ohe", 8 * 24),  # one memory row per block
-    ("rff", 5 * 8 * 64),  # C-ordered w1: 24 memory rows of D = 64 are 4 blocks of 5 + 4
-    ("ohe", None),  # the default size: d = 3000 rows of h = 16 are 2048 + 952
-    ("rff", None),  # the default size: h = 16 rows of d = 3000 are one partial block
+    ("ohe", 5 * 8 * 840),  # w1 is (24, 840): 24 memory rows of d = 840 are 4 blocks of 5 + 4
+    ("ohe", 8 * 24),  # less than one memory row: one row per block
+    ("rff", 5 * 8 * 64),  # 24 memory rows of D = 64 are 4 blocks of 5 + 4
+    ("ohe", None),  # the default size: h = 24 rows of d = 3000 are 10 + 10 + 4
+    ("rff", None),  # the same on dense input
 ])
 def test_train_is_bit_identical_with_partial_adam_blocks(monkeypatch, rng, kind, block_bytes):
-    h = 24 if block_bytes else 16
+    h = 24
     if block_bytes:
         monkeypatch.setattr(nnet, "ADAM_BLOCK_BYTES", block_bytes)
         X = _layout_inputs(kind, rng)
@@ -344,9 +349,9 @@ def test_train_is_bit_identical_with_partial_adam_blocks(monkeypatch, rng, kind,
 
 @pytest.mark.parametrize("param_order, grad_order", [("C", "C"), ("C", "F"), ("F", "C"), ("F", "F")])
 def test_adam_step_any_layout_matches_reference(monkeypatch, rng, param_order, grad_order):
-    # a hand-built net, with a block of 3 rows of w1's memory so blocks end partway
+    # a hand-built net, with blocks of 3 of w1's 5 rows so the last block is partial
     h, d, C = 5, 13, 3
-    monkeypatch.setattr(nnet, "ADAM_BLOCK_BYTES", 3 * 8 * h)
+    monkeypatch.setattr(nnet, "ADAM_BLOCK_BYTES", 3 * 8 * d)
     arrays = [rng.normal(size=(h, d)), rng.normal(size=h), rng.normal(size=(C, h)), rng.normal(size=C)]
     net = nnet.FeedForwardNet(*(np.asarray(a, order=param_order) for a in arrays))
     ref = nnet.FeedForwardNet(*(a.copy() for a in arrays))
@@ -358,8 +363,48 @@ def test_adam_step_any_layout_matches_reference(monkeypatch, rng, param_order, g
     _assert_same_training((net, state, []), (ref, ref_state, []))
 
 
+def _csr_loss_and_grads(net, X, y):
+    """The CSR arithmetic that densified batches replaced: scipy's sparse products on X."""
+    y = np.asarray(y, dtype=np.int64)
+    n = X.shape[0]
+    X = X.astype(np.float64)
+    pre = np.asarray(X @ net.w1.T) + net.b1
+    hidden = np.maximum(pre, 0.0)
+    probs = nnet._softmax(hidden @ net.w2.T + net.b2)
+    loss = nnet.nn_loss(probs, y)
+    delta2 = probs.copy()
+    delta2[np.arange(n), y] -= 1.0
+    delta2 /= n
+    delta1 = (delta2 @ net.w2) * (pre > 0.0)
+    grads = [np.asarray(X.T @ delta1).T, delta1.sum(axis=0), delta2.T @ hidden, delta2.sum(axis=0)]
+    return loss, grads
+
+
+def _csr_scores(net, X):
+    hidden = np.maximum(np.asarray(X.astype(np.float64) @ net.w1.T) + net.b1, 0.0)
+    return nnet._softmax(hidden @ net.w2.T + net.b2)
+
+
+@pytest.mark.parametrize("kind", ["ohe", "kmers"])
+def test_dense_batches_agree_with_csr_arithmetic(monkeypatch, rng, kind):
+    """A GEMM sums in another order than scipy's CSR kernel: 5 epochs of training agree
+    within 1e-13, relative on the loss trace and absolute on weights and scores (about
+    6e-16 was seen)."""
+    X = _layout_inputs(kind, rng)
+    y = rng.integers(0, 4, X.shape[0])
+    config = _settings(4, hidden_width=24, batch_size=50, epochs=5, seed=3)
+    net = nnet.nn_train(X, y, **config)
+    monkeypatch.setattr(nnet, "nn_loss_and_grads", _csr_loss_and_grads)
+    ref = nnet.nn_train(X, y, **config)
+    assert np.allclose(net.loss_trace, ref.loss_trace, rtol=1e-13, atol=0)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.abs(getattr(net, name) - getattr(ref, name)).max() <= 1e-13, name
+    assert np.abs(nnet.nn_scores(net, X) - _csr_scores(ref, X)).max() <= 1e-13
+
+
 def test_step_on_csr_batch_allocates_only_the_gradient(monkeypatch, rng):
-    """One forward/backward pass and Adam update hold g_w1 and nothing else of size h x d."""
+    """One forward/backward pass and Adam update hold the densified batch, g_w1 and nothing
+    else of size h x d."""
     import tracemalloc
 
     from seqclass.features import ohe_matrix
@@ -371,6 +416,7 @@ def test_step_on_csr_batch_allocates_only_the_gradient(monkeypatch, rng):
     config = _settings(5, hidden_width=32, epochs=1)
     net, state, _ = _train_with_state(monkeypatch, config, X, y)  # the layout nn_train uses
     g_w1_bytes = net.w1.nbytes
+    batch_bytes = 8 * X.shape[0] * X.shape[1]  # the CSR batch densified
 
     # the forward product ends where the softmax starts; a copy of w1.T made
     # there is freed before g_w1 exists, so the peak up to that point is its own check
@@ -389,5 +435,5 @@ def test_step_on_csr_batch_allocates_only_the_gradient(monkeypatch, rng):
     tracemalloc.stop()
     assert grads[0].shape == net.w1.shape
     # a copy of w1.T or one full-size Adam temporary would add another 5.4 MB
-    assert forward_peak[0] <= 2**18, forward_peak
-    assert peak <= g_w1_bytes + 2 * nnet.ADAM_BLOCK_BYTES + 2**18, peak
+    assert forward_peak[0] <= batch_bytes + 2**18, forward_peak
+    assert peak <= g_w1_bytes + batch_bytes + 2 * nnet.ADAM_BLOCK_BYTES + 2**18, peak

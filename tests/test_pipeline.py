@@ -580,7 +580,7 @@ def test_dense_scores_in_blocks(monkeypatch, model, use_rff):
     data = labeled_corpus({"a": 1200, "b": 900, "c": 900}, length=40, seed=4)  # 2700 test rows
     config = ExperimentConfig(model=model, k=2, use_rff=use_rff, nn_hidden_width=16, nn_epochs=2,
                               lr_max_iters=30)
-    rows = _score_block_rows(config, 3000, 0) if use_rff else 1048
+    rows = _score_block_rows(config, 3000, 441, 0) if use_rff else 1048
     assert rows == 1048
     blocked, whole, blocks = _blocked_and_whole_scores(monkeypatch, config, data, rows)
     assert blocks == [1048, 1652]  # the 604-row remainder joins the last block
@@ -591,11 +591,16 @@ def test_dense_scores_in_blocks(monkeypatch, model, use_rff):
 
 
 def test_score_block_rows():
-    # 8 MiB over a row's 8 D projected bytes, or over 12 bytes a CSR nonzero
-    assert _score_block_rows(ExperimentConfig(use_rff=True, rff_dim=1000), 3000, 10**6) == 1048
-    assert _score_block_rows(ExperimentConfig(use_rff=True, rff_dim=3000), 1, 0) == 349
-    assert _score_block_rows(ExperimentConfig(), 1000, 37_000) == (8 << 20) // (12 * 37)
-    assert _score_block_rows(ExperimentConfig(use_rff=True, rff_dim=2 << 20), 1, 0) == 1
+    # 8 MiB over a row's 8 D projected bytes, over raw nn's 8 bytes a used column,
+    # or over 12 bytes a CSR nonzero
+    rff = ExperimentConfig(use_rff=True, rff_dim=1000)
+    assert _score_block_rows(rff, 3000, 441, 10**6) == 1048
+    assert _score_block_rows(replace(rff, model="nn"), 3000, 441, 10**6) == 1048
+    assert _score_block_rows(ExperimentConfig(use_rff=True, rff_dim=3000), 1, 441, 0) == 349
+    assert _score_block_rows(ExperimentConfig(), 1000, 5339, 37_000) == (8 << 20) // (12 * 37)
+    assert _score_block_rows(ExperimentConfig(model="nn"), 1000, 5339, 37_000) == 196
+    assert _score_block_rows(ExperimentConfig(use_rff=True, rff_dim=2 << 20), 1, 441, 0) == 1
+    assert _score_block_rows(ExperimentConfig(model="nn"), 1, 2 << 20, 0) == 1
 
 
 def test_raw_nb_run_holds_less_than_the_test_split(monkeypatch):
@@ -737,6 +742,14 @@ def test_memory_estimate_of_nn_counts_hidden_by_input():
         4 * 6746 * 6746 * 8, "--nn-hidden-width")
     narrow = ExperimentConfig(model="nn", encoding="ohe", nn_hidden_width=64)
     assert memory_estimate(narrow, d, 20) == (4 * 64 * d * 8, "--nn-hidden-width")
+    # 3000 rows: the fit densifies batches of 100 of the 300 train rows; scoring densifies
+    # blocks of 8 MiB / (8 * 5339) = 196 test rows, the last with the 2700 % 196 = 152
+    # rows of the remainder, beside w1
+    columns = 5339
+    assert memory_estimate(narrow, d, 20, columns, 3000) == (
+        (64 + 196 + 152) * columns * 8, "--nn-hidden-width")
+    # a 40-row corpus trains in one batch of its 4 train rows and scores its 36 test rows at once
+    assert memory_estimate(narrow, d, 20, columns, 40)[0] == (4 * 64 + 4) * columns * 8
     # with RFF the width is D, and the fit's 4 D x D arrays outweigh one block of project
     rff = memory_estimate(ExperimentConfig(model="nn", use_rff=True, rff_dim=1000), d, 20)
     assert rff == (1000 * d * 8 + 4 * 1000 * 1000 * 8, "--nn-hidden-width or --rff-dim")
