@@ -15,9 +15,11 @@ sorted columns of the corpus's feature matrix that hold a nonzero
 row touches adds nothing to a linear fit, so majority and ridge results
 are bit-identical to a nominal-width fit and nb and lr agree up to
 rounding; nn draws its init and sizes its default hidden width on the
-used columns, so its fit is its own. The report's feature_dim stays
-nominal, and feature_columns gives the width the models (or the RFF
-projector) read.
+used columns, so its fit is its own. With RFF the corpus matrix keeps
+its nominal width, and each run's projector draws weights for its used
+columns alone (`features.used_column_ids`). The report's feature_dim
+stays nominal, and feature_columns gives the used columns: the width the
+models read, or the weight columns the RFF projector drew.
 
 No run holds its whole test split: one n_test x C score array is filled
 block by block, each block's rows taken from the corpus matrix by test
@@ -28,17 +30,19 @@ bytes a CSR nonzero. Each row is scored on its own, so scipy's CSR
 products give the same bits in any blocking; a dense GEMM can round by
 its height, so a remainder shorter than a block joins the last one.
 
-Before the first run, the peak bytes of the RFF weights, the projected
-train split, one projection block and one score block with their CSR
-copies, the model's C x used-columns arrays (nn: hidden x used-columns,
-beside one dense batch or score block) and ridge's dense Gram matrix
-are estimated; a config whose estimate exceeds physical memory is an
-InvalidConfig naming the knob that lowers it.
+Before the first run, the peak bytes of the drawn RFF weights, the
+projected train split, one projection block and one score block with
+their CSR copies, the model's C x used-columns arrays (nn: hidden x
+used-columns, beside one dense batch or score block) and ridge's dense
+Gram matrix are estimated; a config whose estimate exceeds physical
+memory is an InvalidConfig naming the knob that lowers it.
 
-The RFF projector is built from (dim, D, gamma, seed) alone, so test
-data cannot leak into it by construction. Every model is fitted, then
-scored as an n x C matrix; predictions are its row-wise argmax, with
-ties going to the smaller class id.
+Column j of the RFF weights is a function of (seed, j) alone, and the
+projector draws the columns any row uses, test rows included; so every
+projected value is that of a projector built from (dim, D, gamma, seed)
+alone, and no value of a test row can leak into it. Every model is
+fitted, then scored as an n x C matrix; predictions are its row-wise
+argmax, with ties going to the smaller class id.
 """
 
 from __future__ import annotations
@@ -60,10 +64,11 @@ from . import linear_models as lm
 from . import neural_net as nn
 from .config import ExperimentConfig
 from .errors import EmptyMatrix, EmptyTrainingSet, InvalidConfig, IoFailure, SeqclassError
-from .features import FeaturizedCorpus, _usable_cores, featurize_corpus, used_columns
+from .features import (FeaturizedCorpus, _usable_cores, featurize_corpus, used_column_ids,
+                       used_columns)
 from .ingest import LabeledSequence, _round_half_up, split_indices
 from .metrics import QUALITY, aggregate, confusion, roc_auc_ovr_weighted, summarize
-from .rff import GEMM_BLOCK_BYTES, default_gamma, new_projector, project
+from .rff import GEMM_BLOCK_BYTES, GEMM_MIN_DENSITY, default_gamma, new_projector, project
 from .version import __version__
 
 # float64 C x used-columns arrays that fit and scoring hold at once, read
@@ -105,14 +110,15 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
                     corpus_nnz: int = 0) -> tuple[int, str]:
     """Peak bytes of one run's RFF weights and model arrays, and the knobs that lower them.
 
-    ``feature_columns`` is the number of used columns the raw-feature
-    models fit in (default: the nominal ``feature_dim``), and so the nn's
-    default hidden width; only the RFF weights stay on ``feature_dim``.
+    ``feature_columns`` is the number of used columns (default: the
+    nominal ``feature_dim``): those the raw-feature models fit in, and so
+    the nn's default hidden width, or those whose RFF weights are drawn.
     ``corpus_size`` gives the train rows of ridge's direct solve, of RFF's
     projected train split and of nn's batches, and the test rows that set
     the largest score block; ``corpus_nnz``, the feature matrix's
     nonzeros, gives the CSR copies that RFF makes of the train split and of
-    a block, and the train split's share that ridge's dual copies as X'.
+    a block, the density that picks rff.project's route, and the train
+    split's share that ridge's dual copies as X'.
     Raw nn densifies each batch and score block; another raw-feature score
     block, a few CSR copies of GEMM_BLOCK_BYTES, is not counted.
     """
@@ -145,18 +151,22 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
         needed = _MODEL_PEAK_ARRAYS.get(config.model, 0) * class_count * model_columns * 8
         knob = "--k"
     if config.use_rff:
-        # The D x d weights and the dense n_train x D train split are held throughout.
-        # Beside them lies the largest of: the model's arrays in the fit; one block of
-        # either route of rff.project with the train split's 2 CSR copies (the rows
-        # taken and project's float64 copy, 12 bytes a nonzero at most); or that block
+        # The drawn D x used-columns weights, their d-long int32 lookup and the dense
+        # n_train x D train split are held throughout. Beside them lies the largest of:
+        # the model's arrays in the fit; the dense block of rff.project's GEMM route,
+        # which the corpus's density on its used columns selects (scipy's route holds
+        # none), with the train split's 2 CSR copies (the rows taken and project's
+        # float64 copy on the drawn columns, 12 bytes a nonzero at most); or that block
         # with the largest block of test rows, its 2 CSR copies and its projection,
         # which gnb_scores squares beside its own arrays.
+        gemm = corpus_nnz >= GEMM_MIN_DENSITY * corpus_size * columns
+        dense_block = GEMM_BLOCK_BYTES if gemm else 0
         csr_row_bytes = 24 * corpus_nnz / max(corpus_size, 1)
-        scoring = GEMM_BLOCK_BYTES + block * (csr_row_bytes + 8 * config.rff_dim)
+        scoring = dense_block + block * (csr_row_bytes + 8 * config.rff_dim)
         if config.model == "nb":
             scoring += 8 * config.rff_dim * block + needed
-        peak = max(needed, GEMM_BLOCK_BYTES + n_train * csr_row_bytes, scoring)
-        held = 8 * config.rff_dim * (feature_dim + n_train)
+        peak = max(needed, dense_block + n_train * csr_row_bytes, scoring)
+        held = 8 * config.rff_dim * (columns + n_train) + 4 * feature_dim
         rff_knob = "--nn-hidden-width or --rff-dim" if config.model == "nn" else "--rff-dim or --k"
         return int(held + peak), rff_knob
     return needed, knob
@@ -269,8 +279,9 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
         with _stage("rff"):
             d = feats.matrix.shape[1]
             gamma = config.rff_gamma if config.rff_gamma is not None else default_gamma(d)
-            # built from (d, D, gamma, seed) alone: no row reaches it
-            projector = new_projector(d, config.rff_dim, gamma, seeds["rff"])
+            # column j's weights depend on (seed, j) alone: no row's values reach them
+            projector = new_projector(d, config.rff_dim, gamma, seeds["rff"],
+                                      columns=used_column_ids(feats.matrix))
             X_train = project(projector, X_train)
 
     class_count = len(feats.class_names)
@@ -328,8 +339,11 @@ def run_experiment(
             workers=config.workers,
             l2_normalize=config.l2_normalize,
         )
-        if not config.use_rff:  # the RFF projector is drawn at nominal width (new_projector)
+        if config.use_rff:  # each run's projector draws weights for the used columns
+            feature_columns = len(used_column_ids(feats.matrix))
+        else:
             feats = replace(feats, matrix=used_columns(feats.matrix))
+            feature_columns = feats.matrix.shape[1]
 
     corpus_size = feats.matrix.shape[0]
     n_train = _round_half_up(config.train_fraction * corpus_size)
@@ -343,7 +357,7 @@ def run_experiment(
     processes = min(config.runs, config.workers, _usable_cores()) if config.parallel_runs else 1
     with _stage("memory"):
         _preflight_memory(config, feats.dim, len(feats.class_names), processes,
-                          feats.matrix.shape[1], corpus_size, feats.matrix.nnz)
+                          feature_columns, corpus_size, feats.matrix.nnz)
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_single_run, repeat(config), repeat(feats), range(config.runs)))
@@ -363,7 +377,7 @@ def run_experiment(
         "class_names": feats.class_names,
         "corpus_size": int(corpus_size),
         "feature_dim": int(feats.dim),
-        "feature_columns": int(feats.matrix.shape[1]),
+        "feature_columns": int(feature_columns),
         "runs": results,
         "aggregate": summary,
         "timing": {"created_utc": datetime.now(timezone.utc).isoformat()},
