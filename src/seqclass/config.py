@@ -34,7 +34,7 @@ class ExperimentConfig:
     # random Fourier features
     use_rff: bool = False
     rff_dim: int = 1000
-    rff_gamma: float | None = None  # None -> 1/feature_dim
+    rff_gamma: float | None = None  # None -> 1/feature_dim, the nominal width 21^k or 21*L
     rff_seed: int = 0
     # model and hyperparameters
     model: str = "majority"

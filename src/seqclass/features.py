@@ -190,27 +190,19 @@ class FeaturizedCorpus:
     dim: int  # the nominal width, 21**k or 21*L, whatever the matrix's width
 
 
-def used_column_ids(matrix: sp.csr_matrix) -> np.ndarray:
-    """The sorted ids of the matrix's columns that hold a nonzero.
-
-    A boolean mask d long does the work; at k = 6 only its touched pages
-    become resident.
-    """
-    used = np.zeros(matrix.shape[1], dtype=bool)
-    used[matrix.indices] = True
-    return np.flatnonzero(used)
-
-
 def used_columns(matrix: sp.csr_matrix) -> sp.csr_matrix:
     """The matrix on the columns that hold a nonzero; its column j is the j-th smallest of them.
 
     The remap is monotone, so each row keeps its nonzeros in their order;
-    ``indptr`` and ``data`` are shared with ``matrix``. An int32 lookup
-    table d long does the work beside ``used_column_ids``' mask: no d-sized
-    int64 array is made, and at k = 6 only their touched pages become
-    resident.
+    ``indptr`` and ``data`` are shared with ``matrix``. A d-long boolean
+    mask finds the columns and is freed before a d-long int32 lookup table
+    does the remap: no d-sized int64 array is made, and at k = 6 only their
+    touched pages become resident.
     """
-    columns = used_column_ids(matrix)
+    used = np.zeros(matrix.shape[1], dtype=bool)
+    used[matrix.indices] = True
+    columns = np.flatnonzero(used)
+    del used
     lookup = np.empty(matrix.shape[1], dtype=np.int32)
     lookup[columns] = np.arange(len(columns), dtype=np.int32)
     return sp.csr_matrix((matrix.data, lookup[matrix.indices], matrix.indptr),

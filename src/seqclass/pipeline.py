@@ -9,17 +9,16 @@ reproducible: everything time-derived lives under "timing" keys, which
 `strip_timing` removes for byte-level comparison. Wall-clock runtime is
 measured around fit() only.
 
-Without RFF, every model fits and scores in the used columns: the
-sorted columns of the corpus's feature matrix that hold a nonzero
+Every model fits and scores in the used columns: the sorted columns
+of the corpus's feature matrix that hold a nonzero
 (`features.used_columns`), not the nominal 21^k or 21*L. A column no
 row touches adds nothing to a linear fit, so majority and ridge results
 are bit-identical to a nominal-width fit and nb and lr agree up to
 rounding; nn draws its init and sizes its default hidden width on the
-used columns, so its fit is its own. With RFF the corpus matrix keeps
-its nominal width, and each run's projector draws weights for its used
-columns alone (`features.used_column_ids`). The report's feature_dim
-stays nominal, and feature_columns gives the used columns: the width the
-models read, or the weight columns the RFF projector drew.
+used columns, so its fit is its own. With RFF each run's projector is
+built over the used columns too, with gamma still 1/(nominal width) by
+default. The report's feature_dim stays nominal, and feature_columns
+gives the used columns.
 
 No run holds its whole test split: one n_test x C score array is filled
 block by block, each block's rows taken from the corpus matrix by test
@@ -30,19 +29,20 @@ bytes a CSR nonzero. Each row is scored on its own, so scipy's CSR
 products give the same bits in any blocking; a dense GEMM can round by
 its height, so a remainder shorter than a block joins the last one.
 
-Before the first run, the peak bytes of the drawn RFF weights, the
+Before the first run, the peak bytes of the RFF weights, the
 projected train split, one projection block and one score block with
 their CSR copies, the model's C x used-columns arrays (nn: hidden x
 used-columns, beside one dense batch or score block) and ridge's dense
 Gram matrix are estimated; a config whose estimate exceeds physical
 memory is an InvalidConfig naming the knob that lowers it.
 
-Column j of the RFF weights is a function of (seed, j) alone, and the
-projector draws the columns any row uses, test rows included; so every
-projected value is that of a projector built from (dim, D, gamma, seed)
-alone, and no value of a test row can leak into it. Every model is
-fitted, then scored as an n x C matrix; predictions are its row-wise
-argmax, with ties going to the smaller class id.
+Which columns are used is read off every row, test rows included. So
+a run's RFF features, like the raw models' width, nn's init and its
+default hidden width, depend on which columns hold a nonzero anywhere
+in the corpus. That set carries no label and no feature value: no
+label or count of a test row reaches a fit. Every model is fitted,
+then scored as an n x C matrix; predictions are its row-wise argmax,
+with ties going to the smaller class id.
 """
 
 from __future__ import annotations
@@ -64,8 +64,7 @@ from . import linear_models as lm
 from . import neural_net as nn
 from .config import ExperimentConfig
 from .errors import EmptyMatrix, EmptyTrainingSet, InvalidConfig, IoFailure, SeqclassError
-from .features import (FeaturizedCorpus, _usable_cores, featurize_corpus, used_column_ids,
-                       used_columns)
+from .features import FeaturizedCorpus, _usable_cores, featurize_corpus, used_columns
 from .ingest import LabeledSequence, _round_half_up, split_indices
 from .metrics import QUALITY, aggregate, confusion, roc_auc_ovr_weighted, summarize
 from .rff import GEMM_BLOCK_BYTES, GEMM_MIN_DENSITY, default_gamma, new_projector, project
@@ -112,7 +111,7 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
 
     ``feature_columns`` is the number of used columns (default: the
     nominal ``feature_dim``): those the raw-feature models fit in, and so
-    the nn's default hidden width, or those whose RFF weights are drawn.
+    the nn's default hidden width, and those the RFF weights are drawn for.
     ``corpus_size`` gives the train rows of ridge's direct solve, of RFF's
     projected train split and of nn's batches, and the test rows that set
     the largest score block; ``corpus_nnz``, the feature matrix's
@@ -151,14 +150,13 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
         needed = _MODEL_PEAK_ARRAYS.get(config.model, 0) * class_count * model_columns * 8
         knob = "--k"
     if config.use_rff:
-        # The drawn D x used-columns weights, their d-long int32 lookup and the dense
-        # n_train x D train split are held throughout. Beside them lies the largest of:
-        # the model's arrays in the fit; the dense block of rff.project's GEMM route,
-        # which the corpus's density on its used columns selects (scipy's route holds
-        # none), with the train split's 2 CSR copies (the rows taken and project's
-        # float64 copy on the drawn columns, 12 bytes a nonzero at most); or that block
-        # with the largest block of test rows, its 2 CSR copies and its projection,
-        # which gnb_scores squares beside its own arrays.
+        # The D x used-columns weights and the dense n_train x D train split are held
+        # throughout. Beside them lies the largest of: the model's arrays in the fit;
+        # the dense block of rff.project's GEMM route, which the corpus's density on its
+        # used columns selects (scipy's route holds none), with the train split's 2 CSR
+        # copies (the rows taken and project's float64 copy of their data, 12 bytes a
+        # nonzero at most); or that block with the largest block of test rows, its 2
+        # CSR copies and its projection, which gnb_scores squares beside its own arrays.
         gemm = corpus_nnz >= GEMM_MIN_DENSITY * corpus_size * columns
         dense_block = GEMM_BLOCK_BYTES if gemm else 0
         csr_row_bytes = 24 * corpus_nnz / max(corpus_size, 1)
@@ -166,7 +164,7 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
         if config.model == "nb":
             scoring += 8 * config.rff_dim * block + needed
         peak = max(needed, dense_block + n_train * csr_row_bytes, scoring)
-        held = 8 * config.rff_dim * (columns + n_train) + 4 * feature_dim
+        held = 8 * config.rff_dim * (columns + n_train)
         rff_knob = "--nn-hidden-width or --rff-dim" if config.model == "nn" else "--rff-dim or --k"
         return int(held + peak), rff_knob
     return needed, knob
@@ -277,11 +275,8 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
     projector = None
     if config.use_rff:
         with _stage("rff"):
-            d = feats.matrix.shape[1]
-            gamma = config.rff_gamma if config.rff_gamma is not None else default_gamma(d)
-            # column j's weights depend on (seed, j) alone: no row's values reach them
-            projector = new_projector(d, config.rff_dim, gamma, seeds["rff"],
-                                      columns=used_column_ids(feats.matrix))
+            gamma = default_gamma(feats.dim) if config.rff_gamma is None else config.rff_gamma
+            projector = new_projector(feats.matrix.shape[1], config.rff_dim, gamma, seeds["rff"])
             X_train = project(projector, X_train)
 
     class_count = len(feats.class_names)
@@ -339,11 +334,8 @@ def run_experiment(
             workers=config.workers,
             l2_normalize=config.l2_normalize,
         )
-        if config.use_rff:  # each run's projector draws weights for the used columns
-            feature_columns = len(used_column_ids(feats.matrix))
-        else:
-            feats = replace(feats, matrix=used_columns(feats.matrix))
-            feature_columns = feats.matrix.shape[1]
+        feats = replace(feats, matrix=used_columns(feats.matrix))
+        feature_columns = feats.matrix.shape[1]
 
     corpus_size = feats.matrix.shape[0]
     n_train = _round_half_up(config.train_fraction * corpus_size)

@@ -341,3 +341,21 @@ def test_truncated_or_undecodable_corpus_is_io_failure(tmp_path):
     with pytest.raises(IoFailure, match="UTF-8"):
         load_corpus(str(cut))
     assert main(["run", "--corpus", str(cut)]) == 3
+
+
+def test_corpus_with_bytes_after_its_records_is_io_failure(tmp_path, capsys):
+    first, second = (labeled_corpus({"a": 1, "b": 1}, length=6, seed=seed) for seed in (1, 2))
+    one, two = tmp_path / "one.bin", tmp_path / "two.bin"
+    save_corpus(str(one), first)
+    save_corpus(str(two), second)
+    joined = tmp_path / "joined.bin"  # as `cat one.bin two.bin` writes it
+    joined.write_bytes(one.read_bytes() + two.read_bytes())
+    trailing = two.stat().st_size
+    with pytest.raises(IoFailure, match=f"holds {trailing} bytes after its 2 records$"):
+        load_corpus(str(joined))
+    capsys.readouterr()
+    assert main(["run", "--corpus", str(joined)]) == 3
+    assert f"{trailing} bytes after its 2 records" in capsys.readouterr().err
+    joined.write_bytes(one.read_bytes() + b"\0" * 3)
+    with pytest.raises(IoFailure, match="holds 3 bytes after"):
+        load_corpus(str(joined))

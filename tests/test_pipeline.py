@@ -142,9 +142,9 @@ def test_rff_path_records_dims():
     assert report["feature_dim"] == 9261
 
 
-def test_rff_run_projector_rebuilds_and_projects_nominal_rows(monkeypatch):
-    """A run's projector, drawn on the used columns, equals its rebuild from
-    (d, D, gamma, seed) and projects nominal-width CSR rows as sqrt(2/D) cos(W x + b)."""
+def test_rff_run_projector_rebuilds_and_projects_used_rows(monkeypatch):
+    """A run's projector equals new_projector(feature_columns, D, gamma, seed), gamma
+    1/(nominal width), and projects used-width CSR rows as sqrt(2/D) cos(W x + b)."""
     import seqclass.pipeline as pipeline
     from seqclass.rff import new_projector, project
 
@@ -159,14 +159,35 @@ def test_rff_run_projector_rebuilds_and_projects_nominal_rows(monkeypatch):
     config = ExperimentConfig(model="lr", k=3, use_rff=True, rff_dim=64, runs=1, lr_max_iters=20)
     report = run_experiment(config, data)
     projector, x, out = calls[-1]  # the test rows
-    assert x.shape[1] == projector.input_dim == report["feature_dim"] == 9261
-    assert len(projector.columns) == report["feature_columns"] < 9261
-    again = new_projector(projector.input_dim, projector.output_dim, projector.gamma,
-                          projector.seed)
+    assert x.shape[1] == projector.input_dim == report["feature_columns"] < 9261
+    assert report["feature_dim"] == 9261 and projector.gamma == 1 / 9261
+    again = new_projector(report["feature_columns"], 64, 1 / 9261, config.rff_seed)
     assert np.array_equal(again.weights, projector.weights)
     assert np.array_equal(again.phases, projector.phases)
     want = np.sqrt(2.0 / 64) * np.cos(x.toarray() @ projector.weights.T + projector.phases)
     assert np.abs(out - want).max() <= 1e-12
+
+
+def test_rbf_kernel_of_nominal_rows_is_that_of_their_used_columns():
+    """Columns no row touches add 0 to ||a - b||^2, so RFF on the used columns estimates
+    the nominal rows' kernel, within C4's RMSE bound."""
+    from seqclass.features import featurize_corpus, used_columns
+    from seqclass.rff import exact_kernel, new_projector, project
+
+    nominal = featurize_corpus(labeled_corpus({"a": 15, "b": 15}, length=60, seed=5),
+                               "kmers", k=3).matrix
+    used = used_columns(nominal)
+    assert used.shape[1] < nominal.shape[1]
+    gamma = 0.01  # kernels of 0.30 to 0.33 at these rows' squared distances
+    proj = new_projector(used.shape[1], 4096, gamma, seed=3)
+    z = project(proj, used)
+    pairs = [(i, j) for i in range(30) for j in range(i + 1, 30)]
+    errors = []
+    for i, j in pairs:
+        exact = exact_kernel(nominal[i].toarray(), nominal[j].toarray(), gamma)
+        assert exact == exact_kernel(used[i].toarray(), used[j].toarray(), gamma)
+        errors.append(z[i] @ z[j] - exact)
+    assert np.sqrt(np.mean(np.square(errors))) < 0.1
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])
@@ -213,14 +234,14 @@ def test_lr_runs_report_convergence():
 
 def test_parallel_runs_match_sequential():
     data = labeled_corpus({"a": 30, "b": 30}, seed=17)
-    base = ExperimentConfig(model="nb", runs=3, workers=2)
-    seq_report = run_experiment(base, data)
-    from dataclasses import replace
-
-    par_report = run_experiment(replace(base, parallel_runs=True), data)
-    # same numbers; only the echoed config (the parallel flag itself) may differ
-    for key in ("runs", "aggregate", "class_names", "feature_dim"):
-        assert strip_timing(seq_report[key]) == strip_timing(par_report[key])
+    # raw nb, and RFF lr, whose projectors are built inside the pool's workers
+    for base in (ExperimentConfig(model="nb", runs=3, workers=2),
+                 ExperimentConfig(model="lr", use_rff=True, rff_dim=64, runs=3, workers=2)):
+        seq_report = run_experiment(base, data)
+        par_report = run_experiment(replace(base, parallel_runs=True), data)
+        # same numbers; only the echoed config (the parallel flag itself) may differ
+        for key in ("runs", "aggregate", "class_names", "feature_dim", "feature_columns"):
+            assert strip_timing(seq_report[key]) == strip_timing(par_report[key])
 
 
 def test_parallel_runs_pool_is_capped_at_usable_cores(monkeypatch, inline_pool):
@@ -746,33 +767,33 @@ def test_memory_estimate_at_long_kmers():
     assert memory_estimate(ExperimentConfig(model="lr", k=6), d6, 20)[0] == 15 * 20 * d6 * 8
     assert memory_estimate(ExperimentConfig(model="ridge", k=6), d6, 20)[0] == 0
     # RFF draws weights for the used columns alone (12043 of 21^6 on the benchmark's
-    # 1000-sequence corpus); their int32 lookup spans the nominal ids. With no rows
-    # given, one dense block of project's GEMM route is counted
+    # 1000-sequence corpus). With no rows given, one dense block of project's GEMM
+    # route is counted
     rff = memory_estimate(ExperimentConfig(model="nb", k=6, use_rff=True), d6, 20, 12043)
-    assert rff == (1000 * 12043 * 8 + 4 * d6 + (8 << 20) + 4 * 20 * 1000 * 8, "--rff-dim or --k")
+    assert rff == (1000 * 12043 * 8 + (8 << 20) + 4 * 20 * 1000 * 8, "--rff-dim or --k")
     # 3000 rows: the dense 300-row train split, and the largest block of the 2700
     # test rows (2 x 1048 + 604, the 604 joining a block) with nb's square of it;
     # with no nonzeros project takes scipy's route, which densifies no block
     rff = memory_estimate(ExperimentConfig(model="nb", k=2, use_rff=True), 441, 20, corpus_size=3000)
-    assert rff == (1000 * (441 + 300) * 8 + 4 * 441 + 2 * 1652 * 1000 * 8 + 4 * 20 * 1000 * 8,
+    assert rff == (1000 * (441 + 300) * 8 + 2 * 1652 * 1000 * 8 + 4 * 20 * 1000 * 8,
                    "--rff-dim or --k")
     lr = ExperimentConfig(model="lr", k=2, use_rff=True)
     rff = memory_estimate(lr, 441, 20, corpus_size=3000)
-    assert rff[0] == 1000 * (441 + 300) * 8 + 4 * 441 + 1652 * 1000 * 8
+    assert rff[0] == 1000 * (441 + 300) * 8 + 1652 * 1000 * 8
     # with 50 nonzeros a row (11 % dense: the GEMM route and its 8 MiB block), 2 CSR
     # copies of 12 bytes a nonzero: of the block, or of the 2700-row train split when
     # that outweighs the block and its projection
     rff = memory_estimate(lr, 441, 20, corpus_size=3000, corpus_nnz=3000 * 50)
-    assert rff[0] == 1000 * (441 + 300) * 8 + 4 * 441 + (8 << 20) + 1652 * (1000 * 8 + 24 * 50)
+    assert rff[0] == 1000 * (441 + 300) * 8 + (8 << 20) + 1652 * (1000 * 8 + 24 * 50)
     wide = replace(lr, train_fraction=0.9)
     rff = memory_estimate(wide, 441, 20, corpus_size=3000, corpus_nnz=3000 * 50)
-    assert rff[0] == 1000 * (441 + 2700) * 8 + 4 * 441 + (8 << 20) + 2700 * 24 * 50
+    assert rff[0] == 1000 * (441 + 2700) * 8 + (8 << 20) + 2700 * 24 * 50
     # on 4432 of 21^3 columns at 13 nonzeros a row (0.3 % dense): scipy's route
     rff = memory_estimate(replace(lr, k=3), 9261, 20, 4432, 3000, 3000 * 13)
-    assert rff[0] == 1000 * (4432 + 300) * 8 + 4 * 9261 + 1652 * (1000 * 8 + 24 * 13)
+    assert rff[0] == 1000 * (4432 + 300) * 8 + 1652 * (1000 * 8 + 24 * 13)
     # 200 classes: lr's 15 C x D arrays outweigh either block
     assert memory_estimate(lr, 441, 200, corpus_size=3000)[0] == (
-        1000 * (441 + 300) * 8 + 4 * 441 + 15 * 200 * 1000 * 8)
+        1000 * (441 + 300) * 8 + 15 * 200 * 1000 * 8)
 
 
 def test_memory_estimate_of_nn_counts_hidden_by_input():
@@ -795,9 +816,9 @@ def test_memory_estimate_of_nn_counts_hidden_by_input():
         (64 + 196 + 152) * columns * 8, "--nn-hidden-width")
     # a 40-row corpus trains in one batch of its 4 train rows and scores its 36 test rows at once
     assert memory_estimate(narrow, d, 20, columns, 40)[0] == (4 * 64 + 4) * columns * 8
-    # with RFF the width is D, and the fit's 4 D x D arrays beside the weights and their lookup
+    # with RFF the width is D, and the fit's 4 D x D arrays beside the weights
     rff = memory_estimate(ExperimentConfig(model="nn", use_rff=True, rff_dim=1000), d, 20)
-    assert rff == (1000 * d * 8 + 4 * d + 4 * 1000 * 1000 * 8, "--nn-hidden-width or --rff-dim")
+    assert rff == (1000 * d * 8 + 4 * 1000 * 1000 * 8, "--nn-hidden-width or --rff-dim")
 
 
 def test_preflight_counts_every_parallel_run(monkeypatch):
@@ -819,9 +840,8 @@ def test_cli_k6_over_physical_memory_is_config_error(tmp_path, capsys, monkeypat
 
     # Raw nb and lr hold C x used-columns arrays: at most 20 x 1140 here,
     # 0.7 and 2.7 MB, so a 256 KiB host is below them. With RFF the weights
-    # of those columns are at most 9.1 MB, but their int32 lookup spans the
-    # 21^6 ids, 343 MB, above a 256 MiB host.
-    available = 2**28 if flags else 2**18
+    # of those columns are D x 1140 here, 9.1 MB, above a 4 MiB host.
+    available = 2**22 if flags else 2**18
     monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: available)
     monkeypatch.setattr(pipeline, "_single_run", None)  # reaching a run is a failure too
     _, _, _, corpus = _write_inputs(tmp_path, {f"c{i:02d}": 3 for i in range(20)})

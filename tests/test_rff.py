@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import seqclass.rff as rff
 from conftest import random_sequences
 from seqclass.errors import DimensionMismatch, InvalidDimension, InvalidGamma
-from seqclass.features import kmer_matrix, ohe_matrix, used_column_ids, used_columns
+from seqclass.features import kmer_matrix, ohe_matrix, used_columns
 from seqclass.rff import default_gamma, exact_kernel, new_projector, project
 
 
@@ -31,9 +31,6 @@ def test_projector_validation():
         new_projector(10, 10, -1.0, seed=0)
     with pytest.raises(InvalidGamma):
         exact_kernel([1.0], [1.0], 0.0)
-    for columns in ([3, 3], [5, 2], [-1], [10], [[1, 2]]):  # sorted distinct ids in [0, 10)
-        with pytest.raises(InvalidDimension):
-            new_projector(10, 4, 0.1, seed=0, columns=columns)
 
 
 def test_projector_distribution_parameters():
@@ -136,45 +133,34 @@ def test_default_gamma():
     assert default_gamma(9261) == 1.0 / 9261
 
 
-# --- weights keyed by column id -----------------------------------------------------
+# --- one draw, row j for column j ---------------------------------------------------
 
 @pytest.mark.parametrize("seed", [3, 77])
 def test_column_weights_depend_on_seed_and_column_alone(seed):
+    """Row j of the C-ordered draw is the same in every projector more than j columns wide."""
     d, D, gamma = 40, 24, 0.05
     full = new_projector(d, D, gamma, seed)
-    alone = new_projector(d, D, gamma, seed, columns=[17])
-    some = new_projector(d, D, gamma, seed, columns=[2, 17, 39])
-    assert full.drawn.shape == (d, D) and full.drawn.flags.c_contiguous
-    assert np.array_equal(alone.drawn, full.weights[:, [17]].T)
-    assert np.array_equal(some.drawn, full.weights[:, [2, 17, 39]].T)
-    assert some.drawn.shape == (3, D) and some.drawn.flags.c_contiguous
-    assert np.array_equal(some.weights, full.weights)  # the full draw, made on first use
-    assert np.array_equal(some.phases, full.phases)
-    other = new_projector(d, D, gamma, seed + 1, columns=[17])
-    assert not np.array_equal(other.drawn, alone.drawn)
+    assert full.weights.shape == (D, d) and full.weights.T.flags.c_contiguous
+    for width in (1, 18, 39):
+        prefix = new_projector(width, D, gamma, seed)
+        assert np.array_equal(prefix.weights, full.weights[:, :width])
+        assert np.array_equal(prefix.phases, full.phases)
+    other = new_projector(d, D, gamma, seed + 1)
+    assert not np.array_equal(other.weights[:, 17], full.weights[:, 17])
 
 
 @pytest.mark.parametrize("k, n, length, gemm", [(3, 20, 1300, True), (4, 60, 200, False)])
 def test_project_on_drawn_columns_matches_the_dense_product(k, n, length, gemm):
-    """Nominal-width CSR through the drawn columns, by either route, against dense x @ W^T."""
-    mat = kmer_matrix(_ragged_sequences(k, n, length // 3, length), k=k)
-    columns = used_column_ids(mat)
-    proj = new_projector(mat.shape[1], 16, default_gamma(mat.shape[1]), seed=k, columns=columns)
-    assert len(columns) < mat.shape[1]
-    assert (mat.nnz >= rff.GEMM_MIN_DENSITY * n * len(columns)) == gemm
+    """CSR on the used columns, by either route, against dense x @ W^T."""
+    nominal = kmer_matrix(_ragged_sequences(k, n, length // 3, length), k=k)
+    mat = used_columns(nominal)
+    proj = new_projector(mat.shape[1], 16, default_gamma(nominal.shape[1]), seed=k)
+    assert mat.shape[1] < nominal.shape[1]
+    assert _gemm_rows(mat) == gemm
     linear = mat.toarray() @ proj.weights.T
     want = np.sqrt(2.0 / 16) * np.cos(linear + proj.phases)
     # the same terms summed in another order; cos is 1-Lipschitz
     assert np.abs(project(proj, mat) - want).max() <= LINEAR_RTOL * np.abs(linear).max() + 1e-15
-
-
-def test_project_rejects_a_column_it_did_not_draw():
-    proj = new_projector(10, 8, 0.1, seed=1, columns=[1, 4, 7])
-    drawn_only = sp.csr_matrix(([2.0, 1.0], [1, 7], [0, 1, 2]), shape=(2, 10))
-    assert project(proj, drawn_only).shape == (2, 8)
-    undrawn = sp.csr_matrix(([2.0, 1.0], [1, 5], [0, 1, 2]), shape=(2, 10))
-    with pytest.raises(DimensionMismatch, match="column 5 holds a nonzero"):
-        project(proj, undrawn)
 
 
 # --- the two sparse routes ----------------------------------------------------------
@@ -201,7 +187,7 @@ def test_sparse_routes_match_scipy_product_on_ragged_kmers(k):
     mat = kmer_matrix(_ragged_sequences(k, 250, 400, 1300), k=k)
     proj = new_projector(mat.shape[1], 16, default_gamma(mat.shape[1]), seed=k)
     want = _scipy_linear(mat, proj.weights)
-    got = rff._sparse_linear(mat, proj.drawn)
+    got = rff._sparse_linear(mat, proj.weights.T)
     expected = np.sqrt(2.0 / 16) * np.cos(want + proj.phases)
     if k < 4:
         assert _gemm_rows(mat)  # 250 rows: two full blocks and a ragged one at k = 3
@@ -219,11 +205,11 @@ def test_gemm_route_on_one_hot_rows():
     mat = ohe_matrix(seqs, expected_len=60)  # int8 data, exactly 1/21 dense
     used = used_columns(mat).astype(np.float64)  # denser on the columns the rows use
     assert mat.dtype != np.float64 and not _gemm_rows(mat) and _gemm_rows(used)
-    proj = new_projector(mat.shape[1], 32, 0.01, seed=5, columns=used_column_ids(mat))
-    want = _scipy_linear(mat, proj.weights)
-    got = rff._sparse_linear(used, proj.drawn)
+    proj = new_projector(used.shape[1], 32, 0.01, seed=5)
+    want = _scipy_linear(used, proj.weights)
+    got = rff._sparse_linear(used, proj.weights.T)
     assert np.abs(got - want).max() <= LINEAR_RTOL * np.abs(want).max()
-    assert np.array_equal(project(proj, mat), project(proj, mat.astype(np.float64)))
+    assert np.array_equal(project(proj, used_columns(mat)), project(proj, used))
 
 
 def test_gemm_route_matches_products_of_sliced_blocks(rng, monkeypatch):
@@ -233,7 +219,7 @@ def test_gemm_route_matches_products_of_sliced_blocks(rng, monkeypatch):
     monkeypatch.setattr(rff, "GEMM_BLOCK_BYTES", 3 * 8 * d)  # 3-row blocks: 3 + 3 + 3 + 1
     mat = sp.csr_matrix(rng.poisson(0.4, size=(10, d)).astype(np.float64))
     want = np.vstack([mat[s:s + 3].toarray() @ proj.weights.T for s in range(0, 10, 3)])
-    assert np.array_equal(rff._sparse_linear(mat, proj.drawn), want)
+    assert np.array_equal(rff._sparse_linear(mat, proj.weights.T), want)
 
 
 @pytest.mark.parametrize("sparse", [True, False])
@@ -259,12 +245,12 @@ def test_gemm_route_edge_shapes(rng, monkeypatch):
     assert _gemm_rows(mat)
     want = _scipy_linear(mat, proj.weights)
     for rows in (slice(0, 10), slice(4, 5)):  # ragged last block; one row
-        got = rff._sparse_linear(mat[rows], proj.drawn)
+        got = rff._sparse_linear(mat[rows], proj.weights.T)
         assert got.shape == want[rows].shape
         assert np.abs(got - want[rows]).max() <= LINEAR_RTOL * np.abs(want).max()
     # a block wider than one row's budget still takes one row at a time
     monkeypatch.setattr(rff, "GEMM_BLOCK_BYTES", 1)
-    got = rff._sparse_linear(mat, proj.drawn)
+    got = rff._sparse_linear(mat, proj.weights.T)
     assert np.abs(got - want).max() <= LINEAR_RTOL * np.abs(want).max()
     # int32 CSR projects exactly as its float64 copy; a 1-D vector as its row
     as_int = sp.csr_matrix(dense.astype(np.int32))
