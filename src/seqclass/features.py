@@ -7,12 +7,18 @@ k-mers in a vector of dimension 21**k. One-hot encoding expands a
 length-L sequence into 21*L indicator columns (column 21*p + code of the
 residue at position p).
 
-Matrices are scipy CSR. k-mers are counted in 512-row chunks that can
-fan out over worker processes (order preserving), by sorting each
-chunk's (row, k-mer) window keys, so a chunk's memory is linear in its
-window count and independent of 21**k: every k up to MAX_K featurizes.
-Each chunk is a CSR matrix, and scipy stacks the chunks.
-One-hot is one vectorized pass over the whole corpus.
+Matrices are scipy CSR. k-mers are counted in chunks of consecutive rows
+holding at most _CHUNK_WINDOWS windows (a row longer than that is a
+chunk alone), which can fan out over worker processes (order
+preserving), by sorting each chunk's (row, k-mer) window keys, so a
+chunk's memory is linear in its window count and independent of 21**k:
+every k up to MAX_K featurizes. One indices/data pair as long as the
+corpus's window count, which bounds its nonzeros, is allocated up front;
+each chunk's k-mer ids and counts are written into it as soon as the
+chunk is counted, or comes back from the pool, and the pair is then cut
+to the nonzeros. No chunk outlives its copy, and pages past the
+nonzeros are never touched. One-hot is one vectorized pass over the
+whole corpus.
 
 Feature container format ("SQFV1"), an export like the COO CSV that no
 command reads back: the 5 magic bytes, u8 encoding tag (0 = kmers,
@@ -27,6 +33,7 @@ import json
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
 from typing import IO, Sequence
@@ -48,7 +55,9 @@ ALPHABET = AMINO_ACIDS
 ALPHABET_SIZE = len(ALPHABET)  # 21
 
 MAX_K = 6  # 21**7 would exceed 1.8e9 columns
-_CHUNK_ROWS = 512  # k-mer rows counted per task
+# k-mer windows counted per task: about 206 rows of a 1273-residue spike. A
+# chunk's keys, sort and counts take tens of bytes a window
+_CHUNK_WINDOWS = 1 << 18
 
 _ENCODING_TAGS = {ENCODING_KMERS: 0, ENCODING_OHE: 1}
 
@@ -85,8 +94,8 @@ def kmer_counts(seq: str, k: int = 3) -> dict[str, int]:
     }
 
 
-def _kmer_csr_chunk(ids: Sequence[str], seqs: Sequence[str], k: int) -> sp.csr_matrix:
-    """The chunk's rows x 21**k CSR matrix of k-mer counts."""
+def _kmer_chunk(ids: Sequence[str], seqs: Sequence[str], k: int) -> tuple[np.ndarray, ...]:
+    """The chunk's rows of k-mer counts as a CSR triplet: int64 indptr, int32 indices and counts."""
     dim = ALPHABET_SIZE**k
     codes, lengths = encode_residues(ids, seqs)
     if np.any(lengths < k):
@@ -111,10 +120,19 @@ def _kmer_csr_chunk(ids: Sequence[str], seqs: Sequence[str], k: int) -> sp.csr_m
     rows = np.repeat(np.arange(len(seqs), dtype=key_type), per_row)
     # sorted distinct (row, k-mer) keys: memory follows the window count, not rows * 21**k
     keys, counts = np.unique(rows * dim + idx, return_counts=True)
-    data = counts.astype(np.int32)
-    indices = (keys % dim).astype(np.int32)
     indptr = np.searchsorted(keys // dim, np.arange(len(seqs) + 1, dtype=key_type)).astype(np.int64)
-    return sp.csr_matrix((data, indices, indptr), shape=(len(seqs), dim))
+    return indptr, (keys % dim).astype(np.int32), counts.astype(np.int32)
+
+
+def _chunk_bounds(windows: np.ndarray) -> list[int]:
+    """Row bounds of the chunks: consecutive rows of at most _CHUNK_WINDOWS windows, or one row."""
+    ends = np.concatenate(([0], np.cumsum(windows)))  # windows before each row
+    bounds = [0]
+    while bounds[-1] < len(windows):
+        start = bounds[-1]
+        stop = int(np.searchsorted(ends, ends[start] + _CHUNK_WINDOWS, side="right")) - 1
+        bounds.append(max(stop, start + 1))
+    return bounds
 
 
 def _usable_cores() -> int:
@@ -132,8 +150,8 @@ def kmer_matrix(
 ) -> sp.csr_matrix:
     """n x 21**k sparse count matrix; row i sums to len(seqs[i]) - k + 1.
 
-    Each 512-row chunk is encoded and counted in its own task; the pool
-    never outnumbers the chunks or the usable cores.
+    Each chunk (module docstring) is encoded and counted in its own task;
+    the pool never outnumbers the chunks or the usable cores.
     """
     kmer_dim(k)  # InvalidConfig outside [1, MAX_K], before any other check
     if not seqs:
@@ -142,16 +160,32 @@ def kmer_matrix(
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
     if ids is None:
         ids = [f"<row {row}>" for row in range(len(seqs))]
-    starts = range(0, len(seqs), _CHUNK_ROWS)
-    id_chunks = [ids[i : i + _CHUNK_ROWS] for i in starts]
-    seq_chunks = [seqs[i : i + _CHUNK_ROWS] for i in starts]
-    processes = min(workers, len(starts), _usable_cores())
-    if processes > 1:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            chunks = list(pool.map(_kmer_csr_chunk, id_chunks, seq_chunks, repeat(k)))
-    else:
-        chunks = list(map(_kmer_csr_chunk, id_chunks, seq_chunks, repeat(k)))
-    return sp.vstack(chunks, format="csr")
+    # a row shorter than k has no windows; its chunk raises SequenceTooShort
+    windows = np.fromiter((max(len(seq) - k + 1, 0) for seq in seqs), dtype=np.int64,
+                          count=len(seqs))
+    bounds = _chunk_bounds(windows)
+    id_chunks = [ids[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    seq_chunks = [seqs[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    # a row's distinct k-mers are at most its windows
+    indptr = np.zeros(len(seqs) + 1, dtype=np.int64)
+    indices = np.empty(int(windows.sum()), dtype=np.int32)
+    data = np.empty(len(indices), dtype=np.int32)
+    processes = min(workers, len(id_chunks), _usable_cores())
+    pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else nullcontext()
+    with pool:
+        counted = (pool.map if processes > 1 else map)(_kmer_chunk, id_chunks, seq_chunks,
+                                                       repeat(k))
+        for start, stop, (chunk_indptr, chunk_indices, chunk_data) in zip(bounds, bounds[1:],
+                                                                         counted):
+            lo = indptr[start]
+            indptr[start + 1 : stop + 1] = chunk_indptr[1:] + lo
+            indices[lo : indptr[stop]] = chunk_indices
+            data[lo : indptr[stop]] = chunk_data
+            del chunk_indptr, chunk_indices, chunk_data  # before the next chunk is counted
+    # cut in place to the nonzeros: no view of either array exists
+    indices.resize(indptr[-1], refcheck=False)
+    data.resize(indptr[-1], refcheck=False)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(seqs), ALPHABET_SIZE**k))
 
 
 def ohe_matrix(

@@ -57,7 +57,7 @@ class IgTable:
 def position_histograms(
     data: list[LabeledSequence], class_level: str = "country"
 ) -> tuple[np.ndarray, list[str]]:
-    """Joint counts (L, 21, C) of residue-at-position by class."""
+    """Joint counts (L, 21, C) of residue-at-position by class, counted in blocks of 21 C rows."""
     if not data:
         raise SingleClass("information gain needs a non-empty corpus")
     L = len(data[0].record.residues)
@@ -76,13 +76,19 @@ def position_histograms(
         [item.record.id for item in data], [item.record.residues for item in data]
     )
     A = len(AMINO_ACIDS)
-    # one count of the joint index (p*A + code)*C + y over the whole (n, L) array
-    keys = codes.reshape(len(data), L).astype(np.int64)
-    keys += np.arange(L) * A
-    keys *= C
-    keys += y[:, None]
-    hist = np.bincount(keys.ravel(), minlength=L * A * C).reshape(L, A, C)
-    return hist, class_names
+    codes = codes.reshape(len(data), L)
+    # counts of the joint index (p*A + code)*C + y, in blocks of A*C rows: a block's
+    # keys are the histogram's size, so no (n, L) key array is made, and the integer
+    # counts are the same in any order
+    hist = np.zeros(L * A * C, dtype=np.int64)
+    rows, offsets = A * C, np.arange(L) * A
+    for start in range(0, len(data), rows):
+        keys = codes[start : start + rows].astype(np.int64)
+        keys += offsets
+        keys *= C
+        keys += y[start : start + rows, None]
+        hist += np.bincount(keys.ravel(), minlength=L * A * C)
+    return hist.reshape(L, A, C), class_names
 
 
 def information_gain(data: list[LabeledSequence], class_level: str = "country") -> IgTable:

@@ -36,9 +36,16 @@ RIDGE_DENSE_LIMIT = 20000  # direct solves up to this size (min of n and d+1), C
 
 
 def _as_2d(X):
-    """Float64 CSR or 2-d ndarray; the input itself when it already is one."""
+    """Float64 CSR or 2-d ndarray; the input itself when it already is one.
+
+    A float64 copy of a CSR's data shares the input's index arrays, which
+    astype would copy too.
+    """
     if sp.issparse(X):
-        return X.tocsr().astype(np.float64, copy=False)
+        X = X.tocsr()
+        if X.dtype == np.float64:
+            return X
+        return sp.csr_matrix((X.data.astype(np.float64), X.indices, X.indptr), shape=X.shape)
     arr = np.asarray(X, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]

@@ -13,6 +13,8 @@ and `nn_scores` (one block of rows) densify CSR input and run one code
 path: each layer is one BLAS GEMM, not scipy's scalar CSR kernels, and
 CSR input trains and scores bit for bit like its `.toarray()`. So a
 batch, or a block the caller sizes, is the only thing ever densified.
+`nn_train` gathers each batch's rows straight from its input into one
+reused float64 buffer (`rff.gather_rows`), so no step slices the input.
 Every array of the net is C-ordered. `adam_step` updates every
 parameter in place, one cache-sized block of rows at a time, with the
 operations of the textbook update in the same order (Kingma & Ba, ICLR
@@ -34,6 +36,7 @@ from .errors import (
     NonFiniteLoss,
 )
 from .linear_models import _as_2d, _check_dim, _softmax
+from .rff import gather_rows
 
 PROB_FLOOR = 1e-12  # keeps the loss finite under confident mistakes
 ADAM_BLOCK_BYTES = 256 * 2**10  # rows of a parameter that adam_step updates in one pass
@@ -195,13 +198,15 @@ def nn_train(X, y, class_count: int, hidden_width: int | None = None, batch_size
     if y.min() < 0 or y.max() >= class_count:
         raise LabelOutOfRange(f"labels must lie in [0, {class_count})")
 
+    X = X.tocsr() if sp.issparse(X) else np.asarray(X)
     net = nn_init(X.shape[1], class_count, hidden_width, seed)
     state = adam_init(net)
+    batch = np.zeros((min(batch_size, n), X.shape[1]))  # each batch's rows, gathered from X
     for order in epoch_shuffle_orders(seed, n, epochs):
         total = 0.0
         for start in range(0, n, batch_size):
             batch_idx = order[start : start + batch_size]
-            loss, grads = nn_loss_and_grads(net, X[batch_idx], y[batch_idx])
+            loss, grads = nn_loss_and_grads(net, gather_rows(X, batch_idx, batch), y[batch_idx])
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"training loss diverged at step {state.t + 1}")
             adam_step(net, grads, state, learning_rate)

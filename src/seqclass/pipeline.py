@@ -22,7 +22,9 @@ gives the used columns.
 
 No run holds its whole test split: one n_test x C score array is filled
 block by block, each block's rows taken from the corpus matrix by test
-index and, with RFF, projected just before they are scored. A block is
+index or, with RFF, projected from it just before they are scored
+(rff.project_rows, which on its GEMM route makes no CSR copy of the
+rows; the train split is projected the same way). A block is
 rff.GEMM_BLOCK_BYTES over what a row costs while scored: 8 D bytes with
 RFF, 8 bytes a used column for raw nn, which densifies it, or about 12
 bytes a CSR nonzero. Each row is scored on its own, so scipy's CSR
@@ -30,11 +32,12 @@ products give the same bits in any blocking; a dense GEMM can round by
 its height, so a remainder shorter than a block joins the last one.
 
 Before the first run, the peak bytes of the RFF weights, the
-projected train split, one projection block and one score block with
-their CSR copies, the model's C x used-columns arrays (nn: hidden x
-used-columns, beside one dense batch or score block) and ridge's dense
-Gram matrix are estimated; a config whose estimate exceeds physical
-memory is an InvalidConfig naming the knob that lowers it.
+projected train split, one projection block and one score block (with
+their CSR copies on scipy's route), the model's C x used-columns arrays
+(nn: hidden x used-columns, beside one dense batch or score block) and
+ridge's dense Gram matrix are estimated; a config whose estimate
+exceeds physical memory is an InvalidConfig naming the knob that lowers
+it.
 
 Which columns are used is read off every row, test rows included. So
 a run's RFF features, like the raw models' width, nn's init and its
@@ -67,7 +70,7 @@ from .errors import EmptyMatrix, EmptyTrainingSet, InvalidConfig, IoFailure, Seq
 from .features import FeaturizedCorpus, _usable_cores, featurize_corpus, used_columns
 from .ingest import LabeledSequence, _round_half_up, split_indices
 from .metrics import QUALITY, aggregate, confusion, roc_auc_ovr_weighted, summarize
-from .rff import GEMM_BLOCK_BYTES, GEMM_MIN_DENSITY, default_gamma, new_projector, project
+from .rff import GEMM_BLOCK_BYTES, GEMM_MIN_DENSITY, default_gamma, new_projector, project_rows
 from .version import __version__
 
 # float64 C x used-columns arrays that fit and scoring hold at once, read
@@ -115,9 +118,9 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
     ``corpus_size`` gives the train rows of ridge's direct solve, of RFF's
     projected train split and of nn's batches, and the test rows that set
     the largest score block; ``corpus_nnz``, the feature matrix's
-    nonzeros, gives the CSR copies that RFF makes of the train split and of
-    a block, the density that picks rff.project's route, and the train
-    split's share that ridge's dual copies as X'.
+    nonzeros, gives the density that picks rff.project's route, the CSR
+    copies that scipy's route makes of the train split and of a block, and
+    the train split's share that ridge's dual copies as X'.
     Raw nn densifies each batch and score block; another raw-feature score
     block, a few CSR copies of GEMM_BLOCK_BYTES, is not counted.
     """
@@ -152,18 +155,24 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
     if config.use_rff:
         # The D x used-columns weights and the dense n_train x D train split are held
         # throughout. Beside them lies the largest of: the model's arrays in the fit;
-        # the dense block of rff.project's GEMM route, which the corpus's density on its
-        # used columns selects (scipy's route holds none), with the train split's 2 CSR
-        # copies (the rows taken and project's float64 copy of their data, 12 bytes a
-        # nonzero at most); or that block with the largest block of test rows, its 2
-        # CSR copies and its projection, which gnb_scores squares beside its own arrays.
+        # what rff.project_rows holds beside the train split it projects; or that with
+        # the largest block of test rows and its projection, which gnb_scores squares
+        # beside its own arrays. The corpus's density on its used columns picks the
+        # route. The GEMM route holds its dense gather buffer and, for rows beyond one
+        # GEMM, one GEMM's projection; scipy's route holds 2 CSR copies of the rows (the
+        # rows taken and project's float64 copy of their data, 12 bytes a nonzero at most).
         gemm = corpus_nnz >= GEMM_MIN_DENSITY * corpus_size * columns
-        dense_block = GEMM_BLOCK_BYTES if gemm else 0
-        csr_row_bytes = 24 * corpus_nnz / max(corpus_size, 1)
-        scoring = dense_block + block * (csr_row_bytes + 8 * config.rff_dim)
+        step = max(1, GEMM_BLOCK_BYTES // (8 * columns))  # rows of one GEMM
+
+        def beside(rows):
+            if not gemm:
+                return rows * 24 * corpus_nnz / max(corpus_size, 1)
+            return GEMM_BLOCK_BYTES + (8 * config.rff_dim * step if rows > step else 0)
+
+        scoring = beside(block) + 8 * config.rff_dim * block
         if config.model == "nb":
             scoring += 8 * config.rff_dim * block + needed
-        peak = max(needed, dense_block + n_train * csr_row_bytes, scoring)
+        peak = max(needed, beside(n_train), scoring)
         held = 8 * config.rff_dim * (columns + n_train)
         rff_knob = "--nn-hidden-width or --rff-dim" if config.model == "nn" else "--rff-dim or --k"
         return int(held + peak), rff_knob
@@ -268,7 +277,6 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
         train_idx, test_idx = split_indices(feats.matrix.shape[0], config.train_fraction,
                                             seeds["split"], names if config.stratified else None)
 
-    X_train = feats.matrix[train_idx]
     y_train = feats.labels[train_idx]
     y_test = feats.labels[test_idx]
 
@@ -277,7 +285,9 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
         with _stage("rff"):
             gamma = default_gamma(feats.dim) if config.rff_gamma is None else config.rff_gamma
             projector = new_projector(feats.matrix.shape[1], config.rff_dim, gamma, seeds["rff"])
-            X_train = project(projector, X_train)
+            X_train = project_rows(projector, feats.matrix, train_idx)
+    else:
+        X_train = feats.matrix[train_idx]
 
     class_count = len(feats.class_names)
     with _stage("fit"):
@@ -291,12 +301,14 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
     starts = range(0, max(len(test_idx) - rows, 0) + 1, rows)
     scores = np.empty((len(test_idx), class_count))
     for start, stop in zip(starts, [*starts[1:], len(test_idx)]):
-        X_block = feats.matrix[test_idx[start:stop]]
-        if projector is not None:
+        if projector is None:
+            X_block = feats.matrix[test_idx[start:stop]]
+        else:
             with _stage("rff"):
-                X_block = project(projector, X_block)
+                X_block = project_rows(projector, feats.matrix, test_idx[start:stop])
         with _stage("fit"):
             scores[start:stop] = model_scores(model, X_block)
+        del X_block  # freed before the next block is made
     predictions = np.argmax(scores, axis=1)
 
     with _stage("metrics"):

@@ -278,17 +278,28 @@ def _assert_same_csr(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
+def _chunk_csr(ids, seqs, k):
+    """features._kmer_chunk's CSR triplet as a matrix."""
+    return sp.csr_matrix(features._kmer_chunk(ids, seqs, k)[::-1], shape=(len(seqs), ALPHABET_SIZE**k))
+
+
+def _bounds(seqs, k):
+    return features._chunk_bounds(np.array([len(seq) - k + 1 for seq in seqs]))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_sorted_counting_matches_dense_bincount(rng, k):
-    seqs = _ragged(rng, 1100, k, 40)  # three 512-row chunks
+def test_sorted_counting_matches_dense_bincount(rng, monkeypatch, k):
+    seqs = _ragged(rng, 1100, k, 40)
     ids = [f"q{i}" for i in range(len(seqs))]
     # chunk by chunk: the same CSR arrays with the same dtypes
     chunks = []
     for start in range(0, len(seqs), 64):  # 64 rows keep the dense counters below 100 MB at k=4
-        got = features._kmer_csr_chunk(ids[start : start + 64], seqs[start : start + 64], k)
+        got = _chunk_csr(ids[start : start + 64], seqs[start : start + 64], k)
         chunks.append(_dense_kmer_csr_chunk(ids[start : start + 64], seqs[start : start + 64], k))
         _assert_same_csr(got, chunks[-1])
-    # whole matrix across 512-row chunk boundaries, serial and pooled
+    # whole matrix across chunk boundaries, serial and pooled
+    monkeypatch.setattr(features, "_CHUNK_WINDOWS", 4096)
+    assert len(_bounds(seqs, k)) > 4  # at least four chunks of about 200 rows
     want = sp.vstack(chunks, format="csr")
     for workers in (1, 2):
         _assert_same_csr(kmer_matrix(seqs, k, workers=workers, ids=ids), want)
@@ -296,14 +307,48 @@ def test_sorted_counting_matches_dense_bincount(rng, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_int32_keys_match_the_int64_sort(rng, k):
-    seqs = _ragged(rng, 1100, k, 40)
+    ragged = _ragged(rng, 1100, k, 40)  # one chunk of short rows
+    even = random_sequences(rng, 1100, k + 511)  # 512 windows a row: 512-row chunks
+    for seqs, rows, int32_up_to in ((ragged, 1100, 4), (even, 512, 5)):
+        ids = [f"q{i}" for i in range(len(seqs))]
+        bounds = _bounds(seqs, k)
+        assert max(np.diff(bounds)) == rows
+        # a full chunk sorts int32 keys while rows * 21**k < 2^31, int64 ones above
+        assert (rows * ALPHABET_SIZE**k < 2**31) == (k <= int32_up_to)
+        for start, stop in zip(bounds, bounds[1:]):
+            _assert_same_csr(_chunk_csr(ids[start:stop], seqs[start:stop], k),
+                             _int64_kmer_csr_chunk(ids[start:stop], seqs[start:stop], k))
+
+
+def test_chunks_hold_at_most_the_window_budget(monkeypatch):
+    monkeypatch.setattr(features, "_CHUNK_WINDOWS", 10)
+    # a row above the budget is a chunk alone; a chunk can hold exactly the budget
+    assert features._chunk_bounds(np.array([3, 3, 3, 3, 25, 1, 9, 1])) == [0, 3, 4, 5, 7, 8]
+    assert features._chunk_bounds(np.array([10, 10, 11, 1])) == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_kmer_matrix_equals_the_stacked_512_row_chunks(rng, k):
+    """The preallocated arrays are those of the 512-row chunks and sp.vstack they replaced."""
+    lengths = rng.integers(k, 2400, 700)
+    lengths[[0, -1]] = k  # k-long rows at the corpus's edges
+    # row m ends one window short of the budget, so the k-long row after it fills the
+    # first chunk and the next k-long row starts the second
+    ends = np.cumsum(lengths - k + 1)
+    m = int(np.searchsorted(ends, features._CHUNK_WINDOWS - 1))
+    lengths[m] -= ends[m] - (features._CHUNK_WINDOWS - 1)
+    lengths[m + 1 : m + 3] = k
+    seqs = [random_sequences(rng, 1, int(length))[0] for length in lengths]
+    bounds = _bounds(seqs, k)
+    assert bounds[1] == m + 2 and len(bounds) > 3  # three chunks or more
     ids = [f"q{i}" for i in range(len(seqs))]
-    # a full chunk sorts int32 keys up to k = 5 (512 * 21**5 < 2^31), int64 ones at k = 6
-    assert (features._CHUNK_ROWS * ALPHABET_SIZE**k < 2**31) == (k <= 5)
-    for start in range(0, len(seqs), features._CHUNK_ROWS):
-        chunk = slice(start, start + features._CHUNK_ROWS)
-        _assert_same_csr(features._kmer_csr_chunk(ids[chunk], seqs[chunk], k),
-                         _int64_kmer_csr_chunk(ids[chunk], seqs[chunk], k))
+    want = sp.vstack([_int64_kmer_csr_chunk(ids[start : start + 512], seqs[start : start + 512], k)
+                      for start in range(0, len(seqs), 512)], format="csr")
+    for workers in (1, 2):
+        got = kmer_matrix(seqs, k, workers=workers, ids=ids)
+        _assert_same_csr(got, want)
+        for array in (got.indices, got.data):  # cut to the nonzeros, not views of longer arrays
+            assert (array if array.base is None else array.base).size == got.nnz
 
 
 def _chunked_ohe(ids, seqs, expected_len, chunk_size=512):
@@ -377,6 +422,7 @@ def test_pool_is_capped_at_chunks_and_usable_cores(rng, monkeypatch, inline_pool
     InlinePool, pools = inline_pool
     monkeypatch.setattr(features, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(features, "_CHUNK_WINDOWS", 3 * 512)  # 512 rows of 3 windows
     seqs = random_sequences(rng, 3 * 512, 5)  # three chunks
     serial = kmer_matrix(seqs, 3, workers=1)
     assert pools == []

@@ -197,6 +197,23 @@ def test_position_histograms_match_per_column_counts(rng, n_classes):
     assert np.array_equal(hist, want)
 
 
+def test_position_histograms_in_blocks_match_one_count_of_the_whole_array(rng):
+    """Blocks of 21 C rows (63 here: three full blocks and an 11-row one) against the single
+    bincount over the whole (n, L) key array that they replaced."""
+    letters = list("ACDEFGHIKLMNPQRSTVWXY")
+    n, L, C = 200, 31, 3
+    rows = [("".join(rng.choice(letters, size=L)), "uvw"[i % C]) for i in range(n)]
+    hist, class_names = position_histograms(_corpus(rows))
+    y = np.array([class_names.index(country) for _, country in rows])
+    keys = np.array([[letters.index(ch) for ch in seq] for seq, _ in rows], dtype=np.int64)
+    keys += np.arange(L) * 21
+    keys *= C
+    keys += y[:, None]
+    want = np.bincount(keys.ravel(), minlength=L * 21 * C).reshape(L, 21, C)
+    assert hist.dtype == want.dtype
+    assert np.array_equal(hist, want)
+
+
 # --- subsampling & export -----------------------------------------------------------
 
 def test_subsample_seeded_and_capped():

@@ -22,6 +22,31 @@ def _blobs(rng, n_per_class, centers, scale=1.0):
     return np.vstack(X), np.array(y)
 
 
+def test_as_2d_copies_csr_data_over_the_input_index_arrays(rng):
+    X = sp.csr_matrix(rng.poisson(1.0, size=(30, 8)).astype(np.int32))
+    got = lm._as_2d(X)
+    assert got.dtype == np.float64 and np.array_equal(got.toarray(), X.toarray())
+    assert np.shares_memory(got.indices, X.indices) and np.shares_memory(got.indptr, X.indptr)
+    as_float = X.astype(np.float64)  # the copy _as_2d made before, index arrays too
+    assert not np.shares_memory(as_float.indices, X.indices)
+    assert lm._as_2d(as_float) is as_float
+
+
+@pytest.mark.parametrize("model", ["nb", "lr", "ridge"])
+def test_integer_csr_fits_and_scores_as_its_float64_copy(rng, model):
+    """Counts score bit for bit as astype(float64), the copy _as_2d made before."""
+    X = sp.csr_matrix(rng.poisson(1.0, size=(60, 10)).astype(np.int32))
+    y = np.arange(60) % 3
+    fit, scores = {"nb": (lambda X: lm.gnb_fit(X, y, 3), lm.gnb_scores),
+                   "lr": (lambda X: lm.logreg_fit(X, y, max_iters=30, class_count=3),
+                          lm.logreg_proba),
+                   "ridge": (lambda X: lm.ridge_fit(X, y, class_count=3), lm.ridge_scores)}[model]
+    as_float = X.astype(np.float64)
+    model_i, model_f = fit(X), fit(as_float)
+    assert np.array_equal(scores(model_i, X), scores(model_f, as_float))
+    assert np.array_equal(scores(model_i, X[7:19]), scores(model_i, as_float[7:19]))
+
+
 # --- majority ---------------------------------------------------------------
 
 def test_majority_basic():

@@ -211,6 +211,35 @@ def test_sparse_input_trains_and_scores_like_dense(rng, dtype):
     assert np.array_equal(nnet.nn_scores(net_s, X), nnet.nn_scores(net_d, X.toarray()))
 
 
+def _train_on_sliced_batches(X, y, class_count, hidden_width, epochs, seed, batch_size=100):
+    """nn_train as it was before batches were gathered into one buffer: X[batch_idx] a step."""
+    net = nnet.nn_init(X.shape[1], class_count, hidden_width, seed)
+    state = nnet.adam_init(net)
+    for order in nnet.epoch_shuffle_orders(seed, X.shape[0], epochs):
+        total = 0.0
+        for start in range(0, X.shape[0], batch_size):
+            batch_idx = order[start : start + batch_size]
+            loss, grads = nnet.nn_loss_and_grads(net, X[batch_idx], y[batch_idx])
+            nnet.adam_step(net, grads, state, 0.001)
+            total += loss * len(batch_idx)
+        net.loss_trace.append(total / X.shape[0])
+    return net
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+def test_gathered_batches_train_as_sliced_ones(rng, sparse):
+    """Each batch gathered into one reused buffer trains bit for bit as X[batch_idx] did,
+    the last batch (50 of 250 rows) included."""
+    counts = rng.poisson(0.7, size=(250, 40)).astype(np.int32)
+    X = sp.csr_matrix(counts) if sparse else counts
+    y = (counts[:, 0] + counts[:, 1] > 1).astype(int) + (counts[:, 2] > 1)
+    net = nnet.nn_train(X, y, 3, hidden_width=9, seed=4, epochs=3)
+    want = _train_on_sliced_batches(X, y, 3, hidden_width=9, epochs=3, seed=4)
+    assert net.loss_trace == want.loss_trace
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(net, name), getattr(want, name)), name
+
+
 def test_train_label_out_of_range(rng):
     with pytest.raises(LabelOutOfRange):
         nnet.nn_train(rng.normal(size=(4, 2)), [0, 1, 2, 0], 2, hidden_width=3)

@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from seqclass.cli import main
 from seqclass.config import ExperimentConfig, config_from_mapping, parse_config_file
@@ -144,8 +145,9 @@ def test_rff_path_records_dims():
 
 def test_rff_run_projector_rebuilds_and_projects_used_rows(monkeypatch):
     """A run's projector equals new_projector(feature_columns, D, gamma, seed), gamma
-    1/(nominal width), and projects used-width CSR rows as sqrt(2/D) cos(W x + b)."""
-    import seqclass.pipeline as pipeline
+    1/(nominal width), and projects used-width rows as sqrt(2/D) cos(W x + b). The rows
+    reach rff.project as dense blocks gathered from the corpus (rff.project_rows)."""
+    import seqclass.rff as rff
     from seqclass.rff import new_projector, project
 
     calls = []
@@ -154,7 +156,7 @@ def test_rff_run_projector_rebuilds_and_projects_used_rows(monkeypatch):
         calls.append((projector, x, project(projector, x)))
         return calls[-1][2]
 
-    monkeypatch.setattr(pipeline, "project", recording)
+    monkeypatch.setattr(rff, "project", recording)
     data = labeled_corpus({"a": 30, "b": 30}, length=60, seed=5)
     config = ExperimentConfig(model="lr", k=3, use_rff=True, rff_dim=64, runs=1, lr_max_iters=20)
     report = run_experiment(config, data)
@@ -164,7 +166,8 @@ def test_rff_run_projector_rebuilds_and_projects_used_rows(monkeypatch):
     again = new_projector(report["feature_columns"], 64, 1 / 9261, config.rff_seed)
     assert np.array_equal(again.weights, projector.weights)
     assert np.array_equal(again.phases, projector.phases)
-    want = np.sqrt(2.0 / 64) * np.cos(x.toarray() @ projector.weights.T + projector.phases)
+    dense = x.toarray() if sp.issparse(x) else x  # CSR rows on scipy's route
+    want = np.sqrt(2.0 / 64) * np.cos(dense @ projector.weights.T + projector.phases)
     assert np.abs(out - want).max() <= 1e-12
 
 
@@ -578,6 +581,7 @@ def _blocked_and_whole_scores(monkeypatch, config, data, rows=None):
     model's scores of the whole test split at once; ``rows`` fixes the block height."""
     import seqclass.pipeline as pipeline
     from seqclass.features import featurize_corpus, used_columns
+    from seqclass.rff import project
 
     feats = featurize_corpus(data, config.encoding, k=config.k)
     if not config.use_rff:
@@ -611,7 +615,7 @@ def _blocked_and_whole_scores(monkeypatch, config, data, rows=None):
     pipeline._single_run(config, feats, 0)
     X_test = feats.matrix[seen["split_indices"][1]]
     if config.use_rff:
-        X_test = pipeline.project(seen["new_projector"], X_test)
+        X_test = project(seen["new_projector"], X_test)
     return seen["blocked"], seen["scores"](seen["model"], X_test), seen["blocks"]
 
 
@@ -780,14 +784,14 @@ def test_memory_estimate_at_long_kmers():
     lr = ExperimentConfig(model="lr", k=2, use_rff=True)
     rff = memory_estimate(lr, 441, 20, corpus_size=3000)
     assert rff[0] == 1000 * (441 + 300) * 8 + 1652 * 1000 * 8
-    # with 50 nonzeros a row (11 % dense: the GEMM route and its 8 MiB block), 2 CSR
-    # copies of 12 bytes a nonzero: of the block, or of the 2700-row train split when
-    # that outweighs the block and its projection
+    # with 50 nonzeros a row (11 % dense: the GEMM route and its 8 MiB gather buffer),
+    # no CSR copy: beside the block and its projection, or beside the 2700-row train
+    # split, which takes two GEMMs of up to 2377 rows, one GEMM's projection
     rff = memory_estimate(lr, 441, 20, corpus_size=3000, corpus_nnz=3000 * 50)
-    assert rff[0] == 1000 * (441 + 300) * 8 + (8 << 20) + 1652 * (1000 * 8 + 24 * 50)
+    assert rff[0] == 1000 * (441 + 300) * 8 + (8 << 20) + 1652 * 1000 * 8
     wide = replace(lr, train_fraction=0.9)
     rff = memory_estimate(wide, 441, 20, corpus_size=3000, corpus_nnz=3000 * 50)
-    assert rff[0] == 1000 * (441 + 2700) * 8 + (8 << 20) + 2700 * 24 * 50
+    assert rff[0] == 1000 * (441 + 2700) * 8 + (8 << 20) + 2377 * 1000 * 8
     # on 4432 of 21^3 columns at 13 nonzeros a row (0.3 % dense): scipy's route
     rff = memory_estimate(replace(lr, k=3), 9261, 20, 4432, 3000, 3000 * 13)
     assert rff[0] == 1000 * (4432 + 300) * 8 + 1652 * (1000 * 8 + 24 * 13)

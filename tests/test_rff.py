@@ -290,3 +290,52 @@ def test_sparse_route_holds_no_copy_of_the_weights():
     proj = new_projector(d, D, 1.0 / d, seed=0)
     want = np.sqrt(2.0 / D) * np.cos(_scipy_linear(mat, proj.weights) + proj.phases)
     assert np.array_equal(got, want)
+
+
+# --- rows projected straight from a CSR corpus -------------------------------------
+
+@pytest.mark.parametrize("sparse", [True, False])
+def test_gather_rows_writes_the_rows_into_one_buffer(rng, sparse):
+    dense = rng.poisson(0.4, size=(10, 6)).astype(np.int32)
+    M = sp.csr_matrix(dense) if sparse else dense
+    buffer = np.full((4, 6), 7.0)
+    for rows in (np.array([9, 0, 9, 3]), np.array([5, 2]), np.array([], dtype=np.int64)):
+        block = rff.gather_rows(M, rows, buffer)
+        assert block.dtype == np.float64 and block.shape == (len(rows), 6)
+        assert np.shares_memory(block, buffer) or not len(rows)
+        assert np.array_equal(block, dense[rows])  # no value of an earlier block is left
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
+@pytest.mark.parametrize("k, length", [(3, 1300), (4, 200)])
+def test_project_rows_equals_project_of_the_rows_taken(monkeypatch, k, length, block_rows):
+    """Bit for bit project(projector, M[rows]), on both routes, in one GEMM or in several."""
+    nominal = kmer_matrix(_ragged_sequences(k, 60, length // 3, length), k=k)
+    M = used_columns(nominal)  # int32 counts, as the pipeline holds them
+    rows = np.random.default_rng(k).permutation(60)[:45]
+    if block_rows is not None:
+        monkeypatch.setattr(rff, "GEMM_BLOCK_BYTES", block_rows * 8 * M.shape[1])
+    proj = new_projector(M.shape[1], 24, default_gamma(nominal.shape[1]), seed=k)
+    assert _gemm_rows(M[rows]) == (k == 3)
+    assert np.array_equal(rff.project_rows(proj, M, rows), project(proj, M[rows]))
+
+
+def test_project_rows_makes_no_csr_copy_of_the_rows():
+    """The GEMM route holds the output, the gather buffer and one GEMM's projection."""
+    import tracemalloc
+
+    n, d, D = 4000, 500, 64
+    M = sp.random(n, d, density=0.3, format="csr", random_state=4, dtype=np.float64)
+    M.data = np.ceil(10 * M.data).astype(np.int32)  # counts, as the corpus holds them
+    rows = np.random.default_rng(4).permutation(n)[:3000]
+    proj = new_projector(d, D, 1.0 / d, seed=0)
+    step = rff.GEMM_BLOCK_BYTES // (8 * d)
+    assert len(rows) > step and _gemm_rows(M[rows])
+    tracemalloc.start()
+    got = rff.project_rows(proj, M, rows)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    held = 8 * (len(rows) * D + step * d + step * D)
+    csr_copy = 8 * int(M[rows].nnz)  # its int32 indices and counts, no float64 copy
+    assert held < peak < held + csr_copy / 4
+    assert np.array_equal(got, project(proj, M[rows]))
