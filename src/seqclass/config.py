@@ -6,6 +6,7 @@ scipy, so the CLI can build its parser without loading it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -57,6 +58,10 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def validate(self) -> None:
+        for key, kind in _ANNOTATIONS.items():
+            value = getattr(self, key)
+            if kind.startswith("float") and value is not None and not math.isfinite(value):
+                raise InvalidConfig(f"config key {key!r} must be finite, got {value}")
         if self.class_level not in CLASS_LEVELS:
             raise InvalidConfig(f"class_level must be one of {CLASS_LEVELS}")
         if self.encoding not in ENCODINGS:

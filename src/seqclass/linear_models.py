@@ -7,7 +7,7 @@ resolve toward the smaller class id throughout.
 
 Feature matrices may be dense ndarrays or scipy CSR; fitting never
 densifies anything larger than d x d, and ridge nothing larger than
-min(n, d+1) squared beside one block of rff.GEMM_BLOCK_BYTES.
+min(n, d+1) squared beside one _gram block of rff.GEMM_BLOCK_BYTES.
 
 A score function gives each row's scores from that row alone, so the
 pipeline passes it one block of test rows at a time, never the whole
@@ -26,35 +26,13 @@ import scipy.sparse as sp
 from . import rff
 from .errors import (
     DegenerateLabels,
-    DimensionMismatch,
     EmptyTrainingSet,
     InvalidConfig,
     NonFiniteLoss,
 )
+from .rff import _as_2d
 
 RIDGE_DENSE_LIMIT = 20000  # direct solves up to this size (min of n and d+1), CG above
-
-
-def _as_2d(X):
-    """Float64 CSR or 2-d ndarray; the input itself when it already is one.
-
-    A float64 copy of a CSR's data shares the input's index arrays, which
-    astype would copy too.
-    """
-    if sp.issparse(X):
-        X = X.tocsr()
-        if X.dtype == np.float64:
-            return X
-        return sp.csr_matrix((X.data.astype(np.float64), X.indices, X.indptr), shape=X.shape)
-    arr = np.asarray(X, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    return arr
-
-
-def _check_dim(X, d: int) -> None:
-    if X.shape[1] != d:
-        raise DimensionMismatch(f"input has dim {X.shape[1]}, model expects {d}")
 
 
 # --- MAJORITY ----------------------------------------------------------------
@@ -178,8 +156,7 @@ def gnb_scores(model: GaussianNbModel, X) -> np.ndarray:
     that layout only when the model was fitted on the other input type,
     so the scores do not depend on which type that was.
     """
-    X = _as_2d(X)
-    _check_dim(X, model.input_dim)
+    X = _as_2d(X, model.input_dim)
     if sp.issparse(X):
         a, b = (np.asarray(t, order="C") for t in (model.a, model.b))
         scores = np.asarray(X @ a) + np.asarray(X.power(2) @ b)
@@ -338,8 +315,7 @@ def logreg_fit(
 
 
 def logreg_proba(model: LogisticRegressionModel, X) -> np.ndarray:
-    X = _as_2d(X)
-    _check_dim(X, model.weights.shape[1])
+    X = _as_2d(X, model.weights.shape[1])
     return _softmax(np.asarray(X @ model.weights.T) + model.bias)
 
 
@@ -384,15 +360,26 @@ def ridge_fit(X, y, alpha: float = 1.0, class_count: int | None = None) -> Ridge
 def _gram(M, bias: bool = False) -> np.ndarray:
     """M'M, or [M, 1]'[M, 1] with ``bias``, as the sum of B'B over blocks B of M's rows.
 
-    Each block is written densely into one buffer of rff.GEMM_BLOCK_BYTES
-    by rff.dense_row_blocks. On integer input every partial sum is an
+    Each block of rff.gemm_rows rows is written densely into one buffer:
+    CSR rows straight from views of M's arrays, as scipy's constructor and
+    row slicing both copy them. On integer input every partial sum is an
     integer below 2^53, exact in any order, so the result is bit-identical
     to scipy's product.
     """
-    d = M.shape[1]
-    rows = max(1, rff.GEMM_BLOCK_BYTES // (8 * (d + bias)))
+    n, d = M.shape
+    step = rff.gemm_rows(d + bias)
+    buffer = np.zeros((min(step, n), d + bias), dtype=M.dtype)
     gram = np.zeros((d + bias, d + bias))
-    for _, block in rff.dense_row_blocks(M, rows, d + bias):
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        block = buffer[:stop - start]
+        if sp.issparse(M):  # toarray zeroes the block, the 1s' column too
+            part, lo, hi = sp.csr_matrix(block.shape), M.indptr[start], M.indptr[stop]
+            part.indptr = M.indptr[start:stop + 1] - lo
+            part.indices, part.data = M.indices[lo:hi], M.data[lo:hi]
+            part.toarray(out=block)
+        else:
+            block[:, :d] = M[start:stop]
         block[:, d:] = 1.0  # the 1s of [M, 1], if any
         gram += block.T @ block
     return gram
@@ -448,7 +435,6 @@ def _ridge_primal(X, targets: np.ndarray, alpha: float) -> tuple[np.ndarray, np.
 
 
 def ridge_scores(model: RidgeClassifierModel, X) -> np.ndarray:
-    X = _as_2d(X)
-    _check_dim(X, model.weights.shape[1])
+    X = _as_2d(X, model.weights.shape[1])
     return np.asarray(X @ model.weights.T) + model.bias
 

@@ -118,8 +118,8 @@ def roc_auc_ovr_weighted(scores, y_true) -> float:
     y_true = np.asarray(y_true, dtype=np.int64)
     if scores.ndim != 2 or scores.shape[0] != len(y_true):
         raise LabelOutOfRange("scores must be (n, C) aligned with y_true")
-    if not np.all(np.isfinite(scores)):
-        raise DegenerateClass("scores must be finite for ranking")
+    if np.isnan(scores).any():  # -inf (a class no train row had) ranks, and ties, as it is
+        raise DegenerateClass("scores must not be NaN for ranking")
     C = scores.shape[1]
     if len(np.unique(y_true)) < 2:
         raise DegenerateClass("ROC-AUC needs at least two classes present in y_true")

@@ -35,8 +35,8 @@ from .errors import (
     LabelOutOfRange,
     NonFiniteLoss,
 )
-from .linear_models import _as_2d, _check_dim, _softmax
-from .rff import gather_rows
+from .linear_models import _softmax
+from .rff import _as_2d, gather_rows
 
 PROB_FLOOR = 1e-12  # keeps the loss finite under confident mistakes
 ADAM_BLOCK_BYTES = 256 * 2**10  # rows of a parameter that adam_step updates in one pass
@@ -82,16 +82,15 @@ def nn_init(input_dim: int, class_count: int, hidden_width: int | None = None,
     )
 
 
-def _dense(X) -> np.ndarray:
-    """X's rows as a float64 ndarray; CSR input is densified."""
-    X = _as_2d(X)
+def _dense(X, width: int | None = None) -> np.ndarray:
+    """X's rows as a float64 ndarray (of ``width`` columns, if given); CSR is densified."""
+    X = _as_2d(X, width)
     return X.toarray() if sp.issparse(X) else X
 
 
 def nn_scores(net: FeedForwardNet, X) -> np.ndarray:
     """Class probabilities; rows sum to 1 within 1e-9."""
-    X = _dense(X)
-    _check_dim(X, net.w1.shape[1])
+    X = _dense(X, net.w1.shape[1])
     hidden = X @ net.w1.T + net.b1
     np.maximum(hidden, 0.0, out=hidden)
     return _softmax(hidden @ net.w2.T + net.b2)

@@ -23,7 +23,7 @@ gives the used columns.
 No run holds its whole test split: one n_test x C score array is filled
 block by block, each block's rows taken from the corpus matrix by test
 index or, with RFF, projected from it just before they are scored
-(rff.project_rows, which on its GEMM route makes no CSR copy of the
+(rff.project_rows, rff.project's GEMM loop, which makes no CSR copy of the
 rows; the train split is projected the same way). A block is
 rff.GEMM_BLOCK_BYTES over what a row costs while scored: 8 D bytes with
 RFF, 8 bytes a used column for raw nn, which densifies it, or about 12
@@ -70,7 +70,7 @@ from .errors import EmptyMatrix, EmptyTrainingSet, InvalidConfig, IoFailure, Seq
 from .features import FeaturizedCorpus, _usable_cores, featurize_corpus, used_columns
 from .ingest import LabeledSequence, _round_half_up, split_indices
 from .metrics import QUALITY, aggregate, confusion, roc_auc_ovr_weighted, summarize
-from .rff import GEMM_BLOCK_BYTES, GEMM_MIN_DENSITY, default_gamma, new_projector, project_rows
+from .rff import GEMM_BLOCK_BYTES, default_gamma, gemm_rows, new_projector, project_rows, uses_gemm
 from .version import __version__
 
 # float64 C x used-columns arrays that fit and scoring hold at once, read
@@ -118,8 +118,8 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
     ``corpus_size`` gives the train rows of ridge's direct solve, of RFF's
     projected train split and of nn's batches, and the test rows that set
     the largest score block; ``corpus_nnz``, the feature matrix's
-    nonzeros, gives the density that picks rff.project's route, the CSR
-    copies that scipy's route makes of the train split and of a block, and
+    nonzeros, gives the density that picks the route (rff.uses_gemm), the
+    CSR copies that scipy's route makes of the train split and a block, and
     the train split's share that ridge's dual copies as X'.
     Raw nn densifies each batch and score block; another raw-feature score
     block, a few CSR copies of GEMM_BLOCK_BYTES, is not counted.
@@ -157,12 +157,12 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
         # throughout. Beside them lies the largest of: the model's arrays in the fit;
         # what rff.project_rows holds beside the train split it projects; or that with
         # the largest block of test rows and its projection, which gnb_scores squares
-        # beside its own arrays. The corpus's density on its used columns picks the
-        # route. The GEMM route holds its dense gather buffer and, for rows beyond one
-        # GEMM, one GEMM's projection; scipy's route holds 2 CSR copies of the rows (the
+        # beside its own arrays. rff.uses_gemm picks the route from the corpus's density
+        # on its used columns. The GEMM route holds its gather buffer and, for rows beyond
+        # one GEMM, one GEMM's projection; scipy's route holds 2 CSR copies of the rows (the
         # rows taken and project's float64 copy of their data, 12 bytes a nonzero at most).
-        gemm = corpus_nnz >= GEMM_MIN_DENSITY * corpus_size * columns
-        step = max(1, GEMM_BLOCK_BYTES // (8 * columns))  # rows of one GEMM
+        gemm = uses_gemm(corpus_nnz, corpus_size, columns)
+        step = gemm_rows(columns)  # rows of one GEMM
 
         def beside(rows):
             if not gemm:

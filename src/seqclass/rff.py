@@ -19,7 +19,7 @@ normals a column gets depend on how many used columns precede it, which
 is a property of the whole corpus, not of (seed, column id) alone.
 
 A CSR input takes one of two routes to its linear part. At density
-nnz / (n * d) of at least GEMM_MIN_DENSITY, row blocks of
+nnz / (n * d) of at least GEMM_MIN_DENSITY (`uses_gemm`), row blocks of
 GEMM_BLOCK_BYTES are densified and each is multiplied by the weights
 with one BLAS GEMM. Below it, scipy's sparse @ dense product does less
 work, and reads the C-ordered draw in place. Either route holds the
@@ -33,12 +33,12 @@ are 26 % dense at k = 3 and 16 % at k = 4, and one-hot rows are denser
 than 1/21. The routes sum in different orders, so their linear parts
 agree to rounding (about 1e-15 relative), not bit for bit.
 
-The pipeline projects rows of its corpus matrix with `project_rows`,
-which gives project(projector, M[rows]) bit for bit. On the GEMM route
-it makes no CSR copy of the rows: each block of them is densified row
-by row, straight from M's arrays, into one reused float64 buffer
-(`gather_rows`) and handed to `project` as dense input, which runs the
-same GEMM on it. scipy's route takes the rows as CSR.
+The GEMM route has one loop, `project_rows`, which `project` calls for
+all the rows of a CSR input, and the pipeline for the rows of its corpus
+matrix it projects. It makes no CSR copy of the rows: each block of them
+is densified row by row, straight from M's arrays, into one reused
+float64 buffer (`gather_rows`) and handed to `project` as dense input.
+scipy's route takes the rows as CSR.
 """
 
 from __future__ import annotations
@@ -66,14 +66,19 @@ class RffProjector:
     phases: np.ndarray = field(repr=False, compare=False)  # (D,)
 
 
+def _check_gamma(gamma: float) -> None:
+    """InvalidGamma unless gamma > 0 and the weights' scale sqrt(2 gamma) is finite."""
+    if not 0.0 < 2.0 * float(gamma) < np.inf:
+        raise InvalidGamma(f"gamma must be positive with sqrt(2 gamma) finite, got {gamma}")
+
+
 def new_projector(input_dim: int, output_dim: int, gamma: float, seed: int) -> RffProjector:
     """Sample a frozen projector; identical seeds give identical arrays."""
     if input_dim < 1 or output_dim < 1:
         raise InvalidDimension(
             f"dimensions must be >= 1, got d={input_dim}, D={output_dim}"
         )
-    if not gamma > 0:
-        raise InvalidGamma(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     generator = np.random.Generator(np.random.Philox(seed))
     phases = generator.uniform(0.0, 2.0 * np.pi, size=output_dim)
     drawn = generator.standard_normal((input_dim, output_dim))  # row j: column j's weights
@@ -95,74 +100,53 @@ def default_gamma(input_dim: int) -> float:
     return 1.0 / input_dim
 
 
+def _as_2d(X, width: int | None = None):
+    """Float64 CSR or 2-d ndarray; the input itself when it already is one.
+
+    A float64 copy of a CSR's data shares the input's index arrays, which
+    astype would copy too. DimensionMismatch unless it has ``width``
+    columns, when ``width`` is given.
+    """
+    if sp.issparse(X):
+        X = X.tocsr()
+        if X.dtype != np.float64:
+            X = sp.csr_matrix((X.data.astype(np.float64), X.indices, X.indptr), shape=X.shape)
+    else:
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim == 1:
+            X = X[None, :]
+    if width is not None and X.shape[1] != width:
+        raise DimensionMismatch(f"input has dim {X.shape[1]}, expected {width}")
+    return X
+
+
+def uses_gemm(nnz: int, rows: int, width: int) -> bool:
+    """Whether CSR rows with these nonzeros are projected by dense GEMMs, not by scipy."""
+    return nnz >= GEMM_MIN_DENSITY * rows * width
+
+
+def gemm_rows(width: int) -> int:
+    """Rows of one dense float64 block of GEMM_BLOCK_BYTES at this width, at least 1."""
+    return max(1, GEMM_BLOCK_BYTES // (8 * width))
+
+
 def project(projector: RffProjector, x) -> np.ndarray:
     """Apply the projector to a vector or matrix (dense or CSR) of width d.
 
     Returns a dense array with trailing dimension D; every coordinate
-    lies in [-sqrt(2/D), sqrt(2/D)]. A CSR matrix at least
-    GEMM_MIN_DENSITY dense is multiplied in densified blocks of
-    GEMM_BLOCK_BYTES, else by scipy (see the module docstring); integer
-    data is first copied to float64. Dense input is multiplied by
+    lies in [-sqrt(2/D), sqrt(2/D)]. Input is first copied to float64
+    (`_as_2d`). A CSR matrix on the GEMM route (`uses_gemm`) is projected
+    by `project_rows`, else by scipy; dense input is multiplied by
     ``weights``.
     """
-    single = False
-    if sp.issparse(x):
-        mat = x.tocsr()
-    else:
-        mat = np.asarray(x, dtype=np.float64)
-        if mat.ndim == 1:
-            mat = mat[None, :]
-            single = True
-    if mat.shape[1] != projector.input_dim:
-        raise DimensionMismatch(
-            f"input has dim {mat.shape[1]}, projector expects {projector.input_dim}"
-        )
-    if sp.issparse(mat):
-        # float64 data over mat's own index arrays, which astype would copy too
-        mat = sp.csr_matrix((mat.data.astype(np.float64, copy=False), mat.indices, mat.indptr),
-                            shape=mat.shape)
-        linear = _sparse_linear(mat, projector.weights.T)
-    else:
-        linear = mat @ projector.weights.T
+    mat = _as_2d(x, projector.input_dim)
+    if sp.issparse(mat) and uses_gemm(mat.nnz, *mat.shape):
+        return project_rows(projector, mat, np.arange(mat.shape[0]))
+    linear = mat @ projector.weights.T  # scipy reads the C-ordered draw without a copy
     linear += projector.phases
     np.cos(linear, out=linear)
     linear *= np.sqrt(2.0 / projector.output_dim)
-    return linear[0] if single else linear
-
-
-def _sparse_linear(mat, drawn: np.ndarray) -> np.ndarray:
-    """mat @ drawn for a float64 CSR mat and a C-ordered (d, D) drawn, by the faster route."""
-    n, d = mat.shape
-    if mat.nnz < GEMM_MIN_DENSITY * n * d:
-        return mat @ drawn  # scipy reads C-ordered weights without a copy
-    linear = np.empty((n, drawn.shape[1]))
-    for start, block in dense_row_blocks(mat, max(1, GEMM_BLOCK_BYTES // (8 * d))):
-        np.matmul(block, drawn, out=linear[start:start + len(block)])
-    return linear
-
-
-def dense_row_blocks(M, rows: int, width: int | None = None):
-    """Yield (start, block) for each run of ``rows`` rows of M, as dense rows of M's dtype.
-
-    Every block is a view of one buffer, ``width`` columns wide (default:
-    M's width), so it is overwritten by the next. CSR rows are densified
-    straight from views of M's arrays, as scipy's constructor and row
-    slicing both copy them; columns beyond M's are 0 for CSR M and left as
-    they were for dense M.
-    """
-    n, d = M.shape
-    buffer = np.zeros((min(rows, n), width or d), dtype=M.dtype)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        block = buffer[:stop - start]
-        if sp.issparse(M):
-            part, lo, hi = sp.csr_matrix(block.shape), M.indptr[start], M.indptr[stop]
-            part.indptr = M.indptr[start:stop + 1] - lo
-            part.indices, part.data = M.indices[lo:hi], M.data[lo:hi]
-            part.toarray(out=block)
-        else:
-            block[:, :d] = M[start:stop]
-        yield start, block
+    return linear[0] if not sp.issparse(x) and np.ndim(x) == 1 else linear
 
 
 def gather_rows(M, rows: np.ndarray, buffer: np.ndarray) -> np.ndarray:
@@ -186,15 +170,15 @@ def project_rows(projector: RffProjector, M: sp.csr_matrix, rows: np.ndarray) ->
     """project(projector, M[rows]), bit for bit, for a CSR M; on the GEMM route without M[rows].
 
     The route is the one project would take for M[rows]. On the GEMM route
-    each block of those rows is gathered (`gather_rows`) into one reused
-    float64 buffer and projected by `project` as dense input, which runs
-    the GEMM that project's own blocks would. scipy's route takes the rows.
+    each block of `gemm_rows` of those rows is gathered (`gather_rows`)
+    into one reused float64 buffer and projected by `project` as dense
+    input, one GEMM a block. scipy's route takes the rows.
     """
     n, d = len(rows), M.shape[1]
     nnz = int((M.indptr[rows + 1] - M.indptr[rows]).sum())
-    if nnz < GEMM_MIN_DENSITY * n * d:
+    if not uses_gemm(nnz, n, d):
         return project(projector, M[rows])
-    step = max(1, GEMM_BLOCK_BYTES // (8 * d))
+    step = gemm_rows(d)
     buffer = np.zeros((min(step, n), d))
     if n <= step:  # one GEMM, whose output is the result
         return project(projector, gather_rows(M, rows, buffer))
@@ -207,8 +191,7 @@ def project_rows(projector: RffProjector, M: sp.csr_matrix, rows: np.ndarray) ->
 
 def exact_kernel(a, b, gamma: float) -> float:
     """exp(-gamma * ||a - b||^2); test oracle and small exact-Gram baseline."""
-    if not gamma > 0:
-        raise InvalidGamma(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:

@@ -471,6 +471,20 @@ def test_gram_of_counts_in_uneven_blocks_is_bit_identical(rng, monkeypatch):
     assert np.array_equal(lm._gram(X, bias=True), (A.T @ A).toarray())
 
 
+@pytest.mark.parametrize("sparse", [True, False])
+def test_gram_in_ragged_blocks_of_csr_or_dense_counts(rng, monkeypatch, sparse):
+    """Blocks of 4 + 4 + 2 rows, of one row each and one block of all ten, all written into
+    one buffer: int32 counts give their float64 copy's Gram matrix, bit for bit."""
+    counts = rng.poisson(0.4, size=(10, 6)).astype(np.float64)
+    A = _bordered(counts)
+    for dtype in (np.int32, np.float64):
+        M = sp.csr_matrix(counts.astype(dtype)) if sparse else counts.astype(dtype)
+        for block_bytes in (4 * 8 * 7, 1, 8 << 20):  # [M, 1] is 7 columns wide
+            monkeypatch.setattr(lm.rff, "GEMM_BLOCK_BYTES", block_bytes)
+            assert np.array_equal(lm._gram(M, bias=True), A.T @ A)
+            assert np.array_equal(lm._gram(M), counts.T @ counts)
+
+
 def test_gram_of_one_dense_block_is_numpys_product(rng):
     """One block is one product: [X, 1] is copied as np.hstack lays it out, and X' is copied
     into C order, whose product OpenBLAS sums as it sums X @ X.T."""

@@ -179,6 +179,20 @@ def test_auc_degenerate():
         binary_auc([1.0, 2.0], [True, True])
 
 
+def test_auc_ranks_minus_inf_and_rejects_nan():
+    """A class no train row had scores -inf (gnb's log prior): its column ties, and ranks
+    below every finite score; a NaN score has no rank."""
+    y = np.array([0, 0, 1, 1, 2, 2])
+    scores = np.zeros((6, 3))
+    scores[:, 0] = [3.0, 2.0, 1.0, -np.inf, 0.0, -1.0]  # class 0 first: AUC 1
+    scores[:, 1] = -np.inf  # a tied column: AUC 0.5
+    scores[:, 2] = [0.0, 1.0, -np.inf, -np.inf, 2.0, 0.5]  # 7 of 8 pairs ordered
+    assert roc_auc_ovr_weighted(scores, y) == (1.0 + 0.5 + 0.875) / 3
+    scores[5, 1] = np.nan
+    with pytest.raises(DegenerateClass, match="NaN"):
+        roc_auc_ovr_weighted(scores, y)
+
+
 def test_auc_excludes_absent_classes_with_warning():
     scores = np.zeros((4, 3))
     scores[:, 0] = [3.0, 2.0, 1.0, 0.0]

@@ -1,5 +1,7 @@
 import json
+import os
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from seqclass.pipeline import (_score_block_rows, report_to_json, run_experiment
                                write_report_csv)
 
 from conftest import labeled_corpus, random_sequences, read_sqfv1
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # each config key's kind, read off its annotation ("int", "float | None", ...)
@@ -169,6 +173,49 @@ def test_rff_run_projector_rebuilds_and_projects_used_rows(monkeypatch):
     dense = x.toarray() if sp.issparse(x) else x  # CSR rows on scipy's route
     want = np.sqrt(2.0 / 64) * np.cos(dense @ projector.weights.T + projector.phases)
     assert np.abs(out - want).max() <= 1e-12
+
+
+def _generator_corpus(monkeypatch, size: int, seed: int) -> list[LabeledSequence]:
+    """Spike-like sequences of benchmarks/gen.py, 20 Zipf-sized classes of 2 or more."""
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    from gen import CorpusSpec, make_corpus
+
+    corpus = make_corpus(CorpusSpec(size=size), seed)
+    return [LabeledSequence(SequenceRecord(i, seq), LabelHierarchy(continent, country))
+            for i, seq, continent, country in zip(corpus.ids, corpus.sequences,
+                                                  corpus.continents, corpus.countries)]
+
+
+@pytest.mark.parametrize("k, gemm", [(2, True), (4, False)])
+def test_benchmark_tracer_checks_rff_runs_on_either_route(tmp_path, monkeypatch, k, gemm):
+    """benchmarks/tracer.py wraps rff.project, takes (projector, x) from its calls and checks
+    sampled rows against sqrt(2/D) cos(W x + b) after the run: dense blocks that
+    rff.project_rows gathers (k = 2 on generator sequences), or CSR rows on scipy's route
+    (random length-200 sequences at k = 4)."""
+    import subprocess
+    import sys
+
+    from seqclass.features import featurize_corpus, used_columns
+    from seqclass.rff import uses_gemm
+
+    data = (_generator_corpus(monkeypatch, 60, seed=1) if gemm
+            else labeled_corpus({"a": 30, "b": 30}, length=200, seed=4))
+    matrix = used_columns(featurize_corpus(data, "kmers", k=k).matrix)
+    assert uses_gemm(matrix.nnz, *matrix.shape) == gemm
+    corpus, out = tmp_path / "corpus.bin", tmp_path / "spans.json"
+    save_corpus(str(corpus), data)
+    command = ["run", "--corpus", str(corpus), "--model", "lr", "--k", str(k), "--use-rff",
+               "true", "--rff-dim", "64", "--runs", "1", "--train-fraction", "0.5"]
+    done = subprocess.run([sys.executable, "benchmarks/tracer.py", "--out", str(out),
+                           "--sample-seed", "1", "--", *command], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(out.read_text())
+    assert payload["rc"] == 0
+    assert "RFF rows equal sqrt(2/D)cos(Wx+b)" in payload["checks"]
+    assert {name: found for name, found in payload["checks"].items() if found} == {}
+    assert any(span["name"] == "rff.project" for span in payload["spans"])
 
 
 def test_rbf_kernel_of_nominal_rows_is_that_of_their_used_columns():
@@ -551,6 +598,44 @@ def test_cli_non_numeric_config_value_is_config_error(tmp_path, capsys, key):
     flag = f"--{key.replace('_', '-')}"
     assert main(["run", "--corpus", str(tmp_path / "unread.bin"), flag, "abc"]) == 2
     assert f"config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_cli_infinite_config_value_is_config_error(tmp_path, capsys, key, value):
+    flag = f"--{key.replace('_', '-')}"
+    assert main(["run", "--corpus", str(tmp_path / "unread.bin"), f"{flag}={value}"]) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_cli_rff_gamma_whose_weights_overflow_is_config_error(tmp_path, capsys):
+    _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
+    assert main(["run", "--corpus", str(corpus), "--model", "lr", "--use-rff", "true",
+                 "--rff-gamma", "1e308"]) == 2
+    assert "[stage:rff] gamma must be positive with sqrt(2 gamma) finite" in capsys.readouterr().err
+
+
+def test_nb_run_with_a_class_no_train_row_never_predicts_it(tmp_path, monkeypatch):
+    """Class c's 2 rows are both test rows: gnb's log prior for c is -inf, every c score
+    ties at -inf, and the run scores and reports like any other."""
+    import seqclass.pipeline as pipeline
+
+    predicted = []
+    original = pipeline.confusion
+
+    def recorded(y_true, y_pred, class_count):
+        predicted.append(np.asarray(y_pred))
+        return original(y_true, y_pred, class_count)
+
+    monkeypatch.setattr(pipeline, "confusion", recorded)
+    _, _, _, corpus = _write_inputs(tmp_path, {"a": 30, "b": 30, "c": 2}, length=40)
+    out = tmp_path / "out"
+    assert main(["run", "--corpus", str(corpus), "--model", "nb", "--k", "2", "--runs", "2",
+                 "--output-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [run["train_size"] for run in report["runs"]] == [6, 6]
+    assert len(predicted) == 2 and not any((p == 2).any() for p in predicted)
+    assert all(np.isfinite(run["metrics"]["roc_auc_weighted_ovr"]) for run in report["runs"])
 
 
 @pytest.mark.parametrize("flag", ["--lr-l2-lambda", "--lr-tol", "--lr-max-iters"])

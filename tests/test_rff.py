@@ -31,6 +31,13 @@ def test_projector_validation():
         new_projector(10, 10, -1.0, seed=0)
     with pytest.raises(InvalidGamma):
         exact_kernel([1.0], [1.0], 0.0)
+    # inf, and 1e308, whose weights' scale sqrt(2 gamma) overflows
+    for gamma in (np.inf, 1e308, np.nan):
+        with pytest.raises(InvalidGamma):
+            new_projector(10, 10, gamma, seed=0)
+        with pytest.raises(InvalidGamma):
+            exact_kernel([1.0], [1.0], gamma)
+    assert np.isfinite(new_projector(10, 10, 8e307, seed=0).weights).all()
 
 
 def test_projector_distribution_parameters():
@@ -179,7 +186,15 @@ def _scipy_linear(mat, weights):
 
 
 def _gemm_rows(mat) -> bool:
-    return mat.nnz >= rff.GEMM_MIN_DENSITY * mat.shape[0] * mat.shape[1]
+    return rff.uses_gemm(mat.nnz, *mat.shape)
+
+
+def _linear(fn, *args):
+    """fn(*args) with each dense block's projection cut to its GEMM X W^T: on the GEMM
+    route, project and project_rows give the linear part that they take the cos of."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rff, "project", lambda projector, x: x @ projector.weights.T)
+        return fn(*args)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -187,17 +202,18 @@ def test_sparse_routes_match_scipy_product_on_ragged_kmers(k):
     mat = kmer_matrix(_ragged_sequences(k, 250, 400, 1300), k=k)
     proj = new_projector(mat.shape[1], 16, default_gamma(mat.shape[1]), seed=k)
     want = _scipy_linear(mat, proj.weights)
-    got = rff._sparse_linear(mat, proj.weights.T)
     expected = np.sqrt(2.0 / 16) * np.cos(want + proj.phases)
     if k < 4:
         assert _gemm_rows(mat)  # 250 rows: two full blocks and a ragged one at k = 3
         bound = LINEAR_RTOL * np.abs(want).max()
-        assert np.abs(got - want).max() <= bound
+        assert np.abs(_linear(project, proj, mat) - want).max() <= bound
+        rows = np.arange(250)[::-1]
+        assert np.abs(_linear(rff.project_rows, proj, mat, rows) - want[rows]).max() <= bound
         assert np.abs(project(proj, mat) - expected).max() <= bound + 1e-15  # cos is 1-Lipschitz
     else:
         assert not _gemm_rows(mat)  # 0.4 % dense: the scipy product, bit for bit
-        assert np.array_equal(got, want)
         assert np.array_equal(project(proj, mat), expected)
+        assert np.array_equal(rff.project_rows(proj, mat, np.arange(250)), expected)
 
 
 def test_gemm_route_on_one_hot_rows():
@@ -207,33 +223,25 @@ def test_gemm_route_on_one_hot_rows():
     assert mat.dtype != np.float64 and not _gemm_rows(mat) and _gemm_rows(used)
     proj = new_projector(used.shape[1], 32, 0.01, seed=5)
     want = _scipy_linear(used, proj.weights)
-    got = rff._sparse_linear(used, proj.weights.T)
+    got = _linear(project, proj, used)
     assert np.abs(got - want).max() <= LINEAR_RTOL * np.abs(want).max()
     assert np.array_equal(project(proj, used_columns(mat)), project(proj, used))
+    rows = np.arange(20)
+    assert np.array_equal(rff.project_rows(proj, used_columns(mat), rows), project(proj, used))
 
 
 def test_gemm_route_matches_products_of_sliced_blocks(rng, monkeypatch):
-    """Blocks densified from views of the CSR arrays give the GEMMs of sliced copies, bit for bit."""
+    """Blocks densified from the CSR arrays give the GEMMs of sliced copies, bit for bit."""
     d, D = 50, 24
     proj = new_projector(d, D, 0.05, seed=8)
     monkeypatch.setattr(rff, "GEMM_BLOCK_BYTES", 3 * 8 * d)  # 3-row blocks: 3 + 3 + 3 + 1
     mat = sp.csr_matrix(rng.poisson(0.4, size=(10, d)).astype(np.float64))
     want = np.vstack([mat[s:s + 3].toarray() @ proj.weights.T for s in range(0, 10, 3)])
-    assert np.array_equal(rff._sparse_linear(mat, proj.weights.T), want)
-
-
-@pytest.mark.parametrize("sparse", [True, False])
-def test_dense_row_blocks_reuse_one_buffer(rng, sparse):
-    dense = rng.poisson(0.4, size=(10, 6)).astype(np.float64)
-    M = sp.csr_matrix(dense) if sparse else dense
-    starts, buffers = [], set()
-    for start, block in rff.dense_row_blocks(M, 4, width=8):
-        starts.append(start)
-        buffers.add(block.ctypes.data)  # every block starts the one buffer
-        assert np.array_equal(block[:, :6], dense[start:start + 4])
-        if sparse:
-            assert not block[:, 6:].any()
-    assert starts == [0, 4, 8] and len(buffers) == 1
+    assert np.array_equal(_linear(project, proj, mat), want)
+    assert np.array_equal(project(proj, mat), np.sqrt(2.0 / D) * np.cos(want + proj.phases))
+    rows = rng.permutation(10)
+    want = np.vstack([mat[rows[s:s + 3]].toarray() @ proj.weights.T for s in range(0, 10, 3)])
+    assert np.array_equal(_linear(rff.project_rows, proj, mat, rows), want)
 
 
 def test_gemm_route_edge_shapes(rng, monkeypatch):
@@ -244,18 +252,25 @@ def test_gemm_route_edge_shapes(rng, monkeypatch):
     mat = sp.csr_matrix(dense)
     assert _gemm_rows(mat)
     want = _scipy_linear(mat, proj.weights)
+    bound = LINEAR_RTOL * np.abs(want).max()
     for rows in (slice(0, 10), slice(4, 5)):  # ragged last block; one row
-        got = rff._sparse_linear(mat[rows], proj.weights.T)
+        got = _linear(project, proj, mat[rows])
         assert got.shape == want[rows].shape
-        assert np.abs(got - want[rows]).max() <= LINEAR_RTOL * np.abs(want).max()
+        assert np.abs(got - want[rows]).max() <= bound
+    for rows in (np.arange(10), np.array([4])):
+        got = _linear(rff.project_rows, proj, mat, rows)
+        assert got.shape == want[rows].shape
+        assert np.abs(got - want[rows]).max() <= bound
     # a block wider than one row's budget still takes one row at a time
     monkeypatch.setattr(rff, "GEMM_BLOCK_BYTES", 1)
-    got = rff._sparse_linear(mat, proj.weights.T)
-    assert np.abs(got - want).max() <= LINEAR_RTOL * np.abs(want).max()
+    assert rff.gemm_rows(d) == 1
+    assert np.abs(_linear(project, proj, mat) - want).max() <= bound
+    assert np.abs(_linear(rff.project_rows, proj, mat, np.arange(10)) - want).max() <= bound
     # int32 CSR projects exactly as its float64 copy; a 1-D vector as its row
     as_int = sp.csr_matrix(dense.astype(np.int32))
     assert as_int.dtype == np.int32
     assert np.array_equal(project(proj, as_int), project(proj, mat))
+    assert np.array_equal(rff.project_rows(proj, as_int, np.arange(10)), project(proj, mat))
     assert np.array_equal(project(proj, dense[4]), project(proj, dense[4:5])[0])
     assert np.abs(project(proj, dense[4]) - project(proj, mat[4])[0]).max() <= 1e-14
 
