@@ -25,9 +25,9 @@ from .version import __version__
 
 
 def _read_text(path: str, parse):
-    """``parse`` applied to a UTF-8 text file; IoFailure names a file that is not UTF-8."""
+    """``parse`` applied to a UTF-8 text file less any BOM; IoFailure names one not UTF-8."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             return parse(f)
     except UnicodeDecodeError as exc:
         raise IoFailure(f"{path!r} is not UTF-8 text: {exc}") from exc

@@ -81,8 +81,11 @@ class ExperimentConfig:
             raise InvalidConfig(f"lr_l2_lambda must be >= 0, got {self.lr_l2_lambda}")
         if not self.lr_tol >= 0.0:
             raise InvalidConfig(f"lr_tol must be >= 0, got {self.lr_tol}")
-        if self.lr_max_iters < 0:  # would return the unfitted zero-weight model
-            raise InvalidConfig(f"lr_max_iters must be >= 0, got {self.lr_max_iters}")
+        if self.lr_max_iters < 1:  # would return the unfitted zero-weight model
+            raise InvalidConfig(f"lr_max_iters must be >= 1, got {self.lr_max_iters}")
+        for key in ("split_seed", "rff_seed", "nn_seed"):  # numpy rejects negative seeds
+            if getattr(self, key) < 0:
+                raise InvalidConfig(f"{key} must be >= 0, got {getattr(self, key)}")
 
 
 # each key's annotation as written, e.g. "int" or "float | None"
@@ -104,7 +107,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     """Flat ``key = value`` lines; '#' starts a comment."""
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not data
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read config {path!r}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -114,6 +114,8 @@ def subsample(data: list[LabeledSequence], size: int, seed: int) -> list[Labeled
     """Uniform sample without replacement; the whole corpus if size exceeds it."""
     if size < 1:
         raise InvalidConfig(f"subsample size must be >= 1, got {size}")
+    if seed < 0:
+        raise InvalidConfig(f"subsample seed must be >= 0, got {seed}")
     if size >= len(data):
         if size > len(data):
             warnings.warn(

@@ -12,8 +12,9 @@ min(n, d+1) squared beside one _gram block of rff.GEMM_BLOCK_BYTES.
 A score function gives each row's scores from that row alone, so the
 pipeline passes it one block of test rows at a time, never the whole
 test split. gnb_fit computes gnb's score terms once per model, not once
-per block. gnb squares CSR input with power(2): one copy, where scipy's
-elementwise multiply allocates for twice the nonzeros.
+per block, and the model keeps only those terms. gnb squares CSR input
+with power(2): one copy, where scipy's elementwise multiply allocates for
+twice the nonzeros.
 """
 
 from __future__ import annotations
@@ -63,15 +64,10 @@ def majority_scores(model: MajorityModel, X) -> np.ndarray:
 
 @dataclass
 class GaussianNbModel:
-    log_priors: np.ndarray  # (C,)
-    means: np.ndarray  # (C, d)
-    variances: np.ndarray  # (C, d), floored
-    class_count: int
-    input_dim: int
     # gnb_scores' quadratic form const_c + x . a_c + (x*x) . b_c, from gnb_fit
     const: np.ndarray  # (C,)
-    a: np.ndarray  # (d, C): C-ordered when fitted on CSR, the transpose of C x d memory if dense
-    b: np.ndarray  # (d, C), in a's layout
+    a: np.ndarray  # (d, C), C-ordered
+    b: np.ndarray  # (d, C), C-ordered
 
 
 def gnb_fit(X, y, class_count: int | None = None) -> GaussianNbModel:
@@ -123,26 +119,19 @@ def gnb_fit(X, y, class_count: int | None = None) -> GaussianNbModel:
 
     # The score terms, once per model, in two C x d arrays beside means and
     # variances: a scratch array that holds each term of const and then a,
-    # and inv_var, which becomes b in place. Fitted on CSR, a and b are
-    # C-ordered (d, C) arrays, which scipy's sparse product reads without a
-    # copy; they are computed in that order from transposed inputs, as a
-    # write through a transposed view is about three times slower. Fitted on
-    # dense input, they keep C x d memory. const always sums along C x d rows.
+    # and inv_var, which becomes b in place. a and b are C-ordered (d, C)
+    # arrays, which scipy's sparse product reads without a copy; they are
+    # computed in that order from transposed inputs, as a write through a
+    # transposed view is about three times slower. const sums along C x d rows.
     scratch = np.multiply(2.0 * np.pi, variances)
     log_det = np.sum(np.log(scratch, out=scratch), axis=1)
-    if sparse:
-        inv_var = np.divide(1.0, variances.T, out=np.empty((d, C))).T
-    else:
-        inv_var = 1.0 / variances
+    inv_var = np.divide(1.0, variances.T, out=np.empty((d, C))).T
     np.square(means, out=scratch)
     scratch *= inv_var
     const = log_priors - 0.5 * log_det - 0.5 * np.sum(scratch, axis=1)
-    if sparse:
-        a = np.multiply(means.T, inv_var.T, out=scratch.reshape(d, C))
-    else:
-        a = np.multiply(means, inv_var, out=scratch).T
+    a = np.multiply(means.T, inv_var.T, out=scratch.reshape(d, C))
     inv_var *= -0.5
-    return GaussianNbModel(log_priors, means, variances, C, d, const, a, inv_var.T)
+    return GaussianNbModel(const, a, inv_var.T)
 
 
 def gnb_scores(model: GaussianNbModel, X) -> np.ndarray:
@@ -150,20 +139,15 @@ def gnb_scores(model: GaussianNbModel, X) -> np.ndarray:
 
     Written as the quadratic form const_c + x . a_c + (x*x) . b_c that
     gnb_fit computed, so sparse inputs never densify. CSR input reads a
-    and b as C-ordered (d, C) arrays; dense input reads them as the
-    transpose of C x d memory, because BLAS rounds small products
-    differently when an operand's layout changes. Each is copied into
-    that layout only when the model was fitted on the other input type,
-    so the scores do not depend on which type that was.
+    and b in place; dense input reads F-ordered copies, the transpose of
+    C x d memory, because BLAS rounds small products differently when an
+    operand's layout changes.
     """
-    X = _as_2d(X, model.input_dim)
+    X = _as_2d(X, model.a.shape[0])
     if sp.issparse(X):
-        a, b = (np.asarray(t, order="C") for t in (model.a, model.b))
-        scores = np.asarray(X @ a) + np.asarray(X.power(2) @ b)
-    else:
-        a, b = (np.asarray(t, order="F") for t in (model.a, model.b))
-        scores = X @ a + (X * X) @ b
-    return scores + model.const
+        return np.asarray(X @ model.a) + np.asarray(X.power(2) @ model.b) + model.const
+    a, b = np.asfortranarray(model.a), np.asfortranarray(model.b)
+    return X @ a + (X * X) @ b + model.const
 
 
 # --- multinomial logistic regression ------------------------------------------

@@ -74,11 +74,11 @@ from .rff import GEMM_BLOCK_BYTES, default_gamma, gemm_rows, new_projector, proj
 from .version import __version__
 
 # float64 C x used-columns arrays that fit and scoring hold at once, read
-# off linear_models: a gnb model holds means, variances and its score terms
-# a and b; logreg_fit holds the LBFGS_MEMORY (s, y) pairs, its
-# parameters, gradient and direction, and two transients: a candidate and
-# its squared weights, X'delta and lambda W, or the new gradient and y
-# (tracemalloc: 15.0 at LBFGS_MEMORY = 5)
+# off linear_models: gnb_fit holds means, variances and the score terms a
+# and b at once, and the model keeps a and b; logreg_fit holds the
+# LBFGS_MEMORY (s, y) pairs, its parameters, gradient and direction, and
+# two transients: a candidate and its squared weights, X'delta and lambda W,
+# or the new gradient and y (tracemalloc: 15.0 at LBFGS_MEMORY = 5)
 _MODEL_PEAK_ARRAYS = {"nb": 4, "lr": 2 * lm.LBFGS_MEMORY + 5}
 # float64 h x used-columns arrays that nn_train holds at once: w1, Adam's m
 # and v, and one step's gradient of w1 (adam_step works in block-sized scratch)
@@ -157,10 +157,11 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
         # throughout. Beside them lies the largest of: the model's arrays in the fit;
         # what rff.project_rows holds beside the train split it projects; or that with
         # the largest block of test rows and its projection, which gnb_scores squares
-        # beside its own arrays. rff.uses_gemm picks the route from the corpus's density
-        # on its used columns. The GEMM route holds its gather buffer and, for rows beyond
-        # one GEMM, one GEMM's projection; scipy's route holds 2 CSR copies of the rows (the
-        # rows taken and project's float64 copy of their data, 12 bytes a nonzero at most).
+        # beside a, b and their two dense copies. rff.uses_gemm picks the route from the
+        # corpus's density on its used columns. The GEMM route holds its gather buffer
+        # and, for rows beyond one GEMM, one GEMM's projection; scipy's route holds 2 CSR
+        # copies of the rows (the rows taken and project's float64 copy of their data,
+        # 12 bytes a nonzero at most).
         gemm = uses_gemm(corpus_nnz, corpus_size, columns)
         step = gemm_rows(columns)  # rows of one GEMM
 
@@ -219,7 +220,7 @@ def _fit(config: ExperimentConfig, X_train, y_train, class_count: int, seed: int
                        "class_count": model.class_count}
     elif config.model == "nb":
         model, scores = lm.gnb_fit(X_train, y_train, class_count), lm.gnb_scores
-        diagnostics = {"kind": "gnb", "class_count": model.class_count, "input_dim": model.input_dim}
+        diagnostics = {"kind": "gnb", "class_count": len(model.const), "input_dim": len(model.a)}
     elif config.model == "lr":
         model = lm.logreg_fit(
             X_train, y_train,

@@ -134,14 +134,16 @@ def project(projector: RffProjector, x) -> np.ndarray:
     """Apply the projector to a vector or matrix (dense or CSR) of width d.
 
     Returns a dense array with trailing dimension D; every coordinate
-    lies in [-sqrt(2/D), sqrt(2/D)]. Input is first copied to float64
-    (`_as_2d`). A CSR matrix on the GEMM route (`uses_gemm`) is projected
-    by `project_rows`, else by scipy; dense input is multiplied by
-    ``weights``.
+    lies in [-sqrt(2/D), sqrt(2/D)]. A CSR matrix on the GEMM route
+    (`uses_gemm`) is projected by `project_rows`, which writes its float64
+    blocks itself. Other input is first copied to float64 (`_as_2d`) and
+    multiplied by ``weights``: by scipy for CSR, by BLAS for dense input.
     """
+    if sp.issparse(x):
+        x = x.tocsr()
+        if uses_gemm(x.nnz, *x.shape):
+            return project_rows(projector, x, np.arange(x.shape[0]))
     mat = _as_2d(x, projector.input_dim)
-    if sp.issparse(mat) and uses_gemm(mat.nnz, *mat.shape):
-        return project_rows(projector, mat, np.arange(mat.shape[0]))
     linear = mat @ projector.weights.T  # scipy reads the C-ordered draw without a copy
     linear += projector.phases
     np.cos(linear, out=linear)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -103,50 +105,20 @@ def test_gnb_sparse_matches_dense(rng):
     y = rng.integers(0, 3, size=40)
     dense = lm.gnb_fit(X, y)
     sparse = lm.gnb_fit(sp.csr_matrix(X), y)
-    assert np.allclose(dense.means, sparse.means)
-    assert np.allclose(dense.variances, sparse.variances)
+    for field in ("const", "a", "b"):
+        assert np.allclose(getattr(dense, field), getattr(sparse, field))
     assert np.allclose(lm.gnb_scores(dense, X), lm.gnb_scores(sparse, sp.csr_matrix(X)))
 
 
-def _reference_gnb_scores(model, X):
-    """gnb_scores with a and b as transposed C x d views (scipy copies them), the reference."""
-    scratch = np.multiply(2.0 * np.pi, model.variances)
-    log_det = np.sum(np.log(scratch, out=scratch), axis=1)
-    inv_var = 1.0 / model.variances
-    np.square(model.means, out=scratch)
-    scratch *= inv_var
-    const = model.log_priors - 0.5 * log_det - 0.5 * np.sum(scratch, axis=1)
-    a = np.multiply(model.means, inv_var, out=scratch).T
-    inv_var *= -0.5
-    b = inv_var.T
-    if sp.issparse(X):
-        return np.asarray(X @ a) + np.asarray(X.multiply(X) @ b) + const
-    return X @ a + (X * X) @ b + const
-
-
-@pytest.mark.parametrize("n, d, C", [(1, 9, 2), (40, 15, 3), (90, 441, 7), (300, 2000, 20)])
-def test_gnb_scores_bit_identical_to_reference(rng, n, d, C):
-    X = rng.poisson(0.3, size=(n, d)).astype(np.float64)
-    y = np.arange(n) % C
-    for rows in (X, sp.csr_matrix(X), X + rng.normal(size=X.shape)):
-        model = lm.gnb_fit(rows, y, C)
-        assert np.array_equal(lm.gnb_scores(model, rows), _reference_gnb_scores(model, rows))
-
-
-@pytest.mark.parametrize("fitted_on", ["dense", "csr"])
-def test_gnb_scores_of_either_input_type_in_blocks_are_bit_identical(rng, fitted_on):
-    """gnb_fit computes the score terms once; each input type still reads them in its own
-    layout, so every block scores as the per-call reference does, whatever the fit saw."""
-    n, d, C = 90, 441, 7
-    X = rng.poisson(0.3, size=(n, d)) * rng.normal(2.0, 3.0, size=(n, d))
-    y = np.arange(n) % C
-    model = lm.gnb_fit(X if fitted_on == "dense" else sp.csr_matrix(X), y, C)
-    for rows in (X, sp.csr_matrix(X)):
-        for height in (1, 7, 64, n):
-            for start in range(0, n, height):
-                block = rows[start : start + height]
-                assert np.array_equal(lm.gnb_scores(model, block),
-                                      _reference_gnb_scores(model, block)), (height, start)
+@pytest.mark.parametrize("sparse", [False, True])
+def test_gnb_model_keeps_only_its_score_terms_in_one_layout(rng, sparse):
+    n, d, C = 50, 12, 4
+    X = rng.poisson(0.5, size=(n, d)).astype(np.float64)
+    model = lm.gnb_fit(sp.csr_matrix(X) if sparse else X, np.arange(n) % C, C)
+    assert [f.name for f in dataclasses.fields(model)] == ["const", "a", "b"]
+    for term in (model.a, model.b):
+        assert term.shape == (d, C) and term.flags.c_contiguous
+    assert sum(vars(model)[key].nbytes for key in vars(model)) == 2 * C * d * 8 + 8 * C
 
 
 def _reference_gnb_fit(X, y, C):
@@ -178,6 +150,53 @@ def _reference_gnb_fit(X, y, C):
     return means, variances
 
 
+def _reference_gnb_terms(X, y, C):
+    """(const, a, b) from the per-class loop's means and variances, with a and b the
+    transposes of C x d arrays."""
+    means, variances = _reference_gnb_fit(X, y, C)
+    with np.errstate(divide="ignore"):
+        log_priors = np.log(np.bincount(y, minlength=C) / len(y))
+    inv_var = 1.0 / variances
+    log_det = np.sum(np.log(2.0 * np.pi * variances), axis=1)
+    const = log_priors - 0.5 * log_det - 0.5 * np.sum(means**2 * inv_var, axis=1)
+    return const, (means * inv_var).T, (-0.5 * inv_var).T
+
+
+def _reference_gnb_scores(terms, X):
+    """gnb_scores from _reference_gnb_terms (scipy copies the transposed views), the reference."""
+    const, a, b = terms
+    if sp.issparse(X):
+        return np.asarray(X @ a) + np.asarray(X.multiply(X) @ b) + const
+    return X @ a + (X * X) @ b + const
+
+
+@pytest.mark.parametrize("n, d, C", [(1, 9, 2), (40, 15, 3), (90, 441, 7), (300, 2000, 20)])
+def test_gnb_scores_bit_identical_to_reference(rng, n, d, C):
+    X = rng.poisson(0.3, size=(n, d)).astype(np.float64)
+    y = np.arange(n) % C
+    for rows in (X, sp.csr_matrix(X), X + rng.normal(size=X.shape)):
+        model = lm.gnb_fit(rows, y, C)
+        terms = _reference_gnb_terms(rows, y, C)
+        assert np.array_equal(lm.gnb_scores(model, rows), _reference_gnb_scores(terms, rows))
+
+
+@pytest.mark.parametrize("fitted_on", ["dense", "csr"])
+def test_gnb_scores_of_either_input_type_in_blocks_are_bit_identical(rng, fitted_on):
+    """gnb_fit computes the score terms once; each input type still reads them in its own
+    layout, so every block scores as the per-call reference does, whatever the fit saw."""
+    n, d, C = 90, 441, 7
+    X = rng.poisson(0.3, size=(n, d)) * rng.normal(2.0, 3.0, size=(n, d))
+    y = np.arange(n) % C
+    fitted = X if fitted_on == "dense" else sp.csr_matrix(X)
+    model, terms = lm.gnb_fit(fitted, y, C), _reference_gnb_terms(fitted, y, C)
+    for rows in (X, sp.csr_matrix(X)):
+        for height in (1, 7, 64, n):
+            for start in range(0, n, height):
+                block = rows[start : start + height]
+                assert np.array_equal(lm.gnb_scores(model, block),
+                                      _reference_gnb_scores(terms, block)), (height, start)
+
+
 @pytest.mark.parametrize("kind", ["dense", "csr", "dense-empty-class", "csr-empty-class"])
 @pytest.mark.parametrize("n, d, C", [(1, 9, 2), (40, 15, 3), (90, 441, 7), (300, 2000, 20)])
 def test_gnb_fit_bit_identical_to_per_class_loop(rng, kind, n, d, C):
@@ -188,17 +207,16 @@ def test_gnb_fit_bit_identical_to_per_class_loop(rng, kind, n, d, C):
     if kind.startswith("csr"):
         X = sp.csr_matrix(X)
     model = lm.gnb_fit(X, y, C)
-    means, variances = _reference_gnb_fit(X, y, C)
-    assert model.means.tobytes() == means.tobytes()
-    assert model.variances.tobytes() == variances.tobytes()
-    if kind.endswith("empty-class"):
-        assert not model.means[1].any() and np.all(model.variances[1] == model.variances.min())
+    for got, want in zip((model.const, model.a, model.b), _reference_gnb_terms(X, y, C)):
+        assert got.tobytes() == want.tobytes()
+    if kind.endswith("empty-class"):  # means 0 and the floored variance, the smallest
+        assert not model.a[:, 1].any() and np.all(model.b[:, 1] == model.b.min())
 
 
 def test_gnb_variance_floor_positive():
     X = np.ones((4, 2))  # all features constant
     model = lm.gnb_fit(X, np.array([0, 0, 1, 1]))
-    assert (model.variances > 0).all()
+    assert np.isfinite(model.b).all() and (model.b < 0).all()
 
 
 def test_gnb_dimension_mismatch(rng):

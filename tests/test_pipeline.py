@@ -62,6 +62,30 @@ def test_parse_config_file(tmp_path):
     assert config.train_fraction == 0.2
 
 
+def test_config_file_with_a_byte_order_mark_parses_as_without(tmp_path):
+    text = "model = nb\nruns = 3\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")  # as Windows editors save it
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert parse_config_file(str(marked)) == parse_config_file(str(plain)) == {
+        "model": "nb", "runs": "3"}
+
+
+def test_cli_ingest_of_inputs_with_a_byte_order_mark_writes_the_same_corpus(tmp_path):
+    _, fasta, meta, _ = _write_inputs(tmp_path, {"a": 5, "b": 5})
+    marked = {}
+    for path in (fasta, meta):
+        marked[path] = tmp_path / f"marked-{path.name}"
+        marked[path].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    out_plain, out_marked = tmp_path / "plain.bin", tmp_path / "marked.bin"
+    assert main(["ingest", "--fasta", str(fasta), "--metadata", str(meta),
+                 "--out", str(out_plain)]) == 0
+    assert main(["ingest", "--fasta", str(marked[fasta]), "--metadata", str(marked[meta]),
+                 "--out", str(out_marked)]) == 0
+    assert out_marked.read_bytes() == out_plain.read_bytes()
+
+
 def test_every_field_round_trips_through_its_string():
     values = dict(
         fasta="a.fa", metadata="m.tsv", corpus="c.bin", class_level="state", encoding="ohe", k=4,
@@ -644,10 +668,60 @@ def test_cli_negative_lr_penalty_or_tol_is_config_error(tmp_path, capsys, monkey
 
     monkeypatch.setattr(pipeline, "_single_run", None)  # reaching a run is a failure too
     _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
-    assert main(["run", "--corpus", str(corpus), "--model", "lr", flag, "-1"]) == 2
     key = flag[2:].replace("-", "_")
-    shown = -1 if KINDS[key] == "int" else -1.0
-    assert f"{key} must be >= 0, got {shown}" in capsys.readouterr().err
+    bound = 1 if key == "lr_max_iters" else 0  # 0 iterations would return the zero weights
+    for value in range(-1, bound):
+        assert main(["run", "--corpus", str(corpus), "--model", "lr", flag, str(value)]) == 2
+        shown = value if KINDS[key] == "int" else float(value)
+        assert f"{key} must be >= {bound}, got {shown}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, flags", [("split_seed", ()),
+                                        ("rff_seed", ("--use-rff", "true", "--model", "lr")),
+                                        ("nn_seed", ("--model", "nn"))])
+def test_cli_negative_seed_is_config_error(tmp_path, capsys, monkeypatch, key, flags):
+    import seqclass.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "_single_run", None)  # reaching a run is a failure too
+    _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
+    flag = f"--{key.replace('_', '-')}"
+    assert main(["run", "--corpus", str(corpus), *flags, flag, "-1"]) == 2
+    assert f"{key} must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_cli_ig_negative_seed_is_config_error(tmp_path, capsys):
+    _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
+    assert main(["ig", "--corpus", str(corpus), "--subsample", "5", "--seed", "-1",
+                 "--out", str(tmp_path / "ig.csv")]) == 2
+    assert "subsample seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "ig.csv").exists()
+
+
+def _sweep_flags(key: str) -> list[str]:
+    """Flags of a small run whose model reads ``key``."""
+    if key.startswith("lr_"):
+        flags = ["--model", "lr"]
+    elif key == "ridge_alpha":
+        flags = ["--model", "ridge"]
+    elif key.startswith("nn_"):
+        flags = ["--model", "nn", "--nn-epochs", "2"]
+    elif key.startswith("rff_"):
+        flags = ["--model", "lr", "--use-rff", "true", "--rff-dim", "16"]
+    elif key == "expected_len":
+        flags = ["--model", "nb", "--encoding", "ohe"]
+    else:
+        flags = ["--model", "nb"]
+    return ["--runs", "1", "--k", "2", *flags]
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_cli_numeric_key_at_minus_one_or_zero_exits_0_or_2(tmp_path, key, value):
+    """Every numeric key at -1 and 0, on a model that reads it: a run or a config error,
+    never a raised exception."""
+    _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
+    flag = f"--{key.replace('_', '-')}"  # the last of a repeated flag wins
+    assert main(["run", "--corpus", str(corpus), *_sweep_flags(key), flag, value]) in (0, 2)
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

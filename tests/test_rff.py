@@ -354,3 +354,26 @@ def test_project_rows_makes_no_csr_copy_of_the_rows():
     csr_copy = 8 * int(M[rows].nnz)  # its int32 indices and counts, no float64 copy
     assert held < peak < held + csr_copy / 4
     assert np.array_equal(got, project(proj, M[rows]))
+
+
+def test_project_of_an_integer_csr_on_the_gemm_route_makes_no_float64_copy():
+    """project hands an integer CSR to project_rows as it is: it holds what project_rows
+    holds, not a float64 copy of the counts beside it."""
+    import tracemalloc
+
+    n, d, D = 3000, 500, 64
+    M = sp.random(n, d, density=0.3, format="csr", random_state=5, dtype=np.float64)
+    M.data = np.ceil(10 * M.data).astype(np.int32)
+    proj = new_projector(d, D, 1.0 / d, seed=0)
+    step = rff.GEMM_BLOCK_BYTES // (8 * d)
+    assert n > step and _gemm_rows(M)
+    tracemalloc.start()
+    got = project(proj, M)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    held = 8 * (n * D + step * d + step * D)
+    float_copy = 8 * M.nnz
+    assert held < peak < held + float_copy / 4
+    assert np.array_equal(got, project(proj, M.astype(np.float64)))
+    with pytest.raises(DimensionMismatch, match=f"input has dim {d}, expected {d + 1}"):
+        project(new_projector(d + 1, D, 1.0 / d, seed=0), M)
