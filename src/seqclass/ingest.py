@@ -90,9 +90,10 @@ def parse_fasta(stream: Iterable[str]) -> list[SequenceRecord]:
 
     Sequence lines may be wrapped; surrounding whitespace is ignored.
     Raises MalformedFasta for sequence data before the first header,
-    empty headers/bodies or duplicate ids; once the whole text parses,
-    InvalidResidue for the first character outside the alphabet (one
-    trailing stop per record is allowed).
+    empty headers or bodies (a body of only the stop is empty) or
+    duplicate ids; once the whole text parses, InvalidResidue for the
+    first character outside the alphabet (one trailing stop per record
+    is allowed).
     """
     records: list[SequenceRecord] = []
     seen: set[str] = set()
@@ -104,7 +105,7 @@ def parse_fasta(stream: Iterable[str]) -> list[SequenceRecord]:
         if header is None:
             return
         body = "".join(chunks)
-        if not body:
+        if not body.removesuffix(STOP_CHAR):  # a lone stop is no sequence either
             raise MalformedFasta(f"record {header!r} has an empty sequence body")
         if header in seen:
             raise MalformedFasta(f"duplicate sequence id {header!r}")
@@ -339,6 +340,8 @@ def load_corpus(path: str) -> list[LabeledSequence]:
                 if None in required:  # only the state may be absent
                     name = ("id", "continent", "country", "residues")[required.index(None)]
                     raise IoFailure(f"corpus {path!r} record {index + 1} of {count} has no {name}")
+                if not residues.removesuffix(STOP_CHAR):  # an older corpus may hold one
+                    raise IoFailure(f"corpus {path!r} record {seq_id!r} has no residues")
                 data.append(
                     LabeledSequence(
                         record=SequenceRecord(id=seq_id, residues=residues),

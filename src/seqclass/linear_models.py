@@ -369,6 +369,17 @@ def _gram(M, bias: bool = False) -> np.ndarray:
     return gram
 
 
+def _solve_shifted(gram: np.ndarray, penalized: int, alpha: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve gram x = rhs after adding alpha, in place, to gram's first ``penalized`` diagonal
+    entries; NonFiniteLoss (not numpy's LinAlgError) when that system is singular."""
+    gram[np.diag_indices(penalized)] += alpha
+    try:
+        return np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NonFiniteLoss(f"ridge's system is singular at alpha {alpha}; raise --ridge-alpha"
+                            ) from exc
+
+
 def _ridge_dual(X, targets: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Kernel form (Saunders, Gammerman & Vovk, 1998) with a centred intercept.
 
@@ -379,9 +390,8 @@ def _ridge_dual(X, targets: np.ndarray, alpha: float) -> tuple[np.ndarray, np.nd
     gram = _gram(X.T.tocsr() if sp.issparse(X) else X.T)
     means = gram.mean(axis=0)  # gram is symmetric: row and column means agree
     gram -= means[None, :] + means[:, None] - means.mean()
-    gram[np.diag_indices_from(gram)] += alpha
     t_mean = targets.mean(axis=0)
-    beta = np.linalg.solve(gram, targets - t_mean)  # (n, C)
+    beta = _solve_shifted(gram, len(gram), alpha, targets - t_mean)  # (n, C)
     weights = np.asarray(X.T @ beta)  # (d, C)
     # a column no row touches adds an exact 0 to mean(X) W; leaving those
     # out keeps the sum's order, and so its bits, free of the input width
@@ -399,9 +409,8 @@ def _ridge_primal(X, targets: np.ndarray, alpha: float) -> tuple[np.ndarray, np.
     d = X.shape[1]
     rhs = np.vstack([np.asarray(X.T @ targets), targets.sum(axis=0)])  # [X, 1]'T
     if d + 1 <= RIDGE_DENSE_LIMIT:
-        gram = _gram(X, bias=True)
-        gram[np.diag_indices(d)] += alpha  # the intercept stays unpenalized
-        solution = np.linalg.solve(gram, rhs)  # (d+1, C)
+        # the intercept stays unpenalized
+        solution = _solve_shifted(_gram(X, bias=True), d, alpha, rhs)  # (d+1, C)
     else:
         from scipy.sparse.linalg import LinearOperator, cg  # costs start-up; only this path needs it
 

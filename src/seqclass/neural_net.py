@@ -9,10 +9,11 @@ to 100 and training runs a fixed 10 epochs with a seeded shuffle per
 epoch.
 
 Inputs may be dense or CSR. `nn_loss_and_grads` (one training batch)
-and `nn_scores` (one block of rows) densify CSR input and run one code
-path: each layer is one BLAS GEMM, not scipy's scalar CSR kernels, and
-CSR input trains and scores bit for bit like its `.toarray()`. So a
-batch, or a block the caller sizes, is the only thing ever densified.
+and `nn_scores` (one block of rows) run one forward pass, `_forward`,
+which checks the input's width and densifies CSR input: each layer is
+one BLAS GEMM, not scipy's scalar CSR kernels, and CSR input trains and
+scores bit for bit like its `.toarray()`. So a batch, or a block the
+caller sizes, is the only thing ever densified.
 `nn_train` gathers each batch's rows straight from its input into one
 reused float64 buffer (`rff.gather_rows`), so no step slices the input.
 Every array of the net is C-ordered. `adam_step` updates every
@@ -82,18 +83,19 @@ def nn_init(input_dim: int, class_count: int, hidden_width: int | None = None,
     )
 
 
-def _dense(X, width: int | None = None) -> np.ndarray:
-    """X's rows as a float64 ndarray (of ``width`` columns, if given); CSR is densified."""
-    X = _as_2d(X, width)
-    return X.toarray() if sp.issparse(X) else X
+def _forward(net: FeedForwardNet, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X densified to the net's width (else DimensionMismatch), its ReLU layer and probabilities."""
+    X = _as_2d(X, net.w1.shape[1])
+    if sp.issparse(X):
+        X = X.toarray()
+    hidden = X @ net.w1.T + net.b1
+    np.maximum(hidden, 0.0, out=hidden)
+    return X, hidden, _softmax(hidden @ net.w2.T + net.b2)
 
 
 def nn_scores(net: FeedForwardNet, X) -> np.ndarray:
     """Class probabilities; rows sum to 1 within 1e-9."""
-    X = _dense(X, net.w1.shape[1])
-    hidden = X @ net.w1.T + net.b1
-    np.maximum(hidden, 0.0, out=hidden)
-    return _softmax(hidden @ net.w2.T + net.b2)
+    return _forward(net, X)[2]
 
 
 def nn_loss(probs: np.ndarray, y) -> float:
@@ -106,13 +108,14 @@ def nn_loss(probs: np.ndarray, y) -> float:
 
 
 def nn_loss_and_grads(net: FeedForwardNet, X, y) -> tuple[float, list[np.ndarray]]:
-    """Loss on a batch plus gradients for (w1, b1, w2, b2)."""
+    """Loss on a batch plus gradients for (w1, b1, w2, b2), back-propagated from `_forward`.
+
+    ``hidden > 0`` masks the ReLU exactly as its input's sign would, so a
+    step holds one batch x h activation array.
+    """
     y = np.asarray(y, dtype=np.int64)
+    X, hidden, probs = _forward(net, X)
     n = X.shape[0]
-    X = _dense(X)
-    pre = X @ net.w1.T + net.b1
-    hidden = np.maximum(pre, 0.0)
-    probs = _softmax(hidden @ net.w2.T + net.b2)
     loss = nn_loss(probs, y)
 
     delta2 = probs.copy()
@@ -120,7 +123,7 @@ def nn_loss_and_grads(net: FeedForwardNet, X, y) -> tuple[float, list[np.ndarray
     delta2 /= n
     g_w2 = delta2.T @ hidden
     g_b2 = delta2.sum(axis=0)
-    delta1 = (delta2 @ net.w2) * (pre > 0.0)
+    delta1 = (delta2 @ net.w2) * (hidden > 0.0)
     g_w1 = delta1.T @ X
     g_b1 = delta1.sum(axis=0)
     return loss, [g_w1, g_b1, g_w2, g_b2]

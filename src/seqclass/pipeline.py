@@ -24,12 +24,15 @@ No run holds its whole test split: one n_test x C score array is filled
 block by block, each block's rows taken from the corpus matrix by test
 index or, with RFF, projected from it just before they are scored
 (rff.project_rows, rff.project's GEMM loop, which makes no CSR copy of the
-rows; the train split is projected the same way). A block is
-rff.GEMM_BLOCK_BYTES over what a row costs while scored: 8 D bytes with
-RFF, 8 bytes a used column for raw nn, which densifies it, or about 12
-bytes a CSR nonzero. Each row is scored on its own, so scipy's CSR
-products give the same bits in any blocking; a dense GEMM can round by
-its height, so a remainder shorter than a block joins the last one.
+rows; the train split is projected the same way). A dense block, of D
+columns with RFF or of the used columns raw nn densifies, is
+rff.gemm_rows of its width, as every dense block is; a CSR block is
+rff.GEMM_BLOCK_BYTES over about 12 bytes a nonzero. Each row is scored
+on its own, so scipy's CSR products give the same bits in any blocking;
+a dense GEMM can round by its height, so a remainder shorter than a
+block joins the last one. A NaN score is a numerical failure
+(NonFiniteLoss), as when an nn's last step leaves weights whose
+products overflow.
 
 Before the first run, the peak bytes of the RFF weights, the
 projected train split, one projection block and one score block (with
@@ -66,7 +69,8 @@ import numpy as np
 from . import linear_models as lm
 from . import neural_net as nn
 from .config import ExperimentConfig
-from .errors import EmptyMatrix, EmptyTrainingSet, InvalidConfig, IoFailure, SeqclassError
+from .errors import (EmptyMatrix, EmptyTrainingSet, InvalidConfig, IoFailure, NonFiniteLoss,
+                     SeqclassError)
 from .features import FeaturizedCorpus, _usable_cores, featurize_corpus, used_columns
 from .ingest import LabeledSequence, _round_half_up, split_indices
 from .metrics import QUALITY, aggregate, confusion, roc_auc_ovr_weighted, summarize
@@ -256,17 +260,14 @@ def _score_block_rows(config: ExperimentConfig, corpus_size: int, columns: int,
                       corpus_nnz: int) -> int:
     """Test rows scored at once: GEMM_BLOCK_BYTES over what one row costs while it is scored.
 
-    That is its 8 * D projected bytes with RFF, its 8 bytes a column once
-    nn densifies it, else about 12 bytes (a float64 value and an int32
-    index) for each of its CSR nonzeros.
+    A dense block, of D projected columns with RFF or of the used columns
+    that raw nn densifies, is `rff.gemm_rows` of its width, as every dense
+    block is. A CSR row costs about 12 bytes (a float64 value and an int32
+    index) for each of its nonzeros.
     """
-    if config.use_rff:
-        row_bytes = 8 * config.rff_dim
-    elif config.model == "nn":
-        row_bytes = 8 * columns
-    else:
-        row_bytes = 12 * corpus_nnz / max(corpus_size, 1)
-    return max(1, int(GEMM_BLOCK_BYTES // max(row_bytes, 1)))
+    if config.use_rff or config.model == "nn":
+        return gemm_rows(config.rff_dim if config.use_rff else columns)
+    return max(1, int(GEMM_BLOCK_BYTES // max(12 * corpus_nnz / max(corpus_size, 1), 1)))
 
 
 def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: int):
@@ -310,6 +311,9 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
         with _stage("fit"):
             scores[start:stop] = model_scores(model, X_block)
         del X_block  # freed before the next block is made
+    with _stage("fit"):  # nb's -inf is a score; NaN is a failed fit, such as overflowed weights
+        if np.isnan(scores).any():
+            raise NonFiniteLoss(f"the {config.model} model scored NaN for a test row")
     predictions = np.argmax(scores, axis=1)
 
     with _stage("metrics"):

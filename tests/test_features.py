@@ -218,13 +218,36 @@ def test_used_columns_at_k6_allocates_no_int64_array_of_the_nominal_width(rng):
     assert np.array_equal(np.unique(matrix.indices)[restricted.indices], matrix.indices)
 
 
-def test_parallel_propagates_errors(rng):
+def test_parallel_propagates_errors(rng, monkeypatch):
+    """A worker's InvalidResidue and SequenceTooShort reach the caller intact through the pool.
+
+    600 rows of 38 windows at 3800 windows a chunk make 6 chunks, so two
+    processes count them on any host.
+    """
+    pools = []
+
+    class RecordingPool(features.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(features, "_CHUNK_WINDOWS", 3800)
+    monkeypatch.setattr(features, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(features, "ProcessPoolExecutor", RecordingPool)
     seqs = random_sequences(rng, 600, 40)
-    seqs[555] = seqs[555][:-1] + "?"
+    ids = [f"q{i}" for i in range(len(seqs))]
+    bad = list(seqs)
+    bad[555] = bad[555][:-1] + "?"
     with pytest.raises(InvalidResidue) as err:
-        kmer_matrix(seqs, 3, workers=2, ids=[f"q{i}" for i in range(len(seqs))])
-    assert err.value.seq_id == "q555"
-    assert err.value.position == 40
+        kmer_matrix(bad, 3, workers=2, ids=ids)
+    assert (err.value.seq_id, err.value.position, err.value.char) == ("q555", 40, "?")
+    assert str(err.value) == "invalid residue '?' at position 40 in sequence 'q555'"
+    short = list(seqs)
+    short[444] = "MD"
+    with pytest.raises(SequenceTooShort) as err:
+        kmer_matrix(short, 3, workers=2, ids=ids)
+    assert str(err.value) == "sequence 'q444' is shorter than k=3 (2 residues)"
+    assert pools == [2, 2]
 
 
 def _windows(ids, seqs, k):

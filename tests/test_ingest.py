@@ -63,6 +63,8 @@ def test_parse_empty_body():
         parse_fasta(io.StringIO(">s1\n>s2\nAAA\n"))
     with pytest.raises(MalformedFasta):
         parse_fasta(io.StringIO(">s1\nAAA\n>s2\n"))
+    with pytest.raises(MalformedFasta, match="record 'a' has an empty sequence body"):
+        parse_fasta(io.StringIO(">a\n*\n>b\nACDE\n"))  # only the stop
 
 
 def test_parse_duplicate_or_empty_header():

@@ -530,6 +530,20 @@ def test_ridge_rejects_bad_alpha(rng):
         lm.ridge_fit(rng.normal(size=(4, 2)), [0, 1, 0, 1], alpha=0.0)
 
 
+def test_ridge_singular_direct_solve_is_non_finite_loss(rng):
+    """Counts sum exactly, so a repeated row (dual) or column (primal) leaves the system
+    singular once alpha rounds away; numpy's LinAlgError becomes NonFiniteLoss."""
+    X = sp.csr_matrix(rng.poisson(1.0, size=(6, 40)).astype(np.float64))
+    X = sp.vstack([X, X[0]]).tocsr()
+    with pytest.raises(NonFiniteLoss, match="singular at alpha 1e-300"):
+        lm.ridge_fit(X, [0, 1, 0, 1, 0, 1, 0], alpha=1e-300)  # n = 7 <= d: the dual
+    D = rng.poisson(1.0, size=(30, 5)).astype(np.float64)
+    D = np.hstack([D, D[:, :1]])
+    with pytest.raises(NonFiniteLoss, match="singular at alpha 1e-320"):
+        lm.ridge_fit(D, rng.integers(0, 2, 30), alpha=1e-320)  # n = 30 > d: the primal
+    assert lm.ridge_fit(D, rng.integers(0, 2, 30), alpha=1.0).solver == "primal"
+
+
 def test_ridge_sparse_input(rng):
     X = rng.poisson(1.0, size=(25, 8)).astype(np.float64)
     y = rng.integers(0, 2, 25)

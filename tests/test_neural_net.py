@@ -113,6 +113,15 @@ def test_forward_dimension_mismatch(rng):
         nnet.nn_scores(net, rng.normal(size=(2, 9)))
 
 
+def test_loss_and_grads_on_a_batch_of_the_wrong_width_is_dimension_mismatch(rng):
+    net = nnet.nn_init(**_tiny_config())
+    X = rng.normal(size=(2, net.w1.shape[1] + 1))
+    with pytest.raises(DimensionMismatch, match=f"expected {net.w1.shape[1]}"):
+        nnet.nn_loss_and_grads(net, X, [0, 1])
+    with pytest.raises(DimensionMismatch):
+        nnet.nn_loss_and_grads(net, sp.csr_matrix(X), [0, 1])
+
+
 def test_loss_values():
     perfect = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert nnet.nn_loss(perfect, [0, 1]) <= 1e-9

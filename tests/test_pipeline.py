@@ -537,10 +537,17 @@ def test_cli_exit_codes(tmp_path, capsys):
                 data[:-1] + [LabeledSequence(SequenceRecord(last.record.id, None), last.label)])
     save_corpus(str(tmp_path / "no_country.bin"),
                 data[:-1] + [LabeledSequence(last.record, LabelHierarchy("Europe", None))])
+    for name, residues in (("only_stop.bin", "*"), ("empty_residues.bin", "")):
+        # as ingest wrote a record whose body was only the stop, before it rejected one
+        save_corpus(str(tmp_path / name),
+                    [LabeledSequence(SequenceRecord("s0", residues), data[0].label), *data[1:]])
     files = {
         "latin1.fa": b">s1\nMD\xe9PEG\n",
         "latin1.tsv": b"id\tcontinent\tcountry\tstate\ns1\tEurope\tFran\xe7e\t\n",
         "no_country.tsv": b"id\tcontinent\tcountry\tstate\ns1\tEurope\t\t\n",
+        "only_stop.fa": b">a\n*\n>b\nACDE\n>c\nACDF\n>d\nACDG\n",
+        "only_stop.tsv": b"id\tcontinent\tcountry\tstate\n"
+                         + b"".join(b"%s\tEurope\tFrance\t\n" % i for i in (b"a", b"b", b"c", b"d")),
         "latin1.cfg": b"model = nb  # caf\xe9\n",
         "latin1.json": b'{"format": "seqclass-report/1", "note": "\xe9"}',
         "object.json": b'{"a": 1}',
@@ -561,6 +568,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["ingest", "--fasta", path("nope.fa"), "--metadata", path("nope.tsv"), "--out", out],
          3, "nope.fa"),
         (["run", "--corpus", str(corpus), "--model", "svm"], 2, "model must be one of"),
+        (["run", "--corpus", str(corpus), "--encoding", "onehot"], 2, "got 'onehot'"),
+        (["run", "--corpus", str(corpus), "--class-level", "city"], 2,
+         "class_level must be one of"),
         (["run", "--model", "majority"], 2, "run needs either"),
         (["ig", "--corpus", str(corpus), "--subsample", "-5", "--out", out], 2, "got -5"),
         (["ig", "--corpus", str(corpus), "--subsample", "0", "--out", out], 2, "got 0"),
@@ -580,6 +590,14 @@ def test_cli_exit_codes(tmp_path, capsys):
          3, "no_residues.bin' record 20 of 20 has no residues"),
         (["ig", "--corpus", path("no_residues.bin"), "--out", out],
          3, "no_residues.bin' record 20 of 20 has no residues"),
+        (["ingest", "--fasta", path("only_stop.fa"), "--metadata", path("only_stop.tsv"),
+          "--out", out], 3, "record 'a' has an empty sequence body"),
+        (["run", "--corpus", path("only_stop.bin"), "--model", "nb", "--encoding", "ohe"],
+         3, "only_stop.bin' record 's0' has no residues"),
+        (["ig", "--corpus", path("only_stop.bin"), "--out", out],
+         3, "only_stop.bin' record 's0' has no residues"),
+        (["run", "--corpus", path("empty_residues.bin"), "--model", "majority"],
+         3, "empty_residues.bin' record 's0' has no residues"),
         (["run", "--corpus", path("no_country.bin"), "--model", "majority"],
          3, "no_country.bin' record 20 of 20 has no country"),
         (["report", path("bare.json"), "--out", out], 3, "bare.json' lacks the key 'aggregate'"),
@@ -588,6 +606,42 @@ def test_cli_exit_codes(tmp_path, capsys):
     for argv, code, named in table:
         assert main(argv) == code, argv
         assert named in capsys.readouterr().err, argv
+
+
+def test_cli_singular_ridge_solve_exits_4(tmp_path, capsys):
+    """Duplicated train rows make the dual system singular at an alpha that rounds away."""
+    data = labeled_corpus({"a": 10, "b": 10}, length=24)
+    twins = [LabeledSequence(SequenceRecord(f"{item.record.id}x", item.record.residues),
+                             item.label) for item in data]
+    corpus = tmp_path / "corpus.bin"
+    save_corpus(str(corpus), data + twins)
+    assert main(["run", "--corpus", str(corpus), "--model", "ridge", "--runs", "1",
+                 "--train-fraction", "0.5", "--ridge-alpha", "1e-300"]) == 4
+    assert "ridge's system is singular at alpha 1e-300" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_cli_nn_that_diverges_on_its_last_step_exits_4(tmp_path, capsys):
+    """One batch an epoch: the loss is checked before the only update, whose ~1e300
+    weights are finite but overflow into NaN scores."""
+    _, _, _, corpus = _write_inputs(tmp_path, {"a": 20, "b": 20})
+    assert main(["run", "--corpus", str(corpus), "--model", "nn", "--runs", "1",
+                 "--train-fraction", "0.5", "--nn-learning-rate", "1e300",
+                 "--nn-hidden-width", "8", "--nn-epochs", "1"]) == 4
+    assert "[stage:fit] the nn model scored NaN" in capsys.readouterr().err
+
+
+def test_cli_featurize_csv_holds_the_sqfv1_matrix(tmp_path):
+    _, _, _, corpus = _write_inputs(tmp_path, {"a": 5, "b": 4})
+    feats, labels, table = tmp_path / "f.sqfv", tmp_path / "l.json", tmp_path / "f.csv"
+    assert main(["featurize", "--corpus", str(corpus), "--k", "2", "--out-features", str(feats),
+                 "--out-labels", str(labels), "--csv", str(table)]) == 0
+    _, shape, indptr, indices, values = read_sqfv1(feats)
+    lines = table.read_text().splitlines()
+    assert lines[0] == "row,col,value"
+    rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
+    assert lines[1:] == [f"{r},{c},{v:g}" for r, c, v in zip(rows, indices, values)]
 
 
 def test_cli_ig_subsample_and_histograms(tmp_path, monkeypatch):
