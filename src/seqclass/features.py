@@ -17,8 +17,13 @@ corpus's window count, which bounds its nonzeros, is allocated up front;
 each chunk's k-mer ids and counts are written into it as soon as the
 chunk is counted, or comes back from the pool, and the pair is then cut
 to the nonzeros. No chunk outlives its copy, and pages past the
-nonzeros are never touched. One-hot is one vectorized pass over the
-whole corpus.
+nonzeros are never touched. Counts are stored in the narrowest unsigned
+integer type that holds the corpus's largest count: uint8 unless a
+k-mer occurs 256 times in one row, so a nonzero takes 5 bytes (its int32
+column and its count). The data array starts as uint8 and is widened
+when a chunk's largest count needs it. Every model copies the counts to
+float64 (rff._as_2d) before any arithmetic, so no product wraps. One-hot
+is one vectorized pass over the whole corpus.
 
 Feature container format ("SQFV1"), an export like the COO CSV that no
 command reads back: the 5 magic bytes, u8 encoding tag (0 = kmers,
@@ -55,9 +60,12 @@ ALPHABET = AMINO_ACIDS
 ALPHABET_SIZE = len(ALPHABET)  # 21
 
 MAX_K = 6  # 21**7 would exceed 1.8e9 columns
-# k-mer windows counted per task: about 206 rows of a 1273-residue spike. A
-# chunk's keys, sort and counts take tens of bytes a window
-_CHUNK_WINDOWS = 1 << 18
+# k-mer windows counted per task: about 51 rows of a 1273-residue spike. A
+# chunk's keys, sort and counts take about 40 bytes a window: tracemalloc read
+# 2.6 MB (k = 3) and 2.7 MB (k = 4) on the first chunk of a benchmark corpus,
+# against 10.5 and 11.0 MB for 2^18 windows, whose transient set the featurize
+# peak of the benchmark's kmer3-ridge run
+_CHUNK_WINDOWS = 1 << 16
 
 _ENCODING_TAGS = {ENCODING_KMERS: 0, ENCODING_OHE: 1}
 
@@ -95,7 +103,8 @@ def kmer_counts(seq: str, k: int = 3) -> dict[str, int]:
 
 
 def _kmer_chunk(ids: Sequence[str], seqs: Sequence[str], k: int) -> tuple[np.ndarray, ...]:
-    """The chunk's rows of k-mer counts as a CSR triplet: int64 indptr, int32 indices and counts."""
+    """The chunk's rows of k-mer counts as a CSR triplet: int64 indptr, int32 indices, and
+    counts in the narrowest unsigned type that holds the chunk's largest."""
     dim = ALPHABET_SIZE**k
     codes, lengths = encode_residues(ids, seqs)
     if np.any(lengths < k):
@@ -121,7 +130,7 @@ def _kmer_chunk(ids: Sequence[str], seqs: Sequence[str], k: int) -> tuple[np.nda
     # sorted distinct (row, k-mer) keys: memory follows the window count, not rows * 21**k
     keys, counts = np.unique(rows * dim + idx, return_counts=True)
     indptr = np.searchsorted(keys // dim, np.arange(len(seqs) + 1, dtype=key_type)).astype(np.int64)
-    return indptr, (keys % dim).astype(np.int32), counts.astype(np.int32)
+    return indptr, (keys % dim).astype(np.int32), counts.astype(np.min_scalar_type(counts.max()))
 
 
 def _chunk_bounds(windows: np.ndarray) -> list[int]:
@@ -151,7 +160,8 @@ def kmer_matrix(
     """n x 21**k sparse count matrix; row i sums to len(seqs[i]) - k + 1.
 
     Each chunk (module docstring) is encoded and counted in its own task;
-    the pool never outnumbers the chunks or the usable cores.
+    the pool never outnumbers the chunks or the usable cores. The counts'
+    dtype is the narrowest unsigned one that holds the largest of them.
     """
     kmer_dim(k)  # InvalidConfig outside [1, MAX_K], before any other check
     if not seqs:
@@ -169,7 +179,7 @@ def kmer_matrix(
     # a row's distinct k-mers are at most its windows
     indptr = np.zeros(len(seqs) + 1, dtype=np.int64)
     indices = np.empty(int(windows.sum()), dtype=np.int32)
-    data = np.empty(len(indices), dtype=np.int32)
+    data = np.empty(len(indices), dtype=np.uint8)
     processes = min(workers, len(id_chunks), _usable_cores())
     pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else nullcontext()
     with pool:
@@ -178,6 +188,10 @@ def kmer_matrix(
         for start, stop, (chunk_indptr, chunk_indices, chunk_data) in zip(bounds, bounds[1:],
                                                                          counted):
             lo = indptr[start]
+            if chunk_data.itemsize > data.itemsize:  # a count above the data's type: widen it
+                wider = np.empty(len(data), dtype=chunk_data.dtype)
+                wider[:lo] = data[:lo]
+                data = wider
             indptr[start + 1 : stop + 1] = chunk_indptr[1:] + lo
             indices[lo : indptr[stop]] = chunk_indices
             data[lo : indptr[stop]] = chunk_data

@@ -13,8 +13,9 @@ A score function gives each row's scores from that row alone, so the
 pipeline passes it one block of test rows at a time, never the whole
 test split. gnb_fit computes gnb's score terms once per model, not once
 per block, and the model keeps only those terms. gnb squares CSR input
-with power(2): one copy, where scipy's elementwise multiply allocates for
-twice the nonzeros.
+into one new float64 data array over the input's index arrays
+(`_squared`): 8 bytes a nonzero, where power(2) copies the index arrays
+too and scipy's elementwise multiply allocates for twice the nonzeros.
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ class GaussianNbModel:
     b: np.ndarray  # (d, C), C-ordered
 
 
+def _squared(X: sp.csr_matrix) -> sp.csr_matrix:
+    """X.power(2), bit for bit, sharing X's index arrays."""
+    return sp.csr_matrix((X.data**2, X.indices, X.indptr), shape=X.shape)
+
+
 def gnb_fit(X, y, class_count: int | None = None) -> GaussianNbModel:
     """Per-class Gaussian likelihoods with a relative variance floor.
 
@@ -86,7 +92,7 @@ def gnb_fit(X, y, class_count: int | None = None) -> GaussianNbModel:
 
     sparse = sp.issparse(X)
     if sparse:
-        Xsq = X.power(2)
+        Xsq = _squared(X)
         global_mean = np.asarray(X.mean(axis=0)).ravel()
         global_var = np.asarray(Xsq.mean(axis=0)).ravel() - global_mean**2
     else:
@@ -145,7 +151,7 @@ def gnb_scores(model: GaussianNbModel, X) -> np.ndarray:
     """
     X = _as_2d(X, model.a.shape[0])
     if sp.issparse(X):
-        return np.asarray(X @ model.a) + np.asarray(X.power(2) @ model.b) + model.const
+        return np.asarray(X @ model.a) + np.asarray(_squared(X) @ model.b) + model.const
     a, b = np.asfortranarray(model.a), np.asfortranarray(model.b)
     return X @ a + (X * X) @ b + model.const
 
@@ -344,15 +350,17 @@ def ridge_fit(X, y, alpha: float = 1.0, class_count: int | None = None) -> Ridge
 def _gram(M, bias: bool = False) -> np.ndarray:
     """M'M, or [M, 1]'[M, 1] with ``bias``, as the sum of B'B over blocks B of M's rows.
 
-    Each block of rff.gemm_rows rows is written densely into one buffer:
-    CSR rows straight from views of M's arrays, as scipy's constructor and
-    row slicing both copy them. On integer input every partial sum is an
-    integer below 2^53, exact in any order, so the result is bit-identical
-    to scipy's product.
+    Each block of rff.gemm_rows rows is written densely into one float64
+    buffer: CSR rows straight from views of M's arrays, as scipy's
+    constructor and row slicing both copy them. Integer input is copied to
+    float64 first (`_as_2d`), so no product of narrow counts wraps. On
+    integer-valued input every partial sum is an integer below 2^53, exact
+    in any order, so the result is bit-identical to scipy's product.
     """
+    M = _as_2d(M)
     n, d = M.shape
     step = rff.gemm_rows(d + bias)
-    buffer = np.zeros((min(step, n), d + bias), dtype=M.dtype)
+    buffer = np.zeros((min(step, n), d + bias))
     gram = np.zeros((d + bias, d + bias))
     for start in range(0, n, step):
         stop = min(start + step, n)

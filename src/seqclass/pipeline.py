@@ -26,21 +26,27 @@ index or, with RFF, projected from it just before they are scored
 (rff.project_rows, rff.project's GEMM loop, which makes no CSR copy of the
 rows; the train split is projected the same way). A dense block, of D
 columns with RFF or of the used columns raw nn densifies, is
-rff.gemm_rows of its width, as every dense block is; a CSR block is
-rff.GEMM_BLOCK_BYTES over about 12 bytes a nonzero. Each row is scored
-on its own, so scipy's CSR products give the same bits in any blocking;
-a dense GEMM can round by its height, so a remainder shorter than a
-block joins the last one. A NaN score is a numerical failure
-(NonFiniteLoss), as when an nn's last step leaves weights whose
-products overflow.
+rff.gemm_rows of its width, as every dense block is; a dense GEMM can
+round by its height, so a remainder shorter than a block joins the last
+one. A CSR block is rff.GEMM_BLOCK_BYTES over every byte the corpus's
+longest row holds while scored: its slice (5 bytes a nonzero for uint8
+counts), `rff._as_2d`'s float64 copy of its values (8) and nb's square of
+them (8), which every CSR model's blocks leave room for. scipy's CSR
+products score each row on its own, so they give the same bits in any
+blocking, and a CSR remainder is a block of its own. A NaN score is a
+numerical failure (NonFiniteLoss), as when an nn's last step leaves
+weights whose products overflow.
 
 Before the first run, the peak bytes of the RFF weights, the
 projected train split, one projection block and one score block (with
-their CSR copies on scipy's route), the model's C x used-columns arrays
-(nn: hidden x used-columns, beside one dense batch or score block) and
+their CSR copies on scipy's route, whose nonzeros are fewer than
+GEMM_MIN_DENSITY of the block's cells and than its rows times the
+corpus's longest row), the model's C x used-columns arrays (nn: hidden x
+used-columns, beside one dense batch or score block; the others beside
+one CSR score block), the scores, the split's indices and labels and
 ridge's dense Gram matrix are estimated; a config whose estimate
 exceeds physical memory is an InvalidConfig naming the knob that lowers
-it.
+it. The raw models' train split is not counted.
 
 Which columns are used is read off every row, test rows included. So
 a run's RFF features, like the raw models' width, nn's init and its
@@ -74,7 +80,8 @@ from .errors import (EmptyMatrix, EmptyTrainingSet, InvalidConfig, IoFailure, No
 from .features import FeaturizedCorpus, _usable_cores, featurize_corpus, used_columns
 from .ingest import LabeledSequence, _round_half_up, split_indices
 from .metrics import QUALITY, aggregate, confusion, roc_auc_ovr_weighted, summarize
-from .rff import GEMM_BLOCK_BYTES, default_gamma, gemm_rows, new_projector, project_rows, uses_gemm
+from .rff import (GEMM_BLOCK_BYTES, GEMM_MIN_DENSITY, default_gamma, gemm_rows, new_projector,
+                  project_rows, uses_gemm)
 from .version import __version__
 
 # float64 C x used-columns arrays that fit and scoring hold at once, read
@@ -111,36 +118,45 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
-def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int,
-                    feature_columns: int | None = None, corpus_size: int = 0,
-                    corpus_nnz: int = 0) -> tuple[int, str]:
+def memory_estimate(config: ExperimentConfig, class_count: int, matrix) -> tuple[int, str]:
     """Peak bytes of one run's RFF weights and model arrays, and the knobs that lower them.
 
-    ``feature_columns`` is the number of used columns (default: the
-    nominal ``feature_dim``): those the raw-feature models fit in, and so
-    the nn's default hidden width, and those the RFF weights are drawn for.
-    ``corpus_size`` gives the train rows of ridge's direct solve, of RFF's
-    projected train split and of nn's batches, and the test rows that set
-    the largest score block; ``corpus_nnz``, the feature matrix's
-    nonzeros, gives the density that picks the route (rff.uses_gemm), the
-    CSR copies that scipy's route makes of the train split and a block, and
-    the train split's share that ridge's dual copies as X'.
-    Raw nn densifies each batch and score block; another raw-feature score
-    block, a few CSR copies of GEMM_BLOCK_BYTES, is not counted.
+    ``matrix`` is the corpus's CSR matrix on its used columns: those the
+    raw-feature models fit in, and so the nn's default hidden width, and
+    those the RFF weights are drawn for. Its rows give the train rows of
+    ridge's direct solve, of RFF's projected train split and of nn's
+    batches, and the test rows that set the largest score block; its
+    nonzeros, the train split's share that ridge's dual copies as X'. Its
+    longest row bounds the nonzeros of any block of rows: those of a raw
+    CSR score block, and, with GEMM_MIN_DENSITY of its columns, those that
+    scipy's route in rff.project_rows copies. Raw nn densifies each batch
+    and score block.
     """
-    columns = feature_dim if feature_columns is None else feature_columns
+    corpus_size, columns = matrix.shape
+    corpus_nnz, longest_row, value_bytes = matrix.nnz, _longest_row(matrix), matrix.data.itemsize
     model_columns = config.rff_dim if config.use_rff else columns
     n_train = _round_half_up(config.train_fraction * corpus_size)
     n_test = corpus_size - n_train
-    rows = _score_block_rows(config, corpus_size, columns, corpus_nnz)
-    block = min(n_test, rows + n_test % rows)  # the largest block of test rows
+    rows = _score_block_rows(config, columns, longest_row, value_bytes)
+    # the largest block of test rows; a dense block takes a short remainder (_single_run)
+    block = min(n_test, rows + n_test % rows if _dense_blocks(config) else rows)
+    # the float64 n_test x C scores every block writes into, and the 4 block x C arrays
+    # at most that a block's scores pass through (lr's softmax)
+    scores = 8 * class_count * (n_test + 4 * block)
+    # the C x used-columns (or D) arrays scoring reads: nb's a and b, with RFF beside
+    # their two dense copies, or lr's or ridge's weights
+    reads = ({"majority": 0, "nn": 0, "nb": 4 if config.use_rff else 2}.get(config.model, 1)
+             * class_count * model_columns * 8)
+    # held throughout: the split's row indices, their labels and the class names it reads
+    split = 24 * corpus_size
     if config.model == "nn":
         hidden = model_columns if config.nn_hidden_width is None else config.nn_hidden_width
         # the fit's arrays beside one dense batch, or w1 beside one dense raw score block
+        # and the scores
         batch = min(config.nn_batch_size, n_train)
         needed = (_NN_PEAK_ARRAYS * hidden + batch) * model_columns * 8
         if not config.use_rff:
-            needed = max(needed, (hidden + block) * columns * 8)
+            needed = max(needed, (hidden + block) * columns * 8 + scores)
         knob = "--nn-hidden-width"
     elif config.model == "ridge":
         # the direct solve's min(n, columns + 1)^2 arrays, one block, the n x C
@@ -156,47 +172,57 @@ def memory_estimate(config: ExperimentConfig, feature_dim: int, class_count: int
     else:
         needed = _MODEL_PEAK_ARRAYS.get(config.model, 0) * class_count * model_columns * 8
         knob = "--k"
+    if not config.use_rff and config.model != "nn" and n_test:
+        # one CSR score block and the scores beside the arrays scoring reads
+        nonzero = _csr_nonzero_bytes(value_bytes, squared=config.model == "nb")
+        needed = max(needed, int(reads + block * longest_row * nonzero) + scores)
     if config.use_rff:
         # The D x used-columns weights and the dense n_train x D train split are held
         # throughout. Beside them lies the largest of: the model's arrays in the fit;
         # what rff.project_rows holds beside the train split it projects; or that with
-        # the largest block of test rows and its projection, which gnb_scores squares
-        # beside a, b and their two dense copies. rff.uses_gemm picks the route from the
-        # corpus's density on its used columns. The GEMM route holds its gather buffer
-        # and, for rows beyond one GEMM, one GEMM's projection; scipy's route holds 2 CSR
-        # copies of the rows (the rows taken and project's float64 copy of their data,
-        # 12 bytes a nonzero at most).
-        gemm = uses_gemm(corpus_nnz, corpus_size, columns)
+        # the largest block of test rows, its projection, which gnb_scores squares,
+        # the arrays scoring reads and the scores. rff.uses_gemm picks each block's
+        # route from its own density, so on a ragged corpus a block can take either
+        # route, unless even rows as long as the longest fall short of the GEMM route.
+        # The GEMM route holds its gather buffer and, for rows beyond one GEMM, one
+        # GEMM's projection; scipy's route holds the rows taken and project's float64
+        # copy of their values. Rows take scipy's route only below GEMM_MIN_DENSITY of
+        # their columns, so their nonzeros are fewer than that, and than the rows
+        # times the longest row.
         step = gemm_rows(columns)  # rows of one GEMM
+        copies = (min(longest_row, GEMM_MIN_DENSITY * columns)  # a row's on scipy's route
+                  * _csr_nonzero_bytes(value_bytes, squared=False))
 
         def beside(rows):
-            if not gemm:
-                return rows * 24 * corpus_nnz / max(corpus_size, 1)
-            return GEMM_BLOCK_BYTES + (8 * config.rff_dim * step if rows > step else 0)
+            if not uses_gemm(longest_row, 1, columns):  # no block takes the GEMM route
+                return rows * copies
+            gemm = GEMM_BLOCK_BYTES + (8 * config.rff_dim * step if rows > step else 0)
+            return max(rows * copies, gemm)
 
-        scoring = beside(block) + 8 * config.rff_dim * block
+        scoring = beside(block) + 8 * config.rff_dim * block + reads + scores
         if config.model == "nb":
-            scoring += 8 * config.rff_dim * block + needed
+            scoring += 8 * config.rff_dim * block
         peak = max(needed, beside(n_train), scoring)
         held = 8 * config.rff_dim * (columns + n_train)
         rff_knob = "--nn-hidden-width or --rff-dim" if config.model == "nn" else "--rff-dim or --k"
-        return int(held + peak), rff_knob
-    return needed, knob
+        return int(held + peak + split), rff_knob
+    return needed + split, knob
 
 
 def _preflight_memory(config: ExperimentConfig, feature_dim: int, class_count: int,
-                      processes: int, feature_columns: int | None = None,
-                      corpus_size: int = 0, corpus_nnz: int = 0) -> None:
-    """InvalidConfig (exit 2) before an allocation that physical memory cannot hold."""
-    per_run, knob = memory_estimate(config, feature_dim, class_count, feature_columns,
-                                    corpus_size, corpus_nnz)
+                      processes: int, matrix) -> None:
+    """InvalidConfig (exit 2) before an allocation that physical memory cannot hold.
+
+    ``matrix`` is the corpus's matrix on its used columns, of the nominal ``feature_dim``.
+    """
+    per_run, knob = memory_estimate(config, class_count, matrix)
     needed = per_run * processes
     available = physical_memory_bytes()
     if available is not None and needed > available:
-        used = feature_dim if feature_columns is None else feature_columns
         raise InvalidConfig(
-            f"{config.model}{' with RFF' if config.use_rff else ''} on {used} of {feature_dim} "
-            f"feature columns and {class_count} classes needs about {needed / 2**30:.1f} GiB, "
+            f"{config.model}{' with RFF' if config.use_rff else ''} on {matrix.shape[1]} of "
+            f"{feature_dim} feature columns and {class_count} classes needs about "
+            f"{needed / 2**30:.1f} GiB, "
             f"more than the {available / 2**30:.1f} GiB of physical memory; lower {knob}"
         )
 
@@ -256,18 +282,41 @@ def _fit(config: ExperimentConfig, X_train, y_train, class_count: int, seed: int
     return model, scores, diagnostics
 
 
-def _score_block_rows(config: ExperimentConfig, corpus_size: int, columns: int,
-                      corpus_nnz: int) -> int:
-    """Test rows scored at once: GEMM_BLOCK_BYTES over what one row costs while it is scored.
+def _dense_blocks(config: ExperimentConfig) -> bool:
+    """Whether test rows are scored as dense blocks: RFF projections, or raw nn's densified rows."""
+    return config.use_rff or config.model == "nn"
+
+
+def _csr_nonzero_bytes(value_bytes: int, squared: bool) -> int:
+    """Bytes a block of CSR rows holds for each nonzero while it is scored or projected.
+
+    The rows taken (a value of ``value_bytes`` and an int32 index), the
+    float64 copy of the values that `rff._as_2d` makes over the same index
+    arrays and, when ``squared``, gnb_scores' squared copy of them.
+    """
+    return value_bytes + 4 + 8 + 8 * squared
+
+
+def _longest_row(matrix) -> int:
+    """The most nonzeros a row of a CSR matrix holds (0 with no rows)."""
+    return int(np.diff(matrix.indptr).max(initial=0))
+
+
+def _score_block_rows(config: ExperimentConfig, columns: int, longest_row: float,
+                      value_bytes: int) -> int:
+    """Test rows scored at once: GEMM_BLOCK_BYTES over what one row holds while it is scored.
 
     A dense block, of D projected columns with RFF or of the used columns
     that raw nn densifies, is `rff.gemm_rows` of its width, as every dense
-    block is. A CSR row costs about 12 bytes (a float64 value and an int32
-    index) for each of its nonzeros.
+    block is. A CSR block is sized by the corpus's longest row, at
+    `_csr_nonzero_bytes` for each of its nonzeros with nb's square of them,
+    whatever the model: no block holds more than GEMM_BLOCK_BYTES unless
+    one row does.
     """
-    if config.use_rff or config.model == "nn":
+    if _dense_blocks(config):
         return gemm_rows(config.rff_dim if config.use_rff else columns)
-    return max(1, int(GEMM_BLOCK_BYTES // max(12 * corpus_nnz / max(corpus_size, 1), 1)))
+    row_bytes = longest_row * _csr_nonzero_bytes(value_bytes, squared=True)
+    return max(1, int(GEMM_BLOCK_BYTES // max(row_bytes, 1)))
 
 
 def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: int):
@@ -298,16 +347,18 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
                                                 seeds["model"])
         fit_seconds = time.perf_counter() - tic
 
-    # blocks of test rows, the last one taking a shorter remainder (module docstring)
-    rows = _score_block_rows(config, *feats.matrix.shape, feats.matrix.nnz)
-    starts = range(0, max(len(test_idx) - rows, 0) + 1, rows)
-    scores = np.empty((len(test_idx), class_count))
-    for start, stop in zip(starts, [*starts[1:], len(test_idx)]):
+    # blocks of test rows; a dense remainder shorter than a block joins the last one
+    # (module docstring)
+    matrix, n_test = feats.matrix, len(test_idx)
+    rows = _score_block_rows(config, matrix.shape[1], _longest_row(matrix), matrix.data.itemsize)
+    starts = range(0, max(n_test - rows, 0) + 1 if _dense_blocks(config) else n_test, rows)
+    scores = np.empty((n_test, class_count))
+    for start, stop in zip(starts, [*starts[1:], n_test]):
         if projector is None:
-            X_block = feats.matrix[test_idx[start:stop]]
+            X_block = matrix[test_idx[start:stop]]
         else:
             with _stage("rff"):
-                X_block = project_rows(projector, feats.matrix, test_idx[start:stop])
+                X_block = project_rows(projector, matrix, test_idx[start:stop])
         with _stage("fit"):
             scores[start:stop] = model_scores(model, X_block)
         del X_block  # freed before the next block is made
@@ -365,8 +416,7 @@ def run_experiment(
                               f"rows of {corpus_size} sequences; lower it")
     processes = min(config.runs, config.workers, _usable_cores()) if config.parallel_runs else 1
     with _stage("memory"):
-        _preflight_memory(config, feats.dim, len(feats.class_names), processes,
-                          feature_columns, corpus_size, feats.matrix.nnz)
+        _preflight_memory(config, feats.dim, len(feats.class_names), processes, feats.matrix)
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_single_run, repeat(config), repeat(feats), range(config.runs)))

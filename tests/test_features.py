@@ -97,6 +97,24 @@ def test_kmer_full_length_sequence(rng):
     assert vec.sum() == 1271  # 1273 - 3 + 1
 
 
+def test_kmer_counts_widen_from_uint8_as_a_count_needs(monkeypatch):
+    """k = 1 on homopolymers: counts are uint8 until a count of 300 widens them to uint16,
+    and one of 70 000 to uint32. Every count keeps its value, those of the chunks counted
+    before a widening too."""
+    monkeypatch.setattr(features, "_CHUNK_WINDOWS", 100)  # a row above 100 windows is a chunk
+    cases = [(["ACA", "D" * 5], np.uint8),
+             (["ACA", "C" * 300, "D" * 5], np.uint16),
+             (["ACA", "C" * 300, "D" * 5, "E" * 70_000, "FF"], np.uint32)]
+    for seqs, dtype in cases:
+        want = [{kmer_index(residue): n for residue, n in collections.Counter(seq).items()}
+                for seq in seqs]
+        for workers in (1, 2):
+            got = kmer_matrix(seqs, 1, workers=workers)
+            assert got.dtype == dtype
+            assert [dict(zip(got.indices[lo:hi].tolist(), got.data[lo:hi].tolist()))
+                    for lo, hi in zip(got.indptr, got.indptr[1:])] == want
+
+
 def test_kmer_too_short():
     with pytest.raises(SequenceTooShort):
         kmer_matrix(["MD"], 3)
@@ -265,13 +283,18 @@ def _windows(ids, seqs, k):
     return np.repeat(np.arange(len(seqs), dtype=np.int64), lengths - k + 1), idx[valid]
 
 
+def _narrow(counts):
+    """Counts in the narrowest unsigned type that holds them, as kmer_matrix stores them."""
+    return counts.astype(np.min_scalar_type(counts.max()))
+
+
 def _dense_kmer_csr_chunk(ids, seqs, k):
     """The counter the sort-based one replaced: np.bincount over rows x 21**k counters."""
     dim = ALPHABET_SIZE**k
     rows, idx = _windows(ids, seqs, k)
     counts = np.bincount(rows * dim + idx, minlength=len(seqs) * dim)
     flat_nz = np.flatnonzero(counts)
-    data = counts[flat_nz].astype(np.int32)
+    data = _narrow(counts[flat_nz])
     indices = (flat_nz % dim).astype(np.int32)
     indptr = np.searchsorted(flat_nz // dim, np.arange(len(seqs) + 1)).astype(np.int64)
     return sp.csr_matrix((data, indices, indptr), shape=(len(seqs), dim))
@@ -283,7 +306,7 @@ def _int64_kmer_csr_chunk(ids, seqs, k):
     rows, idx = _windows(ids, seqs, k)
     keys, counts = np.unique(rows * dim + idx, return_counts=True)
     indptr = np.searchsorted(keys // dim, np.arange(len(seqs) + 1)).astype(np.int64)
-    return sp.csr_matrix((counts.astype(np.int32), (keys % dim).astype(np.int32), indptr),
+    return sp.csr_matrix((_narrow(counts), (keys % dim).astype(np.int32), indptr),
                          shape=(len(seqs), dim))
 
 
@@ -329,7 +352,9 @@ def test_sorted_counting_matches_dense_bincount(rng, monkeypatch, k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
-def test_int32_keys_match_the_int64_sort(rng, k):
+def test_int32_keys_match_the_int64_sort(rng, monkeypatch, k):
+    # 2^18-window chunks put a full chunk's int32 keys at k = 5 just below 2^31
+    monkeypatch.setattr(features, "_CHUNK_WINDOWS", 1 << 18)
     ragged = _ragged(rng, 1100, k, 40)  # one chunk of short rows
     even = random_sequences(rng, 1100, k + 511)  # 512 windows a row: 512-row chunks
     for seqs, rows, int32_up_to in ((ragged, 1100, 4), (even, 512, 5)):

@@ -121,6 +121,18 @@ def test_gnb_model_keeps_only_its_score_terms_in_one_layout(rng, sparse):
     assert sum(vars(model)[key].nbytes for key in vars(model)) == 2 * C * d * 8 + 8 * C
 
 
+def test_gnb_squares_csr_values_over_the_input_index_arrays(rng):
+    """power(2)'s values, bit for bit, without power(2)'s copies of indices and indptr."""
+    X = lm._as_2d(sp.csr_matrix(rng.poisson(1.0, size=(20, 30)) * rng.normal(size=(20, 30))))
+    squared = lm._squared(X)
+    assert np.shares_memory(squared.indices, X.indices)
+    assert np.shares_memory(squared.indptr, X.indptr)
+    want = X.power(2)
+    assert np.array_equal(squared.indptr, want.indptr)
+    assert np.array_equal(squared.indices, want.indices)
+    assert squared.data.tobytes() == want.data.tobytes()
+
+
 def _reference_gnb_fit(X, y, C):
     """The per-class loop that gnb_fit's class-indicator product replaced: (means, variances)."""
     X = lm._as_2d(X)
@@ -501,6 +513,15 @@ def test_gram_in_ragged_blocks_of_csr_or_dense_counts(rng, monkeypatch, sparse):
             monkeypatch.setattr(lm.rff, "GEMM_BLOCK_BYTES", block_bytes)
             assert np.array_equal(lm._gram(M, bias=True), A.T @ A)
             assert np.array_equal(lm._gram(M), counts.T @ counts)
+
+
+def test_gram_of_uint8_counts_does_not_wrap(rng):
+    """kmer_matrix stores counts as uint8, whose products and sums leave uint8's range:
+    the Gram matrix is that of their float64 copy, dense or CSR."""
+    counts = rng.integers(0, 256, size=(9, 5)).astype(np.uint8)
+    A = _bordered(counts.astype(np.float64))
+    for M in (counts, sp.csr_matrix(counts)):
+        assert np.array_equal(lm._gram(M, bias=True), A.T @ A)
 
 
 def test_gram_of_one_dense_block_is_numpys_product(rng):

@@ -1,4 +1,5 @@
-"""Reports, test scores and IG outputs pinned by SHA-256, so "byte-identical" is a check.
+"""Reports, test scores, features and IG outputs pinned by SHA-256, so "byte-identical" is
+a check.
 
 Each case runs `run_experiment` on a small corpus and compares the
 digest of its report under `strip_timing` and the digest of every test
@@ -18,8 +19,10 @@ import pytest
 
 import seqclass.linear_models as lm
 import seqclass.neural_net as nnet
+from seqclass.cli import main
 from seqclass.config import MODELS, ExperimentConfig
 from seqclass.infogain import export_histograms, export_ig, information_gain
+from seqclass.ingest import save_corpus
 from seqclass.pipeline import report_to_json, run_experiment, strip_timing
 
 from conftest import labeled_corpus
@@ -93,6 +96,15 @@ PINNED = {
 # RFF nb at 7 classes of 20: its score bytes move with one rounding of gnb_scores
 PINNED_NB_7 = ("08966f119392bc39b400277c84c871df7e7fa8bd939e971ace51f081f59f2514",
                "d67897b53526f160fe986e990f6b753674b0ef6e2b6817d3694981dc715c4397")
+# `seqclass featurize` of the module's corpus: SQFV1 container, labels sidecar, COO CSV
+PINNED_FEATURES = {
+    "kmers": ("9031105086a9afcc5affd7b3b861836c92c7b5e48fc04a875417c1e0e1f093de",
+              "24438fb1d5724b805fe673a432e34286181f181ac7244a121e84e7801a48cb7c",
+              "e283834c6d474327036a5dfc8b25413532a9b35c3330158f1a80be97cbfd614c"),
+    "ohe": ("4b1347c8c3732a4b80c87102581211647a2c28cd8ad9e782cf0a1c843e75ddf8",
+            "ac8d97efef2fb4351be023566b1f3a235b25582548d084a80a3a78328dc1a869",
+            "f4a853a80f2f25196c13584428ec2455d9c8780b7b120179fb20cd61a61c3f8a"),
+}
 IG_CSV = "3780a0781c2a1c5aeb2e8a135969c58fedd17e92dd5b1fa17e7f351cf8c31b69"
 IG_HISTOGRAMS = "20678e1a68b134fca1f5f675fab36febaff3d7053dc917d262405d2e2929bf1e"
 
@@ -140,6 +152,17 @@ def test_pinned_report_and_scores(monkeypatch, corpus, model, encoding, use_rff)
 def test_pinned_rff_nb_scores_at_seven_classes(monkeypatch):
     data = labeled_corpus({name: 20 for name in "abcdefg"}, length=30, seed=5)
     assert _digests(monkeypatch, _config("nb", "kmers", True), data) == PINNED_NB_7
+
+
+@pytest.mark.parametrize("encoding", ["kmers", "ohe"])
+def test_pinned_featurize_outputs(tmp_path, corpus, encoding):
+    """The container stores float64 values whatever the matrix's count type."""
+    save_corpus(str(tmp_path / "corpus.bin"), corpus)
+    outputs = [tmp_path / name for name in ("features.sqfv", "labels.json", "features.csv")]
+    assert main(["featurize", "--corpus", str(tmp_path / "corpus.bin"), "--encoding", encoding,
+                 "--k", "2", "--out-features", str(outputs[0]), "--out-labels", str(outputs[1]),
+                 "--csv", str(outputs[2])]) == 0
+    assert tuple(_sha(path.read_bytes()) for path in outputs) == PINNED_FEATURES[encoding]
 
 
 def test_pinned_ig_csv_and_histograms(tmp_path, corpus):

@@ -199,15 +199,35 @@ def test_rff_run_projector_rebuilds_and_projects_used_rows(monkeypatch):
     assert np.abs(out - want).max() <= 1e-12
 
 
-def _generator_corpus(monkeypatch, size: int, seed: int) -> list[LabeledSequence]:
+def _generator_corpus(monkeypatch, size: int, seed: int,
+                      deletion_share: float = 0.0) -> list[LabeledSequence]:
     """Spike-like sequences of benchmarks/gen.py, 20 Zipf-sized classes of 2 or more."""
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
     from gen import CorpusSpec, make_corpus
 
-    corpus = make_corpus(CorpusSpec(size=size), seed)
+    corpus = make_corpus(CorpusSpec(size=size, deletion_share=deletion_share), seed)
     return [LabeledSequence(SequenceRecord(i, seq), LabelHierarchy(continent, country))
             for i, seq, continent, country in zip(corpus.ids, corpus.sequences,
                                                   corpus.continents, corpus.countries)]
+
+
+def _traced_run(tmp_path, data, flags) -> dict:
+    """benchmarks/tracer.py's payload for `seqclass run` on ``data`` with ``flags``."""
+    import subprocess
+    import sys
+
+    corpus, out = tmp_path / "corpus.bin", tmp_path / "spans.json"
+    save_corpus(str(corpus), data)
+    command = ["run", "--corpus", str(corpus), "--runs", "1", "--train-fraction", "0.5", *flags]
+    done = subprocess.run([sys.executable, "benchmarks/tracer.py", "--out", str(out),
+                           "--sample-seed", "1", "--", *command], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(out.read_text())
+    assert payload["rc"] == 0
+    assert {name: found for name, found in payload["checks"].items() if found} == {}
+    return payload
 
 
 @pytest.mark.parametrize("k, gemm", [(2, True), (4, False)])
@@ -216,9 +236,6 @@ def test_benchmark_tracer_checks_rff_runs_on_either_route(tmp_path, monkeypatch,
     sampled rows against sqrt(2/D) cos(W x + b) after the run: dense blocks that
     rff.project_rows gathers (k = 2 on generator sequences), or CSR rows on scipy's route
     (random length-200 sequences at k = 4)."""
-    import subprocess
-    import sys
-
     from seqclass.features import featurize_corpus, used_columns
     from seqclass.rff import uses_gemm
 
@@ -226,20 +243,23 @@ def test_benchmark_tracer_checks_rff_runs_on_either_route(tmp_path, monkeypatch,
             else labeled_corpus({"a": 30, "b": 30}, length=200, seed=4))
     matrix = used_columns(featurize_corpus(data, "kmers", k=k).matrix)
     assert uses_gemm(matrix.nnz, *matrix.shape) == gemm
-    corpus, out = tmp_path / "corpus.bin", tmp_path / "spans.json"
-    save_corpus(str(corpus), data)
-    command = ["run", "--corpus", str(corpus), "--model", "lr", "--k", str(k), "--use-rff",
-               "true", "--rff-dim", "64", "--runs", "1", "--train-fraction", "0.5"]
-    done = subprocess.run([sys.executable, "benchmarks/tracer.py", "--out", str(out),
-                           "--sample-seed", "1", "--", *command], cwd=ROOT,
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    payload = json.loads(out.read_text())
-    assert payload["rc"] == 0
+    payload = _traced_run(tmp_path, data, ["--model", "lr", "--k", str(k), "--use-rff", "true",
+                                           "--rff-dim", "64"])
     assert "RFF rows equal sqrt(2/D)cos(Wx+b)" in payload["checks"]
-    assert {name: found for name, found in payload["checks"].items() if found} == {}
     assert any(span["name"] == "rff.project" for span in payload["spans"])
+
+
+@pytest.mark.parametrize("model", ["ridge", "nb"])
+def test_benchmark_tracer_checks_raw_kmer_runs(tmp_path, monkeypatch, model):
+    """On uint8 k-mer counts, the tracer's feature oracle checks sampled rows against a
+    plain-Python count, and ridge's fit against its normal equations."""
+    from seqclass.features import featurize_corpus
+
+    data = _generator_corpus(monkeypatch, 60, seed=1)
+    assert featurize_corpus(data, "kmers", k=3).matrix.dtype == np.uint8
+    checks = _traced_run(tmp_path, data, ["--model", model, "--k", "3"])["checks"]
+    assert any(name.startswith("kmers rows vs plain-Python count") for name in checks)
+    assert any(name.startswith("ridge normal equations") for name in checks) == (model == "ridge")
 
 
 def test_rbf_kernel_of_nominal_rows_is_that_of_their_used_columns():
@@ -839,8 +859,8 @@ def test_raw_csr_scores_in_blocks_are_bit_identical(monkeypatch, model, rows):
     data = labeled_corpus({"a": 20, "b": 15, "c": 15}, length=30, seed=4)
     config = ExperimentConfig(model=model, k=2, train_fraction=0.3, lr_max_iters=30)
     blocked, whole, blocks = _blocked_and_whole_scores(monkeypatch, config, data, rows)
-    # 35 test rows: 1-row blocks, or 4-row ones whose 3-row remainder joins the last
-    assert blocks == ([1] * 35 if rows == 1 else [4] * 7 + [7])
+    # 35 test rows: 1-row blocks, or 4-row ones and a block of the 3-row remainder
+    assert blocks == ([1] * 35 if rows == 1 else [4] * 8 + [3])
     assert np.array_equal(blocked, whole)
 
 
@@ -855,7 +875,7 @@ def test_dense_scores_in_blocks(monkeypatch, model, use_rff):
     data = labeled_corpus({"a": 1200, "b": 900, "c": 900}, length=40, seed=4)  # 2700 test rows
     config = ExperimentConfig(model=model, k=2, use_rff=use_rff, nn_hidden_width=16, nn_epochs=2,
                               lr_max_iters=30)
-    rows = _score_block_rows(config, 3000, 441, 0) if use_rff else 1048
+    rows = _score_block_rows(config, 441, 39, 1) if use_rff else 1048
     assert rows == 1048
     blocked, whole, blocks = _blocked_and_whole_scores(monkeypatch, config, data, rows)
     assert blocks == [1048, 1652]  # the 604-row remainder joins the last block
@@ -866,16 +886,21 @@ def test_dense_scores_in_blocks(monkeypatch, model, use_rff):
 
 
 def test_score_block_rows():
-    # 8 MiB over a row's 8 D projected bytes, over raw nn's 8 bytes a used column,
-    # or over 12 bytes a CSR nonzero
+    # 8 MiB over a row's 8 D projected bytes, or over raw nn's 8 bytes a used column
     rff = ExperimentConfig(use_rff=True, rff_dim=1000)
-    assert _score_block_rows(rff, 3000, 441, 10**6) == 1048
-    assert _score_block_rows(replace(rff, model="nn"), 3000, 441, 10**6) == 1048
-    assert _score_block_rows(ExperimentConfig(use_rff=True, rff_dim=3000), 1, 441, 0) == 349
-    assert _score_block_rows(ExperimentConfig(), 1000, 5339, 37_000) == (8 << 20) // (12 * 37)
-    assert _score_block_rows(ExperimentConfig(model="nn"), 1000, 5339, 37_000) == 196
-    assert _score_block_rows(ExperimentConfig(use_rff=True, rff_dim=2 << 20), 1, 441, 0) == 1
-    assert _score_block_rows(ExperimentConfig(model="nn"), 1, 2 << 20, 0) == 1
+    assert _score_block_rows(rff, 441, 39, 1) == 1048
+    assert _score_block_rows(replace(rff, model="nn"), 441, 39, 1) == 1048
+    assert _score_block_rows(ExperimentConfig(use_rff=True, rff_dim=3000), 441, 0, 1) == 349
+    assert _score_block_rows(ExperimentConfig(model="nn"), 5339, 37, 1) == 196
+    assert _score_block_rows(ExperimentConfig(use_rff=True, rff_dim=2 << 20), 441, 0, 1) == 1
+    assert _score_block_rows(ExperimentConfig(model="nn"), 2 << 20, 0, 1) == 1
+    # A CSR block: 8 MiB over the longest row's nonzeros, each its value, its int32
+    # index, a float64 copy and nb's square of it; every CSR model gets nb's blocks
+    for model in ("majority", "nb", "lr", "ridge"):
+        config = ExperimentConfig(model=model)
+        assert _score_block_rows(config, 5339, 37, 1) == (8 << 20) // (21 * 37)
+    assert _score_block_rows(ExperimentConfig(), 5339, 37, 8) == (8 << 20) // (28 * 37)
+    assert _score_block_rows(ExperimentConfig(), 5339, 1 << 20, 1) == 1  # a row above 8 MiB
 
 
 def test_raw_nb_run_holds_less_than_the_test_split(monkeypatch):
@@ -901,7 +926,55 @@ def test_raw_nb_run_holds_less_than_the_test_split(monkeypatch):
     assert peak < split_bytes
 
 
+@pytest.mark.parametrize("model", ["ridge", "nb"])
+def test_raw_csr_scoring_holds_at_most_one_block_budget(monkeypatch, model):
+    """Beside the n_test x C score array, raw scoring holds at most GEMM_BLOCK_BYTES beyond
+    the matrix and the model: a block's uint8 rows, their float64 copy and nb's square of
+    it, sized by the longest row. Memory is traced from the end of the fit to each block's
+    scores."""
+    import tracemalloc
+
+    import seqclass.pipeline as pipeline
+    from seqclass.features import featurize_corpus, used_columns
+
+    data = labeled_corpus({"a": 800, "b": 600, "c": 600}, length=300, seed=2)
+    feats = featurize_corpus(data, "kmers", k=2)
+    feats = replace(feats, matrix=used_columns(feats.matrix))
+    assert feats.matrix.dtype == np.uint8
+    budget = 1 << 20
+    monkeypatch.setattr(pipeline, "GEMM_BLOCK_BYTES", budget)
+    seen = {"blocks": 0}
+    fit_model = pipeline._fit
+
+    def fit(*args):
+        fitted, scores, diagnostics = fit_model(*args)
+
+        def block_scores(fitted, X):
+            out = scores(fitted, X)
+            seen["blocks"] += 1
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+            return out
+
+        tracemalloc.start()
+        return fitted, block_scores, diagnostics
+
+    monkeypatch.setattr(pipeline, "_fit", fit)
+    try:
+        pipeline._single_run(ExperimentConfig(model=model, k=2), feats, 0)
+    finally:
+        tracemalloc.stop()
+    assert seen["blocks"] > 4
+    assert seen["peak"] - 1800 * 3 * 8 <= budget
+
+
 # --- memory pre-flight -----------------------------------------------------------
+
+
+def _rows(rows, columns, per_row=0, dtype=np.float64):
+    """A CSR corpus matrix of rows holding per_row nonzeros each, in their first columns."""
+    return sp.csr_matrix((np.ones(rows * per_row, dtype), np.tile(np.arange(per_row), rows),
+                          np.arange(rows + 1) * per_row), shape=(rows, columns))
+
 
 # id: (model, use_rff, the train split's rows, columns and density)
 TRACED_PEAK_CASES = {
@@ -936,7 +1009,7 @@ def test_memory_estimate_matches_traced_peak(model, use_rff, n, d, density):
     config = ExperimentConfig(model=model, use_rff=use_rff, rff_dim=D, nn_hidden_width=h,
                               train_fraction=0.5)
     # n train rows, and a test split as dense as X
-    estimate, _ = memory_estimate(config, d, C, corpus_size=2 * n, corpus_nnz=2 * X.nnz)
+    estimate, _ = memory_estimate(config, C, sp.vstack([X, X], format="csr"))
     tracemalloc.start()
     if model == "ridge":
         lm.ridge_scores(lm.ridge_fit(X, y, class_count=C), X)
@@ -960,15 +1033,15 @@ def test_memory_estimate_covers_traced_rff_run(model):
     """The CSR copies that RFF makes of the corpus's nonzeros are counted too."""
     import tracemalloc
 
-    from seqclass.features import featurize_corpus
+    from seqclass.features import featurize_corpus, used_columns
     from seqclass.pipeline import memory_estimate
 
     data = labeled_corpus({"a": 1000, "b": 1000, "c": 1000}, length=60, seed=1)
     config = ExperimentConfig(model=model, k=2, use_rff=True, rff_dim=2000, lr_max_iters=20,
                               runs=1)
-    matrix = featurize_corpus(data, "kmers", k=2).matrix
-    estimate, _ = memory_estimate(config, matrix.shape[1], 3, corpus_size=matrix.shape[0],
-                                  corpus_nnz=matrix.nnz)
+    # the run's own estimate: on the used columns, of the longest row and uint8 counts
+    matrix = used_columns(featurize_corpus(data, "kmers", k=2).matrix)
+    estimate, _ = memory_estimate(config, 3, matrix)
     tracemalloc.start()
     run_experiment(config, data)
     peak = tracemalloc.get_traced_memory()[1]
@@ -976,41 +1049,92 @@ def test_memory_estimate_covers_traced_rff_run(model):
     assert peak <= estimate <= 1.25 * peak
 
 
+def test_memory_estimate_covers_a_ragged_rff_block_on_scipys_route(monkeypatch):
+    """A ragged corpus (the 3000-sequence generator corpus, a third with one deletion and
+    its last third cut to 150 residues) is 6.8 % dense on its 13166 used columns at k = 4:
+    the train split and the first block of test rows take the GEMM route, and the last
+    block, 1652 rows at 5.0 %, takes scipy's. The estimate bounds that block's nonzeros by
+    its rows times the longest row."""
+    import tracemalloc
+
+    import seqclass.pipeline as pipeline
+    from seqclass.features import featurize_corpus, used_columns
+    from seqclass.rff import uses_gemm
+
+    data = [LabeledSequence(SequenceRecord(item.record.id, item.record.residues[:150]),
+                            item.label) if row >= 2000 else item
+            for row, item in enumerate(_generator_corpus(monkeypatch, 3000, 1, 1 / 3))]
+    config = ExperimentConfig(k=4, use_rff=True, runs=1)
+    feats = featurize_corpus(data, "kmers", k=4)
+    feats = replace(feats, matrix=used_columns(feats.matrix))
+    matrix = feats.matrix
+    _, test_idx = pipeline.split_indices(3000, config.train_fraction, config.split_seed)
+    last = matrix[test_idx[1048:]]
+    assert uses_gemm(matrix.nnz, *matrix.shape) and not uses_gemm(last.nnz, *last.shape)
+    estimate, _ = pipeline.memory_estimate(config, len(feats.class_names), matrix)
+    del last
+    tracemalloc.start()
+    pipeline._single_run(config, feats, 0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= estimate
+
+
 def test_memory_estimate_at_long_kmers():
     from seqclass.pipeline import memory_estimate
 
     d5, d6 = 21**5, 21**6
-    assert memory_estimate(ExperimentConfig(model="nb", k=5), d5, 20) == (4 * 20 * d5 * 8, "--k")
-    assert memory_estimate(ExperimentConfig(model="lr", k=6), d6, 20)[0] == 15 * 20 * d6 * 8
-    assert memory_estimate(ExperimentConfig(model="ridge", k=6), d6, 20)[0] == 0
+    assert memory_estimate(ExperimentConfig(model="nb", k=5), 20, _rows(0, d5)) == (
+        4 * 20 * d5 * 8, "--k")
+    assert memory_estimate(ExperimentConfig(model="lr", k=6), 20, _rows(0, d6))[0] == (
+        15 * 20 * d6 * 8)
+    assert memory_estimate(ExperimentConfig(model="ridge", k=6), 20, _rows(0, d6))[0] == 0
     # RFF draws weights for the used columns alone (12043 of 21^6 on the benchmark's
-    # 1000-sequence corpus). With no rows given, one dense block of project's GEMM
-    # route is counted
-    rff = memory_estimate(ExperimentConfig(model="nb", k=6, use_rff=True), d6, 20, 12043)
-    assert rff == (1000 * 12043 * 8 + (8 << 20) + 4 * 20 * 1000 * 8, "--rff-dim or --k")
+    # 1000-sequence corpus). With no rows given, no block is counted
+    rff = memory_estimate(ExperimentConfig(model="nb", k=6, use_rff=True), 20, _rows(0, 12043))
+    assert rff == (1000 * 12043 * 8 + 4 * 20 * 1000 * 8, "--rff-dim or --k")
     # 3000 rows: the dense 300-row train split, and the largest block of the 2700
-    # test rows (2 x 1048 + 604, the 604 joining a block) with nb's square of it;
-    # with no nonzeros project takes scipy's route, which densifies no block
-    rff = memory_estimate(ExperimentConfig(model="nb", k=2, use_rff=True), 441, 20, corpus_size=3000)
-    assert rff == (1000 * (441 + 300) * 8 + 2 * 1652 * 1000 * 8 + 4 * 20 * 1000 * 8,
+    # test rows (2 x 1048 + 604, the 604 joining a block) with nb's square of it, beside
+    # nb's 4 C x D arrays (lr's and ridge's weights: 1) and the scores: the 2700 x C
+    # scores and 4 block x C arrays. With no nonzeros project takes scipy's route, which
+    # densifies no block. The split's indices, labels and class names take 24 bytes a row
+    split, scores, weights = 24 * 3000, 8 * 20 * (2700 + 4 * 1652), 20 * 1000 * 8
+    rff = memory_estimate(ExperimentConfig(model="nb", k=2, use_rff=True), 20, _rows(3000, 441))
+    assert rff == (1000 * (441 + 300) * 8 + 2 * 1652 * 1000 * 8 + 4 * weights + scores + split,
                    "--rff-dim or --k")
     lr = ExperimentConfig(model="lr", k=2, use_rff=True)
-    rff = memory_estimate(lr, 441, 20, corpus_size=3000)
-    assert rff[0] == 1000 * (441 + 300) * 8 + 1652 * 1000 * 8
+    rff = memory_estimate(lr, 20, _rows(3000, 441))
+    assert rff[0] == 1000 * (441 + 300) * 8 + 1652 * 1000 * 8 + weights + scores + split
     # with 50 nonzeros a row (11 % dense: the GEMM route and its 8 MiB gather buffer),
-    # no CSR copy: beside the block and its projection, or beside the 2700-row train
-    # split, which takes two GEMMs of up to 2377 rows, one GEMM's projection
-    rff = memory_estimate(lr, 441, 20, corpus_size=3000, corpus_nnz=3000 * 50)
-    assert rff[0] == 1000 * (441 + 300) * 8 + (8 << 20) + 1652 * 1000 * 8
+    # beside the block and its projection, or beside the 2700-row train split, which
+    # takes two GEMMs of up to 2377 rows, one GEMM's projection. A call on scipy's
+    # route would hold fewer bytes: under 0.05 x 441 nonzeros a row at 20 bytes each
+    rff = memory_estimate(lr, 20, _rows(3000, 441, 50))
+    assert rff[0] == (1000 * (441 + 300) * 8 + (8 << 20) + 1652 * 1000 * 8 + weights + scores
+                      + split)
     wide = replace(lr, train_fraction=0.9)
-    rff = memory_estimate(wide, 441, 20, corpus_size=3000, corpus_nnz=3000 * 50)
-    assert rff[0] == 1000 * (441 + 2700) * 8 + (8 << 20) + 2377 * 1000 * 8
-    # on 4432 of 21^3 columns at 13 nonzeros a row (0.3 % dense): scipy's route
-    rff = memory_estimate(replace(lr, k=3), 9261, 20, 4432, 3000, 3000 * 13)
-    assert rff[0] == 1000 * (4432 + 300) * 8 + 1652 * (1000 * 8 + 24 * 13)
-    # 200 classes: lr's 15 C x D arrays outweigh either block
-    assert memory_estimate(lr, 441, 200, corpus_size=3000)[0] == (
-        1000 * (441 + 300) * 8 + 15 * 200 * 1000 * 8)
+    rff = memory_estimate(wide, 20, _rows(3000, 441, 50))
+    assert rff[0] == 1000 * (441 + 2700) * 8 + (8 << 20) + 2377 * 1000 * 8 + split
+    # on 4432 of 21^3 columns at 13 nonzeros a row (0.3 % dense): scipy's route, whose
+    # two CSR copies hold a float64 value and an int32 index, and a float64 copy of
+    # the value, 20 bytes a nonzero (uint8 counts: 13)
+    rff = memory_estimate(replace(lr, k=3), 20, _rows(3000, 4432, 13))
+    assert rff[0] == (1000 * (4432 + 300) * 8 + 1652 * (1000 * 8 + 20 * 13) + weights + scores
+                      + split)
+    rff = memory_estimate(replace(lr, k=3), 20, _rows(3000, 4432, 13, np.uint8))
+    assert rff[0] == (1000 * (4432 + 300) * 8 + 1652 * (1000 * 8 + 13 * 13) + weights + scores
+                      + split)
+    # rows of 1100 nonzeros on 4432 columns (25 % dense): a call of them takes scipy's route
+    # only below 5 % density, so its copies hold fewer than 0.05 x 4432 = 221.6 nonzeros a
+    # row. Then the 2700-row train split's copies, 7.8 MB, are below the GEMM route's buffer
+    # and one GEMM's projection (236 rows), which the 300-row block's projection, the
+    # weights and the scores join
+    rff = memory_estimate(replace(wide, k=3), 20, _rows(3000, 4432, 1100, np.uint8))
+    assert rff[0] == (1000 * (4432 + 2700) * 8 + (8 << 20) + (236 + 300) * 1000 * 8 + weights
+                      + 8 * 20 * (300 + 4 * 300) + split)
+    # 1000 classes: lr's 15 C x D arrays outweigh the scoring of either block
+    assert memory_estimate(lr, 1000, _rows(3000, 441))[0] == (
+        1000 * (441 + 300) * 8 + 15 * 1000 * 1000 * 8 + split)
 
 
 def test_memory_estimate_of_nn_counts_hidden_by_input():
@@ -1018,23 +1142,27 @@ def test_memory_estimate_of_nn_counts_hidden_by_input():
 
     d = 1273 * 21  # one-hot on length-1273 sequences
     # the default width is the input dimension: 4 arrays of 5.7 GB each
-    assert memory_estimate(ExperimentConfig(model="nn", encoding="ohe"), d, 20) == (
+    assert memory_estimate(ExperimentConfig(model="nn", encoding="ohe"), 20, _rows(0, d)) == (
         4 * d * d * 8, "--nn-hidden-width")
     # on 6746 used columns the default width is 6746 too
-    assert memory_estimate(ExperimentConfig(model="nn", encoding="ohe"), d, 20, 6746) == (
+    assert memory_estimate(ExperimentConfig(model="nn", encoding="ohe"), 20, _rows(0, 6746)) == (
         4 * 6746 * 6746 * 8, "--nn-hidden-width")
     narrow = ExperimentConfig(model="nn", encoding="ohe", nn_hidden_width=64)
-    assert memory_estimate(narrow, d, 20) == (4 * 64 * d * 8, "--nn-hidden-width")
+    assert memory_estimate(narrow, 20, _rows(0, d)) == (4 * 64 * d * 8, "--nn-hidden-width")
     # 3000 rows: the fit densifies batches of 100 of the 300 train rows; scoring densifies
     # blocks of 8 MiB / (8 * 5339) = 196 test rows, the last with the 2700 % 196 = 152
-    # rows of the remainder, beside w1
+    # rows of the remainder, beside w1 and the scores (2700 x C, and 4 block x C arrays).
+    # The split's indices, labels and class names take 24 bytes a row
     columns = 5339
-    assert memory_estimate(narrow, d, 20, columns, 3000) == (
-        (64 + 196 + 152) * columns * 8, "--nn-hidden-width")
+    assert memory_estimate(narrow, 20, _rows(3000, columns)) == (
+        (64 + 196 + 152) * columns * 8 + 8 * 20 * (2700 + 4 * 348) + 24 * 3000,
+        "--nn-hidden-width")
     # a 40-row corpus trains in one batch of its 4 train rows and scores its 36 test rows at once
-    assert memory_estimate(narrow, d, 20, columns, 40)[0] == (4 * 64 + 4) * columns * 8
+    assert memory_estimate(narrow, 20, _rows(40, columns))[0] == (
+        (4 * 64 + 4) * columns * 8 + 24 * 40)
     # with RFF the width is D, and the fit's 4 D x D arrays beside the weights
-    rff = memory_estimate(ExperimentConfig(model="nn", use_rff=True, rff_dim=1000), d, 20)
+    rff = memory_estimate(ExperimentConfig(model="nn", use_rff=True, rff_dim=1000), 20,
+                          _rows(0, d))
     assert rff == (1000 * d * 8 + 4 * 1000 * 1000 * 8, "--nn-hidden-width or --rff-dim")
 
 
@@ -1042,13 +1170,14 @@ def test_preflight_counts_every_parallel_run(monkeypatch):
     import seqclass.pipeline as pipeline
 
     config = ExperimentConfig(model="nb")
-    per_run, _ = pipeline.memory_estimate(config, 9261, 20)
+    matrix = _rows(0, 9261)
+    per_run, _ = pipeline.memory_estimate(config, 20, matrix)
     monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: int(1.5 * per_run))
-    pipeline._preflight_memory(config, 9261, 20, processes=1)
+    pipeline._preflight_memory(config, 9261, 20, 1, matrix)
     with pytest.raises(InvalidConfig, match="lower --k"):
-        pipeline._preflight_memory(config, 9261, 20, processes=2)
+        pipeline._preflight_memory(config, 9261, 20, 2, matrix)
     monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: None)  # unknown: no check
-    pipeline._preflight_memory(config, 9261, 20, processes=2)
+    pipeline._preflight_memory(config, 9261, 20, 2, matrix)
 
 
 @pytest.mark.parametrize("model, flags", [("nb", []), ("lr", []), ("nb", ["--use-rff", "true"])])
