@@ -57,7 +57,8 @@ class IgTable:
 def position_histograms(
     data: list[LabeledSequence], class_level: str = "country"
 ) -> tuple[np.ndarray, list[str]]:
-    """Joint counts (L, 21, C) of residue-at-position by class, counted in blocks of 21 C rows."""
+    """Joint counts (L, 21, C) of residue-at-position by class, coded and counted in blocks
+    of 21 C rows."""
     if not data:
         raise SingleClass("information gain needs a non-empty corpus")
     L = len(data[0].record.residues)
@@ -72,18 +73,17 @@ def position_histograms(
         raise SingleClass("information gain needs at least two distinct classes")
     C = len(class_names)
 
-    codes, _ = encode_residues(
-        [item.record.id for item in data], [item.record.residues for item in data]
-    )
     A = len(AMINO_ACIDS)
-    codes = codes.reshape(len(data), L)
-    # counts of the joint index (p*A + code)*C + y, in blocks of A*C rows: a block's
-    # keys are the histogram's size, so no (n, L) key array is made, and the integer
-    # counts are the same in any order
+    # counts of the joint index (p*A + code)*C + y, in blocks of A*C rows, each coded just
+    # before it is counted: a block's keys are the histogram's size, so no (n, L) code or
+    # key array is made, and the integer counts are the same in any order
     hist = np.zeros(L * A * C, dtype=np.int64)
     rows, offsets = A * C, np.arange(L) * A
     for start in range(0, len(data), rows):
-        keys = codes[start : start + rows].astype(np.int64)
+        block = data[start : start + rows]
+        codes, _ = encode_residues([item.record.id for item in block],
+                                   [item.record.residues for item in block])
+        keys = codes.reshape(len(block), L).astype(np.int64)
         keys += offsets
         keys *= C
         keys += y[start : start + rows, None]

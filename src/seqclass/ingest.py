@@ -9,20 +9,33 @@ Metadata is a tab-separated table ``id<TAB>continent<TAB>country<TAB>state``
 (header row required; ``state`` may be empty, ``continent`` and ``country``
 may not).
 
+Residues are checked in one place, `residue_codes`: one 256-byte
+``bytes.translate`` table maps each residue to its alphabet index and
+every other byte to 255, whose first occurrence names the bad residue.
+`parse_fasta` checks its records in blocks of about 2^22 residues, and
+`encode_residues` gives the featurizers the same bytes as a numpy array.
+
 Class ids have one owner, `class_ids`: at a chosen level (continent,
 country or state), the distinct names sorted by code point, and each
 sequence's id is its name's index there. Features, splits and
 information gain all see these ids.
+
+Only the functions that build arrays (`encode_residues`, `class_ids`,
+`split_indices`) import numpy, so `seqclass ingest` loads none.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from itertools import accumulate
+from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .errors import (
     ClassTooSmall,
@@ -37,9 +50,11 @@ from .errors import (
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWXY"
 STOP_CHAR = "*"
 
-# byte -> alphabet index; 255 marks every byte outside the alphabet
-_CODE = np.full(256, 255, dtype=np.uint8)
-_CODE[np.frombuffer(AMINO_ACIDS.encode("ascii"), dtype=np.uint8)] = np.arange(len(AMINO_ACIDS))
+# byte -> alphabet index, a bytes.translate table; 255 marks every byte outside the alphabet
+_CODE = bytes(AMINO_ACIDS.index(c) if c in AMINO_ACIDS else 255 for c in map(chr, range(256)))
+# residues parse_fasta checks at once: about 4 MiB for each of the joined block, its
+# ASCII bytes and their codes
+_CHECK_RESIDUES = 1 << 22
 
 CLASS_LEVELS = ("continent", "country", "state")
 
@@ -65,8 +80,8 @@ class LabeledSequence:
     label: LabelHierarchy
 
 
-def encode_residues(ids: Sequence[str], seqs: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Alphabet index (0..20) of every residue, concatenated as uint8, plus per-sequence lengths.
+def residue_codes(ids: Sequence[str], seqs: Sequence[str]) -> bytes:
+    """Alphabet index (0..20) of every residue, concatenated, one byte each.
 
     Raises InvalidResidue for the first character outside the alphabet,
     with its sequence's id, its 1-based position and the character as
@@ -74,14 +89,21 @@ def encode_residues(ids: Sequence[str], seqs: Sequence[str]) -> tuple[np.ndarray
     stay aligned).
     """
     blob = "".join(seqs)
-    codes = _CODE[np.frombuffer(blob.encode("ascii", errors="replace"), dtype=np.uint8)]
+    codes = blob.encode("ascii", errors="replace").translate(_CODE)
+    at = codes.find(255)
+    if at >= 0:
+        ends = list(accumulate(map(len, seqs)))
+        row = bisect_right(ends, at)
+        raise InvalidResidue(ids[row], at - ends[row] + len(seqs[row]) + 1, blob[at])
+    return codes
+
+
+def encode_residues(ids: Sequence[str], seqs: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """`residue_codes` as a read-only uint8 array, plus the int64 per-sequence lengths."""
+    import numpy as np
+
+    codes = np.frombuffer(residue_codes(ids, seqs), dtype=np.uint8)
     lengths = np.fromiter((len(s) for s in seqs), dtype=np.int64, count=len(seqs))
-    bad = codes == 255
-    if bad.any():
-        at = int(np.argmax(bad))
-        ends = np.cumsum(lengths)
-        row = int(np.searchsorted(ends, at, side="right"))
-        raise InvalidResidue(ids[row], int(at - ends[row] + lengths[row]) + 1, blob[at])
     return codes, lengths
 
 
@@ -93,7 +115,8 @@ def parse_fasta(stream: Iterable[str]) -> list[SequenceRecord]:
     empty headers or bodies (a body of only the stop is empty) or
     duplicate ids; once the whole text parses, InvalidResidue for the
     first character outside the alphabet (one trailing stop per record
-    is allowed).
+    is allowed), checked in blocks of records of about _CHECK_RESIDUES
+    residues.
     """
     records: list[SequenceRecord] = []
     seen: set[str] = set()
@@ -127,7 +150,13 @@ def parse_fasta(stream: Iterable[str]) -> list[SequenceRecord]:
                 raise MalformedFasta("sequence data before first '>' header")
             chunks.append(line)
     flush()
-    encode_residues([rec.id for rec in records], [strip_stop(rec).residues for rec in records])
+    start = size = 0
+    for stop, rec in enumerate(records, start=1):
+        size += len(rec.residues)
+        if size >= _CHECK_RESIDUES or stop == len(records):
+            block = records[start:stop]
+            residue_codes([r.id for r in block], [strip_stop(r).residues for r in block])
+            start, size = stop, 0
     return records
 
 
@@ -201,6 +230,8 @@ def label_for_level(label: LabelHierarchy, class_level: str) -> str:
 
 def class_ids(data: Sequence[LabeledSequence], class_level: str) -> tuple[np.ndarray, list[str]]:
     """Each item's class id (int64) and the sorted class names the ids index."""
+    import numpy as np
+
     names = [label_for_level(item.label, class_level) for item in data]
     class_names = sorted(set(names))
     index = {name: i for i, name in enumerate(class_names)}
@@ -209,11 +240,13 @@ def class_ids(data: Sequence[LabeledSequence], class_level: str) -> tuple[np.nda
 
 
 def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
+    return math.floor(x + 0.5)
 
 
 def _largest_remainder(total: int, counts: np.ndarray) -> np.ndarray:
     """Apportion ``total`` across groups proportionally to ``counts``."""
+    import numpy as np
+
     n = counts.sum()
     quotas = total * counts / n
     base = np.floor(quotas).astype(int)
@@ -240,6 +273,8 @@ def split_indices(
     per-class proportions hold within rounding. Both outputs are
     sorted, disjoint and exhaustive.
     """
+    import numpy as np
+
     if n < 1:
         raise EmptyJoin("cannot split an empty corpus")
     if not 0.0 < train_fraction < 1.0:

@@ -6,8 +6,12 @@ projector, model init), resamples the train/test split, fits the chosen
 model on the train rows and scores the test rows. Per-run metrics plus
 their mean and population std land in a JSON report whose bytes are
 reproducible: everything time-derived lives under "timing" keys, which
-`strip_timing` removes for byte-level comparison. Wall-clock runtime is
-measured around fit() only.
+`strip_timing` removes for byte-level comparison. A run's timing gives
+train_runtime_seconds, measured around the model's fit alone, and the
+wall time of each of its stages (`_stage`) as flat keys: split_seconds
+(the split and taking its raw rows), rff_seconds (building the projector
+and projecting rows), fit_seconds (the fit and scoring the test blocks)
+and metrics_seconds.
 
 Every model fits and scores in the used columns: the sorted columns
 of the corpus's feature matrix that hold a nonzero
@@ -44,9 +48,10 @@ GEMM_MIN_DENSITY of the block's cells and than its rows times the
 corpus's longest row), the model's C x used-columns arrays (nn: hidden x
 used-columns, beside one dense batch or score block; the others beside
 one CSR score block), the scores, the split's indices and labels and
-ridge's dense Gram matrix are estimated; a config whose estimate
+ridge's dense Gram matrix are estimated, and, without RFF, the CSR train
+split with the float64 copies the fit makes of it; a config whose estimate
 exceeds physical memory is an InvalidConfig naming the knob that lowers
-it. The raw models' train split is not counted.
+it.
 
 Which columns are used is read off every row, test rows included. So
 a run's RFF features, like the raw models' width, nn's init and its
@@ -101,13 +106,21 @@ _RIDGE_GRAM_ARRAYS = 2
 
 
 @contextmanager
-def _stage(name: str):
-    """Prefix pipeline errors with the stage that raised them."""
+def _stage(name: str, seconds: dict[str, float] | None = None):
+    """Prefix pipeline errors with the stage that raised them.
+
+    With ``seconds``, the stage's wall time is added to its
+    ``<name>_seconds`` key, so a stage entered once per block sums.
+    """
+    tic = time.perf_counter()
     try:
         yield
     except SeqclassError as exc:
         exc.args = (f"[stage:{name}] {exc}",)
         raise
+    finally:
+        if seconds is not None:
+            seconds[f"{name}_seconds"] += time.perf_counter() - tic
 
 
 def physical_memory_bytes() -> int | None:
@@ -126,17 +139,19 @@ def memory_estimate(config: ExperimentConfig, class_count: int, matrix) -> tuple
     those the RFF weights are drawn for. Its rows give the train rows of
     ridge's direct solve, of RFF's projected train split and of nn's
     batches, and the test rows that set the largest score block; its
-    nonzeros, the train split's share that ridge's dual copies as X'. Its
-    longest row bounds the nonzeros of any block of rows: those of a raw
-    CSR score block, and, with GEMM_MIN_DENSITY of its columns, those that
-    scipy's route in rff.project_rows copies. Raw nn densifies each batch
-    and score block.
+    nonzeros, the train split's share: that a raw run's CSR train split
+    holds throughout, that the fit copies (`_fit_copy_bytes`) and that
+    ridge's dual copies as X'. Its longest row bounds the nonzeros of any
+    block of rows: those of a raw CSR score block, and, with
+    GEMM_MIN_DENSITY of its columns, those that scipy's route in
+    rff.project_rows copies. Raw nn densifies each batch and score block.
     """
     corpus_size, columns = matrix.shape
     corpus_nnz, longest_row, value_bytes = matrix.nnz, _longest_row(matrix), matrix.data.itemsize
     model_columns = config.rff_dim if config.use_rff else columns
     n_train = _round_half_up(config.train_fraction * corpus_size)
     n_test = corpus_size - n_train
+    train_nnz = corpus_nnz * n_train // max(corpus_size, 1)
     rows = _score_block_rows(config, columns, longest_row, value_bytes)
     # the largest block of test rows; a dense block takes a short remainder (_single_run)
     block = min(n_test, rows + n_test % rows if _dense_blocks(config) else rows)
@@ -147,8 +162,12 @@ def memory_estimate(config: ExperimentConfig, class_count: int, matrix) -> tuple
     # their two dense copies, or lr's or ridge's weights
     reads = ({"majority": 0, "nn": 0, "nb": 4 if config.use_rff else 2}.get(config.model, 1)
              * class_count * model_columns * 8)
-    # held throughout: the split's row indices, their labels and the class names it reads
+    # held throughout: the split's row indices, their labels and the class names it reads,
+    # and a raw run's CSR train split
     split = 24 * corpus_size
+    if not config.use_rff:
+        split += train_nnz * (value_bytes + 4) + 8 * n_train
+    fit_copies = _fit_copy_bytes(config, matrix.dtype, train_nnz, n_train)
     if config.model == "nn":
         hidden = model_columns if config.nn_hidden_width is None else config.nn_hidden_width
         # the fit's arrays beside one dense batch, or w1 beside one dense raw score block
@@ -167,10 +186,12 @@ def memory_estimate(config: ExperimentConfig, class_count: int, matrix) -> tuple
             needed = (_RIDGE_GRAM_ARRAYS * side * side * 8 + GEMM_BLOCK_BYTES
                       + 8 * n_train * class_count)
             if n_train <= model_columns and not config.use_rff:
-                needed += 12 * (corpus_nnz * n_train // corpus_size)
+                needed += 12 * train_nnz
+        needed += fit_copies
         knob = "--train-fraction" if n_train <= model_columns else "--k"
     else:
-        needed = _MODEL_PEAK_ARRAYS.get(config.model, 0) * class_count * model_columns * 8
+        needed = (_MODEL_PEAK_ARRAYS.get(config.model, 0) * class_count * model_columns * 8
+                  + fit_copies)
         knob = "--k"
     if not config.use_rff and config.model != "nn" and n_test:
         # one CSR score block and the scores beside the arrays scoring reads
@@ -282,6 +303,24 @@ def _fit(config: ExperimentConfig, X_train, y_train, class_count: int, seed: int
     return model, scores, diagnostics
 
 
+def _fit_copy_bytes(config: ExperimentConfig, dtype, train_nnz: int, n_train: int) -> int:
+    """Bytes the fit of a raw CSR train split copies of it beside the split.
+
+    `rff._as_2d` copies integer counts to float64 values over the split's
+    index arrays (8 bytes a nonzero) for nb, lr and ridge. gnb_fit also
+    squares them (`_squared`, 8 more) and takes scipy's mean of the split,
+    which scales a full copy (12 bytes a nonzero and the row pointers).
+    Majority and nn copy nothing: nn densifies its batches (`gather_rows`).
+    With RFF the fit sees the dense projection, counted on its own.
+    """
+    if config.use_rff or config.model not in ("nb", "lr", "ridge"):
+        return 0
+    copies = 8 * train_nnz if dtype != np.float64 else 0
+    if config.model == "nb":
+        copies += train_nnz * (8 + 12) + 8 * n_train
+    return copies
+
+
 def _dense_blocks(config: ExperimentConfig) -> bool:
     """Whether test rows are scored as dense blocks: RFF projections, or raw nn's densified rows."""
     return config.use_rff or config.model == "nn"
@@ -322,26 +361,26 @@ def _score_block_rows(config: ExperimentConfig, columns: int, longest_row: float
 def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: int):
     """One repetition: split, optional projection, fit, then scoring in blocks of test rows."""
     seeds = _run_seeds(config, run_index)
-    with _stage("split"):
+    seconds = dict.fromkeys(["split_seconds", "rff_seconds", "fit_seconds", "metrics_seconds"], 0.0)
+    with _stage("split", seconds):
         # by name, so that ClassTooSmall names the class (object dtype: see split_indices)
         names = np.asarray(feats.class_names, dtype=object)[feats.labels]
         train_idx, test_idx = split_indices(feats.matrix.shape[0], config.train_fraction,
                                             seeds["split"], names if config.stratified else None)
-
-    y_train = feats.labels[train_idx]
-    y_test = feats.labels[test_idx]
+        y_train = feats.labels[train_idx]
+        y_test = feats.labels[test_idx]
+        if not config.use_rff:
+            X_train = feats.matrix[train_idx]
 
     projector = None
     if config.use_rff:
-        with _stage("rff"):
+        with _stage("rff", seconds):
             gamma = default_gamma(feats.dim) if config.rff_gamma is None else config.rff_gamma
             projector = new_projector(feats.matrix.shape[1], config.rff_dim, gamma, seeds["rff"])
             X_train = project_rows(projector, feats.matrix, train_idx)
-    else:
-        X_train = feats.matrix[train_idx]
 
     class_count = len(feats.class_names)
-    with _stage("fit"):
+    with _stage("fit", seconds):
         tic = time.perf_counter()
         model, model_scores, diagnostics = _fit(config, X_train, y_train, class_count,
                                                 seeds["model"])
@@ -355,19 +394,21 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
     scores = np.empty((n_test, class_count))
     for start, stop in zip(starts, [*starts[1:], n_test]):
         if projector is None:
-            X_block = matrix[test_idx[start:stop]]
+            with _stage("split", seconds):
+                X_block = matrix[test_idx[start:stop]]
         else:
-            with _stage("rff"):
+            with _stage("rff", seconds):
                 X_block = project_rows(projector, matrix, test_idx[start:stop])
-        with _stage("fit"):
+        with _stage("fit", seconds):
             scores[start:stop] = model_scores(model, X_block)
         del X_block  # freed before the next block is made
-    with _stage("fit"):  # nb's -inf is a score; NaN is a failed fit, such as overflowed weights
+    # nb's -inf is a score; NaN is a failed fit, such as overflowed weights
+    with _stage("fit", seconds):
         if np.isnan(scores).any():
             raise NonFiniteLoss(f"the {config.model} model scored NaN for a test row")
     predictions = np.argmax(scores, axis=1)
 
-    with _stage("metrics"):
+    with _stage("metrics", seconds):
         metrics = summarize(confusion(y_test, predictions, class_count))
         metrics["roc_auc_weighted_ovr"] = roc_auc_ovr_weighted(scores, y_test)
     return {
@@ -377,7 +418,7 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
         "test_size": int(len(test_idx)),
         "metrics": metrics,
         "diagnostics": diagnostics,
-        "timing": {"train_runtime_seconds": fit_seconds},
+        "timing": {"train_runtime_seconds": fit_seconds, **seconds},
     }
 
 

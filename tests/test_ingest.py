@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import seqclass.ingest as ingest
 from seqclass.cli import main
 from seqclass.errors import (
     ClassTooSmall,
@@ -23,10 +24,12 @@ from seqclass.ingest import (
     SequenceRecord,
     class_ids,
     join_metadata,
+    encode_residues,
     label_for_level,
     load_corpus,
     parse_fasta,
     read_metadata_tsv,
+    residue_codes,
     save_corpus,
     split_indices,
     strip_stop,
@@ -102,6 +105,82 @@ def test_structural_fault_is_reported_before_a_bad_residue():
     for text in (">s1\nMDZ\n>s2\n>s3\nAAA\n", ">s1\nMDZ\n>s1\nAAA\n", ">s1\nMDZ\nAA\nQQ\n>\n"):
         with pytest.raises(MalformedFasta):
             parse_fasta(io.StringIO(text))
+
+
+def _numpy_codes(text: str) -> np.ndarray:
+    """The numpy table lookup that the bytes.translate table replaced."""
+    table = np.full(256, 255, dtype=np.uint8)
+    table[np.frombuffer(AMINO_ACIDS.encode("ascii"), dtype=np.uint8)] = np.arange(len(AMINO_ACIDS))
+    return table[np.frombuffer(text.encode("ascii", errors="replace"), dtype=np.uint8)]
+
+
+def test_translate_codes_equal_the_numpy_lookup(rng):
+    every_byte = "".join(map(chr, range(256)))  # code points above 127 become "?"
+    assert ingest._CODE[:128] == _numpy_codes(every_byte)[:128].tobytes()
+    assert ingest._CODE[128:] == b"\xff" * 128
+    texts = ["".join(map(chr, range(128))), AMINO_ACIDS, AMINO_ACIDS[::-1] * 3,
+             "".join(rng.choice(list(AMINO_ACIDS), 5000)),
+             "".join(map(chr, rng.integers(0, 128, 5000))),
+             "AC\u00e9D\u4e2dE\U0001f600Y\udcff", "\u00e9" * 3 + "ACD"]
+    for text in texts:
+        want = _numpy_codes(text)
+        assert text.encode("ascii", errors="replace").translate(ingest._CODE) == want.tobytes()
+        bad = np.flatnonzero(want == 255)
+        if bad.size == 0:
+            codes, lengths = encode_residues(["s"], [text])
+            assert codes.dtype == want.dtype and codes.tobytes() == want.tobytes()
+            assert residue_codes(["s"], [text]) == want.tobytes()
+            assert lengths.tolist() == [len(text)]
+            continue
+        for check in (residue_codes, encode_residues):
+            with pytest.raises(InvalidResidue) as err:
+                check(["s"], [text])
+            assert (err.value.position, err.value.char) == (bad[0] + 1, text[bad[0]])
+
+
+def _fasta_with(seqs, bad_row, bad):
+    seqs = list(seqs)
+    seqs[bad_row] = bad
+    return "".join(f">q{i}\n{s}\n" for i, s in enumerate(seqs))
+
+
+@pytest.mark.parametrize("bad_row, bad, position, char", [
+    (299, "A" * 39 + "Z", 40, "Z"),  # the last record, in the last block
+    (52, "A" * 10 + "\u00e9" + "A" * 29, 11, "\u00e9"),  # inside the second 2000-residue block
+    (50, "A" * 39 + "-", 40, "-"),  # the record that carries a block past 2001 residues
+    (49, "A" * 39 + "B", 40, "B"),  # its last residue is the 2000th, past a 1999 block
+])
+def test_parse_fasta_names_a_bad_residue_in_any_block(rng, monkeypatch, bad_row, bad,
+                                                      position, char):
+    """parse_fasta checks records in blocks of at least _CHECK_RESIDUES residues (here 2000,
+    so 50 records of 40): a bad residue in the last block, or in the record whose residues
+    carry a block past the size, is named as one check of the whole corpus names it."""
+    text = _fasta_with(random_sequences(rng, 300, 40), bad_row, bad)
+    reports = []
+    for block in (1 << 22, 2000, 1999, 2001, 1):
+        monkeypatch.setattr(ingest, "_CHECK_RESIDUES", block)
+        with pytest.raises(InvalidResidue) as err:
+            parse_fasta(io.StringIO(text))
+        reports.append((err.value.seq_id, err.value.position, err.value.char))
+    assert reports == [(f"q{bad_row}", position, char)] * 5
+
+
+def test_parse_fasta_names_the_first_bad_residue_of_several_blocks(rng, monkeypatch):
+    seqs = random_sequences(rng, 300, 40)
+    seqs[280] = "A" * 5 + "J" + "A" * 34
+    text = _fasta_with(seqs, 120, "A" * 20 + "O" + "A" * 19)
+    monkeypatch.setattr(ingest, "_CHECK_RESIDUES", 2000)
+    with pytest.raises(InvalidResidue) as err:
+        parse_fasta(io.StringIO(text))
+    assert (err.value.seq_id, err.value.position, err.value.char) == ("q120", 21, "O")
+
+
+def test_round_half_up_matches_numpy_floor(rng):
+    values = [0.0, 0.5, 1.5, 2.5, -0.5, -1.5, 0.49999999999999994, 2**52 + 0.5, 1e300, -1e300,
+              *(rng.random(1000) * 1e6), *(np.arange(-40, 41) / 2)]
+    for x in map(float, values):
+        got = ingest._round_half_up(x)
+        assert type(got) is int and got == int(np.floor(x + 0.5))
 
 
 def test_strip_stop():

@@ -161,6 +161,29 @@ def test_experiment_is_deterministic():
     assert stripped["runs"][0]["diagnostics"] == {"kind": "ridge", "alpha": 1.0, "solver": "dual"}
 
 
+@pytest.mark.parametrize("use_rff", [False, True])
+def test_runs_time_each_stage(monkeypatch, use_rff):
+    """Each run's timing gives the seconds of its split, rff, fit and metrics stages as flat
+    keys; the fit stage holds the fit that train_runtime_seconds times, and scoring."""
+    import seqclass.pipeline as pipeline
+
+    clock = iter(range(1000))
+    monkeypatch.setattr(pipeline.time, "perf_counter", lambda: float(next(clock)))
+    data = labeled_corpus({"a": 40, "b": 30, "c": 30}, seed=5)
+    config = ExperimentConfig(model="nb", use_rff=use_rff, rff_dim=32, runs=2)
+    report = run_experiment(config, data)
+    for run in report["runs"]:
+        timing = run["timing"]
+        assert list(timing) == ["train_runtime_seconds", "split_seconds", "rff_seconds",
+                                "fit_seconds", "metrics_seconds"]
+        assert all(isinstance(value, float) and value > 0 for key, value in timing.items()
+                   if key != "rff_seconds")
+        assert (timing["rff_seconds"] > 0) == use_rff
+        assert timing["fit_seconds"] > timing["train_runtime_seconds"]
+    assert list(report["aggregate"]["timing"]) == ["train_runtime_seconds_mean",
+                                                   "train_runtime_seconds_std"]
+
+
 def test_rff_path_records_dims():
     data = labeled_corpus({"a": 40, "b": 40}, seed=11)
     config = ExperimentConfig(model="lr", use_rff=True, rff_dim=64,
@@ -446,8 +469,10 @@ def test_cli_flag_overrides(tmp_path):
     assert report["config"]["runs"] == 1
 
 
-def _exit_code_and_scipy_modules(argv: list[str]) -> str:
-    """Run a CLI command in a fresh interpreter; its exit code and the scipy modules it loaded."""
+def _exit_code_and_modules(argv: list[str] | None, package: str = "scipy") -> str:
+    """Run a CLI command in a fresh interpreter; its exit code and the modules of ``package``
+    it loaded. With no ``argv``, the exit code is 0 and the modules are those that importing
+    seqclass.cli loads."""
     import os
     import subprocess
     import sys
@@ -456,18 +481,22 @@ def _exit_code_and_scipy_modules(argv: list[str]) -> str:
 
     src = os.path.dirname(os.path.dirname(seqclass.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = (f"import sys; from seqclass.cli import main; code = main({argv!r}); "
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = "code = 0" if argv is None else f"code = main({argv!r})"
+    code = (f"import sys; from seqclass.cli import main; {run}; "
+            f"print(code, sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     return out.stdout.splitlines()[-1]
 
 
 def test_cli_ingest_leaves_scipy_out(tmp_path):
-    """ingest, all of the benchmark's set-up time, loads neither scipy nor the modules that need it."""
+    """ingest, all of the benchmark's set-up time, loads neither scipy nor numpy nor the modules
+    that need them; nor does importing the CLI."""
     _, fasta, meta, _ = _write_inputs(tmp_path, {"a": 5, "b": 5})
     argv = ["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--out", str(tmp_path / "c")]
-    assert _exit_code_and_scipy_modules(argv) == "0 []"
+    for package in ("scipy", "numpy"):
+        assert _exit_code_and_modules(argv, package) == "0 []"
+        assert _exit_code_and_modules(None, package) == "0 []"
 
 
 def test_cli_ig_leaves_scipy_out(tmp_path):
@@ -475,14 +504,14 @@ def test_cli_ig_leaves_scipy_out(tmp_path):
     _, _, _, corpus = _write_inputs(tmp_path, {"a": 5, "b": 5}, length=12)
     argv = ["ig", "--corpus", str(corpus), "--out", str(tmp_path / "ig.csv"),
             "--histograms", str(tmp_path / "hist.json")]
-    assert _exit_code_and_scipy_modules(argv) == "0 []"
+    assert _exit_code_and_modules(argv) == "0 []"
 
 
 def test_cli_run_lr_leaves_scipy_optimize_out(tmp_path):
     """lr is fitted by linear_models' own L-BFGS, raw and on RFF features."""
     _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
     for flags in ([], ["--use-rff", "true", "--rff-dim", "16"]):
-        out = _exit_code_and_scipy_modules(["run", "--corpus", str(corpus), "--model", "lr",
+        out = _exit_code_and_modules(["run", "--corpus", str(corpus), "--model", "lr",
                                             "--runs", "1", *flags])
         assert out.startswith("0 ['scipy'")
         assert "scipy.optimize" not in out
@@ -491,7 +520,7 @@ def test_cli_run_lr_leaves_scipy_optimize_out(tmp_path):
 def test_cli_run_ridge_leaves_scipy_linalg_out(tmp_path):
     """ridge's dual solve is numpy's: neither scipy.linalg nor scipy.sparse.linalg is loaded."""
     _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
-    out = _exit_code_and_scipy_modules(["run", "--corpus", str(corpus), "--model", "ridge",
+    out = _exit_code_and_modules(["run", "--corpus", str(corpus), "--model", "ridge",
                                         "--runs", "1"])  # 2 train rows on 3-mers: the dual
     assert out.startswith("0 ['scipy'")
     assert "scipy.linalg" not in out and "scipy.sparse.linalg" not in out
@@ -993,7 +1022,9 @@ TRACED_PEAK_CASES = {
 @pytest.mark.parametrize("model, use_rff, n, d, density", TRACED_PEAK_CASES.values(),
                          ids=TRACED_PEAK_CASES.keys())
 def test_memory_estimate_matches_traced_peak(model, use_rff, n, d, density):
-    """The C x d (h x d, D x d, Gram) array count of the estimate, against tracemalloc's peak."""
+    """The C x d (h x d, D x d, Gram) array count of the estimate, against tracemalloc's peak.
+
+    The train split is taken from the corpus inside the trace, as a run takes it."""
     import tracemalloc
 
     import scipy.sparse as sp
@@ -1009,8 +1040,11 @@ def test_memory_estimate_matches_traced_peak(model, use_rff, n, d, density):
     config = ExperimentConfig(model=model, use_rff=use_rff, rff_dim=D, nn_hidden_width=h,
                               train_fraction=0.5)
     # n train rows, and a test split as dense as X
-    estimate, _ = memory_estimate(config, C, sp.vstack([X, X], format="csr"))
+    corpus = sp.vstack([X, X], format="csr")
+    estimate, _ = memory_estimate(config, C, corpus)
+    del X
     tracemalloc.start()
+    X = corpus[np.arange(n)]
     if model == "ridge":
         lm.ridge_scores(lm.ridge_fit(X, y, class_count=C), X)
     elif use_rff:
@@ -1078,6 +1112,37 @@ def test_memory_estimate_covers_a_ragged_rff_block_on_scipys_route(monkeypatch):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak <= estimate
+
+
+def test_memory_estimate_covers_the_raw_train_split_and_its_fit_copies(monkeypatch):
+    """A raw run holds its CSR train split throughout, and nb, lr and ridge fit a float64
+    copy of its counts (nb its square and a scaled copy for scipy's mean too). On the
+    ragged 3000-sequence generator corpus at k = 3, no estimate falls below 0.9 of the
+    traced peak of the run, with 10 % or 90 % of the rows in the train split."""
+    import tracemalloc
+
+    import seqclass.pipeline as pipeline
+    from seqclass.features import featurize_corpus, used_columns
+
+    data = [LabeledSequence(SequenceRecord(item.record.id, item.record.residues[:150]),
+                            item.label) if row >= 2000 else item
+            for row, item in enumerate(_generator_corpus(monkeypatch, 3000, 1, 1 / 3))]
+    feats = featurize_corpus(data, "kmers", k=3)
+    feats = replace(feats, matrix=used_columns(feats.matrix))
+    assert feats.matrix.dtype == np.uint8
+    short = {}
+    for fraction in (0.1, 0.9):
+        for model in ("majority", "nb", "lr", "ridge"):
+            config = ExperimentConfig(model=model, k=3, train_fraction=fraction, runs=1,
+                                      lr_max_iters=20)  # past LBFGS_MEMORY iterations
+            estimate, _ = pipeline.memory_estimate(config, len(feats.class_names), feats.matrix)
+            tracemalloc.start()
+            pipeline._single_run(config, feats, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            if estimate < 0.9 * peak:
+                short[model, fraction] = (estimate, peak)
+    assert short == {}
 
 
 def test_memory_estimate_at_long_kmers():
@@ -1152,14 +1217,15 @@ def test_memory_estimate_of_nn_counts_hidden_by_input():
     # 3000 rows: the fit densifies batches of 100 of the 300 train rows; scoring densifies
     # blocks of 8 MiB / (8 * 5339) = 196 test rows, the last with the 2700 % 196 = 152
     # rows of the remainder, beside w1 and the scores (2700 x C, and 4 block x C arrays).
-    # The split's indices, labels and class names take 24 bytes a row
+    # The split's indices, labels and class names take 24 bytes a row, and the CSR train
+    # split's row pointers 8 bytes a train row (these rows hold no nonzeros)
     columns = 5339
     assert memory_estimate(narrow, 20, _rows(3000, columns)) == (
-        (64 + 196 + 152) * columns * 8 + 8 * 20 * (2700 + 4 * 348) + 24 * 3000,
+        (64 + 196 + 152) * columns * 8 + 8 * 20 * (2700 + 4 * 348) + 24 * 3000 + 8 * 300,
         "--nn-hidden-width")
     # a 40-row corpus trains in one batch of its 4 train rows and scores its 36 test rows at once
     assert memory_estimate(narrow, 20, _rows(40, columns))[0] == (
-        (4 * 64 + 4) * columns * 8 + 24 * 40)
+        (4 * 64 + 4) * columns * 8 + 24 * 40 + 8 * 4)
     # with RFF the width is D, and the fit's 4 D x D arrays beside the weights
     rff = memory_estimate(ExperimentConfig(model="nn", use_rff=True, rff_dim=1000), 20,
                           _rows(0, d))
