@@ -76,6 +76,16 @@ def _squared(X: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((X.data**2, X.indices, X.indptr), shape=X.shape)
 
 
+def _column_means(X: sp.csr_matrix) -> np.ndarray:
+    """X.mean(axis=0) of a float64 CSR as a flat array, bit for bit, without scipy's copy.
+
+    scipy scales a copy of X by 1/n and sums each column in row order; the
+    product of X's transpose, a CSC view of its arrays, with a vector of
+    1/n scales each value by the same factor and sums in the same order.
+    """
+    return X.T @ np.full(X.shape[0], 1.0 / X.shape[0])
+
+
 def gnb_fit(X, y, class_count: int | None = None) -> GaussianNbModel:
     """Per-class Gaussian likelihoods with a relative variance floor.
 
@@ -93,8 +103,7 @@ def gnb_fit(X, y, class_count: int | None = None) -> GaussianNbModel:
     sparse = sp.issparse(X)
     if sparse:
         Xsq = _squared(X)
-        global_mean = np.asarray(X.mean(axis=0)).ravel()
-        global_var = np.asarray(Xsq.mean(axis=0)).ravel() - global_mean**2
+        global_var = _column_means(Xsq) - _column_means(X)**2
     else:
         global_var = X.var(axis=0)
     max_var = float(global_var.max()) if d else 0.0
@@ -403,7 +412,7 @@ def _ridge_dual(X, targets: np.ndarray, alpha: float) -> tuple[np.ndarray, np.nd
     weights = np.asarray(X.T @ beta)  # (d, C)
     # a column no row touches adds an exact 0 to mean(X) W; leaving those
     # out keeps the sum's order, and so its bits, free of the input width
-    means = np.asarray(X.mean(axis=0)).ravel()
+    means = _column_means(X) if sp.issparse(X) else X.mean(axis=0)
     used = np.flatnonzero(means)
     bias = t_mean - means[used] @ weights[used]
     return weights.T.copy(), bias

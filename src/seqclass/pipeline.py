@@ -11,7 +11,10 @@ train_runtime_seconds, measured around the model's fit alone, and the
 wall time of each of its stages (`_stage`) as flat keys: split_seconds
 (the split and taking its raw rows), rff_seconds (building the projector
 and projecting rows), fit_seconds (the fit and scoring the test blocks)
-and metrics_seconds.
+and metrics_seconds, then peak_rss_mb: the process's ru_maxrss in MiB
+when the run ends (None where the `resource` module is missing). Linux
+carries ru_maxrss over an exec, so a process spawned from a larger one
+reads at least that one's resident set at the spawn.
 
 Every model fits and scores in the used columns: the sorted columns
 of the corpus's feature matrix that hold a nonzero
@@ -24,34 +27,47 @@ built over the used columns too, with gamma still 1/(nominal width) by
 default. The report's feature_dim stays nominal, and feature_columns
 gives the used columns.
 
-No run holds its whole test split: one n_test x C score array is filled
-block by block, each block's rows taken from the corpus matrix by test
-index or, with RFF, projected from it just before they are scored
-(rff.project_rows, rff.project's GEMM loop, which makes no CSR copy of the
-rows; the train split is projected the same way). A dense block, of D
-columns with RFF or of the used columns raw nn densifies, is
-rff.gemm_rows of its width, as every dense block is; a dense GEMM can
-round by its height, so a remainder shorter than a block joins the last
-one. A CSR block is rff.GEMM_BLOCK_BYTES over every byte the corpus's
-longest row holds while scored: its slice (5 bytes a nonzero for uint8
-counts), `rff._as_2d`'s float64 copy of its values (8) and nb's square of
-them (8), which every CSR model's blocks leave room for. scipy's CSR
+No run holds its whole test split, nor its train split once the fit
+returns: one n_test x C score array is filled block by block, each
+block's rows taken from the corpus matrix by test index or, with RFF,
+projected from it just before they are scored (rff.project_rows, which
+makes no CSR copy of the rows; the train split is projected the same
+way). Dense blocks, RFF projections and raw nn's densified rows, are
+balanced (`_block_bounds`): the test rows form ceil(n_test / step)
+blocks whose heights differ by at most one row, so none is shorter than
+half a step. Raw nn's step is rff.gemm_rows of the used columns, as
+every dense block's is. RFF's is rff.gemm_rows of the wider of the used
+columns and D: each block is one projection GEMM, whose output is the
+array scored, and no block's projection is over rff.GEMM_BLOCK_BYTES.
+A dense product can round by its height. On a 2-core host's OpenBLAS
+the rows of a 1000 x 20 score product kept their bits from about 50
+rows on, but those of 3-column products differed from a 3000-row
+product's at heights up to 330 rows (1000 x 3) or up to 1500 (64 x 3
+and 256 x 3); so at few classes a dense block's scores can differ from
+a taller block's in their last bits (within 1e-14 of the largest
+score), though argmax, and so the report, rarely moves. A CSR block is
+rff.GEMM_BLOCK_BYTES over every byte the corpus's longest row holds
+while scored: its slice (5 bytes a nonzero for uint8 counts),
+`rff._as_2d`'s float64 copy of its values (8) and nb's square of them
+(8), which every CSR model's blocks leave room for. scipy's CSR
 products score each row on its own, so they give the same bits in any
 blocking, and a CSR remainder is a block of its own. A NaN score is a
 numerical failure (NonFiniteLoss), as when an nn's last step leaves
 weights whose products overflow.
 
-Before the first run, the peak bytes of the RFF weights, the
-projected train split, one projection block and one score block (with
-their CSR copies on scipy's route, whose nonzeros are fewer than
-GEMM_MIN_DENSITY of the block's cells and than its rows times the
-corpus's longest row), the model's C x used-columns arrays (nn: hidden x
-used-columns, beside one dense batch or score block; the others beside
-one CSR score block), the scores, the split's indices and labels and
-ridge's dense Gram matrix are estimated, and, without RFF, the CSR train
-split with the float64 copies the fit makes of it; a config whose estimate
-exceeds physical memory is an InvalidConfig naming the knob that lowers
-it.
+Before the first run, the peak bytes of a run are estimated
+(`memory_estimate`): held throughout, the corpus matrix, the split's
+indices and labels and the RFF weights; beside the fit, the train split
+(CSR with the float64 copies the fit makes of it, or its projection),
+the model's C x used-columns arrays (nn: hidden x used-columns, beside
+one dense batch) and ridge's dense Gram matrix; while scoring, one block
+(a block's projection, or raw nn's dense or a CSR score block), the
+arrays scoring reads and the scores. Projecting rows holds a gather
+buffer of up to one GEMM's rows, or on scipy's route the CSR copies of
+the rows, whose nonzeros are fewer than GEMM_MIN_DENSITY of the rows'
+cells and than their count times the corpus's longest row. A config whose
+estimate exceeds physical memory is an InvalidConfig naming the knob
+that lowers it.
 
 Which columns are used is read off every row, test rows included. So
 a run's RFF features, like the raw models' width, nn's init and its
@@ -66,6 +82,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -132,7 +149,7 @@ def physical_memory_bytes() -> int | None:
 
 
 def memory_estimate(config: ExperimentConfig, class_count: int, matrix) -> tuple[int, str]:
-    """Peak bytes of one run's RFF weights and model arrays, and the knobs that lower them.
+    """Peak bytes of one run, beside its corpus's matrix, and the knobs that lower them.
 
     ``matrix`` is the corpus's CSR matrix on its used columns: those the
     raw-feature models fit in, and so the nn's default hidden width, and
@@ -140,11 +157,18 @@ def memory_estimate(config: ExperimentConfig, class_count: int, matrix) -> tuple
     ridge's direct solve, of RFF's projected train split and of nn's
     batches, and the test rows that set the largest score block; its
     nonzeros, the train split's share: that a raw run's CSR train split
-    holds throughout, that the fit copies (`_fit_copy_bytes`) and that
-    ridge's dual copies as X'. Its longest row bounds the nonzeros of any
-    block of rows: those of a raw CSR score block, and, with
-    GEMM_MIN_DENSITY of its columns, those that scipy's route in
-    rff.project_rows copies. Raw nn densifies each batch and score block.
+    holds, that the fit copies (`_fit_copy_bytes`) and that ridge's dual
+    copies as X'. Its longest row bounds the nonzeros of any block of
+    rows: those of a raw CSR score block, and, with GEMM_MIN_DENSITY of
+    its columns, those that scipy's route in rff.project_rows copies. Raw
+    nn densifies each batch and score block.
+
+    A run holds the train split, raw or projected, beside the fit alone
+    (`_single_run`), so the peak is the larger of the fit's and scoring's,
+    beside what the run holds throughout: the corpus matrix it reads, the
+    split's indices and labels and, with RFF, the weights. Scoring an RFF
+    block holds that block's projection, one GEMM's output: no
+    n_block x D array is assembled.
     """
     corpus_size, columns = matrix.shape
     corpus_nnz, longest_row, value_bytes = matrix.nnz, _longest_row(matrix), matrix.data.itemsize
@@ -153,8 +177,7 @@ def memory_estimate(config: ExperimentConfig, class_count: int, matrix) -> tuple
     n_test = corpus_size - n_train
     train_nnz = corpus_nnz * n_train // max(corpus_size, 1)
     rows = _score_block_rows(config, columns, longest_row, value_bytes)
-    # the largest block of test rows; a dense block takes a short remainder (_single_run)
-    block = min(n_test, rows + n_test % rows if _dense_blocks(config) else rows)
+    block = int(np.diff(_block_bounds(config, n_test, rows)).max(initial=0))
     # the float64 n_test x C scores every block writes into, and the 4 block x C arrays
     # at most that a block's scores pass through (lr's softmax)
     scores = 8 * class_count * (n_test + 4 * block)
@@ -162,72 +185,75 @@ def memory_estimate(config: ExperimentConfig, class_count: int, matrix) -> tuple
     # their two dense copies, or lr's or ridge's weights
     reads = ({"majority": 0, "nn": 0, "nb": 4 if config.use_rff else 2}.get(config.model, 1)
              * class_count * model_columns * 8)
-    # held throughout: the split's row indices, their labels and the class names it reads,
-    # and a raw run's CSR train split
-    split = 24 * corpus_size
-    if not config.use_rff:
-        split += train_nnz * (value_bytes + 4) + 8 * n_train
-    fit_copies = _fit_copy_bytes(config, matrix.dtype, train_nnz, n_train)
+    # held throughout: the corpus matrix and its labels, the split's row indices, their
+    # labels and the class names it reads
+    held = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes + 32 * corpus_size
+    # held beside the fit alone: the raw CSR train split, or its dense projection
+    train = (8 * config.rff_dim * n_train if config.use_rff
+             else train_nnz * (value_bytes + 4) + 8 * n_train)
+    fit_copies = _fit_copy_bytes(config, matrix.dtype, train_nnz)
+    scoring = 0
     if config.model == "nn":
         hidden = model_columns if config.nn_hidden_width is None else config.nn_hidden_width
         # the fit's arrays beside one dense batch, or w1 beside one dense raw score block
         # and the scores
         batch = min(config.nn_batch_size, n_train)
-        needed = (_NN_PEAK_ARRAYS * hidden + batch) * model_columns * 8
+        fitting = (_NN_PEAK_ARRAYS * hidden + batch) * model_columns * 8
         if not config.use_rff:
-            needed = max(needed, (hidden + block) * columns * 8 + scores)
+            scoring = (hidden + block) * columns * 8 + scores
         knob = "--nn-hidden-width"
     elif config.model == "ridge":
         # the direct solve's min(n, columns + 1)^2 arrays, one block, the n x C
         # targets and the dual's X' of a CSR X; CG holds none of these
         side = min(n_train, model_columns + 1)
-        needed = 0
+        fitting = 0
         if 0 < side <= lm.RIDGE_DENSE_LIMIT:
-            needed = (_RIDGE_GRAM_ARRAYS * side * side * 8 + GEMM_BLOCK_BYTES
-                      + 8 * n_train * class_count)
+            fitting = (_RIDGE_GRAM_ARRAYS * side * side * 8 + GEMM_BLOCK_BYTES
+                       + 8 * n_train * class_count)
             if n_train <= model_columns and not config.use_rff:
-                needed += 12 * train_nnz
-        needed += fit_copies
+                fitting += 12 * train_nnz
+        fitting += fit_copies
         knob = "--train-fraction" if n_train <= model_columns else "--k"
     else:
-        needed = (_MODEL_PEAK_ARRAYS.get(config.model, 0) * class_count * model_columns * 8
-                  + fit_copies)
+        fitting = (_MODEL_PEAK_ARRAYS.get(config.model, 0) * class_count * model_columns * 8
+                   + fit_copies)
         knob = "--k"
     if not config.use_rff and config.model != "nn" and n_test:
         # one CSR score block and the scores beside the arrays scoring reads
         nonzero = _csr_nonzero_bytes(value_bytes, squared=config.model == "nb")
-        needed = max(needed, int(reads + block * longest_row * nonzero) + scores)
+        scoring = int(reads + block * longest_row * nonzero) + scores
     if config.use_rff:
-        # The D x used-columns weights and the dense n_train x D train split are held
-        # throughout. Beside them lies the largest of: the model's arrays in the fit;
-        # what rff.project_rows holds beside the train split it projects; or that with
-        # the largest block of test rows, its projection, which gnb_scores squares,
-        # the arrays scoring reads and the scores. rff.uses_gemm picks each block's
-        # route from its own density, so on a ragged corpus a block can take either
-        # route, unless even rows as long as the longest fall short of the GEMM route.
-        # The GEMM route holds its gather buffer and, for rows beyond one GEMM, one
-        # GEMM's projection; scipy's route holds the rows taken and project's float64
-        # copy of their values. Rows take scipy's route only below GEMM_MIN_DENSITY of
-        # their columns, so their nonzeros are fewer than that, and than the rows
-        # times the longest row.
+        # The D x used-columns weights are held throughout. Beside them lies the larger
+        # of: the projected train split with the model's arrays in the fit or with what
+        # rff.project_rows holds while it projects the split; or the largest block of
+        # test rows, what projecting it holds, its projection, which gnb_scores squares,
+        # the arrays scoring reads and the scores. rff.uses_gemm picks each call's route
+        # from its rows' own density, so on a ragged corpus a call can take either route,
+        # unless even rows as long as the longest fall short of the GEMM route. The GEMM
+        # route holds its gather buffer of up to one GEMM's rows and, for rows beyond one
+        # GEMM, one GEMM's projection; scipy's route holds the rows taken and project's
+        # float64 copy of their values. Rows take scipy's route only below
+        # GEMM_MIN_DENSITY of their columns, so their nonzeros are fewer than that, and
+        # than the rows times the longest row.
         step = gemm_rows(columns)  # rows of one GEMM
         copies = (min(longest_row, GEMM_MIN_DENSITY * columns)  # a row's on scipy's route
                   * _csr_nonzero_bytes(value_bytes, squared=False))
 
         def beside(rows):
-            if not uses_gemm(longest_row, 1, columns):  # no block takes the GEMM route
+            if not uses_gemm(longest_row, 1, columns):  # no call takes the GEMM route
                 return rows * copies
-            gemm = GEMM_BLOCK_BYTES + (8 * config.rff_dim * step if rows > step else 0)
+            gemm = 8 * (columns * min(rows, step) + (config.rff_dim * step if rows > step else 0))
             return max(rows * copies, gemm)
 
         scoring = beside(block) + 8 * config.rff_dim * block + reads + scores
         if config.model == "nb":
             scoring += 8 * config.rff_dim * block
-        peak = max(needed, beside(n_train), scoring)
-        held = 8 * config.rff_dim * (columns + n_train)
+        fitting = max(fitting, beside(n_train))
+        # the weights and phases, and numpy's buffer for the ufunc that adds the phases
+        weights = 8 * config.rff_dim * (columns + 1) + 8 * np.getbufsize()
         rff_knob = "--nn-hidden-width or --rff-dim" if config.model == "nn" else "--rff-dim or --k"
-        return int(held + peak + split), rff_knob
-    return needed + split, knob
+        return int(weights + max(train + fitting, scoring) + held), rff_knob
+    return max(train + fitting, scoring) + held, knob
 
 
 def _preflight_memory(config: ExperimentConfig, feature_dim: int, class_count: int,
@@ -303,27 +329,46 @@ def _fit(config: ExperimentConfig, X_train, y_train, class_count: int, seed: int
     return model, scores, diagnostics
 
 
-def _fit_copy_bytes(config: ExperimentConfig, dtype, train_nnz: int, n_train: int) -> int:
+def _fit_copy_bytes(config: ExperimentConfig, dtype, train_nnz: int) -> int:
     """Bytes the fit of a raw CSR train split copies of it beside the split.
 
     `rff._as_2d` copies integer counts to float64 values over the split's
-    index arrays (8 bytes a nonzero) for nb, lr and ridge. gnb_fit also
-    squares them (`_squared`, 8 more) and takes scipy's mean of the split,
-    which scales a full copy (12 bytes a nonzero and the row pointers).
-    Majority and nn copy nothing: nn densifies its batches (`gather_rows`).
-    With RFF the fit sees the dense projection, counted on its own.
+    index arrays (8 bytes a nonzero) for nb, lr and ridge, and gnb_fit
+    squares them (`_squared`, 8 more). Majority and nn copy nothing: nn
+    densifies its batches (`gather_rows`). With RFF the fit sees the dense
+    projection, counted on its own.
     """
     if config.use_rff or config.model not in ("nb", "lr", "ridge"):
         return 0
     copies = 8 * train_nnz if dtype != np.float64 else 0
     if config.model == "nb":
-        copies += train_nnz * (8 + 12) + 8 * n_train
+        copies += 8 * train_nnz
     return copies
 
 
-def _dense_blocks(config: ExperimentConfig) -> bool:
-    """Whether test rows are scored as dense blocks: RFF projections, or raw nn's densified rows."""
-    return config.use_rff or config.model == "nn"
+def _block_bounds(config: ExperimentConfig, n_test: int, rows: int) -> list[int]:
+    """The first test row of every block, then n_test, for blocks of at most ``rows`` rows.
+
+    Dense blocks, with RFF or raw nn's, are ceil(n_test / rows) blocks
+    whose heights differ by at most one row. CSR blocks are ``rows`` tall,
+    and a remainder is a block of its own.
+    """
+    if config.use_rff or config.model == "nn":
+        count = max(1, -(-n_test // rows))
+        return [i * n_test // count for i in range(count + 1)]
+    return [*range(0, n_test, rows), n_test]
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set so far in MiB, as the benchmark reads its
+    peak_rss_mb; None where there is no `resource` module."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    # ru_maxrss counts bytes on macOS and KiB elsewhere
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
+        2**20 if sys.platform == "darwin" else 2**10)
 
 
 def _csr_nonzero_bytes(value_bytes: int, squared: bool) -> int:
@@ -345,15 +390,18 @@ def _score_block_rows(config: ExperimentConfig, columns: int, longest_row: float
                       value_bytes: int) -> int:
     """Test rows scored at once: GEMM_BLOCK_BYTES over what one row holds while it is scored.
 
-    A dense block, of D projected columns with RFF or of the used columns
-    that raw nn densifies, is `rff.gemm_rows` of its width, as every dense
-    block is. A CSR block is sized by the corpus's longest row, at
-    `_csr_nonzero_bytes` for each of its nonzeros with nb's square of them,
-    whatever the model: no block holds more than GEMM_BLOCK_BYTES unless
-    one row does.
+    With RFF a block is at most one GEMM of `rff.gemm_rows` of the used
+    columns, and its projection no more than `rff.gemm_rows` of D. Raw
+    nn's dense block of the used columns is `rff.gemm_rows` of their
+    width, as every dense block is. A CSR block is sized by the corpus's
+    longest row, at `_csr_nonzero_bytes` for each of its nonzeros with
+    nb's square of them, whatever the model: no block holds more than
+    GEMM_BLOCK_BYTES unless one row does.
     """
-    if _dense_blocks(config):
-        return gemm_rows(config.rff_dim if config.use_rff else columns)
+    if config.use_rff:
+        return gemm_rows(max(columns, config.rff_dim))
+    if config.model == "nn":
+        return gemm_rows(columns)
     row_bytes = longest_row * _csr_nonzero_bytes(value_bytes, squared=True)
     return max(1, int(GEMM_BLOCK_BYTES // max(row_bytes, 1)))
 
@@ -385,14 +433,14 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
         model, model_scores, diagnostics = _fit(config, X_train, y_train, class_count,
                                                 seeds["model"])
         fit_seconds = time.perf_counter() - tic
+    del X_train  # nothing reads the train split after the fit
 
-    # blocks of test rows; a dense remainder shorter than a block joins the last one
-    # (module docstring)
+    # blocks of test rows (module docstring)
     matrix, n_test = feats.matrix, len(test_idx)
     rows = _score_block_rows(config, matrix.shape[1], _longest_row(matrix), matrix.data.itemsize)
-    starts = range(0, max(n_test - rows, 0) + 1 if _dense_blocks(config) else n_test, rows)
+    bounds = _block_bounds(config, n_test, rows)
     scores = np.empty((n_test, class_count))
-    for start, stop in zip(starts, [*starts[1:], n_test]):
+    for start, stop in zip(bounds, bounds[1:]):
         if projector is None:
             with _stage("split", seconds):
                 X_block = matrix[test_idx[start:stop]]
@@ -418,7 +466,8 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
         "test_size": int(len(test_idx)),
         "metrics": metrics,
         "diagnostics": diagnostics,
-        "timing": {"train_runtime_seconds": fit_seconds, **seconds},
+        "timing": {"train_runtime_seconds": fit_seconds, **seconds,
+                   "peak_rss_mb": _peak_rss_mb()},
     }
 
 

@@ -38,7 +38,9 @@ all the rows of a CSR input, and the pipeline for the rows of its corpus
 matrix it projects. It makes no CSR copy of the rows: each block of them
 is densified row by row, straight from M's arrays, into one reused
 float64 buffer (`gather_rows`) and handed to `project` as dense input.
-scipy's route takes the rows as CSR.
+A call of at most `gemm_rows` rows is one GEMM, and returns that GEMM's
+output itself; the pipeline sizes its RFF test blocks so. scipy's route
+takes the rows as CSR.
 """
 
 from __future__ import annotations
@@ -174,7 +176,9 @@ def project_rows(projector: RffProjector, M: sp.csr_matrix, rows: np.ndarray) ->
     The route is the one project would take for M[rows]. On the GEMM route
     each block of `gemm_rows` of those rows is gathered (`gather_rows`)
     into one reused float64 buffer and projected by `project` as dense
-    input, one GEMM a block. scipy's route takes the rows.
+    input, one GEMM a block. Rows that fit one block are one GEMM, whose
+    output is returned as it is; more are copied into one n x D array.
+    scipy's route takes the rows.
     """
     n, d = len(rows), M.shape[1]
     nnz = int((M.indptr[rows + 1] - M.indptr[rows]).sum())

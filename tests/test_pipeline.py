@@ -164,7 +164,8 @@ def test_experiment_is_deterministic():
 @pytest.mark.parametrize("use_rff", [False, True])
 def test_runs_time_each_stage(monkeypatch, use_rff):
     """Each run's timing gives the seconds of its split, rff, fit and metrics stages as flat
-    keys; the fit stage holds the fit that train_runtime_seconds times, and scoring."""
+    keys, then the process's peak RSS; the fit stage holds the fit that
+    train_runtime_seconds times, and scoring."""
     import seqclass.pipeline as pipeline
 
     clock = iter(range(1000))
@@ -175,13 +176,36 @@ def test_runs_time_each_stage(monkeypatch, use_rff):
     for run in report["runs"]:
         timing = run["timing"]
         assert list(timing) == ["train_runtime_seconds", "split_seconds", "rff_seconds",
-                                "fit_seconds", "metrics_seconds"]
+                                "fit_seconds", "metrics_seconds", "peak_rss_mb"]
         assert all(isinstance(value, float) and value > 0 for key, value in timing.items()
                    if key != "rff_seconds")
         assert (timing["rff_seconds"] > 0) == use_rff
         assert timing["fit_seconds"] > timing["train_runtime_seconds"]
     assert list(report["aggregate"]["timing"]) == ["train_runtime_seconds_mean",
                                                    "train_runtime_seconds_std"]
+
+
+def test_runs_report_the_process_peak_rss():
+    """peak_rss_mb is ru_maxrss when the run ends: positive, never lower in a later serial
+    run, and under timing, so stripped reports do not carry it."""
+    import resource
+
+    data = labeled_corpus({"a": 40, "b": 30, "c": 30}, seed=5)
+    report = run_experiment(ExperimentConfig(model="nb", use_rff=True, rff_dim=32, runs=3), data)
+    peaks = [run["timing"]["peak_rss_mb"] for run in report["runs"]]
+    assert all(isinstance(peak, float) and peak > 0 for peak in peaks)
+    assert peaks == sorted(peaks)
+    assert peaks[-1] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert "peak_rss_mb" not in json.dumps(strip_timing(report))
+
+
+def test_peak_rss_is_none_without_the_resource_module(monkeypatch):
+    import sys
+
+    import seqclass.pipeline as pipeline
+
+    monkeypatch.setitem(sys.modules, "resource", None)  # import resource raises ImportError
+    assert pipeline._peak_rss_mb() is None
 
 
 def test_rff_path_records_dims():
@@ -900,28 +924,71 @@ DENSE_SCORING = [("nn", False)] + [(model, True) for model in ("majority", "nb",
                          ids=[f"{m}-{'rff' if r else 'raw'}" for m, r in DENSE_SCORING])
 def test_dense_scores_in_blocks(monkeypatch, model, use_rff):
     """A dense GEMM rounds by its height: bit-identical at the blocks of D = 1000, and
-    within 1e-14 of the largest score (at least 1) at 7-row blocks."""
+    within 1e-14 of the largest score (at least 1) at 7-row blocks. Dense blocks differ in
+    height by at most one row."""
     data = labeled_corpus({"a": 1200, "b": 900, "c": 900}, length=40, seed=4)  # 2700 test rows
     config = ExperimentConfig(model=model, k=2, use_rff=use_rff, nn_hidden_width=16, nn_epochs=2,
                               lr_max_iters=30)
     rows = _score_block_rows(config, 441, 39, 1) if use_rff else 1048
     assert rows == 1048
     blocked, whole, blocks = _blocked_and_whole_scores(monkeypatch, config, data, rows)
-    assert blocks == [1048, 1652]  # the 604-row remainder joins the last block
+    assert blocks == [900] * 3
     assert np.array_equal(blocked, whole)
     blocked, whole, blocks = _blocked_and_whole_scores(monkeypatch, config, data, 7)
-    assert blocks == [7] * 384 + [12]
+    assert sorted(blocks) == [6] * 2 + [7] * 384  # 2700 rows
+    assert np.abs(blocked - whole).max() <= 1e-14 * max(1.0, np.abs(whole).max())
+
+
+# test rows around the RFF step: multiples of it, 1 and 2 rows above and below one, and
+# step - 1 above or below one
+RFF_STEP = 150
+RFF_TEST_ROWS = [300, 301, 302, 299, 298, 449, 151]
+
+
+@pytest.mark.parametrize("classes", [20, 3])
+@pytest.mark.parametrize("n_test", RFF_TEST_ROWS)
+@pytest.mark.parametrize("model", ["majority", "nb", "lr", "ridge", "nn"])
+def test_rff_scores_in_blocks_are_bit_identical_to_the_whole_split(monkeypatch, model, n_test,
+                                                                   classes):
+    """RFF test rows are scored in ceil(n_test / step) blocks whose heights differ by at
+    most one row, each one GEMM, so none is shorter than half a GEMM. At 20 classes their
+    scores are bit for bit those of the whole test split, projected by project and scored
+    at once; at 3, within 1e-14 of the largest score (at least 1).
+
+    Bit-identity rests on BLAS giving a product's rows the same bits at any height from
+    some number of rows on: on a 2-core host's OpenBLAS (Haswell kernels), 2 rows for the
+    441 x 1000 projection, 51 for a 1000 x 20 score product and 61 for nn's 64 x 20
+    layer, while products of 3 columns differ at heights of hundreds of rows. So D is
+    1000 and the step, set through GEMM_BLOCK_BYTES, keeps every block at least 75 rows
+    tall: enough at 20 classes, not at 3."""
+    import seqclass.rff as rff
+
+    total = 100 + n_test
+    sizes = {f"c{i:02d}": total // classes + (i < total % classes) for i in range(classes)}
+    data = labeled_corpus(sizes, length=40, seed=n_test)
+    config = ExperimentConfig(model=model, k=2, use_rff=True, rff_dim=1000, nn_hidden_width=64,
+                              nn_epochs=2, lr_max_iters=30, train_fraction=100 / total)
+    # 1000 projected columns are more than the 441 used ones, and set the step
+    monkeypatch.setattr(rff, "GEMM_BLOCK_BYTES", RFF_STEP * 8 * 1000)
+    blocked, whole, blocks = _blocked_and_whole_scores(monkeypatch, config, data)
+    assert sum(blocks) == n_test and len(blocks) == -(-n_test // RFF_STEP)
+    assert max(blocks) - min(blocks) <= 1 and max(blocks) <= RFF_STEP
+    if classes == 20:
+        assert np.array_equal(blocked, whole)
     assert np.abs(blocked - whole).max() <= 1e-14 * max(1.0, np.abs(whole).max())
 
 
 def test_score_block_rows():
-    # 8 MiB over a row's 8 D projected bytes, or over raw nn's 8 bytes a used column
+    # With RFF, 8 MiB over a row's 8 bytes a used column or a projected one, whichever are
+    # more: one GEMM, whose projection is 8 MiB at most. Raw nn: 8 bytes a used column
     rff = ExperimentConfig(use_rff=True, rff_dim=1000)
     assert _score_block_rows(rff, 441, 39, 1) == 1048
+    assert _score_block_rows(rff, 4432, 39, 1) == 236
     assert _score_block_rows(replace(rff, model="nn"), 441, 39, 1) == 1048
     assert _score_block_rows(ExperimentConfig(use_rff=True, rff_dim=3000), 441, 0, 1) == 349
     assert _score_block_rows(ExperimentConfig(model="nn"), 5339, 37, 1) == 196
     assert _score_block_rows(ExperimentConfig(use_rff=True, rff_dim=2 << 20), 441, 0, 1) == 1
+    assert _score_block_rows(ExperimentConfig(use_rff=True, rff_dim=64), 2 << 20, 0, 1) == 1
     assert _score_block_rows(ExperimentConfig(model="nn"), 2 << 20, 0, 1) == 1
     # A CSR block: 8 MiB over the longest row's nonzeros, each its value, its int32
     # index, a float64 copy and nb's square of it; every CSR model gets nb's blocks
@@ -996,6 +1063,121 @@ def test_raw_csr_scoring_holds_at_most_one_block_budget(monkeypatch, model):
     assert seen["peak"] - 1800 * 3 * 8 <= budget
 
 
+@pytest.mark.parametrize("model", ["lr", "nb"])
+def test_rff_scoring_projects_each_block_in_one_gemm_and_scores_what_project_returns(
+        monkeypatch, model):
+    """Each block of test rows is one rff.project call on rows gathered into a buffer of
+    the block's height, and the array it returns is scored as it is. So, traced from the
+    end of the fit, scoring holds at most one gather buffer, one block's projection (nb:
+    and its square, and dense copies of its score terms), the block's score arrays and the
+    n_test x C scores: no n_block x D array is assembled."""
+    import tracemalloc
+
+    import seqclass.pipeline as pipeline
+    import seqclass.rff as rff
+    from seqclass.features import featurize_corpus, used_columns
+
+    data = labeled_corpus({"a": 800, "b": 600, "c": 600}, length=300, seed=2)
+    feats = featurize_corpus(data, "kmers", k=2)
+    feats = replace(feats, matrix=used_columns(feats.matrix))
+    columns, D, C, n_test = feats.matrix.shape[1], 64, 3, 1800
+    monkeypatch.setattr(rff, "GEMM_BLOCK_BYTES", 1 << 20)
+    step = rff.gemm_rows(columns)  # 297 rows of 441 columns: 8 times a block's projection
+    assert rff.uses_gemm(feats.matrix.nnz, *feats.matrix.shape)
+    project, gathered, seen = rff.project, [], {"blocks": []}
+
+    def recording(projector, x):
+        gathered.append(x.base.shape)  # the buffer the rows were gathered into
+        seen["projected"] = project(projector, x)
+        return seen["projected"]
+
+    monkeypatch.setattr(rff, "project", recording)
+    fit_model = pipeline._fit
+
+    def fit(*args):
+        fitted, scores, diagnostics = fit_model(*args)
+
+        def block_scores(fitted, X):
+            assert X is seen.pop("projected")
+            out = scores(fitted, X)
+            seen["blocks"].append(len(X))
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+            return out
+
+        tracemalloc.start()
+        return fitted, block_scores, diagnostics
+
+    monkeypatch.setattr(pipeline, "_fit", fit)
+    try:
+        pipeline._single_run(ExperimentConfig(model=model, k=2, use_rff=True, rff_dim=D), feats, 0)
+    finally:
+        tracemalloc.stop()
+    blocks = seen["blocks"]
+    assert len(blocks) == len(gathered) - 1 == -(-n_test // step) and max(blocks) <= step
+    # the train split's 200 rows, then each block's, in a buffer of their height
+    assert gathered == [(n, columns) for n in [200, *blocks]]
+    block = max(blocks)
+    squared = model == "nb"
+    held = 8 * (columns * block + D * block * (1 + squared) + C * (n_test + 4 * block)
+                + 2 * D * C * squared
+                # numpy's buffer for a ufunc over a broadcast operand (project adds the phases)
+                + np.getbufsize())
+    assert seen["peak"] <= held
+
+
+@pytest.mark.parametrize("model", ["majority", "ridge"])
+def test_raw_scoring_holds_no_train_split(monkeypatch, model):
+    """Nothing reads the train split after the fit, so the run frees it before scoring.
+    On the ragged 3000-sequence generator corpus at k = 3 with 90 % of the rows in the
+    train split, the traced peak from the first block's scores on falls by about the
+    split's bytes against a run that keeps it."""
+    import tracemalloc
+
+    import seqclass.pipeline as pipeline
+    from seqclass.features import featurize_corpus, used_columns
+
+    data = [LabeledSequence(SequenceRecord(item.record.id, item.record.residues[:150]),
+                            item.label) if row >= 2000 else item
+            for row, item in enumerate(_generator_corpus(monkeypatch, 3000, 1, 1 / 3))]
+    feats = featurize_corpus(data, "kmers", k=3)
+    feats = replace(feats, matrix=used_columns(feats.matrix))
+    config = ExperimentConfig(model=model, k=3, train_fraction=0.9, runs=1)
+    train_idx, _ = pipeline.split_indices(3000, 0.9, config.split_seed,
+                                          np.asarray(feats.class_names, dtype=object)[feats.labels])
+    split = feats.matrix[train_idx]
+    split_bytes = split.data.nbytes + split.indices.nbytes + split.indptr.nbytes
+    del split
+    fit_model = pipeline._fit
+
+    def scoring_peak(keep_split: bool) -> int:
+        kept, seen = [], []
+
+        def fit(config, X_train, *args):
+            if keep_split:
+                kept.append(X_train)  # held through scoring, as runs once held it
+            fitted, scores, diagnostics = fit_model(config, X_train, *args)
+
+            def block_scores(fitted, X):
+                if not seen:
+                    tracemalloc.reset_peak()
+                seen.append(X.shape[0])
+                return scores(fitted, X)
+
+            return fitted, block_scores, diagnostics
+
+        monkeypatch.setattr(pipeline, "_fit", fit)
+        tracemalloc.start()
+        try:
+            pipeline._single_run(config, feats, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    freed, held = scoring_peak(False), scoring_peak(True)
+    assert freed < split_bytes
+    assert 0.95 * split_bytes <= held - freed <= 1.05 * split_bytes
+
+
 # --- memory pre-flight -----------------------------------------------------------
 
 
@@ -1024,7 +1206,8 @@ TRACED_PEAK_CASES = {
 def test_memory_estimate_matches_traced_peak(model, use_rff, n, d, density):
     """The C x d (h x d, D x d, Gram) array count of the estimate, against tracemalloc's peak.
 
-    The train split is taken from the corpus inside the trace, as a run takes it."""
+    The train split is taken from the corpus inside the trace, as a run takes it; the
+    corpus, which the estimate counts too, is made before it."""
     import tracemalloc
 
     import scipy.sparse as sp
@@ -1042,6 +1225,7 @@ def test_memory_estimate_matches_traced_peak(model, use_rff, n, d, density):
     # n train rows, and a test split as dense as X
     corpus = sp.vstack([X, X], format="csr")
     estimate, _ = memory_estimate(config, C, corpus)
+    estimate -= corpus.data.nbytes + corpus.indices.nbytes + corpus.indptr.nbytes
     del X
     tracemalloc.start()
     X = corpus[np.arange(n)]
@@ -1145,61 +1329,76 @@ def test_memory_estimate_covers_the_raw_train_split_and_its_fit_copies(monkeypat
     assert short == {}
 
 
+def _held(matrix, rff_dim=0):
+    """What a run holds throughout beside its model: the corpus matrix, 32 bytes a row (its
+    labels, the split's indices and labels and the class names it reads) and, with RFF,
+    the D phases and numpy's buffer for the ufunc that adds them to a projection."""
+    held = (matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+            + 32 * matrix.shape[0])
+    return held + (8 * rff_dim + 8 * np.getbufsize() if rff_dim else 0)
+
+
 def test_memory_estimate_at_long_kmers():
     from seqclass.pipeline import memory_estimate
 
     d5, d6 = 21**5, 21**6
     assert memory_estimate(ExperimentConfig(model="nb", k=5), 20, _rows(0, d5)) == (
-        4 * 20 * d5 * 8, "--k")
+        4 * 20 * d5 * 8 + _held(_rows(0, d5)), "--k")
     assert memory_estimate(ExperimentConfig(model="lr", k=6), 20, _rows(0, d6))[0] == (
-        15 * 20 * d6 * 8)
-    assert memory_estimate(ExperimentConfig(model="ridge", k=6), 20, _rows(0, d6))[0] == 0
+        15 * 20 * d6 * 8 + _held(_rows(0, d6)))
+    assert memory_estimate(ExperimentConfig(model="ridge", k=6), 20, _rows(0, d6))[0] == (
+        _held(_rows(0, d6)))
     # RFF draws weights for the used columns alone (12043 of 21^6 on the benchmark's
     # 1000-sequence corpus). With no rows given, no block is counted
     rff = memory_estimate(ExperimentConfig(model="nb", k=6, use_rff=True), 20, _rows(0, 12043))
-    assert rff == (1000 * 12043 * 8 + 4 * 20 * 1000 * 8, "--rff-dim or --k")
-    # 3000 rows: the dense 300-row train split, and the largest block of the 2700
-    # test rows (2 x 1048 + 604, the 604 joining a block) with nb's square of it, beside
-    # nb's 4 C x D arrays (lr's and ridge's weights: 1) and the scores: the 2700 x C
-    # scores and 4 block x C arrays. With no nonzeros project takes scipy's route, which
-    # densifies no block. The split's indices, labels and class names take 24 bytes a row
-    split, scores, weights = 24 * 3000, 8 * 20 * (2700 + 4 * 1652), 20 * 1000 * 8
-    rff = memory_estimate(ExperimentConfig(model="nb", k=2, use_rff=True), 20, _rows(3000, 441))
-    assert rff == (1000 * (441 + 300) * 8 + 2 * 1652 * 1000 * 8 + 4 * weights + scores + split,
+    assert rff == (1000 * 12043 * 8 + 4 * 20 * 1000 * 8 + _held(_rows(0, 12043), 1000),
                    "--rff-dim or --k")
+    # 3000 rows: the dense 300-row train split beside the fit, or the largest block of
+    # the 2700 test rows (3 blocks of 900: D = 1000 is wider than the 441 columns) with
+    # nb's square of it, beside nb's 4 C x D arrays (lr's and ridge's weights: 1) and the
+    # scores: the 2700 x C scores and 4 block x C arrays. With no nonzeros every call
+    # takes scipy's route, which gathers no rows
+    scores, weights = 8 * 20 * (2700 + 4 * 900), 20 * 1000 * 8
+    empty = _rows(3000, 441)
+    rff = memory_estimate(ExperimentConfig(model="nb", k=2, use_rff=True), 20, empty)
+    assert rff == (1000 * 441 * 8 + 2 * 900 * 1000 * 8 + 4 * weights + scores
+                   + _held(empty, 1000), "--rff-dim or --k")
     lr = ExperimentConfig(model="lr", k=2, use_rff=True)
-    rff = memory_estimate(lr, 20, _rows(3000, 441))
-    assert rff[0] == 1000 * (441 + 300) * 8 + 1652 * 1000 * 8 + weights + scores + split
-    # with 50 nonzeros a row (11 % dense: the GEMM route and its 8 MiB gather buffer),
-    # beside the block and its projection, or beside the 2700-row train split, which
-    # takes two GEMMs of up to 2377 rows, one GEMM's projection. A call on scipy's
-    # route would hold fewer bytes: under 0.05 x 441 nonzeros a row at 20 bytes each
-    rff = memory_estimate(lr, 20, _rows(3000, 441, 50))
-    assert rff[0] == (1000 * (441 + 300) * 8 + (8 << 20) + 1652 * 1000 * 8 + weights + scores
-                      + split)
+    rff = memory_estimate(lr, 20, empty)
+    assert rff[0] == 1000 * 441 * 8 + 900 * 1000 * 8 + weights + scores + _held(empty, 1000)
+    # with 50 nonzeros a row (11 % dense) a call can take the GEMM route: projecting a
+    # 900-row block, one GEMM, holds a gather buffer of 900 rows beside its output. Had the
+    # block taken scipy's route, its copies would hold under 0.05 x 441 nonzeros a row at
+    # 20 bytes each
+    rows50 = _rows(3000, 441, 50)
+    rff = memory_estimate(lr, 20, rows50)
+    assert rff[0] == (441 * (1000 + 900) * 8 + 900 * 1000 * 8 + weights + scores
+                      + _held(rows50, 1000))
+    # the 2700-row train split takes two GEMMs of up to 2377 rows: projecting it holds a
+    # 2377-row buffer and one GEMM's projection beside the split's
     wide = replace(lr, train_fraction=0.9)
-    rff = memory_estimate(wide, 20, _rows(3000, 441, 50))
-    assert rff[0] == 1000 * (441 + 2700) * 8 + (8 << 20) + 2377 * 1000 * 8 + split
+    rff = memory_estimate(wide, 20, rows50)
+    assert rff[0] == (441 * 1000 * 8 + 2700 * 1000 * 8 + 2377 * (441 + 1000) * 8
+                      + _held(rows50, 1000))
     # on 4432 of 21^3 columns at 13 nonzeros a row (0.3 % dense): scipy's route, whose
-    # two CSR copies hold a float64 value and an int32 index, and a float64 copy of
-    # the value, 20 bytes a nonzero (uint8 counts: 13)
-    rff = memory_estimate(replace(lr, k=3), 20, _rows(3000, 4432, 13))
-    assert rff[0] == (1000 * (4432 + 300) * 8 + 1652 * (1000 * 8 + 20 * 13) + weights + scores
-                      + split)
-    rff = memory_estimate(replace(lr, k=3), 20, _rows(3000, 4432, 13, np.uint8))
-    assert rff[0] == (1000 * (4432 + 300) * 8 + 1652 * (1000 * 8 + 13 * 13) + weights + scores
-                      + split)
+    # copies of 225-row blocks (12 GEMMs' worth of 2700 rows) are below the fit's: lr's
+    # 15 C x D arrays beside the dense 300-row train split
+    for dtype in (np.float64, np.uint8):
+        rows13 = _rows(3000, 4432, 13, dtype)
+        rff = memory_estimate(replace(lr, k=3), 20, rows13)
+        assert rff[0] == 1000 * 4432 * 8 + 300 * 1000 * 8 + 15 * weights + _held(rows13, 1000)
     # rows of 1100 nonzeros on 4432 columns (25 % dense): a call of them takes scipy's route
     # only below 5 % density, so its copies hold fewer than 0.05 x 4432 = 221.6 nonzeros a
-    # row. Then the 2700-row train split's copies, 7.8 MB, are below the GEMM route's buffer
-    # and one GEMM's projection (236 rows), which the 300-row block's projection, the
-    # weights and the scores join
-    rff = memory_estimate(replace(wide, k=3), 20, _rows(3000, 4432, 1100, np.uint8))
-    assert rff[0] == (1000 * (4432 + 2700) * 8 + (8 << 20) + (236 + 300) * 1000 * 8 + weights
-                      + 8 * 20 * (300 + 4 * 300) + split)
-    # 1000 classes: lr's 15 C x D arrays outweigh the scoring of either block
-    assert memory_estimate(lr, 1000, _rows(3000, 441))[0] == (
-        1000 * (441 + 300) * 8 + 15 * 1000 * 1000 * 8 + split)
+    # row at 13 bytes each (uint8 counts). The 2700-row train split's copies, 7.8 MB, are
+    # below the GEMM route's 236-row buffer and one GEMM's projection, which lie beside the
+    # split's projection and the weights
+    rows1100 = _rows(3000, 4432, 1100, np.uint8)
+    rff = memory_estimate(replace(wide, k=3), 20, rows1100)
+    assert rff[0] == (4432 * 1000 * 8 + 2700 * 1000 * 8 + 236 * (4432 + 1000) * 8
+                      + _held(rows1100, 1000))
+    # 1000 classes: lr's 15 C x D arrays outweigh the scoring of any block
+    assert memory_estimate(lr, 1000, empty)[0] == (
+        1000 * (441 + 300) * 8 + 15 * 1000 * 1000 * 8 + _held(empty, 1000))
 
 
 def test_memory_estimate_of_nn_counts_hidden_by_input():
@@ -1208,28 +1407,32 @@ def test_memory_estimate_of_nn_counts_hidden_by_input():
     d = 1273 * 21  # one-hot on length-1273 sequences
     # the default width is the input dimension: 4 arrays of 5.7 GB each
     assert memory_estimate(ExperimentConfig(model="nn", encoding="ohe"), 20, _rows(0, d)) == (
-        4 * d * d * 8, "--nn-hidden-width")
+        4 * d * d * 8 + _held(_rows(0, d)), "--nn-hidden-width")
     # on 6746 used columns the default width is 6746 too
     assert memory_estimate(ExperimentConfig(model="nn", encoding="ohe"), 20, _rows(0, 6746)) == (
-        4 * 6746 * 6746 * 8, "--nn-hidden-width")
+        4 * 6746 * 6746 * 8 + _held(_rows(0, 6746)), "--nn-hidden-width")
     narrow = ExperimentConfig(model="nn", encoding="ohe", nn_hidden_width=64)
-    assert memory_estimate(narrow, 20, _rows(0, d)) == (4 * 64 * d * 8, "--nn-hidden-width")
-    # 3000 rows: the fit densifies batches of 100 of the 300 train rows; scoring densifies
-    # blocks of 8 MiB / (8 * 5339) = 196 test rows, the last with the 2700 % 196 = 152
-    # rows of the remainder, beside w1 and the scores (2700 x C, and 4 block x C arrays).
-    # The split's indices, labels and class names take 24 bytes a row, and the CSR train
-    # split's row pointers 8 bytes a train row (these rows hold no nonzeros)
+    assert memory_estimate(narrow, 20, _rows(0, d)) == (4 * 64 * d * 8 + _held(_rows(0, d)),
+                                                        "--nn-hidden-width")
+    # 3000 rows: the fit densifies batches of 100 of the 300 train rows beside its 4
+    # h x d arrays and the CSR train split (row pointers of 8 bytes a train row: these
+    # rows hold no nonzeros). That outweighs scoring, which densifies 14 balanced blocks
+    # of at most 8 MiB / (8 * 5339) = 196 of the 2700 test rows (193 at most) beside w1
+    # and the scores (2700 x C, and 4 block x C arrays)
     columns = 5339
-    assert memory_estimate(narrow, 20, _rows(3000, columns)) == (
-        (64 + 196 + 152) * columns * 8 + 8 * 20 * (2700 + 4 * 348) + 24 * 3000 + 8 * 300,
-        "--nn-hidden-width")
+    corpus = _rows(3000, columns)
+    assert (64 + 193) * columns * 8 + 8 * 20 * (2700 + 4 * 193) < (4 * 64 + 100) * columns * 8
+    assert memory_estimate(narrow, 20, corpus) == (
+        (4 * 64 + 100) * columns * 8 + 8 * 300 + _held(corpus), "--nn-hidden-width")
     # a 40-row corpus trains in one batch of its 4 train rows and scores its 36 test rows at once
-    assert memory_estimate(narrow, 20, _rows(40, columns))[0] == (
-        (4 * 64 + 4) * columns * 8 + 24 * 40 + 8 * 4)
+    corpus = _rows(40, columns)
+    assert memory_estimate(narrow, 20, corpus)[0] == (
+        (4 * 64 + 4) * columns * 8 + 8 * 4 + _held(corpus))
     # with RFF the width is D, and the fit's 4 D x D arrays beside the weights
     rff = memory_estimate(ExperimentConfig(model="nn", use_rff=True, rff_dim=1000), 20,
                           _rows(0, d))
-    assert rff == (1000 * d * 8 + 4 * 1000 * 1000 * 8, "--nn-hidden-width or --rff-dim")
+    assert rff == (1000 * d * 8 + 4 * 1000 * 1000 * 8 + _held(_rows(0, d), 1000),
+                   "--nn-hidden-width or --rff-dim")
 
 
 def test_preflight_counts_every_parallel_run(monkeypatch):

@@ -335,6 +335,29 @@ def test_project_rows_equals_project_of_the_rows_taken(monkeypatch, k, length, b
     assert np.array_equal(rff.project_rows(proj, M, rows), project(proj, M[rows]))
 
 
+def test_project_rows_returns_one_gemms_output_as_it_is(rng, monkeypatch):
+    """Rows that fit one block of gemm_rows are one project call, whose output project_rows
+    returns as it is (the pipeline scores it so); more rows take one call a block."""
+    M = sp.csr_matrix(rng.poisson(0.4, size=(30, 50)).astype(np.int32))
+    proj = new_projector(50, 24, 0.05, seed=8)
+    monkeypatch.setattr(rff, "GEMM_BLOCK_BYTES", 8 * 8 * 50)  # 8 rows a block
+    calls = []
+
+    def recording(projector, x):
+        calls.append((len(x), project(projector, x)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(rff, "project", recording)
+    rows = rng.permutation(30)
+    assert _gemm_rows(M[rows[:8]])
+    got = rff.project_rows(proj, M, rows[:8])
+    assert len(calls) == 1 and got is calls[0][1]
+    calls.clear()
+    got = rff.project_rows(proj, M, rows)
+    assert [n for n, _ in calls] == [8, 8, 8, 6]
+    assert np.array_equal(got, np.vstack([out for _, out in calls]))
+
+
 def test_project_rows_makes_no_csr_copy_of_the_rows():
     """The GEMM route holds the output, the gather buffer and one GEMM's projection."""
     import tracemalloc
