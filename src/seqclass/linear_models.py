@@ -448,3 +448,52 @@ def ridge_scores(model: RidgeClassifierModel, X) -> np.ndarray:
     X = _as_2d(X, model.weights.shape[1])
     return np.asarray(X @ model.weights.T) + model.bias
 
+
+# --- bytes the fits and score functions allocate ---------------------------------
+
+def fit_bytes(model: str, n: int, d: int, class_count: int, nnz: int | None = None,
+              dtype=np.float64) -> int:
+    """Peak bytes that fitting ``model`` (majority, nb, lr or ridge) allocates beside its
+    n x d input: CSR of ``nnz`` nonzeros of ``dtype``, or dense float64 when ``nnz`` is None.
+
+    For CSR input, `_as_2d` copies values that are not float64 (8 bytes a nonzero) for nb,
+    lr and ridge, and gnb_fit squares them (`_squared`, 8 more). Beside that, in float64
+    C x d arrays: gnb_fit's means, variances and score terms a and b (4); logreg_fit's
+    LBFGS_MEMORY (s, y) pairs, its parameters, gradient and direction and two transients,
+    a candidate and its squared weights, X'delta and lambda W, or the new gradient and y
+    (2 LBFGS_MEMORY + 5; tracemalloc: 15.0 at LBFGS_MEMORY = 5). Ridge's direct solve of
+    side m = min(n, d + 1) holds two m x m arrays (the Gram matrix and one block's
+    product, or the copy numpy's solve takes), one `_gram` block, the n x C targets and,
+    for the dual on CSR input, its X' copy (12 bytes a nonzero); CG holds none of these.
+    """
+    copies = 0
+    if nnz is not None and model != "majority":
+        copies = 8 * nnz * (dtype != np.float64) + 8 * nnz * (model == "nb")
+    if model != "ridge":
+        arrays = {"nb": 4, "lr": 2 * LBFGS_MEMORY + 5}.get(model, 0)
+        return arrays * class_count * d * 8 + copies
+    side = min(n, d + 1)
+    if not 0 < side <= RIDGE_DENSE_LIMIT:
+        return copies
+    dual = 12 * nnz if n <= d and nnz is not None else 0
+    return 2 * side * side * 8 + rff.GEMM_BLOCK_BYTES + 8 * n * class_count + dual + copies
+
+
+def csr_score_bytes(model: str) -> int:
+    """Bytes a score function allocates for each nonzero of CSR input: `_as_2d`'s float64
+    copy of the values, counted whatever their dtype, and gnb_scores' square of them."""
+    return 8 * (1 + (model == "nb"))
+
+
+def score_bytes(model: str, rows: int, d: int, class_count: int, nnz: int | None = None) -> int:
+    """Bytes a score function holds beside ``rows`` rows of width d: CSR of ``nnz`` nonzeros,
+    or dense float64 when ``nnz`` is None.
+
+    The C x d arrays it reads (gnb's a and b, and their F-ordered copies for dense input;
+    the weights), its copies of CSR input (`csr_score_bytes`) or gnb's square of dense
+    input, and 4 rows x C arrays the scores pass through (logreg_proba's softmax).
+    """
+    nb = model == "nb"
+    arrays = {"majority": 0, "nb": 4 if nnz is None else 2}.get(model, 1)
+    copies = 8 * rows * d * nb if nnz is None else nnz * csr_score_bytes(model)
+    return 8 * (arrays * d + 4 * rows) * class_count + copies

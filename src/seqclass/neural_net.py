@@ -98,6 +98,15 @@ def nn_scores(net: FeedForwardNet, X) -> np.ndarray:
     return _forward(net, X)[2]
 
 
+def score_bytes(rows: int, d: int, class_count: int, hidden_width: int | None = None,
+                sparse: bool = False) -> int:
+    """Bytes nn_scores holds for ``rows`` rows of width d: 4 rows x C arrays that the
+    probabilities pass through and, for CSR input, the rows densified beside w1 (of
+    ``hidden_width`` rows, d by default, as nn_init's)."""
+    hidden = d if hidden_width is None else hidden_width
+    return 8 * ((hidden + rows) * d * sparse + 4 * rows * class_count)
+
+
 def nn_loss(probs: np.ndarray, y) -> float:
     """Mean integer-label cross-entropy with a 1e-12 probability floor."""
     y = np.asarray(y, dtype=np.int64)
@@ -216,3 +225,11 @@ def nn_train(X, y, class_count: int, hidden_width: int | None = None, batch_size
             total += loss * len(batch_idx)
         net.loss_trace.append(total / n)
     return net
+
+
+def train_bytes(n: int, d: int, hidden_width: int | None = None, batch_size: int = 100) -> int:
+    """Peak bytes nn_train allocates beside its n x d input: four float64 hidden x d arrays,
+    w1, Adam's m and v and one step's gradient of w1 (adam_step works in block-sized
+    scratch), and the dense buffer of one batch."""
+    hidden = d if hidden_width is None else hidden_width
+    return (4 * hidden + min(batch_size, n)) * d * 8

@@ -28,46 +28,26 @@ default. The report's feature_dim stays nominal, and feature_columns
 gives the used columns.
 
 No run holds its whole test split, nor its train split once the fit
-returns: one n_test x C score array is filled block by block, each
-block's rows taken from the corpus matrix by test index or, with RFF,
-projected from it just before they are scored (rff.project_rows, which
-makes no CSR copy of the rows; the train split is projected the same
-way). Dense blocks, RFF projections and raw nn's densified rows, are
-balanced (`_block_bounds`): the test rows form ceil(n_test / step)
-blocks whose heights differ by at most one row, so none is shorter than
-half a step. Raw nn's step is rff.gemm_rows of the used columns, as
-every dense block's is. RFF's is rff.gemm_rows of the wider of the used
-columns and D: each block is one projection GEMM, whose output is the
-array scored, and no block's projection is over rff.GEMM_BLOCK_BYTES.
-A dense product can round by its height. On a 2-core host's OpenBLAS
-the rows of a 1000 x 20 score product kept their bits from about 50
-rows on, but those of 3-column products differed from a 3000-row
-product's at heights up to 330 rows (1000 x 3) or up to 1500 (64 x 3
-and 256 x 3); so at few classes a dense block's scores can differ from
-a taller block's in their last bits (within 1e-14 of the largest
-score), though argmax, and so the report, rarely moves. A CSR block is
-rff.GEMM_BLOCK_BYTES over every byte the corpus's longest row holds
-while scored: its slice (5 bytes a nonzero for uint8 counts),
-`rff._as_2d`'s float64 copy of its values (8) and nb's square of them
-(8), which every CSR model's blocks leave room for. scipy's CSR
-products score each row on its own, so they give the same bits in any
-blocking, and a CSR remainder is a block of its own. A NaN score is a
-numerical failure (NonFiniteLoss), as when an nn's last step leaves
-weights whose products overflow.
+returns: one n_test x C score array is filled block by block
+(`_score_blocks`), each block's rows taken from the corpus matrix by
+test index or, with RFF, projected from it just before they are scored
+(rff.project_rows, which makes no CSR copy of the rows; the train split
+is projected the same way). A dense product can round by its height. On
+a 2-core host's OpenBLAS the rows of a 1000 x 20 score product kept
+their bits from about 50 rows on, but those of 3-column products
+differed from a 3000-row product's at heights up to 330 rows (1000 x 3)
+or up to 1500 (64 x 3 and 256 x 3); so at few classes a dense block's
+scores can differ from a taller block's in their last bits (within
+1e-14 of the largest score), though argmax, and so the report, rarely
+moves. scipy's CSR products score each row on its own, so they give the
+same bits in any blocking. A NaN score is a numerical failure
+(NonFiniteLoss), as when an nn's last step leaves weights whose
+products overflow.
 
-Before the first run, the peak bytes of a run are estimated
-(`memory_estimate`): held throughout, the corpus matrix, the split's
-indices and labels and the RFF weights; beside the fit, the train split
-(CSR with the float64 copies the fit makes of it, or its projection),
-the model's C x used-columns arrays (nn: hidden x used-columns, beside
-one dense batch) and ridge's dense Gram matrix; while scoring, one block
-(a block's projection, or raw nn's dense or a CSR score block), the
-arrays scoring reads and the scores. Projecting rows holds a gather
-buffer of up to one GEMM's rows, or on scipy's route the CSR copies of
-the rows, whose nonzeros are fewer than GEMM_MIN_DENSITY of the rows'
-cells and than their count times the corpus's longest row. A config whose
-estimate exceeds physical memory is an InvalidConfig naming the knob
-that lowers it.
+Before the first run, `memory_estimate` adds up the peak bytes of a
+run from the byte function beside each allocating function. A config
+whose estimate exceeds physical memory is an InvalidConfig naming the
+knob that lowers it.
 
 Which columns are used is read off every row, test rows included. So
 a run's RFF features, like the raw models' width, nn's init and its
@@ -102,24 +82,9 @@ from .errors import (EmptyMatrix, EmptyTrainingSet, InvalidConfig, IoFailure, No
 from .features import FeaturizedCorpus, _usable_cores, featurize_corpus, used_columns
 from .ingest import LabeledSequence, _round_half_up, split_indices
 from .metrics import QUALITY, aggregate, confusion, roc_auc_ovr_weighted, summarize
-from .rff import (GEMM_BLOCK_BYTES, GEMM_MIN_DENSITY, default_gamma, gemm_rows, new_projector,
-                  project_rows, uses_gemm)
+from .rff import (GEMM_BLOCK_BYTES, default_gamma, gemm_rows, new_projector, project_rows,
+                  project_rows_bytes, projector_bytes)
 from .version import __version__
-
-# float64 C x used-columns arrays that fit and scoring hold at once, read
-# off linear_models: gnb_fit holds means, variances and the score terms a
-# and b at once, and the model keeps a and b; logreg_fit holds the
-# LBFGS_MEMORY (s, y) pairs, its parameters, gradient and direction, and
-# two transients: a candidate and its squared weights, X'delta and lambda W,
-# or the new gradient and y (tracemalloc: 15.0 at LBFGS_MEMORY = 5)
-_MODEL_PEAK_ARRAYS = {"nb": 4, "lr": 2 * lm.LBFGS_MEMORY + 5}
-# float64 h x used-columns arrays that nn_train holds at once: w1, Adam's m
-# and v, and one step's gradient of w1 (adam_step works in block-sized scratch)
-_NN_PEAK_ARRAYS = 4
-# float64 Gram-sized arrays of ridge's direct solve beside one block of
-# linear_models._gram: the Gram matrix and one block's product, or the copy
-# numpy's solve takes (tracemalloc: 2.0 beside the block and the targets)
-_RIDGE_GRAM_ARRAYS = 2
 
 
 @contextmanager
@@ -149,111 +114,54 @@ def physical_memory_bytes() -> int | None:
 
 
 def memory_estimate(config: ExperimentConfig, class_count: int, matrix) -> tuple[int, str]:
-    """Peak bytes of one run, beside its corpus's matrix, and the knobs that lower them.
+    """Peak bytes of one run on the corpus's CSR ``matrix`` (on its used columns), and the
+    knobs that lower them.
 
-    ``matrix`` is the corpus's CSR matrix on its used columns: those the
-    raw-feature models fit in, and so the nn's default hidden width, and
-    those the RFF weights are drawn for. Its rows give the train rows of
-    ridge's direct solve, of RFF's projected train split and of nn's
-    batches, and the test rows that set the largest score block; its
-    nonzeros, the train split's share: that a raw run's CSR train split
-    holds, that the fit copies (`_fit_copy_bytes`) and that ridge's dual
-    copies as X'. Its longest row bounds the nonzeros of any block of
-    rows: those of a raw CSR score block, and, with GEMM_MIN_DENSITY of
-    its columns, those that scipy's route in rff.project_rows copies. Raw
-    nn densifies each batch and score block.
-
-    A run holds the train split, raw or projected, beside the fit alone
-    (`_single_run`), so the peak is the larger of the fit's and scoring's,
-    beside what the run holds throughout: the corpus matrix it reads, the
-    split's indices and labels and, with RFF, the weights. Scoring an RFF
-    block holds that block's projection, one GEMM's output: no
-    n_block x D array is assembled.
+    The corpus (`_corpus_bytes`) and, with RFF, the projector are held throughout; beside
+    them lies the larger of the train split with its fit, and one score block (the
+    tallest of `_score_blocks`) with what scoring it holds and the n_test x C scores.
     """
     corpus_size, columns = matrix.shape
-    corpus_nnz, longest_row, value_bytes = matrix.nnz, _longest_row(matrix), matrix.data.itemsize
-    model_columns = config.rff_dim if config.use_rff else columns
     n_train = _round_half_up(config.train_fraction * corpus_size)
     n_test = corpus_size - n_train
-    train_nnz = corpus_nnz * n_train // max(corpus_size, 1)
-    rows = _score_block_rows(config, columns, longest_row, value_bytes)
-    block = int(np.diff(_block_bounds(config, n_test, rows)).max(initial=0))
-    # the float64 n_test x C scores every block writes into, and the 4 block x C arrays
-    # at most that a block's scores pass through (lr's softmax)
-    scores = 8 * class_count * (n_test + 4 * block)
-    # the C x used-columns (or D) arrays scoring reads: nb's a and b, with RFF beside
-    # their two dense copies, or lr's or ridge's weights
-    reads = ({"majority": 0, "nn": 0, "nb": 4 if config.use_rff else 2}.get(config.model, 1)
-             * class_count * model_columns * 8)
-    # held throughout: the corpus matrix and its labels, the split's row indices, their
-    # labels and the class names it reads
-    held = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes + 32 * corpus_size
-    # held beside the fit alone: the raw CSR train split, or its dense projection
-    train = (8 * config.rff_dim * n_train if config.use_rff
-             else train_nnz * (value_bytes + 4) + 8 * n_train)
-    fit_copies = _fit_copy_bytes(config, matrix.dtype, train_nnz)
-    scoring = 0
+    bounds, longest_row = _score_blocks(config, matrix, n_test)
+    block = int(np.diff(bounds).max(initial=0))
+    train_nnz = matrix.nnz * n_train // max(corpus_size, 1)
+    value_bytes, C, D = matrix.data.itemsize, class_count, config.rff_dim
     if config.model == "nn":
-        hidden = model_columns if config.nn_hidden_width is None else config.nn_hidden_width
-        # the fit's arrays beside one dense batch, or w1 beside one dense raw score block
-        # and the scores
-        batch = min(config.nn_batch_size, n_train)
-        fitting = (_NN_PEAK_ARRAYS * hidden + batch) * model_columns * 8
-        if not config.use_rff:
-            scoring = (hidden + block) * columns * 8 + scores
+        width = D if config.use_rff else columns
+        fitting = nn.train_bytes(n_train, width, config.nn_hidden_width, config.nn_batch_size)
+        scoring = nn.score_bytes(block, width, C, config.nn_hidden_width,
+                                 sparse=not config.use_rff)
         knob = "--nn-hidden-width"
-    elif config.model == "ridge":
-        # the direct solve's min(n, columns + 1)^2 arrays, one block, the n x C
-        # targets and the dual's X' of a CSR X; CG holds none of these
-        side = min(n_train, model_columns + 1)
-        fitting = 0
-        if 0 < side <= lm.RIDGE_DENSE_LIMIT:
-            fitting = (_RIDGE_GRAM_ARRAYS * side * side * 8 + GEMM_BLOCK_BYTES
-                       + 8 * n_train * class_count)
-            if n_train <= model_columns and not config.use_rff:
-                fitting += 12 * train_nnz
-        fitting += fit_copies
-        knob = "--train-fraction" if n_train <= model_columns else "--k"
+    elif config.use_rff:
+        fitting = lm.fit_bytes(config.model, n_train, D, C)
+        scoring = lm.score_bytes(config.model, block, D, C)
     else:
-        fitting = (_MODEL_PEAK_ARRAYS.get(config.model, 0) * class_count * model_columns * 8
-                   + fit_copies)
-        knob = "--k"
-    if not config.use_rff and config.model != "nn" and n_test:
-        # one CSR score block and the scores beside the arrays scoring reads
-        nonzero = _csr_nonzero_bytes(value_bytes, squared=config.model == "nb")
-        scoring = int(reads + block * longest_row * nonzero) + scores
-    if config.use_rff:
-        # The D x used-columns weights are held throughout. Beside them lies the larger
-        # of: the projected train split with the model's arrays in the fit or with what
-        # rff.project_rows holds while it projects the split; or the largest block of
-        # test rows, what projecting it holds, its projection, which gnb_scores squares,
-        # the arrays scoring reads and the scores. rff.uses_gemm picks each call's route
-        # from its rows' own density, so on a ragged corpus a call can take either route,
-        # unless even rows as long as the longest fall short of the GEMM route. The GEMM
-        # route holds its gather buffer of up to one GEMM's rows and, for rows beyond one
-        # GEMM, one GEMM's projection; scipy's route holds the rows taken and project's
-        # float64 copy of their values. Rows take scipy's route only below
-        # GEMM_MIN_DENSITY of their columns, so their nonzeros are fewer than that, and
-        # than the rows times the longest row.
-        step = gemm_rows(columns)  # rows of one GEMM
-        copies = (min(longest_row, GEMM_MIN_DENSITY * columns)  # a row's on scipy's route
-                  * _csr_nonzero_bytes(value_bytes, squared=False))
+        fitting = lm.fit_bytes(config.model, n_train, columns, C, train_nnz, matrix.dtype)
+        # and the block's CSR rows, a value and an int32 index each; no block without test rows
+        scoring = (lm.score_bytes(config.model, block, columns, C, block * longest_row)
+                   + block * longest_row * (value_bytes + 4)) if n_test else 0
+        knob = "--train-fraction" if config.model == "ridge" and n_train <= columns else "--k"
+    scoring += 8 * C * n_test  # the n_test x C scores every block writes into
+    if not config.use_rff:  # the fit lies beside the CSR train split
+        train = train_nnz * (value_bytes + 4) + 8 * n_train
+        return max(train + fitting, scoring) + _corpus_bytes(matrix), knob
 
-        def beside(rows):
-            if not uses_gemm(longest_row, 1, columns):  # no call takes the GEMM route
-                return rows * copies
-            gemm = 8 * (columns * min(rows, step) + (config.rff_dim * step if rows > step else 0))
-            return max(rows * copies, gemm)
+    def projecting(rows):
+        return project_rows_bytes(rows, columns, D, longest_row, value_bytes)
 
-        scoring = beside(block) + 8 * config.rff_dim * block + reads + scores
-        if config.model == "nb":
-            scoring += 8 * config.rff_dim * block
-        fitting = max(fitting, beside(n_train))
-        # the weights and phases, and numpy's buffer for the ufunc that adds the phases
-        weights = 8 * config.rff_dim * (columns + 1) + 8 * np.getbufsize()
-        rff_knob = "--nn-hidden-width or --rff-dim" if config.model == "nn" else "--rff-dim or --k"
-        return int(weights + max(train + fitting, scoring) + held), rff_knob
-    return max(train + fitting, scoring) + held, knob
+    # the fit lies beside the projected train split, scoring beside the block's projection
+    fitting = 8 * D * n_train + max(fitting, projecting(n_train))
+    scoring += projecting(block) + 8 * D * block
+    knob = "--nn-hidden-width or --rff-dim" if config.model == "nn" else "--rff-dim or --k"
+    return int(projector_bytes(columns, D) + max(fitting, scoring) + _corpus_bytes(matrix)), knob
+
+
+def _corpus_bytes(matrix) -> int:
+    """What a run holds throughout: the corpus matrix and its labels, and the split's row
+    indices, their labels and the class names it reads (32 bytes a row in all)."""
+    return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes + 32 * matrix.shape[0]
 
 
 def _preflight_memory(config: ExperimentConfig, feature_dim: int, class_count: int,
@@ -261,9 +169,10 @@ def _preflight_memory(config: ExperimentConfig, feature_dim: int, class_count: i
     """InvalidConfig (exit 2) before an allocation that physical memory cannot hold.
 
     ``matrix`` is the corpus's matrix on its used columns, of the nominal ``feature_dim``.
+    Each of several processes holds a run; the parent holds its own copy of the corpus.
     """
     per_run, knob = memory_estimate(config, class_count, matrix)
-    needed = per_run * processes
+    needed = per_run * processes + (_corpus_bytes(matrix) if processes > 1 else 0)
     available = physical_memory_bytes()
     if available is not None and needed > available:
         raise InvalidConfig(
@@ -329,36 +238,6 @@ def _fit(config: ExperimentConfig, X_train, y_train, class_count: int, seed: int
     return model, scores, diagnostics
 
 
-def _fit_copy_bytes(config: ExperimentConfig, dtype, train_nnz: int) -> int:
-    """Bytes the fit of a raw CSR train split copies of it beside the split.
-
-    `rff._as_2d` copies integer counts to float64 values over the split's
-    index arrays (8 bytes a nonzero) for nb, lr and ridge, and gnb_fit
-    squares them (`_squared`, 8 more). Majority and nn copy nothing: nn
-    densifies its batches (`gather_rows`). With RFF the fit sees the dense
-    projection, counted on its own.
-    """
-    if config.use_rff or config.model not in ("nb", "lr", "ridge"):
-        return 0
-    copies = 8 * train_nnz if dtype != np.float64 else 0
-    if config.model == "nb":
-        copies += 8 * train_nnz
-    return copies
-
-
-def _block_bounds(config: ExperimentConfig, n_test: int, rows: int) -> list[int]:
-    """The first test row of every block, then n_test, for blocks of at most ``rows`` rows.
-
-    Dense blocks, with RFF or raw nn's, are ceil(n_test / rows) blocks
-    whose heights differ by at most one row. CSR blocks are ``rows`` tall,
-    and a remainder is a block of its own.
-    """
-    if config.use_rff or config.model == "nn":
-        count = max(1, -(-n_test // rows))
-        return [i * n_test // count for i in range(count + 1)]
-    return [*range(0, n_test, rows), n_test]
-
-
 def _peak_rss_mb() -> float | None:
     """This process's peak resident set so far in MiB, as the benchmark reads its
     peak_rss_mb; None where there is no `resource` module."""
@@ -371,39 +250,27 @@ def _peak_rss_mb() -> float | None:
         2**20 if sys.platform == "darwin" else 2**10)
 
 
-def _csr_nonzero_bytes(value_bytes: int, squared: bool) -> int:
-    """Bytes a block of CSR rows holds for each nonzero while it is scored or projected.
+def _score_blocks(config: ExperimentConfig, matrix, n_test: int) -> tuple[list[int], int]:
+    """The first test row of every score block, then n_test; and the most nonzeros a row of
+    the corpus's ``matrix`` holds, which sizes CSR blocks.
 
-    The rows taken (a value of ``value_bytes`` and an int32 index), the
-    float64 copy of the values that `rff._as_2d` makes over the same index
-    arrays and, when ``squared``, gnb_scores' squared copy of them.
+    Dense blocks, RFF projections and raw nn's densified rows, are ceil(n_test / step)
+    blocks whose heights differ by at most one row. The step is rff.gemm_rows of the used
+    columns or, with RFF, of the wider of them and D: each block is one projection GEMM,
+    whose output is scored. A CSR block is GEMM_BLOCK_BYTES over what the longest row
+    holds while gnb_scores scores it, whatever the model: its slice, a value and an int32
+    index a nonzero, and `lm.csr_score_bytes`. It is at least one row, and a remainder is
+    a block of its own.
     """
-    return value_bytes + 4 + 8 + 8 * squared
-
-
-def _longest_row(matrix) -> int:
-    """The most nonzeros a row of a CSR matrix holds (0 with no rows)."""
-    return int(np.diff(matrix.indptr).max(initial=0))
-
-
-def _score_block_rows(config: ExperimentConfig, columns: int, longest_row: float,
-                      value_bytes: int) -> int:
-    """Test rows scored at once: GEMM_BLOCK_BYTES over what one row holds while it is scored.
-
-    With RFF a block is at most one GEMM of `rff.gemm_rows` of the used
-    columns, and its projection no more than `rff.gemm_rows` of D. Raw
-    nn's dense block of the used columns is `rff.gemm_rows` of their
-    width, as every dense block is. A CSR block is sized by the corpus's
-    longest row, at `_csr_nonzero_bytes` for each of its nonzeros with
-    nb's square of them, whatever the model: no block holds more than
-    GEMM_BLOCK_BYTES unless one row does.
-    """
-    if config.use_rff:
-        return gemm_rows(max(columns, config.rff_dim))
-    if config.model == "nn":
-        return gemm_rows(columns)
-    row_bytes = longest_row * _csr_nonzero_bytes(value_bytes, squared=True)
-    return max(1, int(GEMM_BLOCK_BYTES // max(row_bytes, 1)))
+    columns = matrix.shape[1]
+    longest_row = int(np.diff(matrix.indptr).max(initial=0))
+    if config.use_rff or config.model == "nn":
+        step = gemm_rows(max(columns, config.rff_dim) if config.use_rff else columns)
+        count = max(1, -(-n_test // step))
+        return [i * n_test // count for i in range(count + 1)], longest_row
+    row_bytes = longest_row * (matrix.data.itemsize + 4 + lm.csr_score_bytes("nb"))
+    rows = max(1, int(GEMM_BLOCK_BYTES // max(row_bytes, 1)))
+    return [*range(0, n_test, rows), n_test], longest_row
 
 
 def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: int):
@@ -437,8 +304,7 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
 
     # blocks of test rows (module docstring)
     matrix, n_test = feats.matrix, len(test_idx)
-    rows = _score_block_rows(config, matrix.shape[1], _longest_row(matrix), matrix.data.itemsize)
-    bounds = _block_bounds(config, n_test, rows)
+    bounds, _ = _score_blocks(config, matrix, n_test)
     scores = np.empty((n_test, class_count))
     for start, stop in zip(bounds, bounds[1:]):
         if projector is None:

@@ -97,6 +97,12 @@ def new_projector(input_dim: int, output_dim: int, gamma: float, seed: int) -> R
     )
 
 
+def projector_bytes(input_dim: int, output_dim: int) -> int:
+    """Bytes a projector holds while it projects: its weights and phases, and numpy's buffer
+    for the ufunc that adds the phases to a projection."""
+    return 8 * output_dim * (input_dim + 1) + 8 * np.getbufsize()
+
+
 def default_gamma(input_dim: int) -> float:
     """Scale-free default bandwidth, 1/d."""
     return 1.0 / input_dim
@@ -193,6 +199,27 @@ def project_rows(projector: RffProjector, M: sp.csr_matrix, rows: np.ndarray) ->
         out[start:start + step] = project(projector, gather_rows(M, rows[start:start + step],
                                                                  buffer))
     return out
+
+
+def project_rows_bytes(rows: int, width: int, output_dim: int, longest_row: int,
+                       value_bytes: int) -> float:
+    """Most bytes project_rows holds beside its output for ``rows`` rows of a CSR matrix of
+    ``width`` columns, none of more than ``longest_row`` nonzeros of ``value_bytes`` bytes.
+
+    uses_gemm picks a call's route from its rows' own density, so the rows of a ragged
+    matrix can take either route, unless even rows as long as the longest fall short of
+    the GEMM route. The GEMM route holds its gather buffer of up to one GEMM's rows and,
+    for rows beyond one GEMM, one GEMM's projection. scipy's route holds the rows taken
+    and project's float64 copy of their values (value, int32 index and 8 bytes a nonzero);
+    rows take it only below GEMM_MIN_DENSITY of their columns, so their nonzeros are fewer
+    than that, and than the rows times the longest row.
+    """
+    copies = min(longest_row, GEMM_MIN_DENSITY * width) * (value_bytes + 4 + 8)  # a row's
+    if not uses_gemm(longest_row, 1, width):  # no call takes the GEMM route
+        return rows * copies
+    step = gemm_rows(width)
+    gemm = 8 * (width * min(rows, step) + (output_dim * step if rows > step else 0))
+    return max(rows * copies, gemm)
 
 
 def exact_kernel(a, b, gamma: float) -> float:

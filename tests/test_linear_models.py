@@ -741,3 +741,40 @@ def test_lr_on_used_columns_agrees_within_tolerance(rng):
     assert not np.any(np.delete(nominal.weights, columns, axis=1))
     got, want = lm.logreg_proba(model, R[test]), lm.logreg_proba(nominal, X[test])
     assert np.abs(got - want).max() <= 1e-4
+
+
+# id: (model, the train split's rows, columns and density)
+FIT_PEAK_CASES = {
+    "nb": ("nb", 60, 20000, 0.005),
+    "lr": ("lr", 60, 20000, 0.005),
+    # a dense n x n dual Gram matrix that outweighs the C x d weights
+    "ridge-dual": ("ridge", 1000, 3000, 0.05),
+    # n > d: the primal solve, whose one block of rows with their 1s outweighs
+    # the (d + 1)^2 Gram matrix
+    "ridge-primal": ("ridge", 4000, 300, 0.9),
+}
+
+
+@pytest.mark.parametrize("model, n, d, density", FIT_PEAK_CASES.values(), ids=FIT_PEAK_CASES.keys())
+def test_fit_bytes_matches_traced_peak(model, n, d, density):
+    """The larger of fit_bytes and score_bytes against tracemalloc's peak of fitting CSR
+    rows and scoring them, beside the rows."""
+    import tracemalloc
+
+    C = 20
+    X = sp.random(n, d, density=density, format="csr", random_state=3)
+    y = np.arange(n) % C
+    estimate = max(lm.fit_bytes(model, n, d, C, X.nnz, X.dtype),
+                   lm.score_bytes(model, n, d, C, X.nnz))
+    tracemalloc.start()
+    if model == "ridge":
+        lm.ridge_scores(lm.ridge_fit(X, y, class_count=C), X)
+    elif model == "nb":
+        lm.gnb_scores(lm.gnb_fit(X, y, C), X)
+    else:
+        model = lm.logreg_fit(X, y, max_iters=50, class_count=C)
+        assert model.n_iters > lm.LBFGS_MEMORY  # the (s, y) history is full
+        lm.logreg_proba(model, X)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert 0.75 * estimate <= peak <= 1.05 * estimate

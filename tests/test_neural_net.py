@@ -475,3 +475,19 @@ def test_step_on_csr_batch_allocates_only_the_gradient(monkeypatch, rng):
     # a copy of w1.T or one full-size Adam temporary would add another 5.4 MB
     assert forward_peak[0] <= batch_bytes + 2**18, forward_peak
     assert peak <= g_w1_bytes + batch_bytes + 2 * nnet.ADAM_BLOCK_BYTES + 2**18, peak
+
+
+def test_train_bytes_matches_traced_peak():
+    """The larger of train_bytes and score_bytes against tracemalloc's peak of training on
+    60 CSR rows of 20000 columns at width 64 and scoring them, beside the rows."""
+    import tracemalloc
+
+    n, d, C, h = 60, 20000, 20, 64
+    X = sp.random(n, d, density=0.005, format="csr", random_state=3)
+    y = np.arange(n) % C
+    estimate = max(nnet.train_bytes(n, d, h), nnet.score_bytes(n, d, C, h, sparse=True))
+    tracemalloc.start()
+    nnet.nn_scores(nnet.nn_train(X, y, C, hidden_width=h, epochs=2), X)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert 0.75 * estimate <= peak <= 1.05 * estimate

@@ -11,7 +11,7 @@ from seqclass.cli import main
 from seqclass.config import ExperimentConfig, config_from_mapping, parse_config_file
 from seqclass.errors import EmptyMatrix, EmptyTrainingSet, InvalidConfig, IoFailure
 from seqclass.ingest import LabeledSequence, LabelHierarchy, SequenceRecord, save_corpus
-from seqclass.pipeline import (_score_block_rows, report_to_json, run_experiment, strip_timing,
+from seqclass.pipeline import (_score_blocks, report_to_json, run_experiment, strip_timing,
                                write_report_csv)
 
 from conftest import labeled_corpus, random_sequences, read_sqfv1
@@ -894,8 +894,11 @@ def _blocked_and_whole_scores(monkeypatch, config, data, rows=None):
     monkeypatch.setattr(pipeline, "_fit", fit)
     recording("split_indices", pipeline.split_indices)
     recording("new_projector", pipeline.new_projector)
-    if rows is not None:
-        monkeypatch.setattr(pipeline, "_score_block_rows", lambda *args: rows)
+    if rows is not None:  # dense blocks are gemm_rows tall, CSR ones GEMM_BLOCK_BYTES over
+        # the bytes of the longest row's nonzeros (a value, an index, a copy and its square)
+        monkeypatch.setattr(pipeline, "gemm_rows", lambda width: rows)
+        row_bytes = int(np.diff(feats.matrix.indptr).max()) * (feats.matrix.data.itemsize + 20)
+        monkeypatch.setattr(pipeline, "GEMM_BLOCK_BYTES", rows * row_bytes)
     monkeypatch.setattr(pipeline, "roc_auc_ovr_weighted",
                         lambda scores, y: seen.update(blocked=scores.copy()) or 0.5)
     pipeline._single_run(config, feats, 0)
@@ -929,7 +932,7 @@ def test_dense_scores_in_blocks(monkeypatch, model, use_rff):
     data = labeled_corpus({"a": 1200, "b": 900, "c": 900}, length=40, seed=4)  # 2700 test rows
     config = ExperimentConfig(model=model, k=2, use_rff=use_rff, nn_hidden_width=16, nn_epochs=2,
                               lr_max_iters=30)
-    rows = _score_block_rows(config, 441, 39, 1) if use_rff else 1048
+    rows = _block_rows(config, 441, 39, 1) if use_rff else 1048
     assert rows == 1048
     blocked, whole, blocks = _blocked_and_whole_scores(monkeypatch, config, data, rows)
     assert blocks == [900] * 3
@@ -978,25 +981,42 @@ def test_rff_scores_in_blocks_are_bit_identical_to_the_whole_split(monkeypatch, 
     assert np.abs(blocked - whole).max() <= 1e-14 * max(1.0, np.abs(whole).max())
 
 
+def _block_rows(config, columns: int, longest_row: int, value_bytes: int) -> int:
+    """The most test rows that _score_blocks scores in one block, on a corpus of ``columns``
+    used columns whose longest row holds ``longest_row`` nonzeros of ``value_bytes`` bytes:
+    up to that many test rows make one block, and one more makes two."""
+    dtype = {1: np.uint8, 8: np.float64}[value_bytes]
+    matrix = sp.csr_matrix((np.ones(longest_row, dtype), np.zeros(longest_row, np.int32),
+                            [0, longest_row]), shape=(1, columns))
+    low, high = 1, 1 << 15
+    while low < high:
+        middle = (low + high + 1) // 2
+        if len(_score_blocks(config, matrix, middle)[0]) == 2:
+            low = middle
+        else:
+            high = middle - 1
+    return low
+
+
 def test_score_block_rows():
     # With RFF, 8 MiB over a row's 8 bytes a used column or a projected one, whichever are
     # more: one GEMM, whose projection is 8 MiB at most. Raw nn: 8 bytes a used column
     rff = ExperimentConfig(use_rff=True, rff_dim=1000)
-    assert _score_block_rows(rff, 441, 39, 1) == 1048
-    assert _score_block_rows(rff, 4432, 39, 1) == 236
-    assert _score_block_rows(replace(rff, model="nn"), 441, 39, 1) == 1048
-    assert _score_block_rows(ExperimentConfig(use_rff=True, rff_dim=3000), 441, 0, 1) == 349
-    assert _score_block_rows(ExperimentConfig(model="nn"), 5339, 37, 1) == 196
-    assert _score_block_rows(ExperimentConfig(use_rff=True, rff_dim=2 << 20), 441, 0, 1) == 1
-    assert _score_block_rows(ExperimentConfig(use_rff=True, rff_dim=64), 2 << 20, 0, 1) == 1
-    assert _score_block_rows(ExperimentConfig(model="nn"), 2 << 20, 0, 1) == 1
+    assert _block_rows(rff, 441, 39, 1) == 1048
+    assert _block_rows(rff, 4432, 39, 1) == 236
+    assert _block_rows(replace(rff, model="nn"), 441, 39, 1) == 1048
+    assert _block_rows(ExperimentConfig(use_rff=True, rff_dim=3000), 441, 0, 1) == 349
+    assert _block_rows(ExperimentConfig(model="nn"), 5339, 37, 1) == 196
+    assert _block_rows(ExperimentConfig(use_rff=True, rff_dim=2 << 20), 441, 0, 1) == 1
+    assert _block_rows(ExperimentConfig(use_rff=True, rff_dim=64), 2 << 20, 0, 1) == 1
+    assert _block_rows(ExperimentConfig(model="nn"), 2 << 20, 0, 1) == 1
     # A CSR block: 8 MiB over the longest row's nonzeros, each its value, its int32
     # index, a float64 copy and nb's square of it; every CSR model gets nb's blocks
     for model in ("majority", "nb", "lr", "ridge"):
         config = ExperimentConfig(model=model)
-        assert _score_block_rows(config, 5339, 37, 1) == (8 << 20) // (21 * 37)
-    assert _score_block_rows(ExperimentConfig(), 5339, 37, 8) == (8 << 20) // (28 * 37)
-    assert _score_block_rows(ExperimentConfig(), 5339, 1 << 20, 1) == 1  # a row above 8 MiB
+        assert _block_rows(config, 5339, 37, 1) == (8 << 20) // (21 * 37)
+    assert _block_rows(ExperimentConfig(), 5339, 37, 8) == (8 << 20) // (28 * 37)
+    assert _block_rows(ExperimentConfig(), 5339, 1 << 20, 1) == 1  # a row above 8 MiB
 
 
 def test_raw_nb_run_holds_less_than_the_test_split(monkeypatch):
@@ -1187,63 +1207,109 @@ def _rows(rows, columns, per_row=0, dtype=np.float64):
                           np.arange(rows + 1) * per_row), shape=(rows, columns))
 
 
-# id: (model, use_rff, the train split's rows, columns and density)
-TRACED_PEAK_CASES = {
-    "nb-False": ("nb", False, 60, 20000, 0.005),
-    "lr-False": ("lr", False, 60, 20000, 0.005),
-    "nn-False": ("nn", False, 60, 20000, 0.005),
-    "majority-True": ("majority", True, 60, 20000, 0.005),
-    # a dense n x n dual Gram matrix that outweighs the C x d weights
-    "ridge-False": ("ridge", False, 1000, 3000, 0.05),
-    # n > d: the primal solve, whose one block of rows with their 1s outweighs
-    # the (d + 1)^2 Gram matrix
-    "ridge-primal": ("ridge", False, 4000, 300, 0.9),
+def _estimate_grid_matrices():
+    """The grid's corpus matrices on their used columns, by name, with their class counts:
+    k = 2, 3 and 6 counts of a ragged corpus (40 to 200 residues), one-hot on an aligned
+    one, and the k = 3 counts L2-normalized to float64."""
+    from seqclass.features import featurize_corpus, used_columns
+
+    sizes = {"a": 240, "b": 180, "c": 120, "d": 60}
+    aligned = labeled_corpus(sizes, length=80, seed=7)
+    ragged = [LabeledSequence(SequenceRecord(item.record.id,
+                                             item.record.residues[:40 + 37 * row % 161]), item.label)
+              for row, item in enumerate(labeled_corpus(sizes, length=200, seed=7))]
+    spec = {"k2": (ragged, "kmers", 2, False), "k3": (ragged, "kmers", 3, False),
+            "k6": (ragged, "kmers", 6, False), "ohe": (aligned, "ohe", 3, False),
+            "k3-l2": (ragged, "kmers", 3, True)}
+    for name, (data, encoding, k, l2) in spec.items():
+        feats = featurize_corpus(data, encoding, k=k, l2_normalize=l2)
+        yield name, used_columns(feats.matrix), len(feats.class_names)
+
+
+K, TF, H = "--k", "--train-fraction", "--nn-hidden-width"
+RK, HR = "--rff-dim or --k", "--nn-hidden-width or --rff-dim"
+# (matrix, model, use_rff): memory_estimate at train fractions 0.1, 0.5 and 0.9, with D =
+# 1000 and nn64 the nn at width 64. Printed by this grid at commit 0672eab, where
+# pipeline.memory_estimate still worked out every term itself, before each term moved
+# beside the function that allocates it.
+FROZEN_ESTIMATES = {
+    ("k2", "majority", False): [(1602354, K), (1036674, K), (611064, K)],
+    ("k2", "majority", True): [(10242630, RK), (7437510, RK), (10156230, RK)],
+    ("k2", "nb", False): [(2360658, K), (1470498, K), (1554456, K)],
+    ("k2", "nb", True): [(14690630, RK), (9965510, RK), (10156230, RK)],
+    ("k2", "lr", False): [(1616466, K), (1050786, K), (1266216, K)],
+    ("k2", "lr", True): [(10274630, RK), (7469510, RK), (10156230, RK)],
+    ("k2", "ridge", False): [(8932157, TF), (10940107, TF), (12586248, K)],
+    ("k2", "ridge", True): [(12859238, RK), (16169318, RK), (21322598, RK)],
+    ("k2", "nn", False): [(6795921, H), (7062151, H), (7187256, H)],
+    ("k2", "nn", True): [(36891110, HR), (39131110, HR), (41051110, HR)],
+    ("k2", "nn64", False): [(2546886, H), (1741927, H), (1867032, H)],
+    ("k2", "nn64", True): [(10242630, HR), (9179110, HR), (11099110, HR)],
+    ("k3", "majority", False): [(1849764, K), (1193604, K), (694344, K)],
+    ("k3", "majority", True): [(75684036, RK), (77683140, RK), (80220900, RK)],
+    ("k3", "nb", False): [(3297636, K), (2299608, K), (2892552, K)],
+    ("k3", "nb", True): [(76676036, RK), (77683140, RK), (80220900, RK)],
+    ("k3", "lr", False): [(4909192, K), (5276984, K), (5644776, K)],
+    ("k3", "lr", True): [(75716036, RK), (77683140, RK), (80220900, RK)],
+    ("k3", "ridge", False): [(8997912, TF), (11093512, TF), (15032312, TF)],
+    ("k3", "ridge", True): [(83439068, RK), (86749148, RK), (91902428, RK)],
+    ("k3", "nn", False): [(2747590952, H), (2750696152, H), (2750838792, H)],
+    ("k3", "nn", True): [(107470940, HR), (109710940, HR), (111630940, HR)],
+    ("k3", "nn64", False): [(23813288, H), (26918488, H), (27061128, H)],
+    ("k3", "nn64", True): [(77518940, HR), (79758940, HR), (81678940, HR)],
+    ("k6", "majority", False): [(1822209, K), (1175409, K), (681999, K)],
+    ("k6", "majority", True): [(553296545, RK), (555824945, RK), (558353345, RK)],
+    ("k6", "nb", False): [(9347999, K), (9930023, K), (10512047, K)],
+    ("k6", "nb", True): [(553296545, RK), (555824945, RK), (558353345, RK)],
+    ("k6", "lr", False): [(33590607, K), (33951639, K), (34312671, K)],
+    ("k6", "lr", True): [(553624445, RK), (555824945, RK), (558353345, RK)],
+    ("k6", "ridge", False): [(8988167, TF), (11070767, TF), (14996567, TF)],
+    ("k6", "ridge", True): [(561592573, RK), (564902653, RK), (570055933, RK)],
+    ("k6", "nn", False): [(152509208447, H), (152531437447, H), (152531577487, H)],
+    ("k6", "nn", True): [(585624445, HR), (587864445, HR), (589784445, HR)],
+    ("k6", "nn64", False): [(174904703, H), (197133703, H), (197273743, H)],
+    ("k6", "nn64", True): [(555672445, HR), (557912445, HR), (559832445, HR)],
+    ("ohe", "majority", False): [(909604, K), (621604, K), (481924, K)],
+    ("ohe", "majority", True): [(18743140, RK), (16535140, RK), (18656740, RK)],
+    ("ohe", "nb", False): [(1362724, K), (983044, K), (1388164, K)],
+    ("ohe", "nb", True): [(23191140, RK), (19063140, RK), (18656740, RK)],
+    ("ohe", "lr", False): [(1130884, K), (1382404, K), (1633924, K)],
+    ("ohe", "lr", True): [(18775140, RK), (16655140, RK), (18656740, RK)],
+    ("ohe", "ridge", False): [(8830212, TF), (10702212, TF), (14417412, TF)],
+    ("ohe", "ridge", True): [(22703268, RK), (26013348, RK), (31166628, RK)],
+    ("ohe", "nn", False): [(91409284, H), (92044804, H), (92142724, H)],
+    ("ohe", "nn", True): [(46735140, HR), (48975140, HR), (50895140, HR)],
+    ("ohe", "nn64", False): [(8465764, H), (5201764, H), (5266564, H)],
+    ("ohe", "nn64", True): [(18743140, HR), (19023140, HR), (20943140, HR)],
+    ("k3-l2", "majority", False): [(3090724, K), (2101924, K), (1630132, K)],
+    ("k3-l2", "majority", True): [(76326244, RK), (78591460, RK), (81461860, RK)],
+    ("k3-l2", "nb", False): [(4538596, K), (3169636, K), (3321748, K)],
+    ("k3-l2", "nb", True): [(77318244, RK), (78591460, RK), (81461860, RK)],
+    ("k3-l2", "lr", False): [(5394676, K), (5734324, K), (6073972, K)],
+    ("k3-l2", "lr", True): [(76358244, RK), (78591460, RK), (81461860, RK)],
+    ("k3-l2", "ridge", False): [(9483396, TF), (11550852, TF), (15461508, TF)],
+    ("k3-l2", "ridge", True): [(83931588, RK), (87241668, RK), (92394948, RK)],
+    ("k3-l2", "nn", False): [(2748132724, H), (2751434932, H), (2751774580, H)],
+    ("k3-l2", "nn", True): [(107963460, HR), (110203460, HR), (112123460, HR)],
+    ("k3-l2", "nn64", False): [(24355060, H), (27657268, H), (27996916, H)],
+    ("k3-l2", "nn64", True): [(78011460, HR), (80251460, HR), (82171460, HR)],
 }
 
 
-@pytest.mark.parametrize("model, use_rff, n, d, density", TRACED_PEAK_CASES.values(),
-                         ids=TRACED_PEAK_CASES.keys())
-def test_memory_estimate_matches_traced_peak(model, use_rff, n, d, density):
-    """The C x d (h x d, D x d, Gram) array count of the estimate, against tracemalloc's peak.
-
-    The train split is taken from the corpus inside the trace, as a run takes it; the
-    corpus, which the estimate counts too, is made before it."""
-    import tracemalloc
-
-    import scipy.sparse as sp
-
-    import seqclass.linear_models as lm
-    import seqclass.neural_net as nnet
+def test_memory_estimate_is_unchanged():
     from seqclass.pipeline import memory_estimate
-    from seqclass.rff import new_projector, project
 
-    C, D, h = 20, 40, 64
-    X = sp.random(n, d, density=density, format="csr", random_state=3)
-    y = np.arange(n) % C
-    config = ExperimentConfig(model=model, use_rff=use_rff, rff_dim=D, nn_hidden_width=h,
-                              train_fraction=0.5)
-    # n train rows, and a test split as dense as X
-    corpus = sp.vstack([X, X], format="csr")
-    estimate, _ = memory_estimate(config, C, corpus)
-    estimate -= corpus.data.nbytes + corpus.indices.nbytes + corpus.indptr.nbytes
-    del X
-    tracemalloc.start()
-    X = corpus[np.arange(n)]
-    if model == "ridge":
-        lm.ridge_scores(lm.ridge_fit(X, y, class_count=C), X)
-    elif use_rff:
-        project(new_projector(d, D, 1.0 / d, 0), X)
-    elif model == "nb":
-        lm.gnb_scores(lm.gnb_fit(X, y, C), X)
-    elif model == "nn":
-        nnet.nn_scores(nnet.nn_train(X, y, C, hidden_width=h, epochs=2), X)
-    else:
-        model = lm.logreg_fit(X, y, max_iters=50, class_count=C)
-        assert model.n_iters > lm.LBFGS_MEMORY  # the (s, y) history is full
-        lm.logreg_proba(model, X)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert 0.75 * estimate <= peak <= 1.05 * estimate
+    got = {}
+    for name, matrix, class_count in _estimate_grid_matrices():
+        for variant in ("majority", "nb", "lr", "ridge", "nn", "nn64"):
+            for use_rff in (False, True):
+                config = ExperimentConfig(model=variant[:2] if variant == "nn64" else variant,
+                                          use_rff=use_rff, rff_dim=1000,
+                                          nn_hidden_width=64 if variant == "nn64" else None)
+                got[name, variant, use_rff] = [
+                    memory_estimate(replace(config, train_fraction=fraction), class_count, matrix)
+                    for fraction in (0.1, 0.5, 0.9)]
+    assert got == FROZEN_ESTIMATES
 
 
 @pytest.mark.parametrize("model", ["lr", "ridge", "nb"])
@@ -1443,6 +1509,10 @@ def test_preflight_counts_every_parallel_run(monkeypatch):
     per_run, _ = pipeline.memory_estimate(config, 20, matrix)
     monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: int(1.5 * per_run))
     pipeline._preflight_memory(config, 9261, 20, 1, matrix)
+    with pytest.raises(InvalidConfig, match="lower --k"):
+        pipeline._preflight_memory(config, 9261, 20, 2, matrix)
+    # each pool process unpickles its own corpus, and the parent keeps its own
+    monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: 2 * per_run + _held(matrix) - 1)
     with pytest.raises(InvalidConfig, match="lower --k"):
         pipeline._preflight_memory(config, 9261, 20, 2, matrix)
     monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: None)  # unknown: no check

@@ -400,3 +400,20 @@ def test_project_of_an_integer_csr_on_the_gemm_route_makes_no_float64_copy():
     assert np.array_equal(got, project(proj, M.astype(np.float64)))
     with pytest.raises(DimensionMismatch, match=f"input has dim {d}, expected {d + 1}"):
         project(new_projector(d + 1, D, 1.0 / d, seed=0), M)
+
+
+def test_project_rows_bytes_matches_traced_peak():
+    """projector_bytes, the projection and project_rows_bytes against tracemalloc's peak of
+    building a D = 40 projector and projecting 60 CSR rows of 20000 columns with it."""
+    import tracemalloc
+
+    n, d, D = 60, 20000, 40
+    X = sp.random(n, d, density=0.005, format="csr", random_state=3)
+    longest_row = int(np.diff(X.indptr).max())
+    estimate = (rff.projector_bytes(d, D) + 8 * D * n
+                + rff.project_rows_bytes(n, d, D, longest_row, X.data.itemsize))
+    tracemalloc.start()
+    project(new_projector(d, D, 1.0 / d, 0), X)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert 0.75 * estimate <= peak <= 1.05 * estimate

@@ -71,3 +71,11 @@ def readme_exports(readme: str) -> dict[str, list[str]]:
 def test_readme_export_table_matches_the_package():
     readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
     assert readme_exports(readme) == seqclass._EXPORTS
+
+
+def test_pipeline_names_no_model_internal_memory_rule():
+    """Each model's allocation rules stay in its own module: pipeline.py adds up the byte
+    functions beside the allocating code, and names none of the constants behind them."""
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
+    internal = {"LBFGS_MEMORY", "RIDGE_DENSE_LIMIT", "GEMM_MIN_DENSITY", "uses_gemm", "getbufsize"}
+    assert _names(tree) & internal == set()
