@@ -37,9 +37,6 @@ class InvalidResidue(DataError):
             f"invalid residue {char!r} at position {position} in sequence {seq_id!r}"
         )
 
-    def __reduce__(self):  # keep picklable across worker processes
-        return (InvalidResidue, (self.seq_id, self.position, self.char))
-
 
 class DuplicateMetadataKey(DataError):
     pass

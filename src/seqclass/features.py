@@ -9,14 +9,14 @@ residue at position p).
 
 Matrices are scipy CSR. k-mers are counted in chunks of consecutive rows
 holding at most _CHUNK_WINDOWS windows (a row longer than that is a
-chunk alone), which can fan out over worker processes (order
-preserving), by sorting each chunk's (row, k-mer) window keys, so a
-chunk's memory is linear in its window count and independent of 21**k:
-every k up to MAX_K featurizes. One indices/data pair as long as the
-corpus's window count, which bounds its nonzeros, is allocated up front;
-each chunk's k-mer ids and counts are written into it as soon as the
-chunk is counted, or comes back from the pool, and the pair is then cut
-to the nonzeros. No chunk outlives its copy, and pages past the
+chunk alone), which can fan out over threads that share the corpus
+(order preserving; numpy's sort releases the GIL), by sorting each
+chunk's (row, k-mer) window keys, so a chunk's memory is linear in its
+window count and independent of 21**k: every k up to MAX_K featurizes.
+One indices/data pair as long as the corpus's window count, which bounds
+its nonzeros, is allocated up front; each chunk's k-mer ids and counts
+are written into it as soon as the chunk is counted, and the pair is
+then cut to the nonzeros. No chunk outlives its copy, and pages past the
 nonzeros are never touched. Counts are stored in the narrowest unsigned
 integer type that holds the corpus's largest count: uint8 unless a
 k-mer occurs 256 times in one row, so a nonzero takes 5 bytes (its int32
@@ -37,10 +37,8 @@ from __future__ import annotations
 import json
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 from typing import IO, Sequence
 
 import numpy as np
@@ -159,9 +157,11 @@ def kmer_matrix(
 ) -> sp.csr_matrix:
     """n x 21**k sparse count matrix; row i sums to len(seqs[i]) - k + 1.
 
-    Each chunk (module docstring) is encoded and counted in its own task;
-    the pool never outnumbers the chunks or the usable cores. The counts'
-    dtype is the narrowest unsigned one that holds the largest of them.
+    Each chunk (module docstring) is encoded and counted in its own task, on
+    min(workers, chunks, usable cores) threads; at one, in the calling thread.
+    Chunks are copied out in row order, so the output and the first error in
+    row order do not depend on the thread count. The counts' dtype is the
+    narrowest unsigned one that holds the largest of them.
     """
     kmer_dim(k)  # InvalidConfig outside [1, MAX_K], before any other check
     if not seqs:
@@ -174,17 +174,17 @@ def kmer_matrix(
     windows = np.fromiter((max(len(seq) - k + 1, 0) for seq in seqs), dtype=np.int64,
                           count=len(seqs))
     bounds = _chunk_bounds(windows)
-    id_chunks = [ids[start:stop] for start, stop in zip(bounds, bounds[1:])]
-    seq_chunks = [seqs[start:stop] for start, stop in zip(bounds, bounds[1:])]
     # a row's distinct k-mers are at most its windows
     indptr = np.zeros(len(seqs) + 1, dtype=np.int64)
     indices = np.empty(int(windows.sum()), dtype=np.int32)
     data = np.empty(len(indices), dtype=np.uint8)
-    processes = min(workers, len(id_chunks), _usable_cores())
-    pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else nullcontext()
-    with pool:
-        counted = (pool.map if processes > 1 else map)(_kmer_chunk, id_chunks, seq_chunks,
-                                                       repeat(k))
+    threads = min(workers, len(bounds) - 1, _usable_cores())
+
+    def count(start: int, stop: int) -> tuple[np.ndarray, ...]:
+        return _kmer_chunk(ids[start:stop], seqs[start:stop], k)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:  # no thread starts before a submit
+        counted = (pool.map if threads > 1 else map)(count, bounds, bounds[1:])
         for start, stop, (chunk_indptr, chunk_indices, chunk_data) in zip(bounds, bounds[1:],
                                                                          counted):
             lo = indptr[start]

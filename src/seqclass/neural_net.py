@@ -100,11 +100,12 @@ def nn_scores(net: FeedForwardNet, X) -> np.ndarray:
 
 def score_bytes(rows: int, d: int, class_count: int, hidden_width: int | None = None,
                 sparse: bool = False) -> int:
-    """Bytes nn_scores holds for ``rows`` rows of width d: 4 rows x C arrays that the
-    probabilities pass through and, for CSR input, the rows densified beside w1 (of
-    ``hidden_width`` rows, d by default, as nn_init's)."""
+    """Bytes nn_scores holds for ``rows`` rows of width d: w1 (of ``hidden_width`` rows, d by
+    default, as nn_init's), `_forward`'s two rows x hidden arrays (``X @ w1.T`` and its sum
+    with b1), 4 rows x C arrays that the probabilities pass through and, for CSR input, the
+    rows densified."""
     hidden = d if hidden_width is None else hidden_width
-    return 8 * ((hidden + rows) * d * sparse + 4 * rows * class_count)
+    return 8 * (hidden * d + 2 * rows * hidden + 4 * rows * class_count + rows * d * sparse)
 
 
 def nn_loss(probs: np.ndarray, y) -> float:

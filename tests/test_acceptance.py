@@ -447,7 +447,7 @@ def test_c10_single_thread_throughput():
     reason=f"8-worker scaling gate needs >= 8 usable cores; found {_usable_cpus()}",
 )
 def test_c10_parallel_scaling():
-    # A 3x speedup from 8 worker processes needs 8 cores to run them on;
+    # A 3x speedup from 8 workers (threads) needs 8 cores to run them on;
     # the single-worker baseline is timed here, right before the 8-worker
     # run, so both see the same load whatever ran before this test.
     seqs = _throughput_corpus()

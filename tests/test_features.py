@@ -2,6 +2,7 @@ import collections
 import io
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -198,13 +199,16 @@ def test_featurize_row_order_matches_input(rng):
         assert (feats.matrix[i] != row).nnz == 0
 
 
-def test_featurize_parallel_is_bit_identical(rng):
-    seqs = random_sequences(rng, 600, 40)  # spans several chunks
+def test_featurize_parallel_is_bit_identical(rng, monkeypatch):
+    monkeypatch.setattr(features, "_usable_cores", lambda: 4)  # so three workers are 3 threads
+    monkeypatch.setattr(features, "_CHUNK_WINDOWS", 3800)
+    seqs = random_sequences(rng, 600, 40)  # 38 windows a row: 6 chunks
     one = kmer_matrix(seqs, 3, workers=1)
-    two = kmer_matrix(seqs, 3, workers=2)
-    assert np.array_equal(one.indptr, two.indptr)
-    assert np.array_equal(one.indices, two.indices)
-    assert np.array_equal(one.data, two.data)
+    for workers in (2, 3):
+        many = kmer_matrix(seqs, 3, workers=workers)
+        assert np.array_equal(one.indptr, many.indptr)
+        assert np.array_equal(one.indices, many.indices)
+        assert np.array_equal(one.data, many.data) and one.dtype == many.dtype
 
 
 @pytest.mark.parametrize("encoding", ["kmers", "ohe"])
@@ -236,22 +240,34 @@ def test_used_columns_at_k6_allocates_no_int64_array_of_the_nominal_width(rng):
     assert np.array_equal(np.unique(matrix.indices)[restricted.indices], matrix.indices)
 
 
-def test_parallel_propagates_errors(rng, monkeypatch):
+@pytest.fixture
+def thread_pools(monkeypatch):
+    """The thread counts of the pools kmer_matrix maps chunks over; a pool it enters and
+    never maps over (one thread: the chunks are counted in the calling thread) is not listed."""
+    pools = []
+
+    class RecordingPool(features.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            self.threads = max_workers
+            super().__init__(max_workers=max_workers)
+
+        def map(self, fn, *iterables):
+            pools.append(self.threads)
+            return super().map(fn, *iterables)
+
+    monkeypatch.setattr(features, "ThreadPoolExecutor", RecordingPool)
+    return pools
+
+
+def test_parallel_propagates_errors(rng, monkeypatch, thread_pools):
     """A worker's InvalidResidue and SequenceTooShort reach the caller intact through the pool.
 
     600 rows of 38 windows at 3800 windows a chunk make 6 chunks, so two
-    processes count them on any host.
+    threads count them on any host.
     """
-    pools = []
-
-    class RecordingPool(features.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
+    pools = thread_pools
     monkeypatch.setattr(features, "_CHUNK_WINDOWS", 3800)
     monkeypatch.setattr(features, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(features, "ProcessPoolExecutor", RecordingPool)
     seqs = random_sequences(rng, 600, 40)
     ids = [f"q{i}" for i in range(len(seqs))]
     bad = list(seqs)
@@ -466,18 +482,22 @@ def test_bad_residue_reported_alike_everywhere(rng, entry, bad, position, char):
     assert (err.value.seq_id, err.value.position, err.value.char) == (seq_id, position, char)
 
 
-def test_pool_is_capped_at_chunks_and_usable_cores(rng, monkeypatch, inline_pool):
-    InlinePool, pools = inline_pool
-    monkeypatch.setattr(features, "ProcessPoolExecutor", InlinePool)
+def test_pool_is_capped_at_chunks_and_usable_cores(rng, monkeypatch, thread_pools):
+    pools = thread_pools
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(features, "_CHUNK_WINDOWS", 3 * 512)  # 512 rows of 3 windows
     seqs = random_sequences(rng, 3 * 512, 5)  # three chunks
+    callers = []
+    chunk = features._kmer_chunk
+    monkeypatch.setattr(features, "_kmer_chunk",
+                        lambda *args: callers.append(threading.get_ident()) or chunk(*args))
     serial = kmer_matrix(seqs, 3, workers=1)
     assert pools == []
+    assert callers == [threading.get_ident()] * 3  # one worker: each chunk in this thread
     assert (kmer_matrix(seqs, 3, workers=8) != serial).nnz == 0
     assert pools == [2]  # two usable cores
     kmer_matrix(seqs[:512], 3, workers=8)
-    assert pools == [2]  # one chunk runs in this process
+    assert pools == [2]  # one chunk runs in this thread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
     kmer_matrix(seqs, 3, workers=8)
     assert pools == [2, 3]  # three chunks

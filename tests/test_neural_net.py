@@ -479,15 +479,21 @@ def test_step_on_csr_batch_allocates_only_the_gradient(monkeypatch, rng):
 
 def test_train_bytes_matches_traced_peak():
     """The larger of train_bytes and score_bytes against tracemalloc's peak of training on
-    60 CSR rows of 20000 columns at width 64 and scoring them, beside the rows."""
+    n rows and scoring them, beside the rows: 60 CSR rows of 20000 columns at width 64,
+    and 1048 dense RFF-like rows of 200 columns at the default width, whose scoring
+    (w1 and two 1048 x 200 activations) outgrows the fit."""
     import tracemalloc
 
-    n, d, C, h = 60, 20000, 20, 64
-    X = sp.random(n, d, density=0.005, format="csr", random_state=3)
-    y = np.arange(n) % C
-    estimate = max(nnet.train_bytes(n, d, h), nnet.score_bytes(n, d, C, h, sparse=True))
-    tracemalloc.start()
-    nnet.nn_scores(nnet.nn_train(X, y, C, hidden_width=h, epochs=2), X)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert 0.75 * estimate <= peak <= 1.05 * estimate
+    C = 20
+    for n, d, h, sparse in ((60, 20000, 64, True), (1048, 200, None, False)):
+        if sparse:
+            X = sp.random(n, d, density=0.005, format="csr", random_state=3)
+        else:
+            X = np.cos(np.random.default_rng(3).standard_normal((n, d)))
+        y = np.arange(n) % C
+        estimate = max(nnet.train_bytes(n, d, h), nnet.score_bytes(n, d, C, h, sparse=sparse))
+        tracemalloc.start()
+        nnet.nn_scores(nnet.nn_train(X, y, C, hidden_width=h, epochs=2), X)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert 0.75 * estimate <= peak <= 1.05 * estimate, (n, d, peak, estimate)

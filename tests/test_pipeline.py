@@ -523,6 +523,18 @@ def test_cli_ingest_leaves_scipy_out(tmp_path):
         assert _exit_code_and_modules(None, package) == "0 []"
 
 
+def test_cli_featurize_counts_on_threads_not_processes(tmp_path):
+    """featurize --workers 2 counts a corpus of several chunks on threads: no child process,
+    so neither concurrent.futures.process nor multiprocessing is loaded."""
+    _, _, _, corpus = _write_inputs(tmp_path, {"a": 60, "b": 60}, length=1273)  # 3 chunks at k = 3
+    argv = ["featurize", "--corpus", str(corpus), "--workers", "2",
+            "--out-features", str(tmp_path / "f.sqfv"), "--out-labels", str(tmp_path / "l.json")]
+    out = _exit_code_and_modules(argv, "concurrent")
+    assert out.startswith("0 [") and "'concurrent.futures.thread'" in out
+    assert "concurrent.futures.process" not in out
+    assert _exit_code_and_modules(argv, "multiprocessing") == "0 []"
+
+
 def test_cli_ig_leaves_scipy_out(tmp_path):
     """ig counts residues by class with numpy alone: no scipy, no features module."""
     _, _, _, corpus = _write_inputs(tmp_path, {"a": 5, "b": 5}, length=12)
@@ -1231,7 +1243,8 @@ RK, HR = "--rff-dim or --k", "--nn-hidden-width or --rff-dim"
 # (matrix, model, use_rff): memory_estimate at train fractions 0.1, 0.5 and 0.9, with D =
 # 1000 and nn64 the nn at width 64. Printed by this grid at commit 0672eab, where
 # pipeline.memory_estimate still worked out every term itself, before each term moved
-# beside the function that allocates it.
+# beside the function that allocates it; the nn rows printed again once
+# neural_net.score_bytes counted w1 for dense input and _forward's two activations.
 FROZEN_ESTIMATES = {
     ("k2", "majority", False): [(1602354, K), (1036674, K), (611064, K)],
     ("k2", "majority", True): [(10242630, RK), (7437510, RK), (10156230, RK)],
@@ -1241,10 +1254,10 @@ FROZEN_ESTIMATES = {
     ("k2", "lr", True): [(10274630, RK), (7469510, RK), (10156230, RK)],
     ("k2", "ridge", False): [(8932157, TF), (10940107, TF), (12586248, K)],
     ("k2", "ridge", True): [(12859238, RK), (16169318, RK), (21322598, RK)],
-    ("k2", "nn", False): [(6795921, H), (7062151, H), (7187256, H)],
+    ("k2", "nn", False): [(7687182, H), (7062151, H), (7187256, H)],
     ("k2", "nn", True): [(36891110, HR), (39131110, HR), (41051110, HR)],
-    ("k2", "nn64", False): [(2546886, H), (1741927, H), (1867032, H)],
-    ("k2", "nn64", True): [(10242630, HR), (9179110, HR), (11099110, HR)],
+    ("k2", "nn64", False): [(3099846, H), (1968966, H), (1867032, H)],
+    ("k2", "nn64", True): [(11307590, HR), (9179110, HR), (11099110, HR)],
     ("k3", "majority", False): [(1849764, K), (1193604, K), (694344, K)],
     ("k3", "majority", True): [(75684036, RK), (77683140, RK), (80220900, RK)],
     ("k3", "nb", False): [(3297636, K), (2299608, K), (2892552, K)],
@@ -1279,8 +1292,8 @@ FROZEN_ESTIMATES = {
     ("ohe", "ridge", True): [(22703268, RK), (26013348, RK), (31166628, RK)],
     ("ohe", "nn", False): [(91409284, H), (92044804, H), (92142724, H)],
     ("ohe", "nn", True): [(46735140, HR), (48975140, HR), (50895140, HR)],
-    ("ohe", "nn64", False): [(8465764, H), (5201764, H), (5266564, H)],
-    ("ohe", "nn64", True): [(18743140, HR), (19023140, HR), (20943140, HR)],
+    ("ohe", "nn64", False): [(9018724, H), (5508964, H), (5266564, H)],
+    ("ohe", "nn64", True): [(19808100, HR), (19023140, HR), (20943140, HR)],
     ("k3-l2", "majority", False): [(3090724, K), (2101924, K), (1630132, K)],
     ("k3-l2", "majority", True): [(76326244, RK), (78591460, RK), (81461860, RK)],
     ("k3-l2", "nb", False): [(4538596, K), (3169636, K), (3321748, K)],
@@ -1483,11 +1496,12 @@ def test_memory_estimate_of_nn_counts_hidden_by_input():
     # 3000 rows: the fit densifies batches of 100 of the 300 train rows beside its 4
     # h x d arrays and the CSR train split (row pointers of 8 bytes a train row: these
     # rows hold no nonzeros). That outweighs scoring, which densifies 14 balanced blocks
-    # of at most 8 MiB / (8 * 5339) = 196 of the 2700 test rows (193 at most) beside w1
-    # and the scores (2700 x C, and 4 block x C arrays)
+    # of at most 8 MiB / (8 * 5339) = 196 of the 2700 test rows (193 at most) beside w1,
+    # two block x h activations and the scores (2700 x C, and 4 block x C arrays)
     columns = 5339
     corpus = _rows(3000, columns)
-    assert (64 + 193) * columns * 8 + 8 * 20 * (2700 + 4 * 193) < (4 * 64 + 100) * columns * 8
+    assert ((64 + 193) * columns * 8 + 2 * 193 * 64 * 8 + 8 * 20 * (2700 + 4 * 193)
+            < (4 * 64 + 100) * columns * 8)
     assert memory_estimate(narrow, 20, corpus) == (
         (4 * 64 + 100) * columns * 8 + 8 * 300 + _held(corpus), "--nn-hidden-width")
     # a 40-row corpus trains in one batch of its 4 train rows and scores its 36 test rows at once
