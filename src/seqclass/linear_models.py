@@ -20,6 +20,7 @@ too and scipy's elementwise multiply allocates for twice the nonzeros.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,9 +170,10 @@ def gnb_scores(model: GaussianNbModel, X) -> np.ndarray:
 
 # (s, y) pairs L-BFGS keeps; each pair holds two more C x d arrays. On the
 # two fits of the benchmark's kmer3-rff-lr workload at seed 1 (n = 100,
-# D = 1000, 20 classes; 2-core host, default BLAS threads) 3 pairs took 335
-# iterations together (0.19 s), 5 took 319 (0.22 s), 7 took 314 (0.26 s),
-# 10 took 325 (0.35 s) and 20 took 262 (0.49 s).
+# D = 1000, 20 classes; 2-core host, default BLAS threads; median of 6
+# in-process runs) 3 pairs took 362 iterations together (0.25 s), 5 took
+# 348 (0.30 s), 7 took 329 (0.29 s), 10 took 315 (0.35 s) and 20 took 284
+# (0.47 s).
 LBFGS_MEMORY = 5
 
 
@@ -192,30 +194,41 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _logreg_loss(weights, bias, X, y, l2_lambda, probs=None):
+def _logreg_loss(weights, bias, X, y, l2_lambda):
     """Regularised cross-entropy at (weights, bias) and the softmax probabilities behind it."""
-    if probs is None:
-        probs = _softmax(np.asarray(X @ weights.T) + bias)
+    probs = _softmax(np.asarray(X @ weights.T) + bias)
     point = probs[np.arange(X.shape[0]), y]
     loss = -np.mean(np.log(np.maximum(point, 1e-300))) + 0.5 * l2_lambda * np.sum(weights**2)
     return loss, probs
 
 
-def logreg_loss_grad(weights, bias, X, y, l2_lambda, probs=None):
+def logreg_loss_grad(weights, bias, X, y, l2_lambda, evaluated=None):
     """Multinomial cross-entropy plus (lambda/2)||W||^2 and its gradients.
 
-    ``probs``, when given, are the softmax probabilities at (weights, bias)
-    from an earlier loss evaluation; they are not recomputed. The weight
-    gradient is the (C, d) transpose of the (d, C) product X'delta.
+    ``evaluated``, when given, is the (loss, softmax probabilities) pair of
+    `_logreg_loss` at (weights, bias) from an earlier evaluation; neither is
+    recomputed. The weight gradient is the (C, d) transpose of the (d, C)
+    product X'delta.
     """
     n = X.shape[0]
-    loss, probs = _logreg_loss(weights, bias, X, y, l2_lambda, probs)
+    loss, probs = evaluated or _logreg_loss(weights, bias, X, y, l2_lambda)
     delta = probs.copy()
     delta[np.arange(n), y] -= 1.0
     delta /= n
     grad_w = np.asarray(X.T @ delta).T
     grad_w += l2_lambda * weights
     return loss, grad_w, delta.sum(axis=0)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two flat float64 vectors, summed by numpy's einsum loop rather than BLAS.
+
+    OpenBLAS splits a ddot above 10 000 elements over its threads: waking
+    them costs more than the sum at logreg_fit's sizes, and the order of the
+    sum, so its last bits, follows the thread count. einsum sums on the
+    calling thread, in one order.
+    """
+    return float(np.einsum("i,i->", a, b))
 
 
 def logreg_fit(
@@ -242,9 +255,20 @@ def logreg_fit(
     at most ``tol`` (the model is then ``converged``), after ``max_iters``
     accepted steps, or when 60 halvings find no decrease.
 
+    Every inner product and norm of the flat vectors is `_dot`, on the
+    calling thread, and every vector update is written in place, as the
+    same operations in the same order. So on CSR input, whose products are
+    scipy's, the fit's bits do not depend on BLAS's thread count. On dense
+    (RFF) input they still do, through the loss's X W', a BLAS GEMM whose
+    bytes differ at one and two OpenBLAS threads: on the kmer3-rff-lr
+    benchmark's seed-1 train split (100 x 1000, 20 classes) the fit took
+    193 iterations at one thread and 177 at two.
+
     Beside the pairs, the fit holds the parameters, the gradient and the
-    direction as flat arrays, plus the candidate during the search, or the
-    new gradient and y = g' - g once a step is accepted.
+    direction as flat arrays, and one work array: each scaled s or y of
+    the recursion, then the candidate, which becomes the parameters once
+    accepted. The new gradient replaces the outgoing one, whose array then
+    holds y = g' - g.
     """
     X = _as_2d(X)
     y = np.asarray(y, dtype=np.int64)
@@ -256,55 +280,56 @@ def logreg_fit(
     def views(theta):
         return theta[:C * d].reshape(d, C).T, theta[C * d:]
 
-    def loss_grad(theta, probs=None):
-        loss, grad_w, grad_b = logreg_loss_grad(*views(theta), X, y, l2_lambda, probs)
+    def loss_grad(theta, evaluated=None):
+        loss, grad_w, grad_b = logreg_loss_grad(*views(theta), X, y, l2_lambda, evaluated)
         return loss, np.concatenate((grad_w.T.ravel(), grad_b))
 
     x = np.zeros(C * (d + 1))
     loss, grad = loss_grad(x)
     if not np.isfinite(loss):
         raise NonFiniteLoss("logistic loss is non-finite at zero weights; check the features")
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = math.sqrt(_dot(grad, grad))
     trace = [loss]
     pairs = []  # (s, y, 1 / s'y), oldest first
     while gnorm > tol and len(trace) <= max_iters:
         direction = grad.copy()
+        work = np.empty_like(x)  # each scaled s or y of the recursion, then the candidate
         alphas = []
         for s, yv, rho in reversed(pairs):
-            alphas.append(rho * (s @ direction))
-            direction -= alphas[-1] * yv
+            alphas.append(rho * _dot(s, direction))
+            direction -= np.multiply(alphas[-1], yv, out=work)
         if pairs:  # the initial matrix (s'y / y'y) I of the newest pair
             _, yv, rho = pairs[-1]
-            direction *= 1.0 / (rho * (yv @ yv))
+            direction *= 1.0 / (rho * _dot(yv, yv))
         else:
             direction /= gnorm
         for (s, yv, rho), a in zip(pairs, reversed(alphas)):
-            direction += (a - rho * (yv @ direction)) * s
+            direction += np.multiply(a - rho * _dot(yv, direction), s, out=work)
         np.negative(direction, out=direction)
-        slope = float(grad @ direction)
+        slope = _dot(grad, direction)
         if not slope < 0:
             break  # rounding cost the direction its descent: stop, unconverged
 
         step = 1.0
         for _ in range(60):
-            candidate = direction * step + x
-            cand_loss, cand_probs = _logreg_loss(*views(candidate), X, y, l2_lambda)
-            if not np.isfinite(cand_loss):
+            candidate = np.add(np.multiply(direction, step, out=work), x, out=work)
+            evaluated = _logreg_loss(*views(candidate), X, y, l2_lambda)
+            if not np.isfinite(evaluated[0]):
                 raise NonFiniteLoss("logistic loss became non-finite; rescale the features")
-            if cand_loss <= loss + 1e-4 * step * slope:
+            if evaluated[0] <= loss + 1e-4 * step * slope:
                 break
             step *= 0.5
         else:
             break  # step underflow: the direction no longer improves the objective
 
         x = candidate
-        loss, new_grad = loss_grad(x, cand_probs)
-        y_new = new_grad - grad
+        loss, new_grad = loss_grad(x, evaluated)
+        y_new = np.subtract(new_grad, grad, out=grad)  # y = g' - g, in the outgoing gradient
         grad = new_grad
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = math.sqrt(_dot(grad, grad))
         trace.append(loss)
         direction *= step  # s = x' - x, up to rounding
-        sy = float(direction @ y_new)
+        sy = _dot(direction, y_new)
         if sy > 0:
             pairs.append((direction, y_new, 1.0 / sy))
             del pairs[:-LBFGS_MEMORY]
@@ -459,12 +484,13 @@ def fit_bytes(model: str, n: int, d: int, class_count: int, nnz: int | None = No
     For CSR input, `_as_2d` copies values that are not float64 (8 bytes a nonzero) for nb,
     lr and ridge, and gnb_fit squares them (`_squared`, 8 more). Beside that, in float64
     C x d arrays: gnb_fit's means, variances and score terms a and b (4); logreg_fit's
-    LBFGS_MEMORY (s, y) pairs, its parameters, gradient and direction and two transients,
-    a candidate and its squared weights, X'delta and lambda W, or the new gradient and y
-    (2 LBFGS_MEMORY + 5; tracemalloc: 15.0 at LBFGS_MEMORY = 5). Ridge's direct solve of
-    side m = min(n, d + 1) holds two m x m arrays (the Gram matrix and one block's
-    product, or the copy numpy's solve takes), one `_gram` block, the n x C targets and,
-    for the dual on CSR input, its X' copy (12 bytes a nonzero); CG holds none of these.
+    LBFGS_MEMORY (s, y) pairs, its parameters, gradient and direction and two more: its
+    work array (the candidate) and the candidate's squared weights, then X'delta and
+    lambda W, or X'delta and the new gradient (2 LBFGS_MEMORY + 5; tracemalloc: 15.0 at
+    LBFGS_MEMORY = 5). Ridge's direct solve of side m = min(n, d + 1) holds two m x m
+    arrays (the Gram matrix and one block's product, or the copy numpy's solve takes),
+    one `_gram` block, the n x C targets and, for the dual on CSR input, its X' copy
+    (12 bytes a nonzero); CG holds none of these.
     """
     copies = 0
     if nnz is not None and model != "majority":

@@ -421,6 +421,138 @@ def test_logreg_lbfgs_matches_converged_gradient_descent(rng, monkeypatch, spars
     assert np.linalg.norm(params - want) <= 1e-6 * np.linalg.norm(want)
 
 
+def _lbfgs_fit_with_blas_dots(X, y, l2_lambda=1e-4, max_iters=1000, tol=1e-6, class_count=None):
+    """Reference: logreg_fit as it was before `_dot`, with BLAS inner products and norms
+    (`@`, np.linalg.norm) and a new array for every vector update."""
+    X = lm._as_2d(X)
+    y = np.asarray(y, dtype=np.int64)
+    d = X.shape[1]
+    C = class_count or int(y.max()) + 1
+
+    def views(theta):
+        return theta[:C * d].reshape(d, C).T, theta[C * d:]
+
+    def loss_grad(theta, evaluated=None):
+        loss, grad_w, grad_b = lm.logreg_loss_grad(*views(theta), X, y, l2_lambda, evaluated)
+        return loss, np.concatenate((grad_w.T.ravel(), grad_b))
+
+    x = np.zeros(C * (d + 1))
+    loss, grad = loss_grad(x)
+    gnorm = float(np.linalg.norm(grad))
+    trace, pairs = [loss], []
+    while gnorm > tol and len(trace) <= max_iters:
+        direction = grad.copy()
+        alphas = []
+        for s, yv, rho in reversed(pairs):
+            alphas.append(rho * (s @ direction))
+            direction -= alphas[-1] * yv
+        if pairs:
+            _, yv, rho = pairs[-1]
+            direction *= 1.0 / (rho * (yv @ yv))
+        else:
+            direction /= gnorm
+        for (s, yv, rho), a in zip(pairs, reversed(alphas)):
+            direction += (a - rho * (yv @ direction)) * s
+        np.negative(direction, out=direction)
+        slope = float(grad @ direction)
+        if not slope < 0:
+            break
+        step = 1.0
+        for _ in range(60):
+            candidate = direction * step + x
+            evaluated = lm._logreg_loss(*views(candidate), X, y, l2_lambda)
+            if evaluated[0] <= loss + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        x = candidate
+        loss, new_grad = loss_grad(x, evaluated)
+        y_new = new_grad - grad
+        grad = new_grad
+        gnorm = float(np.linalg.norm(grad))
+        trace.append(loss)
+        direction *= step
+        sy = float(direction @ y_new)
+        if sy > 0:
+            pairs.append((direction, y_new, 1.0 / sy))
+            del pairs[:-lm.LBFGS_MEMORY]
+    weights, bias = views(x)
+    return lm.LogisticRegressionModel(weights, bias, l2_lambda, len(trace) - 1, trace,
+                                      converged=gnorm <= tol, grad_norm=gnorm)
+
+
+def test_logreg_fit_matches_the_fit_with_blas_dots():
+    """RFF features of 3-mer counts, at the benchmark's flat size C(D+1) = 20 020.
+
+    20 classes of 12 sequences share a 200-residue reference; each class
+    carries its own residue at 6 sites with probability 0.9, and every
+    residue mutates with probability 0.01. The fits train on a third of
+    the rows. Their iterates part by rounding, so each stops at its own
+    point with gradient norm at most tol; lambda > 0 makes the objective
+    strictly convex, so each final loss lies within tol^2 / (2 lambda) =
+    5e-9 of the optimum. Stated tolerance: the final losses within 1e-8,
+    absolute (measured: 2.0e-9 here, 1.1e-9 relative, after 121 and 120
+    iterations; at most 1.6e-9 at seeds 1-4), and the same argmax on
+    every test row.
+    """
+    from seqclass import rff
+    from seqclass.features import kmer_matrix
+
+    from conftest import random_sequences
+
+    rng = np.random.default_rng(0)
+    C, per_class, length, lam, tol = 20, 12, 200, 1e-4, 1e-6
+    reference = random_sequences(rng, 1, length)[0]
+    seqs = []
+    for _ in range(C):
+        sites = rng.choice(length, 6, replace=False)
+        own = random_sequences(rng, 1, 6)[0]
+        for _ in range(per_class):
+            seq = list(reference)
+            for site, residue in zip(sites, own):
+                if rng.random() < 0.9:
+                    seq[site] = residue
+            for site in np.flatnonzero(rng.random(length) < 0.01):
+                seq[site] = random_sequences(rng, 1, 1)[0]
+            seqs.append("".join(seq))
+    y = np.repeat(np.arange(C), per_class)
+    counts = kmer_matrix(seqs, 3)
+    projector = rff.new_projector(counts.shape[1], 1000, rff.default_gamma(counts.shape[1]), 0)
+    X = rff.project(projector, counts)
+    train = np.arange(len(y)) % 3 == 0
+
+    old = _lbfgs_fit_with_blas_dots(X[train], y[train], lam, tol=tol, class_count=C)
+    new = lm.logreg_fit(X[train], y[train], lam, tol=tol, class_count=C)
+    assert new.weights.size + new.bias.size == 20_020
+    assert old.converged and new.converged
+    assert abs(new.loss_trace[-1] - old.loss_trace[-1]) <= 1e-8
+    assert np.array_equal(np.argmax(lm.logreg_proba(new, X[~train]), axis=1),
+                          np.argmax(lm.logreg_proba(old, X[~train]), axis=1))
+
+
+def test_logreg_dot_is_the_same_bits_at_one_and_two_blas_threads():
+    """OpenBLAS threads a ddot above 10 000 elements; the fit's dot sums on one thread."""
+    import os
+    import subprocess
+    import sys
+
+    import seqclass
+
+    src = os.path.dirname(os.path.dirname(seqclass.__file__))
+    code = ("import numpy as np; from seqclass.linear_models import _dot; "
+            "a, b = np.random.default_rng(7).normal(size=(2, 20_020)); "
+            "print(np.float64(_dot(a, b)).tobytes().hex())")
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        outputs.add(out.stdout.strip())
+    assert len(outputs) == 1 and len(outputs.pop()) == 16
+
+
 def test_logreg_reports_convergence(rng):
     X, y = _overlapping_blobs(rng, sparse=False)
     model = lm.logreg_fit(X, y, max_iters=1000, tol=1e-6)

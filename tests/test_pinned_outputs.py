@@ -57,17 +57,17 @@ PINNED = {
         "304549857cfeb34fa3e6b3e36a2c22e30f1a23c83118453966a9505f46ac82a5",
         "1fc659f0c5ea1de759e09063244aa4e0e1a3bd71d12fbceb3d82a51fae5e0f6d"),
     ("lr", "kmers", False): (
-        "c6ab17a7f6d4921edc85facd964099df1b982406044ca8a57fa12ddefbf230fb",
-        "396b41fb5b13823b4fa19c29ec0ea3b0c07831672750a11eef5641c26198ba4a"),
+        "330bede8f94fdb651cb5617662b12876d5ef4de26289bc0c1ca806bb6c6c1139",
+        "d00df3680e6ef5f0e05e37018e19d7549502671898c119207cb997b1e2eec77a"),
     ("lr", "kmers", True): (
-        "5acee7824d866f27dd475b534745a31d92fad930d6e48867c37b1af95ebf1d15",
-        "69c3ecbf28ad2618d1331806d087870ac438becffd69b3c866ce912db293d171"),
+        "32c9b7975898b203bed9a6248bfde3041d0b7a660ee8f1a7d593fea64b81519a",
+        "341c770914afd12b8d9cc6d17ced9f012d7580dcc308ef64890d7c3ccc458d1b"),
     ("lr", "ohe", False): (
-        "0bac896f3f5a8109c694c3320d0892e39524d8ee8fd93390cfbc04dad759a449",
-        "c65c61b86bc0968393883cc04a4ab5289f6828357de60cc1aedc2014a2055acd"),
+        "b1f8411400777fed41aa903ed93353eb1635248cdf9a0ecf69531aac49ce536a",
+        "aefb6b19c0f716f6b3a3226cfbddab3cc34a996df5b8b07b41864c1b1077c282"),
     ("lr", "ohe", True): (
-        "ca0b66e821a4d78737013314519ecd80237f2579ebaf7c952dad2344f679ee18",
-        "537d5c7da556528b451423947a95e6062682b8722f42cb8bf8bbdd86b688d7f8"),
+        "999bf4d6d930625fe05026460067ebda6f8396b2bc7cc9efb3938e101d8c8406",
+        "19e9edd17fd963a8a9585da93b116ad6707f96c3ead3951ba72fa8e1d4a9b790"),
     ("ridge", "kmers", False): (
         "070c6d835300af902ff50641ca3611e28a116a3dc38365b360c5bc3148dd515a",
         "5999598e7ff980a053141d7ea606ad6b7c81727b79457e7baf3b0487ac903e5e"),

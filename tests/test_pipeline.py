@@ -1577,8 +1577,19 @@ def test_cli_nn_at_default_width_over_physical_memory_is_config_error(tmp_path, 
 
 
 @pytest.mark.parametrize("k", [5, 6])
-def test_cli_featurize_long_kmers(tmp_path, k):
-    data, _, _, corpus = _write_inputs(tmp_path, {"a": 300, "b": 300})  # two chunks
+def test_cli_featurize_long_kmers(tmp_path, monkeypatch, k):
+    """600 rows of 24 residues hold 20 or 19 windows each: 3 chunks at 5000 windows a chunk,
+    which --workers 2 counts off the calling thread."""
+    import threading
+
+    from seqclass import features
+
+    monkeypatch.setattr(features, "_CHUNK_WINDOWS", 5000)
+    monkeypatch.setattr(features, "_usable_cores", lambda: 2)
+    counted_on, count = [], features._kmer_chunk
+    monkeypatch.setattr(features, "_kmer_chunk", lambda ids, seqs, k: counted_on.append(
+        threading.get_ident()) or count(ids, seqs, k))
+    data, _, _, corpus = _write_inputs(tmp_path, {"a": 300, "b": 300})
     feats, labels = tmp_path / "f.sqfv", tmp_path / "l.json"
     assert main(["featurize", "--corpus", str(corpus), "--encoding", "kmers", "--k", str(k),
                  "--workers", "2", "--out-features", str(feats), "--out-labels", str(labels)]) == 0
@@ -1586,6 +1597,7 @@ def test_cli_featurize_long_kmers(tmp_path, k):
     assert tag == 0 and shape == (600, 21**k)
     row_sums = np.add.reduceat(data_values, indptr[:-1]).tolist()
     assert row_sums == [len(item.record.residues) - k + 1 for item in data]
+    assert len(counted_on) == 3 and threading.get_ident() not in counted_on
 
 
 @pytest.mark.parametrize("flags, features_sha256, labels_sha256", [
