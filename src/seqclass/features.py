@@ -293,11 +293,12 @@ def featurize_corpus(
 
 
 def l2_normalize_rows(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """A float64 copy of ``matrix``, its nonzero rows scaled to unit L2 norm in place."""
     out = matrix.astype(np.float64)
     norms = np.sqrt(np.asarray(out.multiply(out).sum(axis=1)).ravel())
     norms[norms == 0.0] = 1.0
-    scale = sp.diags(1.0 / norms)
-    return (scale @ out).tocsr()
+    out.data *= np.repeat(1.0 / norms, np.diff(out.indptr))
+    return out
 
 
 # --- serialization ----------------------------------------------------------

@@ -373,12 +373,18 @@ def ridge_fit(X, y, alpha: float = 1.0, class_count: int | None = None) -> Ridge
     targets = np.full((n, C), -1.0)
     targets[np.arange(n), y] = 1.0
 
-    if n <= d and n <= RIDGE_DENSE_LIMIT:  # the n x n dual system is the smaller one
-        solver, (weights, bias) = "dual", _ridge_dual(X, targets, alpha)
-    else:  # its CG fallback runs only when min(n, d+1) > RIDGE_DENSE_LIMIT
-        solver = "primal" if d + 1 <= RIDGE_DENSE_LIMIT else "cg"
-        weights, bias = _ridge_primal(X, targets, alpha)
+    solver = _ridge_solver(n, d)
+    weights, bias = (_ridge_dual(X, targets, alpha) if solver == "dual"
+                     else _ridge_primal(X, targets, alpha, solver))
     return RidgeClassifierModel(weights=weights, bias=bias, alpha=alpha, solver=solver)
+
+
+def _ridge_solver(n: int, d: int) -> str:
+    """ridge_fit's path for n rows of width d: the n x n "dual" system if n <= d, else the
+    (d+1)-square "primal" one, when its side is at most RIDGE_DENSE_LIMIT; else "cg"."""
+    if n <= d and n <= RIDGE_DENSE_LIMIT:
+        return "dual"
+    return "primal" if d + 1 <= RIDGE_DENSE_LIMIT else "cg"
 
 
 def _gram(M, bias: bool = False) -> np.ndarray:
@@ -443,14 +449,15 @@ def _ridge_dual(X, targets: np.ndarray, alpha: float) -> tuple[np.ndarray, np.nd
     return weights.T.copy(), bias
 
 
-def _ridge_primal(X, targets: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """(d+1)-dimensional normal equations on [X, 1]; CG above RIDGE_DENSE_LIMIT.
+def _ridge_primal(X, targets: np.ndarray, alpha: float,
+                  solver: str = "primal") -> tuple[np.ndarray, np.ndarray]:
+    """(d+1)-dimensional normal equations on [X, 1]: a direct solve, or CG for ``solver`` "cg".
 
     [X, 1] is never formed: _gram's blocks and CG's bias term hold its 1s.
     """
     d = X.shape[1]
     rhs = np.vstack([np.asarray(X.T @ targets), targets.sum(axis=0)])  # [X, 1]'T
-    if d + 1 <= RIDGE_DENSE_LIMIT:
+    if solver == "primal":
         # the intercept stays unpenalized
         solution = _solve_shifted(_gram(X, bias=True), d, alpha, rhs)  # (d+1, C)
     else:
@@ -498,10 +505,10 @@ def fit_bytes(model: str, n: int, d: int, class_count: int, nnz: int | None = No
     if model != "ridge":
         arrays = {"nb": 4, "lr": 2 * LBFGS_MEMORY + 5}.get(model, 0)
         return arrays * class_count * d * 8 + copies
-    side = min(n, d + 1)
-    if not 0 < side <= RIDGE_DENSE_LIMIT:
+    solver = _ridge_solver(n, d)
+    if n == 0 or solver == "cg":
         return copies
-    dual = 12 * nnz if n <= d and nnz is not None else 0
+    side, dual = (n, 12 * (nnz or 0)) if solver == "dual" else (d + 1, 0)
     return 2 * side * side * 8 + rff.GEMM_BLOCK_BYTES + 8 * n * class_count + dual + copies
 
 

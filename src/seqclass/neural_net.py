@@ -99,13 +99,14 @@ def nn_scores(net: FeedForwardNet, X) -> np.ndarray:
 
 
 def score_bytes(rows: int, d: int, class_count: int, hidden_width: int | None = None,
-                sparse: bool = False) -> int:
-    """Bytes nn_scores holds for ``rows`` rows of width d: w1 (of ``hidden_width`` rows, d by
-    default, as nn_init's), `_forward`'s two rows x hidden arrays (``X @ w1.T`` and its sum
-    with b1), 4 rows x C arrays that the probabilities pass through and, for CSR input, the
-    rows densified."""
+                nnz: int | None = None) -> int:
+    """Bytes nn_scores holds beside ``rows`` rows of width d, CSR of ``nnz`` nonzeros or else
+    dense: w1 (``hidden_width`` x d, as nn_init's), `_forward`'s two rows x hidden arrays
+    (``X @ w1.T`` and its sum with b1), 4 rows x C arrays the probabilities pass through
+    and, for CSR, the rows densified and `_as_2d`'s float64 copy of values of any dtype."""
     hidden = d if hidden_width is None else hidden_width
-    return 8 * (hidden * d + 2 * rows * hidden + 4 * rows * class_count + rows * d * sparse)
+    csr = 0 if nnz is None else nnz + rows * d
+    return 8 * (hidden * d + 2 * rows * hidden + 4 * rows * class_count + csr)
 
 
 def nn_loss(probs: np.ndarray, y) -> float:
@@ -229,8 +230,11 @@ def nn_train(X, y, class_count: int, hidden_width: int | None = None, batch_size
 
 
 def train_bytes(n: int, d: int, hidden_width: int | None = None, batch_size: int = 100) -> int:
-    """Peak bytes nn_train allocates beside its n x d input: four float64 hidden x d arrays,
-    w1, Adam's m and v and one step's gradient of w1 (adam_step works in block-sized
-    scratch), and the dense buffer of one batch."""
+    """Peak bytes nn_train allocates beside its n x d input: four float64 hidden x d arrays
+    (w1, Adam's m and v, a step's gradient of w1) and, if n > 0, a step's dense batch, its
+    batch x hidden arrays (`_forward`'s two, delta2 @ w2 and delta1 in float64; the ReLU
+    mask, a byte an entry) and adam_step's two scratch blocks of ADAM_BLOCK_BYTES."""
     hidden = d if hidden_width is None else hidden_width
-    return (4 * hidden + min(batch_size, n)) * d * 8
+    batch = min(batch_size, n)
+    step = 8 * batch * d + 33 * batch * hidden + 2 * ADAM_BLOCK_BYTES if batch else 0
+    return 8 * 4 * hidden * d + step

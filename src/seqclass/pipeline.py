@@ -28,21 +28,21 @@ default. The report's feature_dim stays nominal, and feature_columns
 gives the used columns.
 
 No run holds its whole test split, nor its train split once the fit
-returns: one n_test x C score array is filled block by block
-(`_score_blocks`), each block's rows taken from the corpus matrix by
-test index or, with RFF, projected from it just before they are scored
-(rff.project_rows, which makes no CSR copy of the rows; the train split
-is projected the same way). A dense product can round by its height. On
-a 2-core host's OpenBLAS the rows of a 1000 x 20 score product kept
-their bits from about 50 rows on, but those of 3-column products
-differed from a 3000-row product's at heights up to 330 rows (1000 x 3)
-or up to 1500 (64 x 3 and 256 x 3); so at few classes a dense block's
-scores can differ from a taller block's in their last bits (within
-1e-14 of the largest score), though argmax, and so the report, rarely
-moves. scipy's CSR products score each row on its own, so they give the
-same bits in any blocking. A NaN score is a numerical failure
-(NonFiniteLoss), as when an nn's last step leaves weights whose
-products overflow.
+returns. Its one row source, `rows(idx)`, is chosen once: CSR slices of
+the corpus matrix, or with RFF their projection (rff.project_rows, which
+makes no CSR copy). It gives the train split and, just before it is
+scored, each block of test rows; one n_test x C score array is filled
+block by block, by one rule (`_score_blocks`). A dense product can round
+by its height. On a 2-core host's OpenBLAS the rows of a 1000 x 20 score
+product kept their bits from about 50 rows on, but those of 3-column
+products differed from a 3000-row product's at heights up to 330 rows
+(1000 x 3) or up to 1500 (64 x 3 and 256 x 3); so at few classes a dense
+block's scores can differ from a taller block's in their last bits
+(within 1e-14 of the largest score), though argmax, and so the report,
+rarely moves. scipy's CSR products score each row on its own, so they
+give the same bits in any blocking. A NaN score is a numerical failure
+(NonFiniteLoss), as when an nn's last step leaves weights whose products
+overflow.
 
 Before the first run, `memory_estimate` adds up the peak bytes of a
 run from the byte function beside each allocating function. A config
@@ -64,9 +64,9 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, replace
+from functools import partial
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
@@ -126,34 +126,31 @@ def memory_estimate(config: ExperimentConfig, class_count: int, matrix) -> tuple
     n_test = corpus_size - n_train
     bounds, longest_row = _score_blocks(config, matrix, n_test)
     block = int(np.diff(bounds).max(initial=0))
-    train_nnz = matrix.nnz * n_train // max(corpus_size, 1)
     value_bytes, C, D = matrix.data.itemsize, class_count, config.rff_dim
+    # raw rows are CSR slices of the corpus, a score block's of at most block x longest_row
+    width = D if config.use_rff else columns
+    train_nnz = None if config.use_rff else matrix.nnz * n_train // max(corpus_size, 1)
+    block_nnz = None if config.use_rff else block * longest_row
     if config.model == "nn":
-        width = D if config.use_rff else columns
         fitting = nn.train_bytes(n_train, width, config.nn_hidden_width, config.nn_batch_size)
-        scoring = nn.score_bytes(block, width, C, config.nn_hidden_width,
-                                 sparse=not config.use_rff)
+        scoring = nn.score_bytes(block, width, C, config.nn_hidden_width, block_nnz)
         knob = "--nn-hidden-width"
-    elif config.use_rff:
-        fitting = lm.fit_bytes(config.model, n_train, D, C)
-        scoring = lm.score_bytes(config.model, block, D, C)
     else:
-        fitting = lm.fit_bytes(config.model, n_train, columns, C, train_nnz, matrix.dtype)
-        # and the block's CSR rows, a value and an int32 index each; no block without test rows
-        scoring = (lm.score_bytes(config.model, block, columns, C, block * longest_row)
-                   + block * longest_row * (value_bytes + 4)) if n_test else 0
+        fitting = lm.fit_bytes(config.model, n_train, width, C, train_nnz, matrix.dtype)
+        scoring = lm.score_bytes(config.model, block, width, C, block_nnz)
         knob = "--train-fraction" if config.model == "ridge" and n_train <= columns else "--k"
     scoring += 8 * C * n_test  # the n_test x C scores every block writes into
-    if not config.use_rff:  # the fit lies beside the CSR train split
+    if not config.use_rff:  # the fit lies beside the CSR train split, scoring beside the
+        # block's slice, a value and an int32 index a nonzero; no block without test rows
         train = train_nnz * (value_bytes + 4) + 8 * n_train
+        scoring = scoring + block_nnz * (value_bytes + 4) if n_test else 0
         return max(train + fitting, scoring) + _corpus_bytes(matrix), knob
 
-    def projecting(rows):
-        return project_rows_bytes(rows, columns, D, longest_row, value_bytes)
-
     # the fit lies beside the projected train split, scoring beside the block's projection
-    fitting = 8 * D * n_train + max(fitting, projecting(n_train))
-    scoring += projecting(block) + 8 * D * block
+    projecting = [project_rows_bytes(rows, columns, D, longest_row, value_bytes)
+                  for rows in (n_train, block)]
+    fitting = 8 * D * n_train + max(fitting, projecting[0])
+    scoring += projecting[1] + 8 * D * block
     knob = "--nn-hidden-width or --rff-dim" if config.model == "nn" else "--rff-dim or --k"
     return int(projector_bytes(columns, D) + max(fitting, scoring) + _corpus_bytes(matrix)), knob
 
@@ -181,14 +178,6 @@ def _preflight_memory(config: ExperimentConfig, feature_dim: int, class_count: i
             f"{needed / 2**30:.1f} GiB, "
             f"more than the {available / 2**30:.1f} GiB of physical memory; lower {knob}"
         )
-
-
-def _run_seeds(config: ExperimentConfig, run_index: int) -> dict[str, int]:
-    return {
-        "split": config.split_seed + run_index,
-        "rff": config.rff_seed + run_index,
-        "model": config.nn_seed + run_index,
-    }
 
 
 def _fit(config: ExperimentConfig, X_train, y_train, class_count: int, seed: int):
@@ -254,46 +243,49 @@ def _score_blocks(config: ExperimentConfig, matrix, n_test: int) -> tuple[list[i
     """The first test row of every score block, then n_test; and the most nonzeros a row of
     the corpus's ``matrix`` holds, which sizes CSR blocks.
 
-    Dense blocks, RFF projections and raw nn's densified rows, are ceil(n_test / step)
-    blocks whose heights differ by at most one row. The step is rff.gemm_rows of the used
+    Every plan is ceil(n_test / step) blocks whose heights differ by at most one row. Dense
+    blocks, RFF projections and raw nn's densified rows, step by rff.gemm_rows of the used
     columns or, with RFF, of the wider of them and D: each block is one projection GEMM,
-    whose output is scored. A CSR block is GEMM_BLOCK_BYTES over what the longest row
+    whose output is scored. CSR blocks step by GEMM_BLOCK_BYTES over what the longest row
     holds while gnb_scores scores it, whatever the model: its slice, a value and an int32
-    index a nonzero, and `lm.csr_score_bytes`. It is at least one row, and a remainder is
-    a block of its own.
+    index a nonzero, and `lm.csr_score_bytes`. A step is at least one row.
     """
     columns = matrix.shape[1]
     longest_row = int(np.diff(matrix.indptr).max(initial=0))
     if config.use_rff or config.model == "nn":
         step = gemm_rows(max(columns, config.rff_dim) if config.use_rff else columns)
-        count = max(1, -(-n_test // step))
-        return [i * n_test // count for i in range(count + 1)], longest_row
-    row_bytes = longest_row * (matrix.data.itemsize + 4 + lm.csr_score_bytes("nb"))
-    rows = max(1, int(GEMM_BLOCK_BYTES // max(row_bytes, 1)))
-    return [*range(0, n_test, rows), n_test], longest_row
+    else:
+        row_bytes = longest_row * (matrix.data.itemsize + 4 + lm.csr_score_bytes("nb"))
+        step = max(1, GEMM_BLOCK_BYTES // max(row_bytes, 1))
+    count = max(1, -(-n_test // step))
+    return [i * n_test // count for i in range(count + 1)], longest_row
 
 
 def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: int):
-    """One repetition: split, optional projection, fit, then scoring in blocks of test rows."""
-    seeds = _run_seeds(config, run_index)
+    """One repetition: split, fit on the train rows, then score the test rows in blocks."""
+    seeds = {"split": config.split_seed + run_index, "rff": config.rff_seed + run_index,
+             "model": config.nn_seed + run_index}
     seconds = dict.fromkeys(["split_seconds", "rff_seconds", "fit_seconds", "metrics_seconds"], 0.0)
     with _stage("split", seconds):
         # by name, so that ClassTooSmall names the class (object dtype: see split_indices)
         names = np.asarray(feats.class_names, dtype=object)[feats.labels]
         train_idx, test_idx = split_indices(feats.matrix.shape[0], config.train_fraction,
                                             seeds["split"], names if config.stratified else None)
-        y_train = feats.labels[train_idx]
-        y_test = feats.labels[test_idx]
-        if not config.use_rff:
-            X_train = feats.matrix[train_idx]
+        y_train, y_test = feats.labels[train_idx], feats.labels[test_idx]
 
-    projector = None
+    # the run's one row source: the corpus's CSR rows, or their projection with RFF
+    matrix, stage, take = feats.matrix, "split", feats.matrix.__getitem__
     if config.use_rff:
         with _stage("rff", seconds):
             gamma = default_gamma(feats.dim) if config.rff_gamma is None else config.rff_gamma
-            projector = new_projector(feats.matrix.shape[1], config.rff_dim, gamma, seeds["rff"])
-            X_train = project_rows(projector, feats.matrix, train_idx)
+            projector = new_projector(matrix.shape[1], config.rff_dim, gamma, seeds["rff"])
+        stage, take = "rff", partial(project_rows, projector, matrix)
 
+    def rows(idx):
+        with _stage(stage, seconds):
+            return take(idx)
+
+    X_train = rows(train_idx)
     class_count = len(feats.class_names)
     with _stage("fit", seconds):
         tic = time.perf_counter()
@@ -303,16 +295,10 @@ def _single_run(config: ExperimentConfig, feats: FeaturizedCorpus, run_index: in
     del X_train  # nothing reads the train split after the fit
 
     # blocks of test rows (module docstring)
-    matrix, n_test = feats.matrix, len(test_idx)
-    bounds, _ = _score_blocks(config, matrix, n_test)
-    scores = np.empty((n_test, class_count))
+    bounds, _ = _score_blocks(config, matrix, len(test_idx))
+    scores = np.empty((len(test_idx), class_count))
     for start, stop in zip(bounds, bounds[1:]):
-        if projector is None:
-            with _stage("split", seconds):
-                X_block = matrix[test_idx[start:stop]]
-        else:
-            with _stage("rff", seconds):
-                X_block = project_rows(projector, matrix, test_idx[start:stop])
+        X_block = rows(test_idx[start:stop])
         with _stage("fit", seconds):
             scores[start:stop] = model_scores(model, X_block)
         del X_block  # freed before the next block is made
@@ -374,6 +360,7 @@ def run_experiment(
     with _stage("memory"):
         _preflight_memory(config, feats.dim, len(feats.class_names), processes, feats.matrix)
     if processes > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_single_run, repeat(config), repeat(feats), range(config.runs)))
     else:

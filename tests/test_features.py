@@ -512,6 +512,25 @@ def test_l2_normalize_rows(rng):
     assert np.allclose(norms, 1.0)
 
 
+def test_l2_normalize_rows_is_canonical_csr(rng):
+    """Sorted column indices, each row holding the values of scaling it by a diagonal
+    product (whose rows come out unsorted), a row of zeros staying empty."""
+    counts = kmer_matrix(random_sequences(rng, 40, 30), 3)
+    empty = sp.csr_matrix((1, counts.shape[1]), dtype=counts.dtype)
+    for mat in (sp.vstack([counts, empty], format="csr"),
+                ohe_matrix(random_sequences(rng, 20, 12), 12)):
+        normed = l2_normalize_rows(mat)
+        values = mat.astype(np.float64)
+        norms = np.sqrt(np.asarray(values.multiply(values).sum(axis=1)).ravel())
+        scaled = sp.diags(1.0 / np.where(norms == 0.0, 1.0, norms)) @ values
+        assert normed.dtype == np.float64 and normed.has_sorted_indices
+        assert all((np.diff(row.indices) > 0).all() for row in normed)
+        scaled.sort_indices()
+        for got, want in ((normed.indptr, scaled.indptr), (normed.indices, scaled.indices),
+                          (normed.data, scaled.data)):
+            assert np.array_equal(got, want)
+
+
 def test_feature_container_round_trip(tmp_path, rng):
     mat = kmer_matrix(random_sequences(rng, 12, 25), 3)
     path = tmp_path / "feat.sqfv"

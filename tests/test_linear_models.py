@@ -639,6 +639,17 @@ def _ridge_residual(X, y, class_count, model):
     return np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
 
 
+def test_ridge_solver_is_the_one_rule_of_fit_and_bytes(monkeypatch):
+    """The dual while n <= d, else the primal, each only up to RIDGE_DENSE_LIMIT, else CG,
+    whose fit_bytes counts none of the direct solve's arrays."""
+    monkeypatch.setattr(lm, "RIDGE_DENSE_LIMIT", 10)
+    cases = {(5, 5): "dual", (6, 5): "primal", (10, 20): "dual", (11, 20): "cg",
+             (20, 9): "primal", (20, 10): "cg"}
+    assert {shape: lm._ridge_solver(*shape) for shape in cases} == cases
+    assert lm.fit_bytes("ridge", 11, 20, 3) == lm.fit_bytes("ridge", 20, 10, 3) == 0
+    assert lm.fit_bytes("ridge", 20, 9, 3) == 2 * 10 * 10 * 8 + lm.rff.GEMM_BLOCK_BYTES + 8 * 20 * 3
+
+
 # dual and primal agreed to about 1e-12 here, 5e-11 on the 3-mer benchmark shape
 RIDGE_RTOL = 1e-8
 

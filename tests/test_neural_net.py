@@ -479,19 +479,23 @@ def test_step_on_csr_batch_allocates_only_the_gradient(monkeypatch, rng):
 
 def test_train_bytes_matches_traced_peak():
     """The larger of train_bytes and score_bytes against tracemalloc's peak of training on
-    n rows and scoring them, beside the rows: 60 CSR rows of 20000 columns at width 64,
-    and 1048 dense RFF-like rows of 200 columns at the default width, whose scoring
-    (w1 and two 1048 x 200 activations) outgrows the fit."""
+    n rows and scoring them, beside the rows: 60 CSR rows of 20000 columns at width 64;
+    120 dense rows of 1000 columns at the default width, where a training step's batch x
+    hidden arrays and Adam's scratch blocks lie beside the four hidden x d arrays; and
+    1048 dense RFF-like rows of 200 columns at the default width, whose scoring (w1 and
+    two 1048 x 200 activations) outgrows the fit."""
     import tracemalloc
 
     C = 20
-    for n, d, h, sparse in ((60, 20000, 64, True), (1048, 200, None, False)):
+    for n, d, h, sparse in ((60, 20000, 64, True), (120, 1000, None, False),
+                            (1048, 200, None, False)):
         if sparse:
             X = sp.random(n, d, density=0.005, format="csr", random_state=3)
         else:
             X = np.cos(np.random.default_rng(3).standard_normal((n, d)))
         y = np.arange(n) % C
-        estimate = max(nnet.train_bytes(n, d, h), nnet.score_bytes(n, d, C, h, sparse=sparse))
+        nnz = X.nnz if sparse else None
+        estimate = max(nnet.train_bytes(n, d, h), nnet.score_bytes(n, d, C, h, nnz))
         tracemalloc.start()
         nnet.nn_scores(nnet.nn_train(X, y, C, hidden_width=h, epochs=2), X)
         peak = tracemalloc.get_traced_memory()[1]

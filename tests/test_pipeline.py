@@ -386,13 +386,13 @@ def test_parallel_runs_match_sequential():
 
 
 def test_parallel_runs_pool_is_capped_at_usable_cores(monkeypatch, inline_pool):
+    import concurrent.futures
     import os
     from dataclasses import replace
 
-    import seqclass.pipeline as pipeline
-
     InlinePool, pools = inline_pool
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+    # run_experiment imports the pool's class from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     data = labeled_corpus({"a": 30, "b": 30}, seed=17)
     config = ExperimentConfig(model="nb", runs=3, workers=8, parallel_runs=True)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -532,6 +532,15 @@ def test_cli_featurize_counts_on_threads_not_processes(tmp_path):
     out = _exit_code_and_modules(argv, "concurrent")
     assert out.startswith("0 [") and "'concurrent.futures.thread'" in out
     assert "concurrent.futures.process" not in out
+    assert _exit_code_and_modules(argv, "multiprocessing") == "0 []"
+
+
+def test_cli_run_starts_no_process_pool_module(tmp_path):
+    """Without parallel_runs a run starts no process, so it loads neither
+    concurrent.futures.process nor multiprocessing."""
+    _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
+    argv = ["run", "--corpus", str(corpus), "--runs", "2", "--workers", "2"]
+    assert "concurrent.futures.process" not in _exit_code_and_modules(argv, "concurrent")
     assert _exit_code_and_modules(argv, "multiprocessing") == "0 []"
 
 
@@ -927,8 +936,8 @@ def test_raw_csr_scores_in_blocks_are_bit_identical(monkeypatch, model, rows):
     data = labeled_corpus({"a": 20, "b": 15, "c": 15}, length=30, seed=4)
     config = ExperimentConfig(model=model, k=2, train_fraction=0.3, lr_max_iters=30)
     blocked, whole, blocks = _blocked_and_whole_scores(monkeypatch, config, data, rows)
-    # 35 test rows: 1-row blocks, or 4-row ones and a block of the 3-row remainder
-    assert blocks == ([1] * 35 if rows == 1 else [4] * 8 + [3])
+    # 35 test rows: 1-row blocks, or 9 balanced blocks of at most 4 rows
+    assert blocks == ([1] * 35 if rows == 1 else [3] + [4] * 8)
     assert np.array_equal(blocked, whole)
 
 
@@ -993,13 +1002,18 @@ def test_rff_scores_in_blocks_are_bit_identical_to_the_whole_split(monkeypatch, 
     assert np.abs(blocked - whole).max() <= 1e-14 * max(1.0, np.abs(whole).max())
 
 
-def _block_rows(config, columns: int, longest_row: int, value_bytes: int) -> int:
-    """The most test rows that _score_blocks scores in one block, on a corpus of ``columns``
-    used columns whose longest row holds ``longest_row`` nonzeros of ``value_bytes`` bytes:
-    up to that many test rows make one block, and one more makes two."""
+def _one_row(columns: int, longest_row: int, value_bytes: int):
+    """A corpus matrix of ``columns`` used columns whose one row holds ``longest_row``
+    nonzeros of ``value_bytes`` bytes."""
     dtype = {1: np.uint8, 8: np.float64}[value_bytes]
-    matrix = sp.csr_matrix((np.ones(longest_row, dtype), np.zeros(longest_row, np.int32),
-                            [0, longest_row]), shape=(1, columns))
+    return sp.csr_matrix((np.ones(longest_row, dtype), np.zeros(longest_row, np.int32),
+                          [0, longest_row]), shape=(1, columns))
+
+
+def _block_rows(config, columns: int, longest_row: int, value_bytes: int) -> int:
+    """The step of _score_blocks' plans on a corpus `_one_row` describes: up to that many
+    test rows make one block, and one more makes two."""
+    matrix = _one_row(columns, longest_row, value_bytes)
     low, high = 1, 1 << 15
     while low < high:
         middle = (low + high + 1) // 2
@@ -1029,6 +1043,11 @@ def test_score_block_rows():
         assert _block_rows(config, 5339, 37, 1) == (8 << 20) // (21 * 37)
     assert _block_rows(ExperimentConfig(), 5339, 37, 8) == (8 << 20) // (28 * 37)
     assert _block_rows(ExperimentConfig(), 5339, 1 << 20, 1) == 1  # a row above 8 MiB
+    # Every plan is ceil(n_test / step) blocks whose heights differ by at most one row: a
+    # row more than one CSR block makes two blocks, not a block and a one-row remainder
+    step = (8 << 20) // (21 * 37)
+    bounds, _ = _score_blocks(ExperimentConfig(), _one_row(5339, 37, 1), step + 1)
+    assert np.diff(bounds).tolist() == [step // 2, step // 2 + 1]
 
 
 def test_raw_nb_run_holds_less_than_the_test_split(monkeypatch):
@@ -1244,7 +1263,9 @@ RK, HR = "--rff-dim or --k", "--nn-hidden-width or --rff-dim"
 # 1000 and nn64 the nn at width 64. Printed by this grid at commit 0672eab, where
 # pipeline.memory_estimate still worked out every term itself, before each term moved
 # beside the function that allocates it; the nn rows printed again once
-# neural_net.score_bytes counted w1 for dense input and _forward's two activations.
+# neural_net.score_bytes counted w1 for dense input and _forward's two activations, and
+# again once train_bytes counted a training step's batch x h arrays and Adam's scratch
+# blocks, and raw nn's score block its CSR slice and score_bytes its float64 copy.
 FROZEN_ESTIMATES = {
     ("k2", "majority", False): [(1602354, K), (1036674, K), (611064, K)],
     ("k2", "majority", True): [(10242630, RK), (7437510, RK), (10156230, RK)],
@@ -1254,10 +1275,10 @@ FROZEN_ESTIMATES = {
     ("k2", "lr", True): [(10274630, RK), (7469510, RK), (10156230, RK)],
     ("k2", "ridge", False): [(8932157, TF), (10940107, TF), (12586248, K)],
     ("k2", "ridge", True): [(12859238, RK), (16169318, RK), (21322598, RK)],
-    ("k2", "nn", False): [(7687182, H), (7062151, H), (7187256, H)],
-    ("k2", "nn", True): [(36891110, HR), (39131110, HR), (41051110, HR)],
-    ("k2", "nn64", False): [(3099846, H), (1968966, H), (1867032, H)],
-    ("k2", "nn64", True): [(11307590, HR), (9179110, HR), (11099110, HR)],
+    ("k2", "nn", False): [(8873562, H), (9041739, H), (9166844, H)],
+    ("k2", "nn", True): [(39395398, HR), (42955398, HR), (44875398, HR)],
+    ("k2", "nn64", False): [(4286226, H), (2628066, H), (2602520, H)],
+    ("k2", "nn64", True): [(11307590, HR), (9914598, HR), (11834598, HR)],
     ("k3", "majority", False): [(1849764, K), (1193604, K), (694344, K)],
     ("k3", "majority", True): [(75684036, RK), (77683140, RK), (80220900, RK)],
     ("k3", "nb", False): [(3297636, K), (2299608, K), (2892552, K)],
@@ -1266,10 +1287,10 @@ FROZEN_ESTIMATES = {
     ("k3", "lr", True): [(75716036, RK), (77683140, RK), (80220900, RK)],
     ("k3", "ridge", False): [(8997912, TF), (11093512, TF), (15032312, TF)],
     ("k3", "ridge", True): [(83439068, RK), (86749148, RK), (91902428, RK)],
-    ("k3", "nn", False): [(2747590952, H), (2750696152, H), (2750838792, H)],
-    ("k3", "nn", True): [(107470940, HR), (109710940, HR), (111630940, HR)],
-    ("k3", "nn64", False): [(23813288, H), (26918488, H), (27061128, H)],
-    ("k3", "nn64", True): [(77518940, HR), (79758940, HR), (81678940, HR)],
+    ("k3", "nn", False): [(2766446080, H), (2781771840, H), (2781914480, H)],
+    ("k3", "nn", True): [(109975228, HR), (113535228, HR), (115455228, HR)],
+    ("k3", "nn64", False): [(24464296, H), (27653976, H), (27796616, H)],
+    ("k3", "nn64", True): [(78169948, HR), (80494428, HR), (82414428, HR)],
     ("k6", "majority", False): [(1822209, K), (1175409, K), (681999, K)],
     ("k6", "majority", True): [(553296545, RK), (555824945, RK), (558353345, RK)],
     ("k6", "nb", False): [(9347999, K), (9930023, K), (10512047, K)],
@@ -1278,10 +1299,10 @@ FROZEN_ESTIMATES = {
     ("k6", "lr", True): [(553624445, RK), (555824945, RK), (558353345, RK)],
     ("k6", "ridge", False): [(8988167, TF), (11070767, TF), (14996567, TF)],
     ("k6", "ridge", True): [(561592573, RK), (564902653, RK), (570055933, RK)],
-    ("k6", "nn", False): [(152509208447, H), (152531437447, H), (152531577487, H)],
-    ("k6", "nn", True): [(585624445, HR), (587864445, HR), (589784445, HR)],
-    ("k6", "nn64", False): [(174904703, H), (197133703, H), (197273743, H)],
-    ("k6", "nn64", True): [(555672445, HR), (557912445, HR), (559832445, HR)],
+    ("k6", "nn", False): [(152646408175, H), (152759754135, H), (152759894175, H)],
+    ("k6", "nn", True): [(588128733, HR), (591688733, HR), (593608733, HR)],
+    ("k6", "nn64", False): [(175555711, H), (197869191, H), (198009231, H)],
+    ("k6", "nn64", True): [(556323453, HR), (558647933, HR), (560567933, HR)],
     ("ohe", "majority", False): [(909604, K), (621604, K), (481924, K)],
     ("ohe", "majority", True): [(18743140, RK), (16535140, RK), (18656740, RK)],
     ("ohe", "nb", False): [(1362724, K), (983044, K), (1388164, K)],
@@ -1290,10 +1311,10 @@ FROZEN_ESTIMATES = {
     ("ohe", "lr", True): [(18775140, RK), (16655140, RK), (18656740, RK)],
     ("ohe", "ridge", False): [(8830212, TF), (10702212, TF), (14417412, TF)],
     ("ohe", "ridge", True): [(22703268, RK), (26013348, RK), (31166628, RK)],
-    ("ohe", "nn", False): [(91409284, H), (92044804, H), (92142724, H)],
-    ("ohe", "nn", True): [(46735140, HR), (48975140, HR), (50895140, HR)],
-    ("ohe", "nn64", False): [(9018724, H), (5508964, H), (5266564, H)],
-    ("ohe", "nn64", True): [(19808100, HR), (19023140, HR), (20943140, HR)],
+    ("ohe", "nn", False): [(95259972, H), (98113092, H), (98211012, H)],
+    ("ohe", "nn", True): [(49239428, HR), (52799428, HR), (54719428, HR)],
+    ("ohe", "nn64", False): [(9580324, H), (5904132, H), (6002052, H)],
+    ("ohe", "nn64", True): [(19808100, HR), (19758628, HR), (21678628, HR)],
     ("k3-l2", "majority", False): [(3090724, K), (2101924, K), (1630132, K)],
     ("k3-l2", "majority", True): [(76326244, RK), (78591460, RK), (81461860, RK)],
     ("k3-l2", "nb", False): [(4538596, K), (3169636, K), (3321748, K)],
@@ -1302,10 +1323,10 @@ FROZEN_ESTIMATES = {
     ("k3-l2", "lr", True): [(76358244, RK), (78591460, RK), (81461860, RK)],
     ("k3-l2", "ridge", False): [(9483396, TF), (11550852, TF), (15461508, TF)],
     ("k3-l2", "ridge", True): [(83931588, RK), (87241668, RK), (92394948, RK)],
-    ("k3-l2", "nn", False): [(2748132724, H), (2751434932, H), (2751774580, H)],
-    ("k3-l2", "nn", True): [(107963460, HR), (110203460, HR), (112123460, HR)],
-    ("k3-l2", "nn64", False): [(24355060, H), (27657268, H), (27996916, H)],
-    ("k3-l2", "nn64", True): [(78011460, HR), (80251460, HR), (82171460, HR)],
+    ("k3-l2", "nn", False): [(2766987852, H), (2782510620, H), (2782850268, H)],
+    ("k3-l2", "nn", True): [(110467748, HR), (114027748, HR), (115947748, HR)],
+    ("k3-l2", "nn64", False): [(25006068, H), (28392756, H), (28732404, H)],
+    ("k3-l2", "nn64", True): [(78662468, HR), (80986948, HR), (82906948, HR)],
 }
 
 
@@ -1481,6 +1502,7 @@ def test_memory_estimate_at_long_kmers():
 
 
 def test_memory_estimate_of_nn_counts_hidden_by_input():
+    from seqclass.neural_net import ADAM_BLOCK_BYTES
     from seqclass.pipeline import memory_estimate
 
     d = 1273 * 21  # one-hot on length-1273 sequences
@@ -1494,25 +1516,52 @@ def test_memory_estimate_of_nn_counts_hidden_by_input():
     assert memory_estimate(narrow, 20, _rows(0, d)) == (4 * 64 * d * 8 + _held(_rows(0, d)),
                                                         "--nn-hidden-width")
     # 3000 rows: the fit densifies batches of 100 of the 300 train rows beside its 4
-    # h x d arrays and the CSR train split (row pointers of 8 bytes a train row: these
+    # h x d arrays, a step's batch x h arrays (4 float64 and a byte mask) and Adam's two
+    # scratch blocks, and the CSR train split (row pointers of 8 bytes a train row: these
     # rows hold no nonzeros). That outweighs scoring, which densifies 14 balanced blocks
     # of at most 8 MiB / (8 * 5339) = 196 of the 2700 test rows (193 at most) beside w1,
     # two block x h activations and the scores (2700 x C, and 4 block x C arrays)
-    columns = 5339
+    columns, adam = 5339, 2 * ADAM_BLOCK_BYTES
     corpus = _rows(3000, columns)
     assert ((64 + 193) * columns * 8 + 2 * 193 * 64 * 8 + 8 * 20 * (2700 + 4 * 193)
             < (4 * 64 + 100) * columns * 8)
     assert memory_estimate(narrow, 20, corpus) == (
-        (4 * 64 + 100) * columns * 8 + 8 * 300 + _held(corpus), "--nn-hidden-width")
+        (4 * 64 + 100) * columns * 8 + 33 * 100 * 64 + adam + 8 * 300 + _held(corpus),
+        "--nn-hidden-width")
     # a 40-row corpus trains in one batch of its 4 train rows and scores its 36 test rows at once
     corpus = _rows(40, columns)
     assert memory_estimate(narrow, 20, corpus)[0] == (
-        (4 * 64 + 4) * columns * 8 + 8 * 4 + _held(corpus))
+        (4 * 64 + 4) * columns * 8 + 33 * 4 * 64 + adam + 8 * 4 + _held(corpus))
     # with RFF the width is D, and the fit's 4 D x D arrays beside the weights
     rff = memory_estimate(ExperimentConfig(model="nn", use_rff=True, rff_dim=1000), 20,
                           _rows(0, d))
     assert rff == (1000 * d * 8 + 4 * 1000 * 1000 * 8 + _held(_rows(0, d), 1000),
                    "--nn-hidden-width or --rff-dim")
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+def test_memory_estimate_covers_a_traced_raw_nn_run(fraction):
+    """Raw nn at width 64 on one-hot rows (1000 aligned sequences of 300 residues, 6300
+    used int8 columns): a run's traced peak, the corpus made before the trace, is at most
+    the estimate less the corpus. Training holds a step's batch x h arrays and Adam's
+    scratch blocks beside the four h x d arrays, and scoring a block holds its CSR slice
+    and the float64 copy of its values beside its densified rows."""
+    import tracemalloc
+
+    import seqclass.pipeline as pipeline
+    from seqclass.features import featurize_corpus, used_columns
+
+    data = labeled_corpus({"a": 500, "b": 250, "c": 250}, length=300, seed=5)
+    feats = featurize_corpus(data, "ohe")
+    feats = replace(feats, matrix=used_columns(feats.matrix))
+    config = ExperimentConfig(model="nn", encoding="ohe", nn_hidden_width=64, nn_epochs=1,
+                              train_fraction=fraction, runs=1)
+    estimate, _ = pipeline.memory_estimate(config, 3, feats.matrix)
+    tracemalloc.start()
+    pipeline._single_run(config, feats, 0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= estimate - pipeline._corpus_bytes(feats.matrix)
 
 
 def test_preflight_counts_every_parallel_run(monkeypatch):
