@@ -70,8 +70,6 @@ class ExperimentConfig:
             raise InvalidConfig(f"model must be one of {MODELS}")
         if self.runs < 1:
             raise InvalidConfig("runs must be >= 1")
-        if self.workers < 1:
-            raise InvalidConfig("workers must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidConfig("train_fraction must be in (0,1)")
         if self.use_rff and self.rff_dim < 1:

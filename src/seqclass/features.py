@@ -38,6 +38,7 @@ import json
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -142,11 +143,17 @@ def _chunk_bounds(windows: np.ndarray) -> list[int]:
     return bounds
 
 
-def _usable_cores() -> int:
+@contextmanager
+def thread_map(workers: int, tasks: int):
+    """(threads, map): the map yields in task order, on min(workers, tasks, usable cores)
+    threads or, at one, in the calling thread. No thread starts before a map."""
     try:
-        return len(os.sched_getaffinity(0))
+        cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
+        cores = os.cpu_count() or 1
+    threads = min(workers, tasks, cores)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield threads, pool.map if threads > 1 else map
 
 
 def kmer_matrix(
@@ -157,17 +164,14 @@ def kmer_matrix(
 ) -> sp.csr_matrix:
     """n x 21**k sparse count matrix; row i sums to len(seqs[i]) - k + 1.
 
-    Each chunk (module docstring) is encoded and counted in its own task, on
-    min(workers, chunks, usable cores) threads; at one, in the calling thread.
-    Chunks are copied out in row order, so the output and the first error in
-    row order do not depend on the thread count. The counts' dtype is the
-    narrowest unsigned one that holds the largest of them.
+    Each chunk (module docstring) is encoded and counted in its own task, over
+    `thread_map`'s threads. Chunks are copied out in row order, so the output
+    and the first error in row order do not depend on the thread count. The
+    counts' dtype is the narrowest unsigned one that holds the largest of them.
     """
     kmer_dim(k)  # InvalidConfig outside [1, MAX_K], before any other check
     if not seqs:
         raise EmptyCorpus("no sequences to featurize")
-    if workers < 1:
-        raise InvalidConfig(f"workers must be >= 1, got {workers}")
     if ids is None:
         ids = [f"<row {row}>" for row in range(len(seqs))]
     # a row shorter than k has no windows; its chunk raises SequenceTooShort
@@ -178,15 +182,13 @@ def kmer_matrix(
     indptr = np.zeros(len(seqs) + 1, dtype=np.int64)
     indices = np.empty(int(windows.sum()), dtype=np.int32)
     data = np.empty(len(indices), dtype=np.uint8)
-    threads = min(workers, len(bounds) - 1, _usable_cores())
 
     def count(start: int, stop: int) -> tuple[np.ndarray, ...]:
         return _kmer_chunk(ids[start:stop], seqs[start:stop], k)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:  # no thread starts before a submit
-        counted = (pool.map if threads > 1 else map)(count, bounds, bounds[1:])
-        for start, stop, (chunk_indptr, chunk_indices, chunk_data) in zip(bounds, bounds[1:],
-                                                                         counted):
+    with thread_map(workers, len(bounds) - 1) as (_, in_order):
+        for start, stop, (chunk_indptr, chunk_indices, chunk_data) in zip(
+                bounds, bounds[1:], in_order(count, bounds, bounds[1:])):
             lo = indptr[start]
             if chunk_data.itemsize > data.itemsize:  # a count above the data's type: widen it
                 wider = np.empty(len(data), dtype=chunk_data.dtype)
@@ -275,6 +277,8 @@ def featurize_corpus(
     """
     if not data:
         raise EmptyCorpus("cannot featurize an empty corpus")
+    if workers < 1:
+        raise InvalidConfig(f"workers must be >= 1, got {workers}")
     ids = [item.record.id for item in data]
     seqs = [item.record.residues for item in data]
     if mode == ENCODING_KMERS:
@@ -293,12 +297,13 @@ def featurize_corpus(
 
 
 def l2_normalize_rows(matrix: sp.csr_matrix) -> sp.csr_matrix:
-    """A float64 copy of ``matrix``, its nonzero rows scaled to unit L2 norm in place."""
-    out = matrix.astype(np.float64)
-    norms = np.sqrt(np.asarray(out.multiply(out).sum(axis=1)).ravel())
+    """A float64 copy of ``matrix`` on its index arrays, nonzero rows scaled to unit L2 norm."""
+    data = matrix.data.astype(np.float64)  # the squares below share the index arrays too
+    norms = np.sqrt(np.asarray(sp.csr_matrix((data**2, matrix.indices, matrix.indptr),
+                                             shape=matrix.shape).sum(axis=1)).ravel())
     norms[norms == 0.0] = 1.0
-    out.data *= np.repeat(1.0 / norms, np.diff(out.indptr))
-    return out
+    data *= np.repeat(1.0 / norms, np.diff(matrix.indptr))
+    return sp.csr_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
 
 
 # --- serialization ----------------------------------------------------------
@@ -323,11 +328,11 @@ def save_features(path: str, matrix: sp.csr_matrix | np.ndarray, encoding: str) 
 
 
 def export_features_csv(handle: IO[str], matrix: sp.csr_matrix) -> None:
-    """COO triplets (row, col, value) with a header, for interoperability."""
+    """COO triplets (row, col, value) with a header; 17 digits read back as the float64."""
     coo = sp.coo_matrix(matrix)
     handle.write("row,col,value\n")
     for r, c, v in zip(coo.row, coo.col, coo.data):
-        handle.write(f"{r},{c},{v:g}\n")
+        handle.write(f"{r},{c},{v:.17g}\n")
 
 
 def save_labels(path: str, labels: np.ndarray, class_names: list[str], encoding: str, dim: int) -> None:

@@ -16,6 +16,9 @@ when the run ends (None where the `resource` module is missing). Linux
 carries ru_maxrss over an exec, so a process spawned from a larger one
 reads at least that one's resident set at the spawn.
 
+With parallel_runs the runs share the corpus on `features.thread_map`'s threads, each
+giving its serial bits, and a run's peak_rss_mb counts the runs in flight beside it.
+
 Every model fits and scores in the used columns: the sorted columns
 of the corpus's feature matrix that hold a nonzero
 (`features.used_columns`), not the nominal 21^k or 21*L. A column no
@@ -45,9 +48,9 @@ give the same bits in any blocking. A NaN score is a numerical failure
 overflow.
 
 Before the first run, `memory_estimate` adds up the peak bytes of a
-run from the byte function beside each allocating function. A config
-whose estimate exceeds physical memory is an InvalidConfig naming the
-knob that lowers it.
+run from the byte function beside each allocating function; concurrent
+runs count the corpus once. A config whose estimate exceeds physical
+memory is an InvalidConfig naming the knob that lowers it.
 
 Which columns are used is read off every row, test rows included. So
 a run's RFF features, like the raw models' width, nn's init and its
@@ -68,7 +71,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, replace
 from functools import partial
 from datetime import datetime, timezone
-from itertools import repeat
 from pathlib import Path
 from typing import IO
 
@@ -79,7 +81,7 @@ from . import neural_net as nn
 from .config import ExperimentConfig
 from .errors import (EmptyMatrix, EmptyTrainingSet, InvalidConfig, IoFailure, NonFiniteLoss,
                      SeqclassError)
-from .features import FeaturizedCorpus, _usable_cores, featurize_corpus, used_columns
+from .features import FeaturizedCorpus, featurize_corpus, thread_map, used_columns
 from .ingest import LabeledSequence, _round_half_up, split_indices
 from .metrics import QUALITY, aggregate, confusion, roc_auc_ovr_weighted, summarize
 from .rff import (GEMM_BLOCK_BYTES, default_gamma, gemm_rows, new_projector, project_rows,
@@ -162,14 +164,11 @@ def _corpus_bytes(matrix) -> int:
 
 
 def _preflight_memory(config: ExperimentConfig, feature_dim: int, class_count: int,
-                      processes: int, matrix) -> None:
-    """InvalidConfig (exit 2) before an allocation that physical memory cannot hold.
-
-    ``matrix`` is the corpus's matrix on its used columns, of the nominal ``feature_dim``.
-    Each of several processes holds a run; the parent holds its own copy of the corpus.
-    """
+                      threads: int, matrix) -> None:
+    """InvalidConfig (exit 2) before ``threads`` concurrent runs outgrow physical memory; they
+    share one corpus ``matrix``, on its used columns of the nominal ``feature_dim``."""
     per_run, knob = memory_estimate(config, class_count, matrix)
-    needed = per_run * processes + (_corpus_bytes(matrix) if processes > 1 else 0)
+    needed = threads * per_run - (threads - 1) * _corpus_bytes(matrix)
     available = physical_memory_bytes()
     if available is not None and needed > available:
         raise InvalidConfig(
@@ -356,15 +355,11 @@ def run_experiment(
         if n_train == corpus_size:
             raise EmptyMatrix(f"--train-fraction {config.train_fraction} leaves no test "
                               f"rows of {corpus_size} sequences; lower it")
-    processes = min(config.runs, config.workers, _usable_cores()) if config.parallel_runs else 1
-    with _stage("memory"):
-        _preflight_memory(config, feats.dim, len(feats.class_names), processes, feats.matrix)
-    if processes > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(pool.map(_single_run, repeat(config), repeat(feats), range(config.runs)))
-    else:
-        results = [_single_run(config, feats, i) for i in range(config.runs)]
+    workers = config.workers if config.parallel_runs else 1
+    with thread_map(workers, config.runs) as (threads, in_order):
+        with _stage("memory"):
+            _preflight_memory(config, feats.dim, len(feats.class_names), threads, feats.matrix)
+        results = list(in_order(partial(_single_run, config, feats), range(config.runs)))
 
     summary = aggregate([r["metrics"] for r in results])
     timing = aggregate([r["timing"] for r in results])

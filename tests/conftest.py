@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from seqclass import features
 from seqclass.features import ALPHABET
 from seqclass.ingest import LabeledSequence, LabelHierarchy, SequenceRecord
 
@@ -60,24 +61,20 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
-def inline_pool():
-    """A ProcessPoolExecutor stand-in that maps in this process and starts none.
-
-    Returns the class and the list of max_workers it was created with.
-    """
+def thread_pools(monkeypatch):
+    """The thread counts of the pools `features.thread_map` maps over, for k-mer chunks or
+    runs; a pool it enters and never maps over (one thread: the tasks run in the calling
+    thread) is not listed."""
     pools = []
 
-    class InlinePool:
+    class RecordingPool(features.ThreadPoolExecutor):
         def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
+            self.threads = max_workers
+            super().__init__(max_workers=max_workers)
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            pools.append(self.threads)
+            return super().map(fn, *iterables)
 
-    return InlinePool, pools
+    monkeypatch.setattr(features, "ThreadPoolExecutor", RecordingPool)
+    return pools

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -186,6 +187,13 @@ def test_featurize_corpus_mixed_length_ohe_names_offender():
         featurize_corpus(data, "ohe")
 
 
+@pytest.mark.parametrize("mode", ["kmers", "ohe"])
+def test_featurize_corpus_rejects_workers_below_one(mode):
+    # one-hot starts no thread, yet both encodings check the same workers
+    with pytest.raises(InvalidConfig, match="workers must be >= 1, got 0"):
+        featurize_corpus(labeled_corpus({"a": 2, "b": 2}), mode, workers=0)
+
+
 def test_featurize_corpus_empty():
     with pytest.raises(EmptyCorpus):
         featurize_corpus([], "kmers")
@@ -200,7 +208,8 @@ def test_featurize_row_order_matches_input(rng):
 
 
 def test_featurize_parallel_is_bit_identical(rng, monkeypatch):
-    monkeypatch.setattr(features, "_usable_cores", lambda: 4)  # so three workers are 3 threads
+    # so three workers are 3 threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.setattr(features, "_CHUNK_WINDOWS", 3800)
     seqs = random_sequences(rng, 600, 40)  # 38 windows a row: 6 chunks
     one = kmer_matrix(seqs, 3, workers=1)
@@ -240,25 +249,6 @@ def test_used_columns_at_k6_allocates_no_int64_array_of_the_nominal_width(rng):
     assert np.array_equal(np.unique(matrix.indices)[restricted.indices], matrix.indices)
 
 
-@pytest.fixture
-def thread_pools(monkeypatch):
-    """The thread counts of the pools kmer_matrix maps chunks over; a pool it enters and
-    never maps over (one thread: the chunks are counted in the calling thread) is not listed."""
-    pools = []
-
-    class RecordingPool(features.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            self.threads = max_workers
-            super().__init__(max_workers=max_workers)
-
-        def map(self, fn, *iterables):
-            pools.append(self.threads)
-            return super().map(fn, *iterables)
-
-    monkeypatch.setattr(features, "ThreadPoolExecutor", RecordingPool)
-    return pools
-
-
 def test_parallel_propagates_errors(rng, monkeypatch, thread_pools):
     """A worker's InvalidResidue and SequenceTooShort reach the caller intact through the pool.
 
@@ -267,7 +257,7 @@ def test_parallel_propagates_errors(rng, monkeypatch, thread_pools):
     """
     pools = thread_pools
     monkeypatch.setattr(features, "_CHUNK_WINDOWS", 3800)
-    monkeypatch.setattr(features, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     seqs = random_sequences(rng, 600, 40)
     ids = [f"q{i}" for i in range(len(seqs))]
     bad = list(seqs)
@@ -501,13 +491,46 @@ def test_pool_is_capped_at_chunks_and_usable_cores(rng, monkeypatch, thread_pool
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
     kmer_matrix(seqs, 3, workers=8)
     assert pools == [2, 3]  # three chunks
-    with pytest.raises(InvalidConfig):
-        kmer_matrix(seqs, 3, workers=0)
+
+
+def test_thread_map_starts_no_task_after_an_error(monkeypatch):
+    """The first error in task order reaches the caller, and the map cancels the queued tasks,
+    so a failed run or chunk does not wait for the rest to be computed."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = []
+
+    def task(i):
+        started.append(i)
+        if i == 0:
+            raise ValueError("task 0")
+        time.sleep(0.5)  # holds its thread until the map has failed
+
+    with pytest.raises(ValueError, match="task 0"):
+        with features.thread_map(2, 6) as (threads, in_order):
+            assert threads == 2
+            list(in_order(task, range(6)))
+    assert sorted(started)[:2] == [0, 1] and len(started) <= 3  # the thread freed by 0 may take 2
 
 
 def test_l2_normalize_rows(rng):
-    mat = kmer_matrix(random_sequences(rng, 5, 30), 3)
+    """Unit rows with the bits of a float64 copy scaled by norms of its elementwise square;
+    the copy's values and their squares are all it allocates beside the norms."""
+    import tracemalloc
+
+    mat = kmer_matrix(random_sequences(rng, 1000, 300), 3)
+    values = mat.astype(np.float64)
+    norms = np.sqrt(np.asarray(values.multiply(values).sum(axis=1)).ravel())
+    values.data *= np.repeat(1.0 / norms, np.diff(values.indptr))
+    tracemalloc.start()
     normed = l2_normalize_rows(mat)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    for got, want in ((normed.indptr, values.indptr), (normed.indices, values.indices),
+                      (normed.data, values.data)):
+        assert np.array_equal(got, want)
+    assert np.shares_memory(normed.indices, mat.indices)
+    assert np.shares_memory(normed.indptr, mat.indptr)
+    assert peak <= 2 * 8 * mat.nnz + 64 * mat.shape[0]  # astype and multiply: 2.2x this
     norms = np.sqrt(np.asarray(normed.multiply(normed).sum(axis=1)).ravel())
     assert np.allclose(norms, 1.0)
 

@@ -375,29 +375,25 @@ def test_lr_runs_report_convergence():
 
 def test_parallel_runs_match_sequential():
     data = labeled_corpus({"a": 30, "b": 30}, seed=17)
-    # raw nb, and RFF lr, whose projectors are built inside the pool's workers
-    for base in (ExperimentConfig(model="nb", runs=3, workers=2),
-                 ExperimentConfig(model="lr", use_rff=True, rff_dim=64, runs=3, workers=2)):
-        seq_report = run_experiment(base, data)
-        par_report = run_experiment(replace(base, parallel_runs=True), data)
-        # same numbers; only the echoed config (the parallel flag itself) may differ
-        for key in ("runs", "aggregate", "class_names", "feature_dim", "feature_columns"):
-            assert strip_timing(seq_report[key]) == strip_timing(par_report[key])
+    # every model, raw and RFF; RFF projectors are built in each run's own thread
+    for model in ("majority", "nb", "lr", "ridge", "nn"):
+        for use_rff in (False, True):
+            base = ExperimentConfig(model=model, use_rff=use_rff, rff_dim=64, runs=3, workers=2,
+                                    nn_hidden_width=8, nn_epochs=2)
+            seq_report = run_experiment(base, data)
+            par_report = run_experiment(replace(base, parallel_runs=True), data)
+            # same numbers; only the echoed config (the parallel flag itself) may differ
+            for key in ("runs", "aggregate", "class_names", "feature_dim", "feature_columns"):
+                assert strip_timing(seq_report[key]) == strip_timing(par_report[key])
 
 
-def test_parallel_runs_pool_is_capped_at_usable_cores(monkeypatch, inline_pool):
-    import concurrent.futures
-    import os
-    from dataclasses import replace
-
-    InlinePool, pools = inline_pool
-    # run_experiment imports the pool's class from concurrent.futures when it starts one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+def test_parallel_runs_pool_is_capped_at_usable_cores(monkeypatch, thread_pools):
+    pools = thread_pools
     data = labeled_corpus({"a": 30, "b": 30}, seed=17)
     config = ExperimentConfig(model="nb", runs=3, workers=8, parallel_runs=True)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     inline = run_experiment(config, data)
-    assert pools == []  # one usable core: the runs stay in this process
+    assert pools == []  # one usable core: the runs stay in this thread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     pooled = run_experiment(config, data)
     assert pools == [2]
@@ -536,12 +532,14 @@ def test_cli_featurize_counts_on_threads_not_processes(tmp_path):
 
 
 def test_cli_run_starts_no_process_pool_module(tmp_path):
-    """Without parallel_runs a run starts no process, so it loads neither
+    """A run starts no process, its runs in parallel or not, so it loads neither
     concurrent.futures.process nor multiprocessing."""
     _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
-    argv = ["run", "--corpus", str(corpus), "--runs", "2", "--workers", "2"]
-    assert "concurrent.futures.process" not in _exit_code_and_modules(argv, "concurrent")
-    assert _exit_code_and_modules(argv, "multiprocessing") == "0 []"
+    for parallel in ("false", "true"):
+        argv = ["run", "--corpus", str(corpus), "--runs", "2", "--workers", "2",
+                "--parallel-runs", parallel]
+        assert "concurrent.futures.process" not in _exit_code_and_modules(argv, "concurrent")
+        assert _exit_code_and_modules(argv, "multiprocessing") == "0 []"
 
 
 def test_cli_ig_leaves_scipy_out(tmp_path):
@@ -727,15 +725,22 @@ def test_cli_nn_that_diverges_on_its_last_step_exits_4(tmp_path, capsys):
 
 
 def test_cli_featurize_csv_holds_the_sqfv1_matrix(tmp_path):
+    """Counts print as integers, and every value, L2-normalized ones too, reads back exactly."""
     _, _, _, corpus = _write_inputs(tmp_path, {"a": 5, "b": 4})
     feats, labels, table = tmp_path / "f.sqfv", tmp_path / "l.json", tmp_path / "f.csv"
-    assert main(["featurize", "--corpus", str(corpus), "--k", "2", "--out-features", str(feats),
-                 "--out-labels", str(labels), "--csv", str(table)]) == 0
-    _, shape, indptr, indices, values = read_sqfv1(feats)
-    lines = table.read_text().splitlines()
-    assert lines[0] == "row,col,value"
-    rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
-    assert lines[1:] == [f"{r},{c},{v:g}" for r, c, v in zip(rows, indices, values)]
+    for flags in ([], ["--l2-normalize"]):
+        assert main(["featurize", "--corpus", str(corpus), "--k", "2",
+                     "--out-features", str(feats), "--out-labels", str(labels),
+                     "--csv", str(table), *flags]) == 0
+        _, shape, indptr, indices, values = read_sqfv1(feats)
+        lines = table.read_text().splitlines()
+        assert lines[0] == "row,col,value"
+        rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
+        triplets = [line.split(",") for line in lines[1:]]
+        assert [(int(r), int(c)) for r, c, _ in triplets] == list(zip(rows, indices))
+        assert np.array_equal([float(v) for _, _, v in triplets], values)
+        if not flags:
+            assert all(v == str(int(value)) for (_, _, v), value in zip(triplets, values))
 
 
 def test_cli_ig_subsample_and_histograms(tmp_path, monkeypatch):
@@ -873,11 +878,15 @@ def test_cli_numeric_key_at_minus_one_or_zero_exits_0_or_2(tmp_path, key, value)
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
-def test_cli_workers_below_one_is_config_error(tmp_path, workers):
+def test_cli_workers_below_one_is_config_error(tmp_path, capsys, workers):
     _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
-    assert main(["run", "--corpus", str(corpus), "--workers", workers]) == 2
-    assert main(["featurize", "--corpus", str(corpus), "--workers", workers,
-                 "--out-features", str(tmp_path / "f"), "--out-labels", str(tmp_path / "l")]) == 2
+    for encoding in ("kmers", "ohe"):
+        assert main(["run", "--corpus", str(corpus), "--encoding", encoding,
+                     "--workers", workers]) == 2
+        assert main(["featurize", "--corpus", str(corpus), "--encoding", encoding,
+                     "--workers", workers, "--out-features", str(tmp_path / "f"),
+                     "--out-labels", str(tmp_path / "l")]) == 2
+        assert capsys.readouterr().err.count("workers must be >= 1") == 2
 
 
 # --- scoring in blocks of test rows ------------------------------------------------
@@ -1574,10 +1583,14 @@ def test_preflight_counts_every_parallel_run(monkeypatch):
     pipeline._preflight_memory(config, 9261, 20, 1, matrix)
     with pytest.raises(InvalidConfig, match="lower --k"):
         pipeline._preflight_memory(config, 9261, 20, 2, matrix)
-    # each pool process unpickles its own corpus, and the parent keeps its own
-    monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: 2 * per_run + _held(matrix) - 1)
-    with pytest.raises(InvalidConfig, match="lower --k"):
-        pipeline._preflight_memory(config, 9261, 20, 2, matrix)
+    # the threads share one corpus: each run beside it holds the rest of its estimate
+    for threads in (2, 3):
+        needed = threads * per_run - (threads - 1) * _held(matrix)
+        monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: needed - 1)
+        with pytest.raises(InvalidConfig, match="lower --k"):
+            pipeline._preflight_memory(config, 9261, 20, threads, matrix)
+        monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: needed)
+        pipeline._preflight_memory(config, 9261, 20, threads, matrix)
     monkeypatch.setattr(pipeline, "physical_memory_bytes", lambda: None)  # unknown: no check
     pipeline._preflight_memory(config, 9261, 20, 2, matrix)
 
@@ -1634,7 +1647,7 @@ def test_cli_featurize_long_kmers(tmp_path, monkeypatch, k):
     from seqclass import features
 
     monkeypatch.setattr(features, "_CHUNK_WINDOWS", 5000)
-    monkeypatch.setattr(features, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     counted_on, count = [], features._kmer_chunk
     monkeypatch.setattr(features, "_kmer_chunk", lambda ids, seqs, k: counted_on.append(
         threading.get_ident()) or count(ids, seqs, k))
