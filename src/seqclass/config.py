@@ -62,6 +62,8 @@ class ExperimentConfig:
             value = getattr(self, key)
             if kind.startswith("float") and value is not None and not math.isfinite(value):
                 raise InvalidConfig(f"config key {key!r} must be finite, got {value}")
+            if kind.startswith("str") and value is not None and "\0" in value:  # open() rejects it
+                raise InvalidConfig(f"config key {key!r} holds a NUL byte, which no path can")
         if self.class_level not in CLASS_LEVELS:
             raise InvalidConfig(f"class_level must be one of {CLASS_LEVELS}")
         if self.encoding not in ENCODINGS:

@@ -1,9 +1,9 @@
 """FASTA parsing, metadata joining, validation and train/test splitting.
 
 Sequences are amino-acid strings over the 21-letter alphabet
-``ACDEFGHIKLMNPQRSTVWXY``; a single trailing ``*`` (stop) is tolerated
-by the parser and stripped when a corpus is assembled, so everything
-downstream sees stop-free sequences.
+``ACDEFGHIKLMNPQRSTVWXY``; the parser drops a single trailing ``*``
+(stop) as it closes a record, so no record, and nothing downstream,
+holds a stop.
 
 Metadata is a tab-separated table ``id<TAB>continent<TAB>country<TAB>state``
 (header row required; ``state`` may be empty, ``continent`` and ``country``
@@ -110,13 +110,14 @@ def encode_residues(ids: Sequence[str], seqs: Sequence[str]) -> tuple[np.ndarray
 def parse_fasta(stream: Iterable[str]) -> list[SequenceRecord]:
     """Parse FASTA text into validated records, preserving input order.
 
-    Sequence lines may be wrapped; surrounding whitespace is ignored.
+    Sequence lines may be wrapped; surrounding whitespace is ignored. A
+    single trailing stop is dropped from each record's last line before
+    its lines are joined, so the returned records carry no stop.
     Raises MalformedFasta for sequence data before the first header,
     empty headers or bodies (a body of only the stop is empty) or
     duplicate ids; once the whole text parses, InvalidResidue for the
-    first character outside the alphabet (one trailing stop per record
-    is allowed), checked in blocks of records of about _CHECK_RESIDUES
-    residues.
+    first character outside the alphabet (a second stop included),
+    checked in blocks of records of about _CHECK_RESIDUES residues.
     """
     records: list[SequenceRecord] = []
     seen: set[str] = set()
@@ -127,8 +128,10 @@ def parse_fasta(stream: Iterable[str]) -> list[SequenceRecord]:
         nonlocal header, chunks
         if header is None:
             return
+        if chunks:
+            chunks[-1] = chunks[-1].removesuffix(STOP_CHAR)
         body = "".join(chunks)
-        if not body.removesuffix(STOP_CHAR):  # a lone stop is no sequence either
+        if not body:  # a lone stop is no sequence either
             raise MalformedFasta(f"record {header!r} has an empty sequence body")
         if header in seen:
             raise MalformedFasta(f"duplicate sequence id {header!r}")
@@ -155,16 +158,9 @@ def parse_fasta(stream: Iterable[str]) -> list[SequenceRecord]:
         size += len(rec.residues)
         if size >= _CHECK_RESIDUES or stop == len(records):
             block = records[start:stop]
-            residue_codes([r.id for r in block], [strip_stop(r).residues for r in block])
+            residue_codes([r.id for r in block], [r.residues for r in block])
             start, size = stop, 0
     return records
-
-
-def strip_stop(record: SequenceRecord) -> SequenceRecord:
-    """Drop the single trailing stop character, if present."""
-    if record.residues.endswith(STOP_CHAR):
-        return SequenceRecord(record.id, record.residues[:-1])
-    return record
 
 
 def read_metadata_tsv(stream: Iterable[str]) -> dict[str, LabelHierarchy]:
@@ -197,7 +193,7 @@ def join_metadata(
     metadata: dict[str, LabelHierarchy],
     report: IO[str] | None = None,
 ) -> list[LabeledSequence]:
-    """Inner-join records with metadata by id; stops are stripped here.
+    """Inner-join records with metadata by id, as `parse_fasta` returns them (no stripping).
 
     Records without a metadata row are dropped; a summary count goes to
     ``report`` (stderr by default). Raises EmptyJoin when nothing matches.
@@ -211,7 +207,7 @@ def join_metadata(
         if label is None:
             dropped += 1
             continue
-        joined.append(LabeledSequence(record=strip_stop(rec), label=label))
+        joined.append(LabeledSequence(record=rec, label=label))
     if not joined:
         raise EmptyJoin("no sequence ids matched the metadata table")
     print(f"joined {len(joined)} sequences, {dropped} dropped (no metadata)", file=report)
@@ -375,7 +371,8 @@ def load_corpus(path: str) -> list[LabeledSequence]:
                 if None in required:  # only the state may be absent
                     name = ("id", "continent", "country", "residues")[required.index(None)]
                     raise IoFailure(f"corpus {path!r} record {index + 1} of {count} has no {name}")
-                if not residues.removesuffix(STOP_CHAR):  # an older corpus may hold one
+                # a lone stop too: ingest wrote such a body before parse_fasta rejected it
+                if not residues.removesuffix(STOP_CHAR):
                     raise IoFailure(f"corpus {path!r} record {seq_id!r} has no residues")
                 data.append(
                     LabeledSequence(

@@ -32,7 +32,6 @@ from seqclass.ingest import (
     residue_codes,
     save_corpus,
     split_indices,
-    strip_stop,
 )
 
 from conftest import labeled_corpus, random_sequences
@@ -44,7 +43,7 @@ def test_parse_single_record():
 
 def test_parse_wrapped_lines_and_stop_char():
     records = parse_fasta(io.StringIO(">s1\nMDP\nEG\n>s2\nAAA*\n"))
-    assert [r.residues for r in records] == ["MDPEG", "AAA*"]
+    assert [r.residues for r in records] == ["MDPEG", "AAA"]
     assert [r.id for r in records] == ["s1", "s2"]
 
 
@@ -79,8 +78,9 @@ def test_parse_duplicate_or_empty_header():
 
 def test_fasta_round_trip(rng):
     seqs = random_sequences(rng, 25, 40)
-    records = [SequenceRecord(f"id{i}", s + ("*" if i % 3 == 0 else "")) for i, s in enumerate(seqs)]
-    text = "".join(f">{rec.id}\n{rec.residues}\n" for rec in records)
+    records = [SequenceRecord(f"id{i}", s) for i, s in enumerate(seqs)]
+    text = "".join(f">{rec.id}\n{rec.residues}{'*' if i % 3 == 0 else ''}\n"
+                   for i, rec in enumerate(records))
     assert parse_fasta(io.StringIO(text)) == records
 
 
@@ -95,9 +95,10 @@ def test_validation_accepts_exactly_the_alphabet():
             with pytest.raises(InvalidResidue) as err:
                 parse_fasta(fasta)
             assert (err.value.seq_id, err.value.position, err.value.char) == ("x", 2, ch)
-    assert parse_fasta(io.StringIO(">x\nAA*\n"))[0].residues == "AA*"  # single trailing stop is fine
-    with pytest.raises(InvalidResidue):
+    assert parse_fasta(io.StringIO(">x\nAA*\n"))[0].residues == "AA"  # one trailing stop is dropped
+    with pytest.raises(InvalidResidue) as err:
         parse_fasta(io.StringIO(">x\nAA**\n"))  # but only one
+    assert (err.value.position, err.value.char) == (3, "*")
 
 
 def test_structural_fault_is_reported_before_a_bad_residue():
@@ -183,11 +184,6 @@ def test_round_half_up_matches_numpy_floor(rng):
         assert type(got) is int and got == int(np.floor(x + 0.5))
 
 
-def test_strip_stop():
-    assert strip_stop(SequenceRecord("a", "MD*")).residues == "MD"
-    assert strip_stop(SequenceRecord("a", "MD")).residues == "MD"
-
-
 def test_metadata_reader_and_state_optional():
     tsv = "id\tcontinent\tcountry\tstate\na\tAsia\tJapan\t\nb\tEurope\tFrance\tIDF\n"
     table = read_metadata_tsv(io.StringIO(tsv))
@@ -221,10 +217,12 @@ def test_join_drops_unmatched_and_reports(capsys):
     assert "1 dropped" in capsys.readouterr().err
 
 
-def test_join_strips_stop():
-    records = [SequenceRecord("s0", "MDPEG*")]
-    joined = join_metadata(records, {"s0": LabelHierarchy("Asia", "Japan")}, report=io.StringIO())
-    assert joined[0].record.residues == "MDPEG"
+def test_join_returns_the_parsed_records_themselves():
+    records = parse_fasta(io.StringIO(">s0\nMDPEG*\n>s1\nMD\nPE*\n>s2\nMDP\n*\n"))
+    meta = {f"s{i}": LabelHierarchy("Asia", "Japan") for i in range(3)}
+    joined = join_metadata(records, meta, report=io.StringIO())
+    assert all(item.record is rec for item, rec in zip(joined, records, strict=True))
+    assert [item.record.residues for item in joined] == ["MDPEG", "MDPE", "MDP"]
 
 
 def test_join_empty():
@@ -440,3 +438,25 @@ def test_corpus_with_bytes_after_its_records_is_io_failure(tmp_path, capsys):
     joined.write_bytes(one.read_bytes() + b"\0" * 3)
     with pytest.raises(IoFailure, match="holds 3 bytes after"):
         load_corpus(str(joined))
+
+
+def test_cli_ingest_of_stop_terminated_fasta_writes_the_stop_free_corpus(tmp_path, rng):
+    seqs = random_sequences(rng, 12, 30)
+    metadata = tmp_path / "meta.tsv"
+    metadata.write_text("id\tcontinent\tcountry\tstate\n"
+                        + "".join(f"s{i}\tAsia\tc{i % 2}\t\n" for i in range(len(seqs))))
+
+    def ingest_bytes(name, body):
+        fasta, out = tmp_path / f"{name}.fa", tmp_path / f"{name}.bin"
+        fasta.write_text("".join(f">s{i}\n{body(i, s)}\n" for i, s in enumerate(seqs)))
+        assert main(["ingest", "--fasta", str(fasta), "--metadata", str(metadata),
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    # unwrapped, wrapped, and followed by an empty line: with a stop appended, the stop ends
+    # the one line, ends the last line, and stands alone on the last line
+    layouts = (lambda s: s, lambda s: f"{s[:10]}\n{s[10:]}", lambda s: f"{s}\n")
+    stop_free = ingest_bytes("plain", lambda i, s: layouts[i % 3](s))
+    stopped = ingest_bytes("stops", lambda i, s: layouts[i % 3](s) + "*")
+    assert stopped == stop_free
+    assert load_corpus(str(tmp_path / "plain.bin"))[0].record.residues == seqs[0]

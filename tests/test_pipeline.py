@@ -785,6 +785,20 @@ def test_cli_infinite_config_value_is_config_error(tmp_path, capsys, key, value)
     assert f"config key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["corpus", "fasta", "metadata", "output_dir"])
+def test_cli_config_path_with_a_nul_byte_is_config_error(tmp_path, capsys, key):
+    """argv cannot carry a NUL byte, but a config file can; open() would raise ValueError."""
+    _, fasta, tsv, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
+    paths = {"corpus": corpus, "fasta": fasta, "metadata": tsv, "output_dir": tmp_path / "out"}
+    source = ["corpus"] if key in ("corpus", "output_dir") else ["fasta", "metadata"]
+    lines = [f"{name} = {paths[name]}{chr(0) if name == key else ''}"
+             for name in source + ["output_dir"]]
+    config = tmp_path / "run.cfg"
+    config.write_text("\n".join(lines + ["model = nb"]) + "\n")
+    assert main(["run", "--config", str(config)]) == 2
+    assert f"config key {key!r} holds a NUL byte" in capsys.readouterr().err
+
+
 def test_cli_rff_gamma_whose_weights_overflow_is_config_error(tmp_path, capsys):
     _, _, _, corpus = _write_inputs(tmp_path, {"a": 10, "b": 10})
     assert main(["run", "--corpus", str(corpus), "--model", "lr", "--use-rff", "true",

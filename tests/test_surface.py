@@ -79,3 +79,14 @@ def test_pipeline_names_no_model_internal_memory_rule():
     tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
     internal = {"LBFGS_MEMORY", "RIDGE_DENSE_LIMIT", "GEMM_MIN_DENSITY", "uses_gemm", "getbufsize"}
     assert _names(tree) & internal == set()
+
+
+def test_stop_char_is_named_only_where_fasta_and_corpus_bodies_are_read():
+    """One stop rule: parse_fasta drops a record's trailing stop, and load_corpus rejects a
+    lone-stop body that an older ingest wrote; nothing else in the package names STOP_CHAR."""
+    naming = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if "STOP_CHAR" in _names(node) - _defined(node):
+                naming.add(f"{path.stem}.{getattr(node, 'name', type(node).__name__)}")
+    assert naming == {"ingest.parse_fasta", "ingest.load_corpus"}
